@@ -27,13 +27,15 @@ from importlib import resources
 from pathlib import Path
 from time import perf_counter
 
-from .polyarith import MonomialOrder, Polynomial, VarTable
+from .polyarith import MonomialOrder, Polynomial, VarTable, mono_mul
 from .groebner import (
     Ideal,
+    Subalgebra,
     ideal_equal,
     intersect,
     is_nonzerodivisor,
     map_kernel,
+    standard_monomials,
     subalgebra_member,
     zero_dimensional,
 )
@@ -46,7 +48,8 @@ from .exprparser import (
     parse_rational,
     split_list,
 )
-from .invariants import GroupAction, invariant_presentation
+from .invariants import GroupAction, InvariantError, invariant_presentation
+from .linalg import SparseEchelon
 from .ringpres import (
     Morphism,
     Presentation,
@@ -208,6 +211,9 @@ class Stratum:
         self.ring = invariant_presentation(
             self.action, names=self.ring_names, generators=self.ring_forms
         )
+        self._coordinates = Subalgebra(
+            self.table, list(zip(self.ring_names, self.ring_forms)),
+            tag_table=self.ring.table)
         self.top_form = self._psi(spec.top)
         self._require_invariant("top Chern form", self.top_form)
         self.restrictions = {}
@@ -240,8 +246,7 @@ class Stratum:
 
     def coordinates_of(self, form: Polynomial) -> Polynomial:
         """Express an invariant form in the ring coordinates."""
-        expr = subalgebra_member(form, list(zip(self.ring_names, self.ring_forms)),
-                                 tag_table=self.ring.table)
+        expr = subalgebra_member(form, self._coordinates)
         if expr is None:
             raise PipelineError(
                 f"form is not in the coordinate ring of {self.label}: {form}"
@@ -396,15 +401,29 @@ def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
 
 
 def minimal_generators(pres: Presentation) -> list:
-    """Degree-increasing irredundant generating set of the relation ideal."""
+    """Degree-increasing irredundant generating set of the relation ideal.
+
+    The reduced basis is walked in (weighted degree, text) order and each
+    element is kept unless the ones kept before it generate it.  Relations
+    are homogeneous, so an element g of degree d is generated exactly when
+    it lies in the Q-span of m*s over the kept elements s and the monomials
+    m of degree d - deg s; one echelon per degree decides that.
+    """
     order = pres.order
+    free = Ideal(pres.table, ())
     basis = sorted(pres.relations.groebner(order),
                    key=lambda g: (g.weighted_degree(), str(g)))
     selected = []
+    degree = span = None
     for g in basis:
-        if selected and Ideal(pres.table, selected).member(g, order):
-            continue
-        selected.append(g)
+        d = g.weighted_degree()
+        if d != degree:
+            degree, span = d, SparseEchelon()
+            for s in selected:
+                for m in standard_monomials(free, d - s.weighted_degree(), order):
+                    span.add({mono_mul(sm, m): c for sm, c in s.terms.items()})
+        if span.add(g.terms):
+            selected.append(g)
     return selected
 
 

@@ -298,13 +298,20 @@ def cmd_fiber(args):
     return _presentation_text(fiber_product(alpha, beta)), 0
 
 
+def _require_dmax(args):
+    if args.dmax < 0:
+        raise InputError(f"--dmax must be a nonnegative integer, got {args.dmax}")
+
+
 def cmd_dims(args):
+    _require_dmax(args)
     pres = _load_presentation(args.presentation)
     lines = [f"{d}: {pres.dim(d)}" for d in range(args.dmax + 1)]
     return "\n".join(lines) + "\n", 0
 
 
 def cmd_verify_paper(args):
+    _require_dmax(args)
     convention = SignConvention.parse(args.convention) if args.convention else None
     report = verify_paper(convention=convention, dmax=args.dmax,
                           strata_root=args.strata, claims_path=args.claims)

@@ -1,16 +1,20 @@
 """Groebner bases over Q and the ideal operations built on them.
 
 The engine is Buchberger's algorithm with the Gebauer-Moeller pair update
-(coprime, chain and equal-lcm criteria) and normal selection.  Internally
+(coprime, chain and equal-lcm criteria).  S-pairs are taken smallest lcm
+first; when every input generator is weighted-homogeneous under its table's
+weights, pairs are taken by the weighted degree of their lcm first (the
+normal strategy for homogeneous input), so each degree is finished before
+the next begins whatever the monomial order.  Internally
 polynomials are primitive integer coefficient dicts so the hot reduction
 loop never touches Fraction; reduced monic bases are produced only at the
 end.  Reduced bases are unique per (ideal, order) and cached write-once on
 the Ideal object.
 
 Derived operations follow the standard eliminations: kernels of ring maps
-via graph ideals, intersections via the one-tag trick, colon ideals via
-intersection with a principal ideal, subalgebra membership via tag
-variables ordered after the originals.
+via graph ideals, intersections via the one-tag trick on homogenized
+generators, colon ideals via intersection with a principal ideal,
+subalgebra membership via tag variables ordered after the originals.
 """
 
 from __future__ import annotations
@@ -171,11 +175,19 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
             raise ValueError("generators live in different variable tables")
     eng = _Engine(order)
     key = eng.key
+    if all(g.is_homogeneous() for g in gens):
+        weights = context.weights
+
+        def pair_key(L, Lk):
+            return (sum(e * w for e, w in zip(L, weights)), Lk)
+    else:
+        def pair_key(L, Lk):
+            return Lk
 
     lead = []      # per element: (lmkey, lm, lc, terms)
     alive = set()
     reducers = []  # alive + dead, sorted by lmkey; duplicates of `lead`
-    pairs = []     # heap of (lcmkey, i, j)
+    pairs = []     # heap of (pair_key, i, j)
     pair_live = {} # (i,j) -> lcm monomial
 
     def push_element(terms):
@@ -212,7 +224,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
             if mono_coprime(lead[i][1], lm):
                 continue
             pair_live[(i, t)] = L
-            heappush(pairs, (Lk, i, t))
+            heappush(pairs, (pair_key(L, Lk), i, t))
         for i in list(alive):
             if mono_div(lead[i][1], lm) is not None:
                 alive.discard(i)
@@ -410,9 +422,10 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
 # ---------------------------------------------------------------------------
 # variable bookkeeping for eliminations
 
-def _fresh_names(base: str, n: int, taken) -> list:
+def _fresh_names(base: str, n: int, taken, start: int = 0) -> list:
+    """n names base<k>, k counting up from `start`, skipping names in `taken`."""
     names = []
-    i = 0
+    i = start
     for _ in range(n):
         while True:
             cand = f"{base}{i}"
@@ -533,21 +546,40 @@ def map_kernel(source: VarTable, images: dict, target_ideal: Ideal | None = None
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I intersected with J via the auxiliary variable trick."""
+    """I intersected with J via the auxiliary variable trick, homogenized.
+
+    Every generator is homogenized by a new variable h of weight 1, so
+    K = t*I^h + (h - t)*J^h is weighted-homogeneous and its elimination
+    basis is built degree by degree; on non-homogeneous input the plain
+    trick t*I + (1 - t)*J can swell coefficients past ten thousand bits
+    in a few variables.  The part of K free of t lies between
+    h*(I^h cap J^h) and I^h cap J^h, and setting h = 1 maps both onto
+    I cap J.
+    """
     ctx = I.context
     if J.context != ctx:
         raise ValueError("ideals live in different variable tables")
     if I.is_zero() or J.is_zero():
         return Ideal(ctx, [])
     tname = _fresh_names("_t", 1, set(ctx.names))[0]
-    table = VarTable((tname,) + ctx.names, (1,) + ctx.weights)
+    hname = _fresh_names("_h", 1, set(ctx.names))[0]
+    table = VarTable((tname,) + ctx.names + (hname,), (1,) + ctx.weights + (1,))
     t = Polynomial.variable(table, tname)
-    one = Polynomial.one(table)
-    gens = [t * f.rename(table) for f in I.gens]
-    gens += [(one - t) * g.rename(table) for g in J.gens]
+    h = Polynomial.variable(table, hname)
+
+    def homogenize(f):
+        d = f.weighted_degree()
+        return Polynomial(table, {
+            (0,) + m + (d - sum(e * w for e, w in zip(m, ctx.weights)),): c
+            for m, c in f.terms.items()
+        })
+
+    gens = [t * homogenize(f) for f in I.gens]
+    gens += [(h - t) * homogenize(g) for g in J.gens]
     elim = eliminate(Ideal(table, gens), [tname])
-    # eliminate() returns the kept table, which equals ctx
-    return Ideal(ctx, [g.rename(ctx) for g in elim.gens])
+    dehomogenize = {n: Polynomial.variable(ctx, n) for n in ctx.names}
+    dehomogenize[hname] = Polynomial.one(ctx)
+    return Ideal(ctx, [g.substitute(dehomogenize, target=ctx) for g in elim.gens])
 
 
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
@@ -565,37 +597,65 @@ def is_nonzerodivisor(f: Polynomial, I: Ideal) -> bool:
     return ideal_equal(ideal_quotient(I, f), I)
 
 
+class Subalgebra:
+    """Named generators over one table, with the graph ideal of their tags.
+
+    `gens` is a list of (name, Polynomial) over `context`.  The graph ideal
+    holds tag - generator for every pair; tag variables are ordered after
+    the original variables, so a normal form pushes everything expressible
+    into tags.  Tags are weighted by the weighted degree of each generator
+    unless a tag table is given.  The graph basis is computed on first use
+    and kept on the object, so every form tested against one generator list
+    shares a single Buchberger run.
+    """
+
+    __slots__ = ("context", "tag_table", "graph", "order")
+
+    def __init__(self, context: VarTable, gens, tag_table: VarTable | None = None):
+        names = [n for n, _ in gens]
+        if tag_table is None:
+            weights = []
+            for n, g in gens:
+                d = g.weighted_degree()
+                weights.append(d if d > 0 else 1)
+            tag_table = VarTable(names, weights)
+        if set(names) & set(context.names):
+            raise ValueError("tag name collides with an original variable")
+        combined = VarTable(context.names + tag_table.names,
+                            context.weights + tag_table.weights)
+        gens_c = []
+        for n, g in gens:
+            if g.context != context:
+                raise ValueError("generator lives in a different variable table")
+            gens_c.append(Polynomial.variable(combined, n) - g.rename(combined))
+        self.context = context
+        self.tag_table = tag_table
+        self.graph = Ideal(combined, gens_c)
+        self.order = _block_order(context.weights, tag_table.weights)
+
+    def express(self, f: Polynomial):
+        """f as a Polynomial over the tag table, or None when not a member."""
+        if f.context != self.context:
+            raise ValueError("polynomial lives in a different variable table")
+        nf = self.graph.normal_form(f.rename(self.graph.context), self.order)
+        if nf.support_names() <= set(self.tag_table.names):
+            return nf.rename(self.tag_table)
+        return None
+
+
 def subalgebra_member(f: Polynomial, gens, tag_table: VarTable | None = None):
     """Express f in the subalgebra generated by named polynomials.
 
-    `gens` is a list of (name, Polynomial) over f's table.  Returns the
-    expression as a Polynomial over the tag table (tags weighted by the
-    weighted degree of each generator) or None when f is not a member.
-    Tag variables are ordered after the original variables so the normal
-    form pushes everything expressible into tags.
+    `gens` is a list of (name, Polynomial) over f's table, or a Subalgebra
+    already built for them when many forms are tested against one list.
+    Returns the expression as a Polynomial over the tag table or None when
+    f is not a member.
     """
-    ctx = f.context
-    names = [n for n, _ in gens]
-    if tag_table is None:
-        weights = []
-        for n, g in gens:
-            d = g.weighted_degree()
-            weights.append(d if d > 0 else 1)
-        tag_table = VarTable(names, weights)
-    if set(names) & set(ctx.names):
-        raise ValueError("tag name collides with an original variable")
-    combined = VarTable(ctx.names + tag_table.names, ctx.weights + tag_table.weights)
-    gens_c = []
-    for n, g in gens:
-        if g.context != ctx:
-            raise ValueError("generator lives in a different variable table")
-        gens_c.append(Polynomial.variable(combined, n) - g.rename(combined))
-    order = _block_order(ctx.weights, tag_table.weights)
-    gb = buchberger(gens_c, order)
-    nf = reduce_full(f.rename(combined), gb, order)
-    if nf.support_names() <= set(tag_table.names):
-        return nf.rename(tag_table)
-    return None
+    if isinstance(gens, Subalgebra):
+        if tag_table is not None:
+            raise ValueError("a Subalgebra already carries its tag table")
+        return gens.express(f)
+    return Subalgebra(f.context, gens, tag_table).express(f)
 
 
 def zero_dimensional(I: Ideal, order: MonomialOrder = GREVLEX):

@@ -13,7 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
-from .groebner import Ideal, map_kernel, standard_monomials, subalgebra_member
+from .groebner import (
+    Ideal,
+    Subalgebra,
+    _fresh_names,
+    map_kernel,
+    standard_monomials,
+    subalgebra_member,
+)
 from .linalg import independent_rows
 from .ringpres import Presentation
 
@@ -229,17 +236,23 @@ def algebra_generators(action: GroupAction, max_degree: int | None = None,
     The sweep runs through the Noether bound |G| unless a smaller cap is
     given; within a degree, candidates are taken in the deterministic
     invariant_basis order and kept when they are not already expressible in
-    the generators found so far.
+    the generators found so far.  Tags are named tag_base<k>, skipping the
+    action's own variable names.
     """
     bound = action.order if max_degree is None else max_degree
+    taken = set(action.table.names)
     selected = []
+    span = None  # one Subalgebra per state of `selected`
     for d in range(1, bound + 1):
         for f in invariant_basis(action, d):
             if selected:
-                names = [f"{tag_base}{i}" for i in range(len(selected))]
-                if subalgebra_member(f, list(zip(names, selected))) is not None:
+                if span is None:
+                    names = _fresh_names(tag_base, len(selected), taken)
+                    span = Subalgebra(action.table, list(zip(names, selected)))
+                if subalgebra_member(f, span) is not None:
                     continue
             selected.append(f)
+            span = None
     return selected
 
 
@@ -252,14 +265,16 @@ def invariant_presentation(action: GroupAction, names=None, generators=None,
     to the group-order degree bound yields generators of the whole invariant
     algebra, and each of those is checked to be expressible in the supplied
     ones.  A degreewise dimension comparison through the check degree
-    (default |G| + 2) runs as an independent cross-check.
+    (default |G| + 2) runs as an independent cross-check.  Default names
+    are z1, z2, ..., skipping the action's own variable names.
     """
     canonical = algebra_generators(action)
     if generators is None:
         generators = canonical
     generators = list(generators)
+    tags = _fresh_names("z", len(generators), set(action.table.names), start=1)
     if names is None:
-        names = [f"z{i+1}" for i in range(len(generators))]
+        names = tags
     if len(names) != len(generators):
         raise InvariantError("one name per generator is required")
     weights = []
@@ -270,7 +285,7 @@ def invariant_presentation(action: GroupAction, names=None, generators=None,
             raise InvariantError(f"generator is not invariant: {f}")
         weights.append(f.weighted_degree())
     table = VarTable(names, weights)
-    supplied = list(zip(names, generators))
+    supplied = Subalgebra(action.table, list(zip(tags, generators)))
     for f in canonical:
         if subalgebra_member(f, supplied) is None:
             raise InvariantError(

@@ -1,7 +1,9 @@
 """Minimal exact linear algebra over Fraction: rref, rank, solving.
 
-Matrices are lists of row lists.  Everything is dense; the graded pieces
+Matrices are lists of row lists and are handled densely; the graded pieces
 this package works with are small enough that simplicity beats cleverness.
+The one sparse eliminator, `SparseEchelon`, keeps rows as dicts keyed by
+monomials and serves rank counts and degreewise span membership.
 """
 
 from __future__ import annotations
@@ -97,23 +99,34 @@ def independent_rows(matrix):
     return kept
 
 
-def sparse_rank(rows) -> int:
-    """Rank of a set of sparse vectors given as {key: Fraction} dicts.
+class SparseEchelon:
+    """Incremental echelon form of sparse vectors given as {key: Fraction} dicts.
 
     Keys only need to be mutually comparable; elimination pivots on the
-    largest key of each row.  Rows that reduce to nothing are dropped.
+    largest key of each row, and each stored pivot row is monic.  The
+    number of pivot rows is the rank of everything added so far.
     """
-    pivots = {}
-    rank = 0
-    for row in rows:
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def reduce(self, row) -> dict:
+        """Eliminate pivots from the top of a copy of `row`.
+
+        The result is empty exactly when `row` lies in the span; otherwise
+        its largest key is not a pivot.
+        """
         row = {k: v for k, v in row.items() if v}
+        pivots = self.pivots
         while row:
             lead = max(row)
             prow = pivots.get(lead)
             if prow is None:
-                c = row[lead]
-                pivots[lead] = {k: v / c for k, v in row.items()}
-                rank += 1
                 break
             c = row.pop(lead)
             for k, v in prow.items():
@@ -124,4 +137,22 @@ def sparse_rank(rows) -> int:
                     row[k] = nv
                 else:
                     row.pop(k, None)
-    return rank
+        return row
+
+    def add(self, row) -> bool:
+        """Add `row` to the span; True when it was not already in it."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = max(row)
+        c = row[lead]
+        self.pivots[lead] = {k: v / c for k, v in row.items()}
+        return True
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a set of sparse vectors given as {key: Fraction} dicts."""
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.add(row)
+    return len(echelon)

@@ -226,6 +226,26 @@ def test_invpres_on_packaged_stratum(capsys):
     assert "[kind]" in out and "presentation" in out
 
 
+def test_invpres_with_z_named_variables(tmp_path, capsys):
+    action = write(tmp_path, "zswap.action", """\
+[kind]
+action
+
+[vars]
+z0
+z1
+
+[group]
+z0 -> z1; z1 -> z0
+""")
+    code, out, err = run(capsys, ["invpres", action])
+    assert (code, err) == (0, "")
+    assert out == ("[kind]\npresentation\n[vars]\nz2(1)\nz3(2)\n")
+    code, out, err = run(capsys, ["invpres", action, "--names", "z0,z1"])
+    assert (code, err) == (0, "")
+    assert "z0(1)\nz1(2)" in out
+
+
 def test_fiber(tmp_path, capsys):
     alpha = write(tmp_path, "alpha.morph", """\
 [kind]
@@ -279,6 +299,16 @@ k1^2
     code, out, _ = run(capsys, ["dims", doc, "--dmax", "4"])
     assert code == 0
     assert out == "0: 1\n1: 1\n2: 1\n3: 1\n4: 1\n"
+
+
+@pytest.mark.parametrize("command", ["dims", "verify-paper"])
+def test_negative_dmax_exits_2(tmp_path, capsys, command):
+    argv = [command, "--dmax", "-1"]
+    if command == "dims":
+        argv.insert(1, write(tmp_path, "free.pres", "[kind]\npresentation\n[vars]\nk1\n"))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: --dmax must be a nonnegative integer, got -1" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,16 @@
 """Groebner bases and the ideal-theoretic operations built on them."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
+    Subalgebra,
     brute_force_member,
     buchberger,
     eliminate,
@@ -25,6 +29,8 @@ from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def polys(table, *texts):
@@ -190,6 +196,23 @@ def test_colon_and_nonzerodivisors():
         assert I.member(g * x)
 
 
+def test_colon_of_a_non_homogeneous_ideal_finishes():
+    # Without homogenizing inside intersect, this ran for minutes: the
+    # elimination basis grew coefficients of tens of thousands of bits.
+    table = VarTable(["x1", "x2", "x3"])
+    I = Ideal(table, polys(table, "-31/4*x1^2*x2^3 + 31/4*x1^3*x3",
+                           "-22/3*x1^2*x3^2 + 8",
+                           "-19/6*x2^3*x3^3 + 3/2*x1*x2^3 - 7*x3^3"))
+    f = parse_polynomial("4*x1^2*x2^2*x3^2 - 9/2*x1*x2*x3 - 15/2*x3^3", table)
+    t0 = perf_counter()
+    colon = ideal_quotient(I, f)
+    assert perf_counter() - t0 < 30.0
+    for g in colon.gens:
+        assert I.member(g * f)
+    for g in I.gens:
+        assert colon.member(g)
+
+
 def test_subalgebra_member_both_ways():
     table = VarTable(["t1", "t2"])
     gens = [
@@ -203,6 +226,13 @@ def test_subalgebra_member_both_ways():
     images = {"z1": gens[0][1], "z2": gens[1][1]}
     assert expr.substitute(images, target=table) == inside
     assert subalgebra_member(Polynomial.variable(table, "t1"), gens) is None
+    # one prebuilt Subalgebra answers the same way for every form
+    span = Subalgebra(table, gens)
+    assert subalgebra_member(inside, span) == expr
+    assert subalgebra_member(Polynomial.variable(table, "t1"), span) is None
+    assert len(span.graph._gb) == 1
+    with pytest.raises(ValueError):
+        subalgebra_member(inside, span, tag_table=expr.context)
 
 
 def test_subalgebra_member_custom_tag_table():
@@ -249,3 +279,21 @@ def test_brute_force_member_agrees_on_crafted_cases():
     assert not brute_force_member(Polynomial.variable(table, "x"), gens, slack=4)
     assert not I.member(Polynomial.variable(table, "x"))
     assert brute_force_member(Polynomial.zero(table), gens)
+
+
+def test_katsura3_lex_matches_the_reference_basis():
+    # Non-homogeneous input keeps smallest-lcm-first pair selection; with
+    # sugar-degree selection this instance took 27.5 s instead of 0.013 s.
+    refs = json.loads(REFS.read_text())
+    case = next(c for c in refs["ideals"]
+                if c["name"] == "katsura-3" and c["order"] == "lex")
+    table = VarTable(case["vars"], case["weights"])
+
+    def poly(terms):
+        return Polynomial(table, {tuple(m): Fraction(c) for m, c in terms})
+
+    t0 = perf_counter()
+    gb = buchberger([poly(g) for g in case["gens"]], LEX)
+    elapsed = perf_counter() - t0
+    assert sorted(gb, key=str) == sorted((poly(g) for g in case["gb"]), key=str)
+    assert elapsed < 5.0

@@ -15,6 +15,7 @@ from chowcheck.chowpipeline import (
     SignConvention,
     StratumSpec,
     Stratum,
+    convention_search,
     emit_report,
     load_base,
     load_claims,
@@ -266,3 +267,14 @@ def test_text_report_mentions_the_key_findings(report):
     assert text.count("FAIL") >= 20
     with pytest.raises(PipelineError):
         emit_report(report, format="yaml")
+
+
+def test_sweep_reports_an_unknown_claim_kind_as_an_error_row(tmp_path):
+    path = tmp_path / "bogus.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: bogus-claim\nkind: bogus\n")
+    result = convention_search(load_claims(path=path),
+                               conventions=[SignConvention()])
+    (row,) = result["rows"]
+    assert row["passed"] == [] and row["failed"] == []
+    assert row["errors"] == [{"id": "bogus-claim",
+                              "error": "unknown claim kind 'bogus'"}]

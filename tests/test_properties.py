@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from chowcheck.chowpipeline import minimal_generators
 from chowcheck.exprparser import parse_polynomial, print_canonical
 from chowcheck.groebner import (
     Ideal,
@@ -12,9 +13,11 @@ from chowcheck.groebner import (
     buchberger,
     ideal_quotient,
     reduce_full,
+    standard_monomials,
 )
 from chowcheck.invariants import GroupAction
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
+from chowcheck.ringpres import Presentation
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -207,3 +210,63 @@ def test_reduction_certificate(gens, f):
     for q, g in zip(qs, gb):
         rebuilt = rebuilt + q * g
     assert rebuilt == f
+
+
+# ---------------------------------------------------------------------------
+# weighted-homogeneous ideals: degree-first pair selection and minimal
+# generators by degreewise linear algebra
+
+@st.composite
+def homogeneous_presentations(draw):
+    weights = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    table = VarTable(["a", "b", "c"], weights)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 4))
+        monos = standard_monomials(Ideal(table, ()), degree, GREVLEX)
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=min(2, len(monos)),
+                               max_size=3, unique=True))
+        gens.append(Polynomial(table, {m: draw(coeffs) for m in chosen}))
+    return Presentation(table, gens, check=False)
+
+
+def membership_loop(pres):
+    """Keep each reduced-basis element the kept ones do not generate,
+    deciding membership with a fresh Groebner basis every time."""
+    order = pres.order
+    basis = sorted(pres.relations.groebner(order),
+                   key=lambda g: (g.weighted_degree(), str(g)))
+    selected = []
+    for g in basis:
+        if selected and Ideal(pres.table, selected).member(g, order):
+            continue
+        selected.append(g)
+    return selected
+
+
+@settings(max_examples=50, deadline=None)
+@given(homogeneous_presentations())
+def test_minimal_generators_match_the_membership_loop(pres):
+    assert minimal_generators(pres) == membership_loop(pres)
+
+
+def test_minimal_generators_drop_a_generated_basis_element():
+    table = VarTable(["x", "y"])
+    pres = Presentation(table, [parse_polynomial(t, table)
+                                for t in ("x^2 + y^2", "x*y")])
+    assert sorted(str(g) for g in pres.relations.groebner(pres.order)) == [
+        "x*y", "x^2 + y^2", "y^3"]
+    assert [str(g) for g in minimal_generators(pres)] == ["x*y", "x^2 + y^2"]
+    assert minimal_generators(pres) == membership_loop(pres)
+
+
+@settings(max_examples=25, deadline=None)
+@given(homogeneous_presentations().flatmap(
+    lambda pres: st.tuples(st.just(pres),
+                           st.permutations(list(pres.relations.gens)))))
+def test_homogeneous_basis_ignores_generator_order(case):
+    pres, shuffled = case
+    for order in (pres.order, LEX):
+        assert buchberger(shuffled, order) == buchberger(pres.relations.gens, order)
