@@ -34,14 +34,12 @@ from .ringpres import (
     Presentation,
     apply_quotient,
     fiber_product,
-    graded_dimension,
     graded_surjectivity,
 )
 from .exprparser import (
     ParseError,
     parse_document,
     parse_polynomial,
-    print_canonical,
 )
 from .chowpipeline import (
     Claim,
@@ -83,7 +81,6 @@ __all__ = [
     "eliminate",
     "emit_report",
     "fiber_product",
-    "graded_dimension",
     "graded_surjectivity",
     "ideal_equal",
     "ideal_quotient",
@@ -100,7 +97,6 @@ __all__ = [
     "minimal_generators",
     "parse_document",
     "parse_polynomial",
-    "print_canonical",
     "run_pipeline",
     "standard_monomials",
     "subalgebra_member",

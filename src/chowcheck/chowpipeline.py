@@ -43,9 +43,11 @@ from .exprparser import (
     Document,
     ParseError,
     parse_document,
+    parse_group,
     parse_name_weight,
     parse_polynomial,
     parse_rational,
+    parse_vartable,
     split_list,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
@@ -55,7 +57,6 @@ from .ringpres import (
     Presentation,
     PresentationError,
     apply_quotient,
-    fiber_product,
     graded_surjectivity,
 )
 
@@ -142,19 +143,8 @@ class StratumSpec:
         if doc.kind != "stratum":
             raise PipelineError("expected a stratum document")
         self.label = doc.single("label").value
-        from .exprparser import parse_vartable
-
         self.table = parse_vartable(doc.section("vars", required=True))
-        self.group_specs = []
-        for entry in doc.section("group", required=True):
-            gen = {}
-            for piece in split_list(entry.value if entry.key is None
-                                    else f"{entry.key}: {entry.value}"):
-                if "->" not in piece:
-                    raise ParseError(f"bad group image {piece!r}", entry.line)
-                src, dst = piece.split("->", 1)
-                gen[src.strip()] = dst.strip()
-            self.group_specs.append(gen)
+        self.group_specs = parse_group(doc.section("group", required=True))
         self.defs = [(e.key, e.value) for e in (doc.section("defs") or [])]
         self.ring = []
         for e in doc.section("ring", required=True):
@@ -591,6 +581,8 @@ class ClaimRunner:
         source, target, env, functions = self._claim_tables(claim)
         images = {}
         for item in split_list(claim.get("images")):
+            if "->" not in item:
+                raise PipelineError(f"claim field 'images': item {item!r} has no '->'")
             name, text = item.split("->", 1)
             images[name.strip()] = parse_polynomial(text.strip(), target, env,
                                                     functions)
@@ -606,8 +598,13 @@ class ClaimRunner:
         f = self.psi(label, claim.get("expr"))
         point = {}
         for item in split_list(claim.get("point")):
+            if "=" not in item:
+                raise PipelineError(f"claim field 'point': item {item!r} has no '='")
             name, val = item.split("=", 1)
             point[name.strip()] = Fraction(parse_rational(val.strip()))
+        missing = [n for n in stratum.table.names if n not in point]
+        if missing:
+            raise PipelineError(f"claim field 'point' gives no value for {missing[0]}")
         mapping = {n: Polynomial.constant(stratum.table, point[n])
                    for n in stratum.table.names}
         got = f.substitute(mapping)

@@ -26,10 +26,10 @@ from .chowpipeline import (
 from .exprparser import (
     ParseError,
     parse_document,
+    parse_group,
     parse_polynomial,
     parse_rational,
     parse_vartable,
-    split_list,
 )
 from .groebner import (
     Ideal,
@@ -140,17 +140,7 @@ def _load_action(path: str):
     """A group action: [vars] plus [group]; stratum files work unchanged."""
     doc = _read_document(path, ("action", "stratum"))
     table = _doc_vars(doc)
-    generators = []
-    for entry in doc.section("group", required=True):
-        text = entry.value if entry.key is None else f"{entry.key}: {entry.value}"
-        generator = {}
-        for piece in split_list(text):
-            if "->" not in piece:
-                raise ParseError(f"bad group image {piece!r}", entry.line)
-            src, dst = piece.split("->", 1)
-            generator[src.strip()] = dst.strip()
-        generators.append(generator)
-    return table, GroupAction(table, generators)
+    return table, GroupAction(table, parse_group(doc.section("group", required=True)))
 
 
 def _element(args, table: VarTable):

@@ -229,11 +229,6 @@ def parse_rational(text, line=None):
     return Fraction(num, den)
 
 
-def print_canonical(poly: Polynomial) -> str:
-    """Canonical text form: decreasing grevlex terms, lowest-terms coefficients."""
-    return str(poly)
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -365,3 +360,21 @@ def parse_name_weight(text, line=None):
 def split_list(value):
     """Split a `;`-separated value list, dropping empty pieces."""
     return [piece.strip() for piece in value.split(";") if piece.strip()]
+
+
+def parse_group(entries) -> list:
+    """Read `[group]` entries, one generator each: `a -> b; b -> -a`.
+
+    Returns one {source: image text} dict per generator; the images are
+    interpreted by `GroupAction`.
+    """
+    generators = []
+    for e in entries:
+        generator = {}
+        for piece in split_list(e.value if e.key is None else f"{e.key}: {e.value}"):
+            if "->" not in piece:
+                raise ParseError(f"bad group image {piece!r}", e.line)
+            src, dst = piece.split("->", 1)
+            generator[src.strip()] = dst.strip()
+        generators.append(generator)
+    return generators

@@ -5,11 +5,14 @@ The engine is Buchberger's algorithm with the Gebauer-Moeller pair update
 first; when every input generator is weighted-homogeneous under its table's
 weights, pairs are taken by the weighted degree of their lcm first (the
 normal strategy for homogeneous input), so each degree is finished before
-the next begins whatever the monomial order.  Internally
-polynomials are primitive integer coefficient dicts so the hot reduction
-loop never touches Fraction; reduced monic bases are produced only at the
-end.  Reduced bases are unique per (ideal, order) and cached write-once on
-the Ideal object.
+the next begins whatever the monomial order.  Reduced bases are unique
+per (ideal, order) and cached write-once on the Ideal object.
+
+There is one reduction loop, `_reduce`: fraction-free, on primitive integer
+coefficient dicts, with optional quotients.  Buchberger reduces S-polynomials
+with it and builds reduced monic bases only at the end; `reduce_full`
+clears the denominators of its input, runs the same loop and scales the
+remainder and quotients back to exact rationals.
 
 Derived operations follow the standard eliminations: kernels of ring maps
 via graph ideals, intersections via the one-tag trick on homogenized
@@ -22,10 +25,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
-from functools import reduce as _fold
 from heapq import heappush, heappop
-from itertools import count
 
+from .linalg import solve_linear
 from .polyarith import (
     GREVLEX,
     MonomialOrder,
@@ -39,34 +41,91 @@ from .polyarith import (
 
 
 # ---------------------------------------------------------------------------
-# integer-core helpers
+# the reduction kernel
 
-def _int_terms(poly: Polynomial) -> dict:
-    """Clear denominators and strip content; {} for the zero polynomial."""
+def _int_terms(poly: Polynomial):
+    """(terms, lift): poly with denominators cleared and content stripped,
+    and the factor lift with terms == lift * poly; ({}, 1) for zero."""
     if not poly.terms:
-        return {}
+        return {}, Fraction(1)
     den = 1
     for c in poly.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    terms = {m: int(c * den) for m, c in poly.terms.items()}
-    g = _fold(math.gcd, terms.values())
+    terms = {m: c.numerator * (den // c.denominator) for m, c in poly.terms.items()}
+    g = math.gcd(*terms.values())
     if g > 1:
         terms = {m: c // g for m, c in terms.items()}
-    return terms
+    return terms, Fraction(den, g)
 
 
-def _strip(terms: dict, lead_mono=None, keyfn=None) -> dict:
+def _strip(terms: dict, keyfn) -> dict:
     """Divide by the content and normalise the leading sign to positive."""
     if not terms:
         return terms
-    g = _fold(math.gcd, terms.values())
-    if lead_mono is None:
-        lead_mono = max(terms, key=keyfn)
-    if terms[lead_mono] < 0:
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=keyfn)] < 0:
         g = -g
     if g != 1:
         terms = {m: c // g for m, c in terms.items()}
     return terms
+
+
+def _reduce(work: dict, reducers, key, quotients=None):
+    """Fully reduce integer terms modulo reducers, fraction-free.
+
+    `work` is consumed.  `reducers` is a list of (lmkey, lm, lc, terms, i)
+    sorted by lmkey; each term is reduced by the first reducer whose
+    leading monomial divides it.  Returns (rem, scale), where scale times
+    the input equals rem plus an integer combination of the reducers.
+    With `quotients`, a list of dicts indexed by i, that combination is
+    recorded there already divided by scale, so that
+    input = sum(quotients[i] * terms_i) + rem / scale.
+    """
+    rem = {}
+    scale = 1
+    agenda = sorted((key(m), m) for m in work)
+    while agenda:
+        _, m = agenda.pop()
+        c = work.get(m)
+        if not c:
+            work.pop(m, None)
+            continue
+        for entry in reducers:
+            q = mono_div(m, entry[1])
+            if q is not None:
+                break
+        else:
+            rem[m] = c
+            del work[m]
+            continue
+        lc = entry[2]
+        d = math.gcd(c, lc)
+        s = lc // d
+        t = c // d
+        if s != 1:
+            for mm in work:
+                work[mm] *= s
+            for mm in rem:
+                rem[mm] *= s
+            scale *= s
+        if quotients is not None:
+            qd = quotients[entry[4]]
+            qd[q] = qd.get(q, 0) + Fraction(t, scale)
+        for gm, gc in entry[3].items():
+            mm = mono_mul(gm, q)
+            old = work.get(mm)
+            if old is None:
+                v = -t * gc
+                if v:
+                    work[mm] = v
+                    insort(agenda, (key(mm), mm))
+            else:
+                v = old - t * gc
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
+    return rem, scale
 
 
 class _Engine:
@@ -83,66 +142,20 @@ class _Engine:
             self._keys[mono] = k
         return k
 
-    # -- reduction ----------------------------------------------------------
+    def reducer(self, terms: dict, i: int):
+        """The (lmkey, lm, lc, terms, i) entry `_reduce` expects."""
+        lm = max(terms, key=self.key)
+        return (self.key(lm), lm, terms[lm], terms, i)
 
     def reduce_int(self, p: dict, reducers) -> dict:
-        """Fully reduce integer terms modulo reducers, fraction-free.
-
-        `reducers` is a list of (lmkey, lm, lc, terms) sorted by lmkey.  The
-        result is primitive with positive leading coefficient; membership in
-        the generated ideal is preserved up to a nonzero rational factor.
-        """
-        work = dict(p)
-        rem = {}
-        if not work:
-            return rem
-        key = self.key
-        agenda = sorted((key(m), m) for m in work)
-        while agenda:
-            _, m = agenda.pop()
-            c = work.get(m)
-            if not c:
-                work.pop(m, None)
-                continue
-            hit = None
-            for _, lm, lc, terms in reducers:
-                q = mono_div(m, lm)
-                if q is not None:
-                    hit = (lc, terms, q)
-                    break
-            if hit is None:
-                rem[m] = c
-                del work[m]
-                continue
-            lc, terms, q = hit
-            d = math.gcd(c, lc)
-            s = lc // d
-            t = c // d
-            if s != 1:
-                for mm in work:
-                    work[mm] *= s
-                for mm in rem:
-                    rem[mm] *= s
-            for gm, gc in terms.items():
-                mm = mono_mul(gm, q)
-                old = work.get(mm)
-                if old is None:
-                    v = -t * gc
-                    if v:
-                        work[mm] = v
-                        insort(agenda, (key(mm), mm))
-                else:
-                    v = old - t * gc
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
-        if rem:
-            rem = _strip(rem, keyfn=self.key)
-        return rem
+        """Remainder of integer terms modulo reducers, primitive with positive
+        leading coefficient; membership in the generated ideal is preserved
+        up to a nonzero rational factor."""
+        rem, _ = _reduce(dict(p), reducers, self.key)
+        return _strip(rem, self.key)
 
     def spoly(self, f, g) -> dict:
-        """S-polynomial of primitive integer term dicts, stripped."""
+        """S-polynomial of primitive integer term dicts, fraction-free."""
         lmf, lcf, tf = f
         lmg, lcg, tg = g
         L = mono_lcm(lmf, lmg)
@@ -184,7 +197,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
         def pair_key(L, Lk):
             return Lk
 
-    lead = []      # per element: (lmkey, lm, lc, terms)
+    lead = []      # per element: (lmkey, lm, lc, terms, index)
     alive = set()
     reducers = []  # alive + dead, sorted by lmkey; duplicates of `lead`
     pairs = []     # heap of (pair_key, i, j)
@@ -193,8 +206,8 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     def push_element(terms):
         """Insert a fully reduced nonzero element, run the pair update."""
         t = len(lead)
-        lm = max(terms, key=key)
-        entry = (key(lm), lm, terms[lm], terms)
+        entry = eng.reducer(terms, t)
+        lm = entry[1]
         # Gebauer-Moeller update for the new index t
         cand = []
         for i in sorted(alive):
@@ -233,7 +246,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
         insort(reducers, entry, key=lambda e: e[0])
 
     for g in sorted(gens, key=lambda p: key(p.leading_monomial(order))):
-        r = eng.reduce_int(_int_terms(g), reducers)
+        r = eng.reduce_int(_int_terms(g)[0], reducers)
         if r:
             push_element(r)
 
@@ -256,12 +269,8 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     while changed:
         changed = False
         for i in minimal:
-            others = [
-                (key(max(t, key=key)), max(t, key=key), t[max(t, key=key)], t)
-                for j, t in basis.items()
-                if j != i
-            ]
-            others.sort(key=lambda e: e[0])
+            others = sorted((eng.reducer(t, j) for j, t in basis.items() if j != i),
+                            key=lambda e: e[0])
             r = eng.reduce_int(basis[i], others)
             if r != basis[i]:
                 basis[i] = r
@@ -279,65 +288,32 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
 
 
 # ---------------------------------------------------------------------------
-# reduction against a monic basis, exact coefficients
+# reduction with exact coefficients
 
 def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quotients=False):
     """Remainder of f modulo a list of polynomials (top and tail reduction).
 
     Returns the remainder, or (remainder, quotients) with `with_quotients`,
-    where f = sum(q_i * basis_i) + remainder exactly.
+    where f = sum(q_i * basis_i) + remainder exactly.  The reduction runs
+    on integer terms; the remainder and quotients are scaled back at the end.
     """
     context = f.context
-    key = order.key
-    entries = []
+    eng = _Engine(order)
+    reducers = []
+    lifts = {}
     for i, g in enumerate(basis):
-        if g.is_zero():
-            continue
-        lm = g.leading_monomial(order)
-        entries.append((key(lm), lm, g.terms[lm], g.terms, i))
-    entries.sort(key=lambda e: e[0])
-    work = dict(f.terms)
-    rem = {}
-    quotients = [dict() for _ in basis]
-    agenda = sorted((key(m), m) for m in work)
-    while agenda:
-        _, m = agenda.pop()
-        c = work.get(m)
-        if not c:
-            continue
-        hit = None
-        for _, lm, lc, terms, i in entries:
-            q = mono_div(m, lm)
-            if q is not None:
-                hit = (lc, terms, q, i)
-                break
-        if hit is None:
-            rem[m] = c
-            del work[m]
-            continue
-        lc, terms, q, i = hit
-        factor = c / lc
-        if with_quotients:
-            qd = quotients[i]
-            qd[q] = qd.get(q, Fraction(0)) + factor
-        for gm, gc in terms.items():
-            mm = mono_mul(gm, q)
-            old = work.get(mm)
-            if old is None:
-                v = -factor * gc
-                if v:
-                    work[mm] = v
-                    insort(agenda, (key(mm), mm))
-            else:
-                v = old - factor * gc
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    r = Polynomial(context, rem)
+        terms, lifts[i] = _int_terms(g)
+        if terms:
+            reducers.append(eng.reducer(terms, i))
+    reducers.sort(key=lambda e: e[0])
+    work, lift = _int_terms(f)
+    quotients = [{} for _ in basis] if with_quotients else None
+    rem, scale = _reduce(work, reducers, eng.key, quotients)
+    unit = 1 / (lift * scale)
+    r = Polynomial(context, {m: c * unit for m, c in rem.items()})
     if with_quotients:
-        qs = [Polynomial(context, qd) for qd in quotients]
-        return r, qs
+        return r, [Polynomial(context, {m: c * lifts[i] / lift for m, c in qd.items()})
+                   for i, qd in enumerate(quotients)]
     return r
 
 
@@ -402,14 +378,6 @@ class Ideal:
         if other.context != self.context:
             raise ValueError("ideals live in different variable tables")
         return Ideal(self.context, self.gens + other.gens)
-
-    def contains(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.member(other)
-        return all(self.member(g) for g in other.gens)
-
-    def equals(self, other: "Ideal") -> bool:
-        return ideal_equal(self, other)
 
 
 def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
@@ -723,10 +691,6 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
     return out
 
 
-def graded_dimension_of_quotient(I: Ideal, degree: int) -> int:
-    return len(standard_monomials(I, degree))
-
-
 # ---------------------------------------------------------------------------
 # independent membership oracle for tests
 
@@ -737,8 +701,6 @@ def brute_force_member(f: Polynomial, gens, slack: int = 2):
     f = sum a_i g_i.  Returns True when such a combination exists; False is
     inconclusive (membership may still hold with larger cofactors).
     """
-    from .linalg import solve_linear
-
     ctx = f.context
     if f.is_zero():
         return True
@@ -747,25 +709,12 @@ def brute_force_member(f: Polynomial, gens, slack: int = 2):
     for g in gens:
         if g.is_zero():
             continue
-        dg = g.total_degree()
-        bound = d - dg
+        bound = d - g.total_degree()
         if bound < 0:
             continue
         for m in _monomials_up_to(len(ctx), bound):
-            prod = {}
-            for gm, gc in g.terms.items():
-                prod[mono_mul(gm, m)] = gc
-            columns.append(prod)
-    if not columns:
-        return False
-    rows = sorted({m for col in columns for m in col} | set(f.terms))
-    index = {m: i for i, m in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(columns) for _ in rows]
-    for j, col in enumerate(columns):
-        for m, c in col.items():
-            matrix[index[m]][j] = c
-    rhs = [f.terms.get(m, Fraction(0)) for m in rows]
-    return solve_linear(matrix, rhs) is not None
+            columns.append({mono_mul(gm, m): gc for gm, gc in g.terms.items()})
+    return solve_linear(columns, f.terms) is not None
 
 
 def _monomials_up_to(n: int, d: int):

@@ -213,20 +213,8 @@ def invariant_basis(action: GroupAction, degree: int,
              else isotypic_component(action, character, f))
         if not f.is_zero():
             images.append(f)
-    columns = sorted({m for f in images for m in f.terms}, key=order.key, reverse=True)
-    index = {m: i for i, m in enumerate(columns)}
-    matrix = []
-    for f in images:
-        row = [Fraction(0)] * len(columns)
-        for m, c in f.terms.items():
-            row[index[m]] = c
-        matrix.append(row)
-    kept = independent_rows(matrix)
-    out = []
-    for i in kept:
-        f = images[i]
-        out.append(f * (1 / f.leading_coefficient(order)))
-    return out
+    return [images[i] * (1 / images[i].leading_coefficient(order))
+            for i in independent_rows([f.terms for f in images])]
 
 
 def algebra_generators(action: GroupAction, max_degree: int | None = None,

@@ -1,102 +1,14 @@
-"""Minimal exact linear algebra over Fraction: rref, rank, solving.
+"""Exact sparse linear algebra over Fraction: one incremental eliminator.
 
-Matrices are lists of row lists and are handled densely; the graded pieces
-this package works with are small enough that simplicity beats cleverness.
-The one sparse eliminator, `SparseEchelon`, keeps rows as dicts keyed by
-monomials and serves rank counts and degreewise span membership.
+Vectors are {key: Fraction} dicts, keyed by monomials or by any other
+mutually comparable keys.  `SparseEchelon` keeps an echelon form of
+everything added to it; ranks, independent subsets and linear solves are
+all read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rref(matrix):
-    """Row-reduce a copy of `matrix`; returns (rows, pivot_columns).
-
-    Deterministic: pivots are the first nonzero entry scanning rows in
-    order, columns left to right.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(matrix) -> int:
-    return len(rref(matrix)[1])
-
-
-def solve_linear(matrix, rhs):
-    """One solution of matrix * x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not matrix:
-        return None if any(rhs) else []
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if any(row[:-1]):
-            continue
-        if row[-1]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the augmented column
-        x[c] = rows[i][-1]
-    return x
-
-
-def independent_rows(matrix):
-    """Indices of a maximal independent subset, scanning rows in order."""
-    if not matrix:
-        return []
-    kept = []
-    basis = []  # reduced rows so far
-    for idx, row in enumerate(matrix):
-        vec = list(row)
-        for pivot_col, brow in basis:
-            if vec[pivot_col]:
-                f = vec[pivot_col]
-                vec = [a - f * b for a, b in zip(vec, brow)]
-        pivot = None
-        for c, v in enumerate(vec):
-            if v:
-                pivot = c
-                break
-        if pivot is None:
-            continue
-        pv = vec[pivot]
-        vec = [v / pv for v in vec]
-        basis.append((pivot, vec))
-        kept.append(idx)
-    return kept
 
 
 class SparseEchelon:
@@ -151,8 +63,37 @@ class SparseEchelon:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a set of sparse vectors given as {key: Fraction} dicts."""
+    """Rank of a set of sparse vectors."""
     echelon = SparseEchelon()
     for row in rows:
         echelon.add(row)
     return len(echelon)
+
+
+def independent_rows(rows) -> list:
+    """Indices of a maximal independent subset, scanning rows in order."""
+    echelon = SparseEchelon()
+    return [i for i, row in enumerate(rows) if echelon.add(row)]
+
+
+def solve_linear(columns, rhs):
+    """Coefficients x with sum(x[j] * columns[j]) == rhs, or None when there
+    are none.
+
+    Every column that lies in the span of the columns before it gets 0, so
+    the answer is unique.  Each column carries a tag key (0, j) below all of
+    its own keys (1, k); after elimination a column's tags record it as a
+    combination of the independent columns, and a column whose own keys all
+    cancel is dependent and is not kept.
+    """
+    echelon = SparseEchelon()
+    for j, col in enumerate(columns):
+        row = {(1, k): v for k, v in col.items()}
+        row[(0, j)] = Fraction(1)
+        row = echelon.reduce(row)
+        if max(row)[0]:
+            echelon.add(row)
+    left = echelon.reduce({(1, k): v for k, v in rhs.items()})
+    if left and max(left)[0]:
+        return None
+    return [-left.get((0, j), Fraction(0)) for j in range(len(columns))]

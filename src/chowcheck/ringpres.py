@@ -144,10 +144,6 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> Presentation:
     return Presentation(alpha.source.table, rels.gens, check=False)
 
 
-def graded_dimension(pres: Presentation, degree: int) -> int:
-    return pres.dim(degree)
-
-
 def _vector(tagged, poly: Polynomial) -> dict:
     return {(tagged,) + m: c for m, c in poly.terms.items()}
 
@@ -227,15 +223,8 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
         d = naive.weighted_degree()
         candidates = [m for m in standard_monomials(Ideal(table, ()), d, order)
                       if any(m[i] for i, n in enumerate(table.names) if n in killed)]
-        images = [alpha(Polynomial(table, {m: Fraction(1)})) for m in candidates]
-        coords = sorted({mm for img in images for mm in img.terms} | set(resid.terms))
-        index = {mm: i for i, mm in enumerate(coords)}
-        matrix = [[Fraction(0)] * len(candidates) for _ in coords]
-        for j, img in enumerate(images):
-            for mm, c in img.terms.items():
-                matrix[index[mm]][j] = c
-        rhs = [resid.terms.get(mm, Fraction(0)) for mm in coords]
-        sol = solve_linear(matrix, rhs)
+        images = [alpha(Polynomial(table, {m: Fraction(1)})).terms for m in candidates]
+        sol = solve_linear(images, resid.terms)
         if sol is None:
             raise PresentationError(
                 f"relation cannot be transported across the fiber square: {extra}"

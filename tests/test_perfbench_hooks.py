@@ -1,0 +1,29 @@
+"""The benchmark's traced run wraps chowcheck functions by name.
+
+Building its layer probe installs every wrap, so a renamed or deleted
+function, method or module that the benchmark traces fails here instead of
+only when `perfbench/run.py --trace 1` is run.
+"""
+
+import pathlib
+import sys
+import time
+
+from chowcheck import groebner, linalg
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_layer_probe_installs_and_restores_every_wrap(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    originals = (groebner.buchberger, linalg.solve_linear)
+    probe = run.LayerProbe(time.perf_counter)
+    try:
+        assert groebner.buchberger is not originals[0]
+        assert linalg.solve_linear is not originals[1]
+    finally:
+        probe.tracer.restore()
+    assert (groebner.buchberger, linalg.solve_linear) == originals

@@ -278,3 +278,33 @@ def test_sweep_reports_an_unknown_claim_kind_as_an_error_row(tmp_path):
     assert row["passed"] == [] and row["failed"] == []
     assert row["errors"] == [{"id": "bogus-claim",
                               "error": "unknown claim kind 'bogus'"}]
+
+
+def _sweep_error(tmp_path, body):
+    path = tmp_path / "bad.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: bad-claim\n" + body)
+    result = convention_search(load_claims(path=path),
+                               conventions=[SignConvention()])
+    (row,) = result["rows"]
+    assert row["passed"] == [] and row["failed"] == []
+    (error,) = row["errors"]
+    assert error["id"] == "bad-claim"
+    return error["error"]
+
+
+def test_sweep_reports_an_evaluation_point_missing_a_variable(tmp_path):
+    error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
+                         "expr: t1 + t2\npoint: t1=1\nvalue: 1\n")
+    assert error == "claim field 'point' gives no value for t2"
+
+
+def test_sweep_reports_an_evaluation_point_item_without_equals(tmp_path):
+    error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
+                         "expr: t1 + t2\npoint: t1=1; t2\nvalue: 1\n")
+    assert error == "claim field 'point': item 't2' has no '='"
+
+
+def test_sweep_reports_a_kernel_image_without_arrow(tmp_path):
+    error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
+                         "tvars: t(1)\nimages: u = t\nrhs: 0\n")
+    assert error == "claim field 'images': item 'u = t' has no '->'"

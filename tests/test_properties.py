@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from chowcheck.chowpipeline import minimal_generators
-from chowcheck.exprparser import parse_polynomial, print_canonical
+from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
     brute_force_member,
@@ -16,7 +16,8 @@ from chowcheck.groebner import (
     standard_monomials,
 )
 from chowcheck.invariants import GroupAction
-from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
+from chowcheck.linalg import independent_rows, solve_linear, sparse_rank
+from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div
 from chowcheck.ringpres import Presentation
 
 LEX = MonomialOrder.lex()
@@ -56,7 +57,7 @@ def test_ring_axioms(f, g, h):
 
 @given(polynomials())
 def test_print_parse_round_trip(f):
-    assert parse_polynomial(print_canonical(f), TABLE3) == f
+    assert parse_polynomial(str(f), TABLE3) == f
 
 
 @given(polynomials(), polynomials())
@@ -205,11 +206,51 @@ def test_brute_force_membership_oracle_agreement():
 @given(small_ideals(), polynomials())
 def test_reduction_certificate(gens, f):
     gb = buchberger(gens, GREVLEX)
-    r, qs = reduce_full(f, gb, GREVLEX, with_quotients=True)
-    rebuilt = r
-    for q, g in zip(qs, gb):
-        rebuilt = rebuilt + q * g
-    assert rebuilt == f
+    # raw generators: not monic, not reduced, one scaled by 3/7, and a zero
+    # entry that must keep its place in the quotient list
+    raw = [Polynomial.zero(TABLE3)] + list(gens)
+    if gens:
+        raw[1] = raw[1] * Fraction(3, 7)
+    for basis in (gb, raw):
+        r, qs = reduce_full(f, basis, GREVLEX, with_quotients=True)
+        assert reduce_full(f, basis, GREVLEX) == r
+        assert len(qs) == len(basis)
+        rebuilt = r
+        for q, g in zip(qs, basis):
+            rebuilt = rebuilt + q * g
+        assert rebuilt == f
+        lms = [g.leading_monomial(GREVLEX) for g in basis if not g.is_zero()]
+        assert not any(mono_div(m, lm) is not None for m in r.terms for lm in lms)
+    assert qs[0].is_zero()
+
+
+sparse_vectors = st.dictionaries(st.integers(0, 3), st.integers(-2, 2).map(Fraction),
+                                 max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(sparse_vectors, max_size=6), sparse_vectors, st.booleans())
+def test_sparse_solve_linear(columns, rhs, combine):
+    if combine and columns:  # make rhs a combination of the columns
+        rhs = {}
+        for j, col in enumerate(columns):
+            for k, v in col.items():
+                rhs[k] = rhs.get(k, 0) + (j - 1) * v
+    x = solve_linear(columns, rhs)
+    rank = sparse_rank(columns)
+    assert (x is None) == (sparse_rank(columns + [rhs]) > rank)
+    dependent = [sparse_rank(columns[:j + 1]) == sparse_rank(columns[:j])
+                 for j in range(len(columns))]
+    assert independent_rows(columns) == [j for j, d in enumerate(dependent) if not d]
+    if x is None:
+        return
+    assert len(x) == len(columns)
+    total = {}
+    for xj, col in zip(x, columns):
+        for k, v in col.items():
+            total[k] = total.get(k, 0) + xj * v
+    assert {k: v for k, v in total.items() if v} == {k: v for k, v in rhs.items() if v}
+    assert all(xj == 0 for xj, d in zip(x, dependent) if d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from chowcheck.ringpres import (
     PresentationError,
     apply_quotient,
     fiber_product,
-    graded_dimension,
     graded_surjectivity,
     pair_image_rank,
 )
@@ -46,7 +45,7 @@ def test_quotient_dims_drop():
     assert [p.dim(d) for d in range(5)] == [1, 2, 2, 2, 2]
     q = p.quotient([parse_polynomial("y^2", p.table)])
     assert [q.dim(d) for d in range(5)] == [1, 2, 1, 1, 1]
-    assert graded_dimension(q, 3) == 1
+    assert q.dim(3) == 1
 
 
 def test_normal_form_and_is_zero():
