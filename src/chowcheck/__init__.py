@@ -51,10 +51,8 @@ from .chowpipeline import (
     induction_step,
     load_base,
     load_claims,
-    load_stratum,
     minimal_generators,
     run_pipeline,
-    verify_claim,
     verify_paper,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "isotypic_component",
     "load_base",
     "load_claims",
-    "load_stratum",
     "map_kernel",
     "minimal_generators",
     "parse_document",
@@ -100,7 +97,6 @@ __all__ = [
     "run_pipeline",
     "standard_monomials",
     "subalgebra_member",
-    "verify_claim",
     "verify_paper",
     "zero_dimensional",
     "__version__",

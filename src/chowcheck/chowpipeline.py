@@ -11,8 +11,15 @@ transports the previous relations across the square, and certifies
 degreewise that the chosen generators span everything.
 
 Sign conventions enter as the symbols e1, e2, e3 (kappa-class pullbacks)
-and eg (pushforward classes); every stage can be re-run under any of the
-sixteen choices.  Claims extracted from the source text are data: each one
+and eg (pushforward classes).  Everything one convention yields lives in an
+`Artifacts` registry: a stratum is built the first time something reads
+it, and a stage is glued, with all stages before it in file order, the
+first time something reads it; either is built at most once per
+convention, and a failure is kept and raised again to every later reader.
+The stratum specs and the base are read once and shared by every
+convention.  `run_pipeline` is the registry with every stage glued; the
+sign sweep gives each convention a fresh registry, so it builds only what
+its claims read.  Claims extracted from the source text are data: each one
 is evaluated against the computed objects and compared to its expected
 status, so known misprints are flagged exactly, with corrected forms
 verified alongside.
@@ -24,6 +31,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
@@ -62,7 +70,6 @@ from .ringpres import (
 
 
 SIGN_NAMES = ("e1", "e2", "e3", "eg")
-DEFAULT_SIGNS = (-1, -1, -1, 1)
 
 STRATUM_FILES = ("gamma1.stratum", "gamma2.stratum", "gamma3p.stratum",
                  "gamma3pp.stratum")
@@ -100,13 +107,7 @@ class SignConvention:
 
     @staticmethod
     def all() -> list:
-        out = []
-        for e1 in (-1, 1):
-            for e2 in (-1, 1):
-                for e3 in (-1, 1):
-                    for eg in (-1, 1):
-                        out.append(SignConvention(e1, e2, e3, eg))
-        return out
+        return [SignConvention(*signs) for signs in product((-1, 1), repeat=4)]
 
     @property
     def label(self) -> str:
@@ -163,20 +164,6 @@ class StratumSpec:
     @staticmethod
     def load(name: str, root=None) -> "StratumSpec":
         return StratumSpec(parse_document(_data_text(name, root)))
-
-
-def load_stratum(document, convention: SignConvention | None = None) -> StratumSpec:
-    """Validate a stratum document (text or parsed) and return its spec.
-
-    Validation includes materialising the stratum under one convention, so
-    group closure, declared variables and invariance of every class form
-    are all checked before the spec is handed back.
-    """
-    if isinstance(document, str):
-        document = parse_document(document)
-    spec = StratumSpec(document)
-    Stratum(spec, convention or SignConvention())
-    return spec
 
 
 class Stratum:
@@ -248,8 +235,6 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
     doc = parse_document(_data_text(name, root))
     if doc.kind != "presentation":
         raise PipelineError("expected a presentation document")
-    from .exprparser import parse_vartable
-
     table = parse_vartable(doc.section("vars", required=True))
     rels = [parse_polynomial(e.value, table) for e in (doc.section("relations") or [])]
     return Presentation(table, rels)
@@ -361,32 +346,89 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
 # ---------------------------------------------------------------------------
 # full pipeline
 
-def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
-                 through: str | None = None, root=None) -> dict:
-    """Run the staged computation; returns the artifact registry.
+# errors that belong to one claim or stage; anything else is a bug
+_DOMAIN_ERRORS = (PipelineError, PresentationError, InvariantError, ParseError)
 
-    `through` stops after the named stratum (all four when None); `root`
-    overrides the packaged data directory.
+
+def _load_inputs(root=None) -> tuple:
+    """The convention-independent inputs: stratum specs in file order, base."""
+    specs = [StratumSpec.load(name, root=root) for name in STRATUM_FILES]
+    return specs, load_base(root=root)
+
+
+class Artifacts:
+    """Everything one sign convention yields, each piece built on first read.
+
+    `stratum(label)` materialises one stratum; `stage(label)` glues every
+    stage through `label` in file order, taking its strata from `stratum`;
+    `final` is the last stage's ring and `minimal` its minimal relations.
+    A piece whose construction fails keeps its error and raises it again
+    to every later reader, so a failed stage is never rebuilt.
     """
-    convention = convention or SignConvention()
-    base = load_base(root=root)
-    artifacts = {
-        "convention": convention,
-        "base": base,
-        "stages": [],
-        "by_label": {},
-    }
-    current = base
-    for filename in STRATUM_FILES:
-        spec = StratumSpec.load(filename, root=root)
-        stratum = Stratum(spec, convention)
-        stage = induction_step(current, stratum, dmax=dmax)
-        artifacts["stages"].append(stage)
-        artifacts["by_label"][stratum.label] = stage
-        current = stage["result"]
-        if through is not None and stratum.label == through:
-            break
-    artifacts["final"] = current
+
+    def __init__(self, convention: SignConvention, specs, base: Presentation,
+                 dmax: int = 12):
+        self.convention = convention
+        self.base = base
+        self.dmax = dmax
+        self.specs = {spec.label: spec for spec in specs}
+        if len(self.specs) != len(specs):
+            raise PipelineError("two stratum files share a label")
+        self.labels = list(self.specs)
+        self.stages = []  # glued stages, in file order
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            try:
+                self._built[key] = build()
+            except _DOMAIN_ERRORS as exc:
+                self._built[key] = exc
+        value = self._built[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def _spec(self, label: str) -> StratumSpec:
+        spec = self.specs.get(label)
+        if spec is None:
+            raise PipelineError(f"no stage with label {label!r}")
+        return spec
+
+    def stratum(self, label: str) -> Stratum:
+        spec = self._spec(label)
+        return self._once(("stratum", label),
+                          lambda: Stratum(spec, self.convention))
+
+    def stage(self, label: str) -> dict:
+        self._spec(label)
+        return self._once(("stage", label), lambda: self._glue(label))
+
+    def _glue(self, label: str) -> dict:
+        index = self.labels.index(label)
+        prev = self.stage(self.labels[index - 1])["result"] if index else self.base
+        stage = induction_step(prev, self.stratum(label), dmax=self.dmax)
+        self.stages.append(stage)
+        return stage
+
+    @property
+    def final(self) -> Presentation:
+        return self.stage(self.labels[-1])["result"]
+
+    @property
+    def minimal(self) -> list:
+        return self._once("minimal", lambda: minimal_generators(self.final))
+
+
+def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
+                 root=None) -> Artifacts:
+    """Glue every stage under one convention; returns the artifact registry.
+
+    `root` overrides the packaged data directory.
+    """
+    artifacts = Artifacts(convention or SignConvention(), *_load_inputs(root),
+                          dmax=dmax)
+    artifacts.final  # gluing the last stage glues every stage before it
     return artifacts
 
 
@@ -420,6 +462,9 @@ def minimal_generators(pres: Presentation) -> list:
 # ---------------------------------------------------------------------------
 # claims
 
+_REQUIRED = object()  # Claim.get default: the field must be present
+
+
 class Claim:
     def __init__(self, entries):
         fields = {}
@@ -433,18 +478,23 @@ class Claim:
         self.expect = self.get("expect", "pass")
         self.note = self.get("note", "")
 
-    def get(self, key, default=None):
+    def get(self, key, default=_REQUIRED):
         vals = self.fields.get(key)
         if vals is None:
-            if default is None and key in ("id", "kind"):
+            if default is _REQUIRED:
                 raise PipelineError(f"claim is missing the {key!r} field")
             return default
         if len(vals) != 1:
             raise PipelineError(f"claim field {key!r} repeated")
         return vals[0]
 
-    def get_all(self, key):
-        return self.fields.get(key, [])
+    def get_int(self, key) -> int:
+        text = self.get(key)
+        try:
+            return int(text)
+        except ValueError:
+            raise PipelineError(
+                f"claim field {key!r} must be an integer, not {text!r}") from None
 
 
 def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
@@ -459,18 +509,17 @@ def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
 
 
 class ClaimRunner:
-    """Evaluate claims against the pipeline artifacts."""
+    """Evaluate claims against an `Artifacts` registry.
 
-    def __init__(self, artifacts):
+    Each claim reads only what it needs: a stratum for `where:` claims and
+    `ring:` spaces, the glued stage for `stage:` claims and the other stage
+    spaces, the last stage for the final ring.
+    """
+
+    def __init__(self, artifacts: Artifacts):
         self.artifacts = artifacts
 
     # -- helpers -----------------------------------------------------------
-
-    def stage(self, label: str):
-        stage = self.artifacts["by_label"].get(label)
-        if stage is None:
-            raise PipelineError(f"no stage with label {label!r}")
-        return stage
 
     def claim_env(self, stratum: Stratum) -> dict:
         env = dict(stratum.env)
@@ -481,32 +530,27 @@ class ClaimRunner:
         return env
 
     def psi(self, label: str, text: str) -> Polynomial:
-        stratum = self.stage(label)["stratum"]
+        stratum = self.artifacts.stratum(label)
         return parse_polynomial(text, stratum.table, self.claim_env(stratum),
                                 stratum.functions)
 
     def space(self, name: str) -> Presentation:
         if name == "final":
-            return self.artifacts["final"]
+            return self.artifacts.final
         if ":" in name:
             kind, label = name.split(":", 1)
-            stage = self.stage(label)
             if kind == "ring":
-                return stage["stratum"].ring
-            if kind == "result":
-                return stage["result"]
-            if kind == "fiber":
-                return stage["fiber"]
-            if kind == "bottom":
-                return stage["bottom"]
+                return self.artifacts.stratum(label).ring
+            if kind in ("result", "fiber", "bottom"):
+                return self.artifacts.stage(label)[kind]
             if kind in ("keralpha", "kerbeta"):
-                ideal = stage["ker_alpha" if kind == "keralpha" else "ker_beta"]
+                ideal = self.artifacts.stage(label)["ker_" + kind[3:]]
                 return Presentation(ideal.context, ideal.gens, check=False)
         raise PipelineError(f"unknown space {name!r}")
 
     def parse_in(self, pres: Presentation, text: str) -> Polynomial:
         return parse_polynomial(text, pres.table,
-                                dict(self.artifacts["convention"].values))
+                                dict(self.artifacts.convention.values))
 
     # -- claim kinds ---------------------------------------------------------
 
@@ -566,14 +610,14 @@ class ClaimRunner:
         source = VarTable([n for n, _ in svars], [w for _, w in svars])
         where = claim.get("where", None)
         if where:
-            stratum = self.stage(where)["stratum"]
+            stratum = self.artifacts.stratum(where)
             target = stratum.table
             env = self.claim_env(stratum)
             functions = stratum.functions
         else:
             tvars = [parse_name_weight(t) for t in split_list(claim.get("tvars"))]
             target = VarTable([n for n, _ in tvars], [w for _, w in tvars])
-            env = dict(self.artifacts["convention"].values)
+            env = dict(self.artifacts.convention.values)
             functions = None
         return source, target, env, functions
 
@@ -586,6 +630,9 @@ class ClaimRunner:
             name, text = item.split("->", 1)
             images[name.strip()] = parse_polynomial(text.strip(), target, env,
                                                     functions)
+        missing = [n for n in source.names if n not in images]
+        if missing:
+            raise PipelineError(f"claim field 'images' gives no image for {missing[0]}")
         kernel = map_kernel(source, images, target=target)
         order = MonomialOrder.wgrevlex(source.weights)
         rhs = Ideal(source, [parse_polynomial(t, source)
@@ -594,7 +641,7 @@ class ClaimRunner:
 
     def kind_evaluate(self, claim):
         label = claim.get("where")
-        stratum = self.stage(label)["stratum"]
+        stratum = self.artifacts.stratum(label)
         f = self.psi(label, claim.get("expr"))
         point = {}
         for item in split_list(claim.get("point")):
@@ -614,14 +661,14 @@ class ClaimRunner:
     def kind_zero_dim(self, claim):
         label = claim.get("where")
         gens = [self.psi(label, t) for t in split_list(claim.get("gens"))]
-        table = self.stage(label)["stratum"].table
+        table = self.artifacts.stratum(label).table
         finite, count = zero_dimensional(Ideal(table, gens))
-        want = int(claim.get("count"))
+        want = claim.get_int("count")
         return finite and count == want, {"finite": finite, "count": count}
 
     def kind_pair_display(self, claim):
         label = claim.get("where")
-        stratum = self.stage(label)["stratum"]
+        stratum = self.artifacts.stratum(label)
         shown = self.psi(label, claim.get("a_side"))
         true_form = stratum.restrictions[claim.get("tag")]
         if claim.get("mode", "exact") == "bottom":
@@ -632,7 +679,7 @@ class ClaimRunner:
         return ok, None
 
     def kind_relation_row(self, claim):
-        final = self.artifacts["final"]
+        final = self.artifacts.final
         row = self.parse_in(final, claim.get("row"))
         in_ideal = final.relations.member(row, final.order)
         detail = {}
@@ -643,8 +690,8 @@ class ClaimRunner:
         return in_ideal, detail
 
     def kind_surjectivity(self, claim):
-        stage = self.stage(claim.get("stage"))
-        dmax = int(claim.get("dmax"))
+        stage = self.artifacts.stage(claim.get("stage"))
+        dmax = claim.get_int("dmax")
         rows = [r for r in stage["info"]["surjectivity"] if r["degree"] <= dmax]
         ok = bool(rows) and all(r["certified"] for r in rows) and rows[-1][
             "degree"] == dmax
@@ -652,32 +699,29 @@ class ClaimRunner:
 
     def kind_dimension(self, claim):
         pres = self.space(claim.get("space"))
-        degree = int(claim.get("degree"))
-        want = int(claim.get("value"))
+        degree = claim.get_int("degree")
+        want = claim.get_int("value")
         got = pres.dim(degree)
         return got == want, {"computed": got}
 
     def kind_nzd(self, claim):
         label = claim.get("where")
-        stratum = self.stage(label)["stratum"]
+        stratum = self.artifacts.stratum(label)
         f = parse_polynomial(claim.get("expr"), stratum.ring.table,
-                             dict(self.artifacts["convention"].values))
+                             dict(self.artifacts.convention.values))
         return is_nonzerodivisor(f, stratum.ring.relations), None
 
     def kind_generator_count(self, claim):
-        final = self.artifacts["final"]
-        want = int(claim.get("value"))
+        final = self.artifacts.final
+        want = claim.get_int("value")
         return len(final.table) == want, {"computed": len(final.table)}
 
     def kind_minimal_relation_count(self, claim):
-        if "minimal" not in self.artifacts:
-            self.artifacts["minimal"] = minimal_generators(self.artifacts["final"])
-        minimal = self.artifacts["minimal"]
-        want = int(claim.get("value"))
+        minimal = self.artifacts.minimal
+        want = claim.get_int("value")
         detail = {"computed": len(minimal)}
-        corrected = claim.get("corrected", None)
-        if corrected is not None:
-            detail["corrected_ok"] = len(minimal) == int(corrected)
+        if claim.get("corrected", None) is not None:
+            detail["corrected_ok"] = len(minimal) == claim.get_int("corrected")
         return len(minimal) == want, detail
 
     def kind_free_ring(self, claim):
@@ -687,10 +731,10 @@ class ClaimRunner:
         return pres.table == table and pres.relations.is_zero(), None
 
     def kind_lift_profile(self, claim):
-        notes = self.stage(claim.get("stage"))["info"]["lifts"]
+        notes = self.artifacts.stage(claim.get("stage"))["info"]["lifts"]
         exact = sum(1 for n in notes if n["correction"] is None)
         corrected = len(notes) - exact
-        want = (int(claim.get("exact")), int(claim.get("corrected")))
+        want = (claim.get_int("exact"), claim.get_int("corrected"))
         return (exact, corrected) == want, {"exact": exact,
                                             "corrected": corrected}
 
@@ -700,97 +744,37 @@ class ClaimRunner:
                       "statement": claim.get("statement", "")}
 
 
-def run_claims(artifacts, claims=None) -> list:
-    runner = ClaimRunner(artifacts)
-    rows = []
-    for claim in (claims if claims is not None else load_claims()):
-        rows.append(runner.run(claim))
-    return rows
-
-
-def verify_claim(claim: Claim, convention: SignConvention | None = None,
-                 artifacts=None) -> dict:
-    """Evaluate a single claim, building the pipeline artifacts if needed."""
-    if artifacts is None:
-        artifacts = run_pipeline(convention)
-    return ClaimRunner(artifacts).run(claim)
-
-
 # ---------------------------------------------------------------------------
 # sign-convention sweep
 
-_STAGE_ORDER = ("Gamma1", "Gamma2", "Gamma3p", "Gamma3pp")
-
-
-def _claim_requirements(claim: Claim):
-    """Which strata must exist, and which stages must have been glued."""
-    strata, stages = set(), set()
-    where = claim.get("where", "")
-    if where:
-        strata.add(where)
-    stage = claim.get("stage", "")
-    if stage:
-        stages.add(stage)
-    space = claim.get("space", "")
-    if space:
-        stages.add(space.split(":", 1)[1] if ":" in space else _STAGE_ORDER[-1])
-    if claim.kind in ("relation_row", "generator_count",
-                      "minimal_relation_count"):
-        stages.add(_STAGE_ORDER[-1])
-    for label in strata | stages:
-        if label not in _STAGE_ORDER:
-            raise PipelineError(f"claim {claim.id!r} names unknown stage {label!r}")
-    return strata, stages
-
-
-def convention_search(claims=None, conventions=None, dmax: int = 12) -> dict:
+def convention_search(claims=None, conventions=None, dmax: int = 12,
+                      root=None) -> dict:
     """Evaluate the claims as stated under every sign convention.
 
     A claim counts as passed when its raw status is PASS (its expectation
-    annotation plays no role here).  Only the work each claim actually
-    needs is run per convention; a convention whose pipeline aborts keeps
-    an error row instead of results.
+    annotation plays no role here).  The stratum specs and the base are
+    read once, from `root` when given; each convention gets its own
+    `Artifacts` registry, so it builds only the strata and stages its
+    claims read.  A claim that cannot be evaluated, or that reads a stage
+    whose construction failed, keeps an error row with that message.
     """
     if claims is None:
         claims = load_claims()
     claims = [c for c in claims if c.kind != "assumption"]
-    strata_needed, stages_needed = set(), set()
-    for claim in claims:
-        strata, stages = _claim_requirements(claim)
-        strata_needed |= strata
-        stages_needed |= stages
-    through = (max(stages_needed, key=_STAGE_ORDER.index)
-               if stages_needed else None)
+    specs, base = _load_inputs(root)
     rows = []
     for convention in (conventions if conventions is not None
                        else SignConvention.all()):
         row = {"convention": convention.label, "passed": [], "failed": [],
                "errors": []}
-        try:
-            if through is not None:
-                artifacts = run_pipeline(convention, dmax=dmax, through=through)
-            else:
-                artifacts = {"convention": convention, "stages": [],
-                             "by_label": {}}
-            for label in sorted(strata_needed, key=_STAGE_ORDER.index):
-                if label not in artifacts["by_label"]:
-                    spec = StratumSpec.load(
-                        STRATUM_FILES[_STAGE_ORDER.index(label)])
-                    artifacts["by_label"][label] = {
-                        "stratum": Stratum(spec, convention)}
-            runner = ClaimRunner(artifacts)
-            for claim in claims:
-                try:
-                    outcome = runner.run(claim)
-                    key = "passed" if outcome["status"] == "PASS" else "failed"
-                    row[key].append(claim.id)
-                except (PipelineError, PresentationError, InvariantError,
-                        ParseError) as exc:
-                    row["errors"].append({"id": claim.id, "error": str(exc)})
-        except (PipelineError, PresentationError, InvariantError) as exc:
-            row["aborted"] = str(exc)
-            row["errors"] = [{"id": c.id, "error": "pipeline aborted"}
-                             for c in claims]
+        runner = ClaimRunner(Artifacts(convention, specs, base, dmax=dmax))
+        for claim in claims:
+            try:
+                outcome = runner.run(claim)
+                key = "passed" if outcome["status"] == "PASS" else "failed"
+                row[key].append(claim.id)
+            except _DOMAIN_ERRORS as exc:
+                row["errors"].append({"id": claim.id, "error": str(exc)})
         row["pass_count"] = len(row["passed"])
         rows.append(row)
     best = max((r["pass_count"] for r in rows), default=0)
@@ -832,14 +816,13 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
 
     t1 = perf_counter()
     claims = load_claims(path=claims_path)
-    outcomes = run_claims(artifacts, claims)
+    runner = ClaimRunner(artifacts)
+    outcomes = [runner.run(claim) for claim in claims]
     timing["claims_s"] = round(perf_counter() - t1, 3)
 
     t2 = perf_counter()
-    final = artifacts["final"]
-    minimal = artifacts.get("minimal")
-    if minimal is None:
-        minimal = minimal_generators(final)
+    final = artifacts.final
+    minimal = artifacts.minimal
     profile = Counter(g.weighted_degree() for g in minimal)
     reduced = final.relations.groebner(final.order)
 
@@ -875,7 +858,7 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         tag = claim.get("sweep", None)
         if tag:
             groups.setdefault(tag, []).append(claim)
-    sign_search = {tag: convention_search(group, dmax=dmax)
+    sign_search = {tag: convention_search(group, dmax=dmax, root=strata_root)
                    for tag, group in sorted(groups.items())}
     timing["sign_search_s"] = round(perf_counter() - t3, 3)
 
@@ -888,7 +871,7 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         "status": status,
         "all_as_expected": all(o["ok"] for o in outcomes),
         "claims": outcomes,
-        "stages": [stage["info"] for stage in artifacts["stages"]],
+        "stages": [stage["info"] for stage in artifacts.stages],
         "final": {
             "generators": [{"name": n, "weight": w} for n, w in
                            zip(final.table.names, final.table.weights)],

@@ -374,11 +374,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def __add__(self, other: "Ideal") -> "Ideal":
-        if other.context != self.context:
-            raise ValueError("ideals live in different variable tables")
-        return Ideal(self.context, self.gens + other.gens)
-
 
 def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
     """Compare reduced bases under one fixed order."""
@@ -503,14 +498,7 @@ def map_kernel(source: VarTable, images: dict, target_ideal: Ideal | None = None
             continue
         tag = Polynomial.variable(combined, name)
         gens.append(tag - imgs[name].rename(combined, rename_t))
-    order = _block_order(welim, source.weights)
-    gb = buchberger(gens, order)
-    srcset = set(source.names)
-    out = []
-    for g in gb:
-        if g.support_names() <= srcset:
-            out.append(g.rename(source))
-    return Ideal(source, out)
+    return eliminate(Ideal(combined, gens), fresh)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

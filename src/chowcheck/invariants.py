@@ -146,10 +146,6 @@ class Character:
                     raise InvariantError("character is not multiplicative")
 
     @staticmethod
-    def trivial(action: GroupAction) -> "Character":
-        return Character(action, {g: 1 for g in action.elements})
-
-    @staticmethod
     def determinant(action: GroupAction) -> "Character":
         """Determinant of the signed permutation matrix of each element."""
         return Character(action, {g: _det(g) for g in action.elements})
@@ -217,25 +213,22 @@ def invariant_basis(action: GroupAction, degree: int,
             for i in independent_rows([f.terms for f in images])]
 
 
-def algebra_generators(action: GroupAction, max_degree: int | None = None,
-                       tag_base: str = "z") -> list:
+def algebra_generators(action: GroupAction) -> list:
     """Minimal generators of the invariant algebra, swept degree by degree.
 
-    The sweep runs through the Noether bound |G| unless a smaller cap is
-    given; within a degree, candidates are taken in the deterministic
-    invariant_basis order and kept when they are not already expressible in
-    the generators found so far.  Tags are named tag_base<k>, skipping the
-    action's own variable names.
+    The sweep runs through the Noether bound |G|; within a degree,
+    candidates are taken in the deterministic invariant_basis order and kept
+    when they are not already expressible in the generators found so far.
+    Tags are named z<k>, skipping the action's own variable names.
     """
-    bound = action.order if max_degree is None else max_degree
     taken = set(action.table.names)
     selected = []
     span = None  # one Subalgebra per state of `selected`
-    for d in range(1, bound + 1):
+    for d in range(1, action.order + 1):
         for f in invariant_basis(action, d):
             if selected:
                 if span is None:
-                    names = _fresh_names(tag_base, len(selected), taken)
+                    names = _fresh_names("z", len(selected), taken)
                     span = Subalgebra(action.table, list(zip(names, selected)))
                 if subalgebra_member(f, span) is not None:
                     continue
@@ -244,16 +237,16 @@ def algebra_generators(action: GroupAction, max_degree: int | None = None,
     return selected
 
 
-def invariant_presentation(action: GroupAction, names=None, generators=None,
-                           check_degree: int | None = None) -> Presentation:
+def invariant_presentation(action: GroupAction, names=None,
+                           generators=None) -> Presentation:
     """Present the invariant algebra by generators and relations.
 
     The relation ideal is the kernel of the evaluation map onto the chosen
     generators.  Completeness holds in every degree: the canonical sweep up
     to the group-order degree bound yields generators of the whole invariant
     algebra, and each of those is checked to be expressible in the supplied
-    ones.  A degreewise dimension comparison through the check degree
-    (default |G| + 2) runs as an independent cross-check.  Default names
+    ones.  A degreewise dimension comparison through degree |G| + 2 runs as
+    an independent cross-check.  Default names
     are z1, z2, ..., skipping the action's own variable names.
     """
     canonical = algebra_generators(action)
@@ -282,8 +275,7 @@ def invariant_presentation(action: GroupAction, names=None, generators=None,
             )
     kernel = map_kernel(table, dict(zip(names, generators)))
     pres = Presentation(table, kernel.gens, check=False)
-    bound = action.order + 2 if check_degree is None else check_degree
-    for d in range(0, bound + 1):
+    for d in range(0, action.order + 3):
         expected = len(invariant_basis(action, d)) if d else 1
         got = pres.dim(d)
         if expected != got:

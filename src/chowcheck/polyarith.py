@@ -74,9 +74,6 @@ class VarTable:
     def weight(self, name: str) -> int:
         return self.weights[self.index(name)]
 
-    def concat(self, other: "VarTable") -> "VarTable":
-        return VarTable(self.names + other.names, self.weights + other.weights)
-
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
@@ -95,10 +92,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 def mono_coprime(a: tuple, b: tuple) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
-
 
 class MonomialOrder:
     """Admissible monomial order, exposed as a sort key on exponent tuples.
@@ -243,10 +236,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
-
-    def leading_term(self, order: MonomialOrder = GREVLEX):
-        m = self.leading_monomial(order)
-        return m, self.terms[m]
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
         return self.terms[self.leading_monomial(order)]

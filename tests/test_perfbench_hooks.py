@@ -27,3 +27,16 @@ def test_layer_probe_installs_and_restores_every_wrap(monkeypatch):
     finally:
         probe.tracer.restore()
     assert (groebner.buchberger, linalg.solve_linear) == originals
+
+
+def test_setup_probe_loads_the_data_in_a_fresh_interpreter(monkeypatch):
+    # the benchmark's set-up time imports chowcheck and loads every data
+    # file by name in a child interpreter; a renamed loader fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    monkeypatch.setattr(run, "ROOT", PERFBENCH.parent)
+    monkeypatch.setattr(run, "SRC", PERFBENCH.parent / "src")
+    (elapsed,) = run.measure_setup(1)
+    assert elapsed > 0

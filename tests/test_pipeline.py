@@ -6,6 +6,8 @@ source text; they are the regression oracles for the whole pipeline.
 """
 
 import json
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -19,10 +21,10 @@ from chowcheck.chowpipeline import (
     emit_report,
     load_base,
     load_claims,
-    load_stratum,
     minimal_generators,
+    run_pipeline,
 )
-from chowcheck.exprparser import parse_polynomial
+from chowcheck.exprparser import parse_document, parse_polynomial
 
 # stage-2 glued relation, recomputed via kernel intersection and lifting
 J1 = "k1^4*g2^2 + 2*k1^2*k2*g2^2 - 4*k1^2*g2^3 - 8*k2*g2^3 + q^2"
@@ -73,7 +75,7 @@ def test_load_base_and_strata_validate():
         Stratum(spec, SignConvention())
 
 
-def test_load_stratum_rejects_non_invariant_forms():
+def test_stratum_rejects_non_invariant_forms():
     bad = """
     [kind]
     stratum
@@ -94,39 +96,39 @@ def test_load_stratum_rejects_non_invariant_forms():
     k1(1)
     """
     with pytest.raises(PipelineError) as err:
-        load_stratum(bad)
+        Stratum(StratumSpec(parse_document(bad)), SignConvention())
     assert "not invariant" in str(err.value)
 
 
 def test_stage_shapes(artifacts):
-    labels = [s["info"]["label"] for s in artifacts["stages"]]
+    labels = [s["info"]["label"] for s in artifacts.stages]
     assert labels == ["Gamma1", "Gamma2", "Gamma3p", "Gamma3pp"]
-    for stage in artifacts["stages"]:
+    for stage in artifacts.stages:
         assert stage["info"]["nzd"] is True
         assert stage["info"]["certified_through"] == 12
 
 
 def test_stage1_result_is_free_on_k1_k2(artifacts):
-    result = artifacts["stages"][0]["result"]
+    result = artifacts.stages[0]["result"]
     assert result.table.names == ("k1", "k2")
     assert result.table.weights == (1, 2)
     assert result.is_free()
 
 
 def test_stage2_result_relation_is_the_single_glued_one(artifacts):
-    result = artifacts["stages"][1]["result"]
+    result = artifacts.stages[1]["result"]
     assert [str(g) for g in result.relations.gens] == [J1]
     assert [result.dim(d) for d in range(9)] == TWO_NODE_DIMS
 
 
 def test_stage3a_result_relations(artifacts):
-    result = artifacts["stages"][2]["result"]
+    result = artifacts.stages[2]["result"]
     assert [str(g) for g in result.relations.gens] == J3A
     assert [result.dim(d) for d in range(13)] == CHAIN_DIMS
 
 
 def test_stage3a_displayed_pair_differs_from_restriction(artifacts):
-    info = artifacts["stages"][2]["info"]
+    info = artifacts.stages[2]["info"]
     q_pair = next(p for p in info["pairs"] if p["tag"] == "q")
     assert q_pair["source"] == "displayed"
     assert q_pair["differs_from_restriction"] is True
@@ -134,7 +136,7 @@ def test_stage3a_displayed_pair_differs_from_restriction(artifacts):
 
 
 def test_stage3b_lift_of_stage2_relation_needs_a_correction(artifacts):
-    info = artifacts["stages"][3]["info"]
+    info = artifacts.stages[3]["info"]
     corrected = [L for L in info["lifts"] if L["correction"]]
     assert len(corrected) == 1
     assert corrected[0]["relation"] == J1
@@ -142,20 +144,20 @@ def test_stage3b_lift_of_stage2_relation_needs_a_correction(artifacts):
 
 
 def test_final_presentation_shape(artifacts):
-    final = artifacts["final"]
+    final = artifacts.final
     assert len(final.table.names) == 10
     assert dict(zip(final.table.names, final.table.weights)) == FINAL_WEIGHTS
     assert [final.dim(d) for d in range(13)] == FINAL_DIMS
 
 
 def test_final_relations_all_homogeneous(artifacts):
-    final = artifacts["final"]
+    final = artifacts.final
     for g in final.relations.gens:
         assert g.is_homogeneous()
 
 
 def test_minimal_generators_profile(artifacts):
-    final = artifacts["final"]
+    final = artifacts.final
     minimal = minimal_generators(final)
     assert len(minimal) == 22
     profile = {}
@@ -308,3 +310,84 @@ def test_sweep_reports_a_kernel_image_without_arrow(tmp_path):
     error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
                          "tvars: t(1)\nimages: u = t\nrhs: 0\n")
     assert error == "claim field 'images': item 'u = t' has no '->'"
+
+
+def test_sweep_reports_a_missing_claim_field(tmp_path):
+    error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
+                         "expr: t1 + t2\nvalue: 1\n")
+    assert error == "claim is missing the 'point' field"
+
+
+def test_sweep_reports_a_non_integer_count(tmp_path):
+    error = _sweep_error(tmp_path, "kind: zero_dim\nwhere: Gamma1\n"
+                         "gens: t1; t2\ncount: x\n")
+    assert error == "claim field 'count' must be an integer, not 'x'"
+
+
+def test_sweep_reports_a_non_integer_degree(tmp_path):
+    error = _sweep_error(tmp_path, "kind: dimension\nspace: ring:Gamma1\n"
+                         "degree: two\nvalue: 1\n")
+    assert error == "claim field 'degree' must be an integer, not 'two'"
+
+
+def test_sweep_reports_a_source_variable_without_image(tmp_path):
+    error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1); w(1)\n"
+                         "tvars: t(1)\nimages: u -> t\nrhs: 0\n")
+    assert error == "claim field 'images' gives no image for w"
+
+
+def test_sweep_reports_an_unknown_stage(tmp_path):
+    error = _sweep_error(tmp_path, "kind: surjectivity\nstage: Gamma9\n"
+                         "dmax: 4\n")
+    assert error == "no stage with label 'Gamma9'"
+
+
+def _data_copy(tmp_path):
+    root = tmp_path / "data"
+    with resources.as_file(resources.files("chowcheck").joinpath("data")) as src:
+        shutil.copytree(src, root)
+    return root
+
+
+def test_sweep_gives_every_reader_of_a_failed_stratum_its_error(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma1 = root / "strata" / "gamma1.stratum"
+    gamma1.write_text(gamma1.read_text().replace(
+        "k1(1): e1*(t1 + t2)", "k1(1): e1*t1"))
+    path = tmp_path / "stages.claims"
+    path.write_text("[kind]\nclaims\n\n"
+                    "[claim]\nid: on-stratum\nkind: identity\nwhere: Gamma1\n"
+                    "lhs: t1\nrhs: t1\n\n"
+                    "[claim]\nid: on-stage\nkind: surjectivity\nstage: Gamma2\n"
+                    "dmax: 4\n")
+    result = convention_search(load_claims(path=path),
+                               conventions=[SignConvention()], root=root)
+    (row,) = result["rows"]
+    assert row["passed"] == [] and row["failed"] == []
+    message = "Gamma1: ring coordinate k1 is not invariant under (t1 -> t2, t2 -> t1)"
+    assert row["errors"] == [{"id": "on-stratum", "error": message},
+                             {"id": "on-stage", "error": message}]
+    assert "aborted" not in row
+
+
+def test_pipeline_rejects_two_strata_with_one_label(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    gamma2.write_text(gamma2.read_text().replace("Gamma2", "Gamma1"))
+    with pytest.raises(PipelineError, match="two stratum files share a label"):
+        run_pipeline(root=root)
+
+
+def test_sweep_reads_the_strata_under_its_root(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma3p = root / "strata" / "gamma3p.stratum"
+    text = gamma3p.read_text()
+    assert "K3: e3*(" in text
+    gamma3p.write_text(text.replace("K3: e3*(", "K3: -e3*("))
+    claims = [c for c in load_claims()
+              if c.get("sweep", None) == "section-six-signs"]
+    conventions = [SignConvention(-1, 1, e3, 1) for e3 in (-1, 1)]
+    packaged = convention_search(claims, conventions=conventions)
+    moved = convention_search(claims, conventions=conventions, root=root)
+    assert packaged["all_pass_conventions"] == ["e1=-1,e2=+1,e3=-1,eg=+1"]
+    assert moved["all_pass_conventions"] == ["e1=-1,e2=+1,e3=+1,eg=+1"]
