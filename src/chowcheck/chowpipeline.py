@@ -11,24 +11,30 @@ transports the previous relations across the square, and certifies
 degreewise that the chosen generators span everything.
 
 Sign conventions enter as the symbols e1, e2, e3 (kappa-class pullbacks)
-and eg (pushforward classes).  Everything one convention yields lives in an
-`Artifacts` registry: a stratum is built the first time something reads
-it, and a stage is glued, with all stages before it in file order, the
-first time something reads it; either is built at most once per
-convention, and a failure is kept and raised again to every later reader.
-The stratum specs and the base are read once and shared by every
-convention.  `run_pipeline` is the registry with every stage glued; the
-sign sweep gives each convention a fresh registry, so it builds only what
-its claims read.  Claims extracted from the source text are data: each one
-is evaluated against the computed objects and compared to its expected
-status, so known misprints are flagged exactly, with corrected forms
-verified alongside.
+and eg (pushforward classes).  Built pieces live in an `Artifacts` store:
+a stratum is built the first time something reads it, and a stage is
+glued, with all stages before it in file order, the first time something
+reads it; a failure is kept and raised again to every later reader.  The
+store keys each piece by the values of only those sign symbols its spec
+texts read (a stage: the texts of every stratum through it), so
+conventions that agree on those signs share one build.  A `Stratum` is
+lazy too: its forms and invariance checks are built at once, its ring
+presentation, coordinate subalgebra, restriction coordinates and gluing
+pairs on first read.  The stratum specs and the base are read once and
+shared by every convention.  `run_pipeline` is a store with every stage
+glued; the sign sweep reads one store under every convention, so it builds
+only what its claims read, once per distinct sign restriction.  Claims
+extracted from the source text are data: each one is evaluated against the
+computed objects and compared to its expected status, so known misprints
+are flagged exactly, with corrected forms verified alongside.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -79,6 +85,39 @@ CLAIMS_FILE = "paper.claims"
 
 class PipelineError(ValueError):
     pass
+
+
+# errors that belong to one claim or stage; anything else is a bug
+_DOMAIN_ERRORS = (PipelineError, PresentationError, InvariantError, ParseError)
+
+
+def _once(built: dict, key, build):
+    """`built[key]`, made by `build()` on the first call.
+
+    A domain error raised by `build` is kept in its place and raised again
+    to every later caller, so a failed piece is never rebuilt.
+    """
+    if key not in built:
+        try:
+            built[key] = build()
+        except _DOMAIN_ERRORS as exc:
+            built[key] = exc
+    value = built[key]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+class _built_once:
+    """A read-only attribute built on first read and kept, by `_once`."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return _once(obj._lazy, self.build.__name__, lambda: self.build(obj))
 
 
 class SignConvention:
@@ -137,6 +176,9 @@ def _data_text(name: str, root=None) -> str:
     raise PipelineError(f"missing data file {name!r}")
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 class StratumSpec:
     """Raw, convention-independent contents of one stratum file."""
 
@@ -151,6 +193,13 @@ class StratumSpec:
         for e in doc.section("ring", required=True):
             name, weight = parse_name_weight(e.key, e.line)
             self.ring.append((name, weight, e.value))
+        for section, names in (("vars", self.table.names),
+                               ("defs", [n for n, _ in self.defs]),
+                               ("ring", [n for n, _, _ in self.ring])):
+            for name in names:
+                if name in SIGN_NAMES:
+                    raise PipelineError(f"{self.label}: [{section}] name {name} "
+                                        "is reserved for a sign symbol")
         self.top = doc.single("top").value
         self.restrict = [(e.key, e.value) for e in doc.section("restrict", required=True)]
         self.pairs = {e.key: e.value for e in (doc.section("pairs") or [])}
@@ -165,14 +214,29 @@ class StratumSpec:
     def load(name: str, root=None) -> "StratumSpec":
         return StratumSpec(parse_document(_data_text(name, root)))
 
+    def signs_read(self) -> frozenset:
+        """The sign symbols named by the texts a `Stratum` parses."""
+        texts = ([t for _, t in self.defs] + [t for _, _, t in self.ring]
+                 + [self.top] + [t for _, t in self.restrict]
+                 + list(self.pairs.values()))
+        return frozenset(name for text in texts for name in _NAME_RE.findall(text)
+                         if name in SIGN_NAMES)
+
 
 class Stratum:
-    """A stratum spec materialised under one sign convention."""
+    """A stratum spec materialised under one sign convention.
+
+    The forms and their invariance checks are built at once; the ring
+    presentation, the coordinate subalgebra, the restriction coordinates
+    and the gluing pairs on first read, each at most once.
+    """
 
     def __init__(self, spec: StratumSpec, convention: SignConvention):
         self.spec = spec
+        self.convention = convention
         self.label = spec.label
         self.table = spec.table
+        self._lazy = {}
         self.action = GroupAction(spec.table, spec.group_specs)
         self.functions = {"transfer": self.action.transfer,
                           "reynolds": self.action.reynolds}
@@ -185,27 +249,36 @@ class Stratum:
         self.ring_forms = [self._psi(text) for _, _, text in spec.ring]
         for name, form in zip(self.ring_names, self.ring_forms):
             self._require_invariant(f"ring coordinate {name}", form)
-        self.ring = invariant_presentation(
-            self.action, names=self.ring_names, generators=self.ring_forms
-        )
-        self._coordinates = Subalgebra(
-            self.table, list(zip(self.ring_names, self.ring_forms)),
-            tag_table=self.ring.table)
         self.top_form = self._psi(spec.top)
         self._require_invariant("top Chern form", self.top_form)
         self.restrictions = {}
-        self.restriction_coords = {}
         for tag, text in spec.restrict:
             form = self._psi(text)
             self._require_invariant(f"restriction of {tag}", form)
             self.restrictions[tag] = form
-            self.restriction_coords[tag] = self.coordinates_of(form)
-        pair_env = dict(convention.values)
+
+    @_built_once
+    def ring(self) -> Presentation:
+        return invariant_presentation(
+            self.action, names=self.ring_names, generators=self.ring_forms
+        )
+
+    @_built_once
+    def _coordinates(self) -> Subalgebra:
+        return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)),
+                          tag_table=self.ring.table)
+
+    @_built_once
+    def restriction_coords(self) -> dict:
+        return {tag: self.coordinates_of(form)
+                for tag, form in self.restrictions.items()}
+
+    @_built_once
+    def pair_overrides(self) -> dict:
+        pair_env = dict(self.convention.values)
         pair_env.update(self.restriction_coords)
-        self.pair_overrides = {
-            tag: parse_polynomial(text, self.ring.table, pair_env)
-            for tag, text in spec.pairs.items()
-        }
+        return {tag: parse_polynomial(text, self.ring.table, pair_env)
+                for tag, text in self.spec.pairs.items()}
 
     def _psi(self, text: str) -> Polynomial:
         return parse_polynomial(text, self.table, self.env, self.functions)
@@ -346,10 +419,6 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
 # ---------------------------------------------------------------------------
 # full pipeline
 
-# errors that belong to one claim or stage; anything else is a bug
-_DOMAIN_ERRORS = (PipelineError, PresentationError, InvariantError, ParseError)
-
-
 def _load_inputs(root=None) -> tuple:
     """The convention-independent inputs: stratum specs in file order, base."""
     specs = [StratumSpec.load(name, root=root) for name in STRATUM_FILES]
@@ -362,8 +431,12 @@ class Artifacts:
     `stratum(label)` materialises one stratum; `stage(label)` glues every
     stage through `label` in file order, taking its strata from `stratum`;
     `final` is the last stage's ring and `minimal` its minimal relations.
-    A piece whose construction fails keeps its error and raises it again
-    to every later reader, so a failed stage is never rebuilt.
+    The pieces live in a store keyed by piece, label and the values of the
+    signs the piece's spec texts read (a stage, and `minimal`, read the
+    texts of every stratum through it).  `under(convention)` reads the
+    same store under another convention, so conventions that agree on
+    those signs share one build.  A piece whose construction fails keeps
+    its error and raises it again to every later reader.
     """
 
     def __init__(self, convention: SignConvention, specs, base: Presentation,
@@ -375,19 +448,29 @@ class Artifacts:
         if len(self.specs) != len(specs):
             raise PipelineError("two stratum files share a label")
         self.labels = list(self.specs)
-        self.stages = []  # glued stages, in file order
+        self._reads = {}  # (piece, label) -> the sign names its texts read
+        through = frozenset()
+        for spec in specs:
+            own = spec.signs_read()
+            through |= own
+            self._reads["stratum", spec.label] = own
+            self._reads["stage", spec.label] = through
         self._built = {}
 
-    def _once(self, key, build):
-        if key not in self._built:
-            try:
-                self._built[key] = build()
-            except _DOMAIN_ERRORS as exc:
-                self._built[key] = exc
-        value = self._built[key]
-        if isinstance(value, Exception):
-            raise value
-        return value
+    def under(self, convention: SignConvention) -> "Artifacts":
+        """This store, read under `convention`."""
+        view = copy(self)
+        view.convention = convention
+        return view
+
+    def _key(self, piece: str, label: str) -> tuple:
+        read = self._reads["stratum" if piece == "stratum" else "stage", label]
+        return (piece, label) + tuple(
+            (name, value) for name, value in self.convention.values.items()
+            if name in read)
+
+    def _piece(self, piece: str, label: str, build):
+        return _once(self._built, self._key(piece, label), build)
 
     def _spec(self, label: str) -> StratumSpec:
         spec = self.specs.get(label)
@@ -397,19 +480,23 @@ class Artifacts:
 
     def stratum(self, label: str) -> Stratum:
         spec = self._spec(label)
-        return self._once(("stratum", label),
-                          lambda: Stratum(spec, self.convention))
+        return self._piece("stratum", label,
+                           lambda: Stratum(spec, self.convention))
 
     def stage(self, label: str) -> dict:
         self._spec(label)
-        return self._once(("stage", label), lambda: self._glue(label))
+        return self._piece("stage", label, lambda: self._glue(label))
 
     def _glue(self, label: str) -> dict:
         index = self.labels.index(label)
         prev = self.stage(self.labels[index - 1])["result"] if index else self.base
-        stage = induction_step(prev, self.stratum(label), dmax=self.dmax)
-        self.stages.append(stage)
-        return stage
+        return induction_step(prev, self.stratum(label), dmax=self.dmax)
+
+    @property
+    def stages(self) -> list:
+        """The stages glued under this convention, in file order."""
+        built = (self._built.get(self._key("stage", label)) for label in self.labels)
+        return [stage for stage in built if isinstance(stage, dict)]
 
     @property
     def final(self) -> Presentation:
@@ -417,12 +504,13 @@ class Artifacts:
 
     @property
     def minimal(self) -> list:
-        return self._once("minimal", lambda: minimal_generators(self.final))
+        return self._piece("minimal", self.labels[-1],
+                           lambda: minimal_generators(self.final))
 
 
 def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
                  root=None) -> Artifacts:
-    """Glue every stage under one convention; returns the artifact registry.
+    """Glue every stage under one convention; returns the artifact store.
 
     `root` overrides the packaged data directory.
     """
@@ -509,7 +597,7 @@ def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
 
 
 class ClaimRunner:
-    """Evaluate claims against an `Artifacts` registry.
+    """Evaluate claims against an `Artifacts` store.
 
     Each claim reads only what it needs: a stratum for `where:` claims and
     `ring:` spaces, the glued stage for `stage:` claims and the other stage
@@ -523,6 +611,7 @@ class ClaimRunner:
 
     def claim_env(self, stratum: Stratum) -> dict:
         env = dict(stratum.env)
+        env.update(self.artifacts.convention.values)  # the stratum may be shared
         for name, form in zip(stratum.ring_names, stratum.ring_forms):
             env[name] = form
         for tag, form in stratum.restrictions.items():
@@ -628,8 +717,12 @@ class ClaimRunner:
             if "->" not in item:
                 raise PipelineError(f"claim field 'images': item {item!r} has no '->'")
             name, text = item.split("->", 1)
-            images[name.strip()] = parse_polynomial(text.strip(), target, env,
-                                                    functions)
+            name = name.strip()
+            if name not in source.names:
+                raise PipelineError(
+                    f"claim field 'images' gives an image for {name}, "
+                    "which is not a source variable")
+            images[name] = parse_polynomial(text.strip(), target, env, functions)
         missing = [n for n in source.names if n not in images]
         if missing:
             raise PipelineError(f"claim field 'images' gives no image for {missing[0]}")
@@ -670,7 +763,10 @@ class ClaimRunner:
         label = claim.get("where")
         stratum = self.artifacts.stratum(label)
         shown = self.psi(label, claim.get("a_side"))
-        true_form = stratum.restrictions[claim.get("tag")]
+        tag = claim.get("tag")
+        if tag not in stratum.restrictions:
+            raise PipelineError(f"{label} gives no restriction for {tag}")
+        true_form = stratum.restrictions[tag]
         if claim.get("mode", "exact") == "bottom":
             diff = shown - true_form
             ok = Ideal(stratum.table, [stratum.top_form]).member(diff)
@@ -753,21 +849,22 @@ def convention_search(claims=None, conventions=None, dmax: int = 12,
 
     A claim counts as passed when its raw status is PASS (its expectation
     annotation plays no role here).  The stratum specs and the base are
-    read once, from `root` when given; each convention gets its own
-    `Artifacts` registry, so it builds only the strata and stages its
-    claims read.  A claim that cannot be evaluated, or that reads a stage
-    whose construction failed, keeps an error row with that message.
+    read once, from `root` when given, into one `Artifacts` store that
+    every convention reads: only the strata and stages the claims read are
+    built, once per distinct value of the signs their texts read.  A claim
+    that cannot be evaluated, or that reads a stage whose construction
+    failed, keeps an error row with that message.
     """
     if claims is None:
         claims = load_claims()
     claims = [c for c in claims if c.kind != "assumption"]
-    specs, base = _load_inputs(root)
+    store = Artifacts(SignConvention(), *_load_inputs(root), dmax=dmax)
     rows = []
     for convention in (conventions if conventions is not None
                        else SignConvention.all()):
         row = {"convention": convention.label, "passed": [], "failed": [],
                "errors": []}
-        runner = ClaimRunner(Artifacts(convention, specs, base, dmax=dmax))
+        runner = ClaimRunner(store.under(convention))
         for claim in claims:
             try:
                 outcome = runner.run(claim)

@@ -7,10 +7,12 @@ source text; they are the regression oracles for the whole pipeline.
 
 import json
 import shutil
+from collections import Counter
 from importlib import resources
 
 import pytest
 
+from chowcheck import chowpipeline
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -24,7 +26,7 @@ from chowcheck.chowpipeline import (
     minimal_generators,
     run_pipeline,
 )
-from chowcheck.exprparser import parse_document, parse_polynomial
+from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
 
 # stage-2 glued relation, recomputed via kernel intersection and lifting
 J1 = "k1^4*g2^2 + 2*k1^2*k2*g2^2 - 4*k1^2*g2^3 - 8*k2*g2^3 + q^2"
@@ -391,3 +393,132 @@ def test_sweep_reads_the_strata_under_its_root(tmp_path):
     moved = convention_search(claims, conventions=conventions, root=root)
     assert packaged["all_pass_conventions"] == ["e1=-1,e2=+1,e3=-1,eg=+1"]
     assert moved["all_pass_conventions"] == ["e1=-1,e2=+1,e3=+1,eg=+1"]
+
+
+def _stratum_text(name):
+    return (resources.files("chowcheck").joinpath("data", "strata", name)
+            .read_text())
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("gamma1.stratum", "t1", "e1",
+     "Gamma1: [vars] name e1 is reserved for a sign symbol"),
+    ("gamma2.stratum", "[defs]\n", "[defs]\neg: t1*t2\n",
+     "Gamma2: [defs] name eg is reserved for a sign symbol"),
+    ("gamma2.stratum", "eta(2): ETA", "e3(2): ETA",
+     "Gamma2: [ring] name e3 is reserved for a sign symbol"),
+], ids=["vars", "defs", "ring"])
+def test_stratum_spec_rejects_a_sign_name(name, old, new, message):
+    text = _stratum_text(name)
+    assert old in text
+    with pytest.raises(PipelineError) as err:
+        StratumSpec(parse_document(text.replace(old, new)))
+    assert str(err.value) == message
+
+
+def test_sweep_reports_a_pair_display_tag_without_restriction(tmp_path):
+    error = _sweep_error(tmp_path, "kind: pair_display\nwhere: Gamma1\n"
+                         "tag: zz\na_side: t1 + t2\n")
+    assert error == "Gamma1 gives no restriction for zz"
+
+
+def test_sweep_reports_an_image_for_a_name_that_is_not_a_source_variable(tmp_path):
+    error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
+                         "tvars: t(1)\nimages: u -> t; w -> t\nrhs: 0\n")
+    assert error == ("claim field 'images' gives an image for w, "
+                     "which is not a source variable")
+
+
+def _sweep_groups():
+    groups = {}
+    for claim in load_claims():
+        tag = claim.get("sweep", None)
+        if tag:
+            groups.setdefault(tag, []).append(claim)
+    return groups
+
+
+@pytest.mark.parametrize("tag", sorted(_sweep_groups()))
+def test_shared_sweep_store_matches_one_store_per_convention(tag):
+    """One store read under all 16 conventions gives the same rows as 16
+    sweeps of one convention each, where nothing is shared."""
+    group = _sweep_groups()[tag]
+    shared = convention_search(group)["rows"]
+    alone = [row for convention in SignConvention.all()
+             for row in convention_search(group, conventions=[convention])["rows"]]
+    assert shared == alone
+
+
+def _count_calls(monkeypatch, name, key=lambda *args, **kwargs: None):
+    calls = Counter()
+    inner = getattr(chowpipeline, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(chowpipeline, name, counted)
+    return calls
+
+
+def test_sweep_glues_each_stage_once_per_sign_restriction(monkeypatch):
+    steps = _count_calls(monkeypatch, "induction_step",
+                         key=lambda prev, stratum, **kw: stratum.label)
+    convention_search(_sweep_groups()["incompatible-pair"])
+    # Gamma1 reads e1, e2; Gamma2 also eg
+    assert steps == {"Gamma1": 4, "Gamma2": 8}
+
+
+def test_identity_sweep_builds_no_stratum_ring(monkeypatch):
+    presentations = _count_calls(monkeypatch, "invariant_presentation")
+    result = convention_search(_sweep_groups()["section-six-signs"])
+    assert result["all_pass_conventions"] == ["e1=-1,e2=+1,e3=-1,eg=+1"]
+    assert sum(presentations.values()) == 0
+
+
+def test_claims_on_a_shared_stratum_read_their_own_signs(tmp_path):
+    # Gamma1 reads only e1 and e2, so both conventions share one stratum
+    path = tmp_path / "e3.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: e3-is-minus-one\n"
+                    "kind: identity\nwhere: Gamma1\nlhs: e3*t1\nrhs: -t1\n")
+    result = convention_search(
+        load_claims(path=path),
+        conventions=[SignConvention(-1, -1, e3, 1) for e3 in (1, -1)])
+    assert [row["pass_count"] for row in result["rows"]] == [0, 1]
+
+
+def test_a_failed_lazy_stratum_piece_is_built_once(tmp_path, monkeypatch):
+    root = _data_copy(tmp_path)
+    gamma3p = root / "strata" / "gamma3p.stratum"
+    good = "q: -g2*(k1^2 - 4*g2)"
+    bad = "-g2*(k1^2 - 4*g2"
+    gamma3p.write_text(gamma3p.read_text().replace(good, "q: " + bad))
+    parses = _count_calls(monkeypatch, "parse_polynomial",
+                          key=lambda text, *args, **kwargs: text == bad)
+    path = tmp_path / "stages.claims"
+    path.write_text("[kind]\nclaims\n\n"
+                    "[claim]\nid: on-stratum\nkind: identity\nwhere: Gamma3p\n"
+                    "lhs: g3p\nrhs: TOP\n\n"
+                    "[claim]\nid: on-stage\nkind: surjectivity\nstage: Gamma3p\n"
+                    "dmax: 4\n\n"
+                    "[claim]\nid: on-result\nkind: dimension\n"
+                    "space: result:Gamma3p\ndegree: 1\nvalue: 1\n\n"
+                    "[claim]\nid: on-next-stage\nkind: lift_profile\n"
+                    "stage: Gamma3pp\nexact: 2\ncorrected: 1\n")
+    result = convention_search(load_claims(path=path),
+                               conventions=[SignConvention()], root=root)
+    (row,) = result["rows"]
+    assert row["passed"] == ["on-stratum"] and row["failed"] == []
+    assert [e["id"] for e in row["errors"]] == ["on-stage", "on-result",
+                                                "on-next-stage"]
+    assert len({e["error"] for e in row["errors"]}) == 1
+    assert parses[True] == 1
+
+    stratum = Stratum(StratumSpec.load("gamma3p.stratum", root=root),
+                      SignConvention())
+    with pytest.raises(ParseError) as first:
+        stratum.pair_overrides
+    with pytest.raises(ParseError) as again:
+        stratum.pair_overrides
+    assert again.value is first.value
+    assert parses[True] == 2
