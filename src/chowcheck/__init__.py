@@ -10,7 +10,6 @@ displayed formula against independently recomputed objects.
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
     Ideal,
-    brute_force_member,
     eliminate,
     ideal_equal,
     ideal_quotient,
@@ -74,7 +73,6 @@ __all__ = [
     "VarTable",
     "algebra_generators",
     "apply_quotient",
-    "brute_force_member",
     "convention_search",
     "eliminate",
     "emit_report",

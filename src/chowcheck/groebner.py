@@ -27,7 +27,6 @@ from bisect import insort
 from fractions import Fraction
 from heapq import heappush, heappop
 
-from .linalg import solve_linear
 from .polyarith import (
     GREVLEX,
     MonomialOrder,
@@ -651,10 +650,10 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
     """Monomials of exact weighted degree not in the leading term ideal.
 
     Sorted decreasingly in the order; this is the canonical linear basis of
-    the degree piece of Q[context]/I.
+    the degree piece of Q[context]/I.  An ideal without generators has
+    every monomial standard, and no basis is computed for it.
     """
-    gb = I.groebner(order)
-    lms = [g.leading_monomial(order) for g in gb]
+    lms = [g.leading_monomial(order) for g in I.groebner(order)] if I.gens else []
     ctx = I.context
     n = len(ctx)
     w = ctx.weights
@@ -677,38 +676,3 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
     walk(0, 0, [])
     out.sort(key=order.key, reverse=True)
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent membership oracle for tests
-
-def brute_force_member(f: Polynomial, gens, slack: int = 2):
-    """Certify membership by solving for cofactors of bounded degree.
-
-    Searches for a_i with deg(a_i * g_i) <= deg(f) + slack such that
-    f = sum a_i g_i.  Returns True when such a combination exists; False is
-    inconclusive (membership may still hold with larger cofactors).
-    """
-    ctx = f.context
-    if f.is_zero():
-        return True
-    d = f.total_degree() + slack
-    columns = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        bound = d - g.total_degree()
-        if bound < 0:
-            continue
-        for m in _monomials_up_to(len(ctx), bound):
-            columns.append({mono_mul(gm, m): gc for gm, gc in g.terms.items()})
-    return solve_linear(columns, f.terms) is not None
-
-
-def _monomials_up_to(n: int, d: int):
-    if n == 0:
-        yield ()
-        return
-    for e in range(d + 1):
-        for rest in _monomials_up_to(n - 1, d - e):
-            yield (e,) + rest

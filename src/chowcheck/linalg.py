@@ -1,13 +1,16 @@
-"""Exact sparse linear algebra over Fraction: one incremental eliminator.
+"""Exact sparse linear algebra over Q: one incremental, fraction-free eliminator.
 
 Vectors are {key: Fraction} dicts, keyed by monomials or by any other
 mutually comparable keys.  `SparseEchelon` keeps an echelon form of
 everything added to it; ranks, independent subsets and linear solves are
-all read off it.
+all read off it.  Inside, rows are integer and elimination scales by gcd
+cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
+polynomials; `Fraction` appears only in what `reduce` returns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -15,8 +18,9 @@ class SparseEchelon:
     """Incremental echelon form of sparse vectors given as {key: Fraction} dicts.
 
     Keys only need to be mutually comparable; elimination pivots on the
-    largest key of each row, and each stored pivot row is monic.  The
-    number of pivot rows is the rank of everything added so far.
+    largest key of each row, and each stored pivot row is a primitive
+    integer row.  The number of pivot rows is the rank of everything added
+    so far.
     """
 
     __slots__ = ("pivots",)
@@ -27,13 +31,11 @@ class SparseEchelon:
     def __len__(self):
         return len(self.pivots)
 
-    def reduce(self, row) -> dict:
-        """Eliminate pivots from the top of a copy of `row`.
-
-        The result is empty exactly when `row` lies in the span; otherwise
-        its largest key is not a pivot.
-        """
-        row = {k: v for k, v in row.items() if v}
+    def _reduce(self, row) -> tuple:
+        """(rest, den): the integer top-reduction of `row` and the positive
+        integer with rest == den * (row minus a combination of pivots)."""
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
         pivots = self.pivots
         while row:
             lead = max(row)
@@ -41,25 +43,38 @@ class SparseEchelon:
             if prow is None:
                 break
             c = row.pop(lead)
+            g = math.gcd(c, prow[lead])
+            s, t = prow[lead] // g, c // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
+                den *= s
             for k, v in prow.items():
                 if k == lead:
                     continue
-                nv = row.get(k, Fraction(0)) - c * v
+                nv = row.get(k, 0) - t * v
                 if nv:
                     row[k] = nv
                 else:
                     row.pop(k, None)
-        return row
+        return row, den
+
+    def reduce(self, row) -> dict:
+        """Eliminate pivots from the top of a copy of `row`.
+
+        The result is empty exactly when `row` lies in the span; otherwise
+        its largest key is not a pivot.
+        """
+        rest, den = self._reduce(row)
+        return {k: Fraction(v, den) for k, v in rest.items()}
 
     def add(self, row) -> bool:
         """Add `row` to the span; True when it was not already in it."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        lead = max(row)
-        c = row[lead]
-        self.pivots[lead] = {k: v / c for k, v in row.items()}
-        return True
+        rest, _ = self._reduce(row)
+        if rest:
+            g = math.gcd(*rest.values())
+            self.pivots[max(rest)] = {k: v // g for k, v in rest.items()}
+        return bool(rest)
 
 
 def sparse_rank(rows) -> int:

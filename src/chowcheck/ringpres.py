@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import Ideal, intersect, map_kernel, standard_monomials
-from .linalg import solve_linear, sparse_rank
+from .linalg import SparseEchelon, solve_linear
 
 
 class PresentationError(ValueError):
@@ -148,22 +148,41 @@ def _vector(tagged, poly: Polynomial) -> dict:
     return {(tagged,) + m: c for m, c in poly.terms.items()}
 
 
-def pair_image_rank(alpha: Morphism, beta: Morphism, degree: int) -> int:
-    """Rank of the span of images of degree-d tag monomials in A_d x C_d.
+def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
+    """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
+    one per d in `degrees`.
 
     This is the honest linear-system count: one row per monomial in the
-    tags, coordinates running over both targets at once.
+    tags, coordinates running over both targets at once.  Unreduced images
+    are built incrementally and kept for the whole call,
+    raw[m] = raw[m / x_i] * (alpha(x_i), beta(x_i)) with x_i the last
+    variable of m, filled on demand so `degrees` may come in any order;
+    only the row that enters the eliminator is put in normal form.
     """
     table = alpha.source.table
-    monos = standard_monomials(Ideal(table, ()), degree,
-                               MonomialOrder.wgrevlex(table.weights))
-    rows = []
-    for m in monos:
-        f = Polynomial(table, {m: Fraction(1)})
-        row = _vector("A", alpha(f))
-        row.update(_vector("C", beta(f)))
-        rows.append(row)
-    return sparse_rank(rows)
+    order = MonomialOrder.wgrevlex(table.weights)
+    gens = [(alpha.images[n], beta.images[n]) for n in table.names]
+    raw = {(0,) * len(table): (Polynomial.one(alpha.target.table),
+                               Polynomial.one(beta.target.table))}
+
+    def image(m):
+        got = raw.get(m)
+        if got is None:
+            i = max(j for j, e in enumerate(m) if e)
+            a, c = image(m[:i] + (m[i] - 1,) + m[i + 1:])
+            got = raw[m] = (a * gens[i][0], c * gens[i][1])
+        return got
+
+    ranks = []
+    for d in degrees:
+        echelon = SparseEchelon()
+        for m in standard_monomials(Ideal(table, ()), d, order):
+            a, c = image(m)
+            row = _vector("A", alpha.target.normal_form(a))
+            row.update(_vector("C", beta.target.normal_form(c)))
+            echelon.add(row)
+        ranks.append(len(echelon))
+    return ranks
 
 
 def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
@@ -173,14 +192,15 @@ def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
     For each degree d the expected fiber dimension is
     dim A_d + dim C_d - dim B_d (valid because the projection of A onto the
     bottom ring is onto), the independent linear-system rank of the tag
-    images is computed from scratch, and the quotient presentation's own
-    graded dimension is read off its standard monomials.  All three must
-    agree for the degree to be certified.
+    images is counted by one `pair_image_rank` call over all the degrees,
+    and the quotient presentation's own graded dimension is read off its
+    standard monomials.  All three must agree for the degree to be
+    certified.
     """
+    degrees = list(degrees)
     out = []
-    for d in degrees:
+    for d, rank_d in zip(degrees, pair_image_rank(alpha, beta, degrees)):
         expected = alpha.target.dim(d) + beta.target.dim(d) - bottom.dim(d)
-        rank_d = pair_image_rank(alpha, beta, d)
         quotient_d = fiber.dim(d)
         out.append({
             "degree": d,

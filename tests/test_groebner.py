@@ -11,7 +11,6 @@ from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
     Subalgebra,
-    brute_force_member,
     buchberger,
     eliminate,
     exact_divide,
@@ -26,6 +25,7 @@ from chowcheck.groebner import (
     zero_dimensional,
 )
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
+from oracles import brute_force_member
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()

@@ -9,16 +9,16 @@ from chowcheck.chowpipeline import minimal_generators
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
-    brute_force_member,
     buchberger,
     ideal_quotient,
     reduce_full,
     standard_monomials,
 )
 from chowcheck.invariants import GroupAction
-from chowcheck.linalg import independent_rows, solve_linear, sparse_rank
+from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div
 from chowcheck.ringpres import Presentation
+from oracles import brute_force_member
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -251,6 +251,55 @@ def test_sparse_solve_linear(columns, rhs, combine):
             total[k] = total.get(k, 0) + xj * v
     assert {k: v for k, v in total.items() if v} == {k: v for k, v in rhs.items() if v}
     assert all(xj == 0 for xj, d in zip(x, dependent) if d)
+
+
+class FractionEchelon:
+    """Reference eliminator on Fraction rows: monic pivot rows, largest key
+    first, the plain textbook elimination."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            lead = max(row)
+            prow = self.pivots.get(lead)
+            if prow is None:
+                break
+            c = row.pop(lead)
+            for k, v in prow.items():
+                if k != lead:
+                    row[k] = row.get(k, Fraction(0)) - c * v
+                    if not row[k]:
+                        del row[k]
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        c = row[max(row)]
+        self.pivots[max(row)] = {k: v / c for k, v in row.items()}
+        return True
+
+
+fraction_rows = st.dictionaries(
+    st.integers(0, 5), st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fraction_rows, max_size=8), fraction_rows)
+def test_fraction_free_echelon_matches_a_fraction_eliminator(rows, probe):
+    echelon, reference = SparseEchelon(), FractionEchelon()
+    for row in rows + [probe]:
+        reduced = echelon.reduce(row)
+        assert reduced == reference.reduce(row)
+        assert all(isinstance(v, Fraction) for v in reduced.values())
+        assert echelon.add(row) == reference.add(row)
+    assert len(echelon) == len(reference.pivots) == sparse_rank(rows + [probe])
+    assert set(echelon.pivots) == set(reference.pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Graded presentations, morphisms, fiber products, graded certification."""
 
+from fractions import Fraction
+
 import pytest
 
 from chowcheck.exprparser import parse_polynomial
-from chowcheck.polyarith import Polynomial, VarTable
+from chowcheck.groebner import Ideal, standard_monomials
+from chowcheck.linalg import sparse_rank
+from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
 from chowcheck.ringpres import (
     Morphism,
     Presentation,
@@ -128,12 +132,34 @@ def test_pair_image_rank_and_graded_surjectivity():
     })
     glued = fiber_product(alpha, beta)
     assert glued.is_free()  # ker alpha = 0
-    assert pair_image_rank(alpha, beta, 2) == 2  # k1^2 and k2 stay independent
+    assert pair_image_rank(alpha, beta, [2]) == [2]  # k1^2 and k2 stay independent
     rows = graded_surjectivity(glued, alpha, beta, bottom, range(7))
     for row in rows:
         assert row["pair_rank"] == row["fiber_dim"] == row["quotient_dim"]
         assert row["certified"]
     assert [row["quotient_dim"] for row in rows] == [1, 1, 2, 2, 3, 3, 4]
+
+
+def pair_rank_from_scratch(alpha, beta, degree):
+    """The count as a plain loop: one full image per tag monomial, then a rank."""
+    table = alpha.source.table
+    rows = []
+    for m in standard_monomials(Ideal(table, ()), degree,
+                                MonomialOrder.wgrevlex(table.weights)):
+        f = Polynomial(table, {m: Fraction(1)})
+        row = {("A",) + k: v for k, v in alpha(f).terms.items()}
+        row.update({("C",) + k: v for k, v in beta(f).terms.items()})
+        rows.append(row)
+    return sparse_rank(rows)
+
+
+def test_pair_image_rank_matches_the_from_scratch_count(artifacts):
+    """Every gluing stage of the default convention, in any degree order."""
+    for stage in artifacts.stages:
+        alpha, beta = stage["alpha"], stage["beta"]
+        for degrees in (list(range(13)), [5, 2], [3]):
+            assert pair_image_rank(alpha, beta, degrees) == [
+                pair_rank_from_scratch(alpha, beta, d) for d in degrees]
 
 
 def test_apply_quotient_lifts_prev_relations():
