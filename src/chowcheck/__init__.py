@@ -21,12 +21,10 @@ from .groebner import (
     zero_dimensional,
 )
 from .invariants import (
-    Character,
     GroupAction,
     algebra_generators,
     invariant_basis,
     invariant_presentation,
-    isotypic_component,
 )
 from .ringpres import (
     Morphism,
@@ -58,7 +56,6 @@ from .chowpipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Character",
     "Claim",
     "GroupAction",
     "Ideal",
@@ -85,7 +82,6 @@ __all__ = [
     "invariant_basis",
     "invariant_presentation",
     "is_nonzerodivisor",
-    "isotypic_component",
     "load_base",
     "load_claims",
     "map_kernel",

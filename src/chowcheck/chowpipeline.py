@@ -383,7 +383,7 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
                               "rejected": str(override)})
     info["pairs"] = pair_rows
 
-    prev_free = Presentation.free(prev.table.names, prev.table.weights)
+    prev_free = Presentation(prev.table)
     beta_images = {n: (Polynomial.variable(prev.table, n) if n in prev.table.names
                        else Polynomial.zero(prev.table)) for n in names}
     alpha = Morphism(free_tags, A, alpha_images)
@@ -395,7 +395,7 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
 
     ker_alpha = alpha.kernel()
     ker_beta = beta.kernel()
-    fiber = Presentation(tags, intersect(ker_alpha, ker_beta).gens, check=False)
+    fiber = Presentation(tags, intersect(ker_alpha, ker_beta).gens)
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
     info["lifts"] = lift_notes
     info["surjectivity"] = graded_surjectivity(fiber, alpha, beta, B,
@@ -634,7 +634,7 @@ class ClaimRunner:
                 return self.artifacts.stage(label)[kind]
             if kind in ("keralpha", "kerbeta"):
                 ideal = self.artifacts.stage(label)["ker_" + kind[3:]]
-                return Presentation(ideal.context, ideal.gens, check=False)
+                return Presentation(ideal.context, ideal.gens)
         raise PipelineError(f"unknown space {name!r}")
 
     def parse_in(self, pres: Presentation, text: str) -> Polynomial:

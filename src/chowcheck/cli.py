@@ -209,8 +209,7 @@ def cmd_elim(args):
 
 def cmd_kernel(args):
     source, target, images, relations = _load_morphism(args.morphism)
-    target_ideal = Ideal(target, relations) if relations else None
-    kernel = map_kernel(source, images, target_ideal=target_ideal, target=target)
+    kernel = map_kernel(source, images, target, Ideal(target, relations))
     return _braces(kernel.groebner(_order_for(args.order, source))), 0
 
 

@@ -14,10 +14,12 @@ with it and builds reduced monic bases only at the end; `reduce_full`
 clears the denominators of its input, runs the same loop and scales the
 remainder and quotients back to exact rationals.
 
-Derived operations follow the standard eliminations: kernels of ring maps
-via graph ideals, intersections via the one-tag trick on homogenized
-generators, colon ideals via intersection with a principal ideal,
-subalgebra membership via tag variables ordered after the originals.
+Derived operations follow the standard eliminations.  `Subalgebra` is the
+one builder of a graph ideal (tag - generator, tags ordered after the
+renamed-apart originals): its basis gives both the kernel of a ring map
+(`map_kernel`) and subalgebra membership (`express`).  Intersections use
+the one-tag trick on homogenized generators, colon ideals intersection
+with a principal ideal.
 """
 
 from __future__ import annotations
@@ -436,70 +438,6 @@ def eliminate(I: Ideal, drop) -> Ideal:
     return Ideal(kept_table, out)
 
 
-def map_kernel(source: VarTable, images: dict, target_ideal: Ideal | None = None,
-               target: VarTable | None = None) -> Ideal:
-    """Kernel of the ring map Q[source] -> Q[target]/target_ideal.
-
-    `images` maps each source variable name to a Polynomial over the target
-    table (or a constant).  Computed from the graph ideal by eliminating
-    the target block.  A source variable whose image is a bare target
-    variable is identified with it instead of eliminated, which keeps the
-    graph small for restriction-style maps.
-    """
-    if target is None:
-        if target_ideal is not None:
-            target = target_ideal.context
-        else:
-            for v in images.values():
-                if isinstance(v, Polynomial):
-                    target = v.context
-                    break
-    if target is None:
-        raise ValueError("cannot infer the target variable table")
-    missing = [n for n in source.names if n not in images]
-    if missing:
-        raise ValueError(f"no image given for {missing[0]!r}")
-    imgs = {}
-    for name in source.names:
-        img = images[name]
-        if isinstance(img, (int, Fraction)):
-            img = Polynomial.constant(target, img)
-        if img.context != target:
-            raise ValueError("image lives in a different variable table")
-        imgs[name] = img
-    # identify tags whose image is a single bare variable, one per variable
-    shared = {}  # target variable name -> tag name
-    for name in source.names:
-        img = imgs[name]
-        if len(img.terms) != 1:
-            continue
-        (mono, c), = img.terms.items()
-        if c != 1 or sum(mono) != 1:
-            continue
-        tvar = target.names[mono.index(1)]
-        if tvar not in shared:
-            shared[tvar] = name
-    elim_names = [n for n in target.names if n not in shared]
-    welim = tuple(target.weight(n) for n in elim_names)
-    fresh = _fresh_names("_z", len(elim_names), set(source.names))
-    combined = VarTable(tuple(fresh) + source.names, welim + source.weights)
-    rename_t = dict(zip(elim_names, fresh))
-    rename_t.update({tv: tag for tv, tag in shared.items()})
-    gens = []
-    if target_ideal is not None:
-        if target_ideal.context != target:
-            raise ValueError("target ideal lives in a different variable table")
-        for g in target_ideal.gens:
-            gens.append(g.rename(combined, rename_t))
-    shared_tags = set(shared.values())
-    for name in source.names:
-        if name in shared_tags:
-            continue
-        tag = Polynomial.variable(combined, name)
-        gens.append(tag - imgs[name].rename(combined, rename_t))
-    return eliminate(Ideal(combined, gens), fresh)
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I intersected with J via the auxiliary variable trick, homogenized.
 
@@ -553,49 +491,100 @@ def is_nonzerodivisor(f: Polynomial, I: Ideal) -> bool:
 
 
 class Subalgebra:
-    """Named generators over one table, with the graph ideal of their tags.
+    """Named generators over one table and the graph ideal of their tags.
 
-    `gens` is a list of (name, Polynomial) over `context`.  The graph ideal
-    holds tag - generator for every pair; tag variables are ordered after
-    the original variables, so a normal form pushes everything expressible
-    into tags.  Tags are weighted by the weighted degree of each generator
-    unless a tag table is given.  The graph basis is computed on first use
-    and kept on the object, so every form tested against one generator list
-    shares a single Buchberger run.
+    `gens` is a list of (name, Polynomial or constant) over `context`; the
+    names are tag variables.  The graph ideal holds tag - generator for
+    every pair, plus the generators of `relations` (an Ideal over
+    `context`) when the generators live in a quotient ring.  The variables
+    of `context` are renamed apart from the tags, so the two may share
+    names, and ordered before them in a block order (Cox-Little-O'Shea,
+    IVA 7.3).  One reduced basis then answers both questions: its tag-only
+    part generates the kernel of Q[tags] -> Q[context]/relations
+    (`kernel`), and a normal form that lands in the tags expresses a form
+    in the generators (`express`).  A tag whose generator is a bare
+    variable is identified with that variable instead of getting a graph
+    generator, one tag per variable, which keeps the graph small for
+    restriction-style maps.  Tags are weighted by the weighted degree of
+    each generator unless a tag table is given.  The basis is computed on
+    first use and kept on the object.
     """
 
-    __slots__ = ("context", "tag_table", "graph", "order")
+    __slots__ = ("context", "tag_table", "graph", "order", "_rename")
 
-    def __init__(self, context: VarTable, gens, tag_table: VarTable | None = None):
-        names = [n for n, _ in gens]
-        if tag_table is None:
-            weights = []
-            for n, g in gens:
-                d = g.weighted_degree()
-                weights.append(d if d > 0 else 1)
-            tag_table = VarTable(names, weights)
-        if set(names) & set(context.names):
-            raise ValueError("tag name collides with an original variable")
-        combined = VarTable(context.names + tag_table.names,
-                            context.weights + tag_table.weights)
-        gens_c = []
+    def __init__(self, context: VarTable, gens, tag_table: VarTable | None = None,
+                 relations: Ideal | None = None):
+        names = []
+        images = []
         for n, g in gens:
+            if isinstance(g, (int, Fraction)):
+                g = Polynomial.constant(context, g)
             if g.context != context:
                 raise ValueError("generator lives in a different variable table")
-            gens_c.append(Polynomial.variable(combined, n) - g.rename(combined))
+            names.append(n)
+            images.append(g)
+        if tag_table is None:
+            tag_table = VarTable(names, [max(g.weighted_degree(), 1) for g in images])
+        rename = {}  # context variable -> its name in the graph table
+        for n, g in zip(names, images):
+            if len(g.terms) != 1:
+                continue
+            (mono, c), = g.terms.items()
+            if c != 1 or sum(mono) != 1:
+                continue
+            var = context.names[mono.index(1)]
+            if var not in rename:
+                rename[var] = n
+        shared = set(rename.values())
+        elim = [v for v in context.names if v not in rename]
+        rename.update(zip(elim, _fresh_names("_z", len(elim), set(tag_table.names))))
+        welim = tuple(context.weight(v) for v in elim)
+        combined = VarTable(tuple(rename[v] for v in elim) + tag_table.names,
+                            welim + tag_table.weights)
+        graph = []
+        if relations is not None:
+            if relations.context != context:
+                raise ValueError("relations live in a different variable table")
+            graph = [g.rename(combined, rename) for g in relations.gens]
+        for n, g in zip(names, images):
+            if n not in shared:
+                graph.append(Polynomial.variable(combined, n) - g.rename(combined, rename))
         self.context = context
         self.tag_table = tag_table
-        self.graph = Ideal(combined, gens_c)
-        self.order = _block_order(context.weights, tag_table.weights)
+        self.graph = Ideal(combined, graph)
+        self.order = _block_order(welim, tag_table.weights)
+        self._rename = rename
+
+    def kernel(self) -> Ideal:
+        """Relations among the generators, as an ideal over the tag table."""
+        tags = set(self.tag_table.names)
+        return Ideal(self.tag_table, [g.rename(self.tag_table)
+                                      for g in self.graph.groebner(self.order)
+                                      if g.support_names() <= tags])
 
     def express(self, f: Polynomial):
         """f as a Polynomial over the tag table, or None when not a member."""
         if f.context != self.context:
             raise ValueError("polynomial lives in a different variable table")
-        nf = self.graph.normal_form(f.rename(self.graph.context), self.order)
+        nf = self.graph.normal_form(f.rename(self.graph.context, self._rename), self.order)
         if nf.support_names() <= set(self.tag_table.names):
             return nf.rename(self.tag_table)
         return None
+
+
+def map_kernel(source: VarTable, images: dict, target: VarTable,
+               target_ideal: Ideal | None = None) -> Ideal:
+    """Kernel of the ring map Q[source] -> Q[target]/target_ideal.
+
+    `images` maps each source variable name to a Polynomial over `target`
+    (or a constant).  The kernel is the tag-only part of the graph basis
+    of one `Subalgebra` whose tags are the source variables.
+    """
+    missing = [n for n in source.names if n not in images]
+    if missing:
+        raise ValueError(f"no image given for {missing[0]!r}")
+    gens = [(n, images[n]) for n in source.names]
+    return Subalgebra(target, gens, source, target_ideal).kernel()
 
 
 def subalgebra_member(f: Polynomial, gens, tag_table: VarTable | None = None):

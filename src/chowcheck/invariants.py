@@ -3,9 +3,9 @@
 An element sends each variable to plus or minus another variable of the
 same weight; the group is closed off from its generators by breadth-first
 search.  On top of the action sit the Reynolds and transfer operators,
-+/-1 characters with their isotypic projections, per-degree bases of
-invariants, a minimal generator sweep for the invariant algebra, and a
-presentation of that algebra by generators and relations.
+per-degree bases of invariants, a minimal generator sweep for the
+invariant algebra, and a presentation of that algebra by generators and
+relations, whose spanning check and relations come from one `Subalgebra`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .groebner import (
     Ideal,
     Subalgebra,
     _fresh_names,
-    map_kernel,
     standard_monomials,
     subalgebra_member,
 )
@@ -126,34 +125,6 @@ class GroupAction:
         return all(self.act(g, poly) == poly for g in self.elements)
 
 
-class Character:
-    """A +/-1 one-dimensional character of a GroupAction."""
-
-    __slots__ = ("action", "values")
-
-    def __init__(self, action: GroupAction, values):
-        self.action = action
-        if callable(values):
-            values = {g: values(g) for g in action.elements}
-        self.values = dict(values)
-        for g in action.elements:
-            if self.values.get(g) not in (1, -1):
-                raise InvariantError("character must take values +1 or -1")
-        for g in action.elements:
-            for h in action.elements:
-                gh = _compose(g, h)
-                if self.values[gh] != self.values[g] * self.values[h]:
-                    raise InvariantError("character is not multiplicative")
-
-    @staticmethod
-    def determinant(action: GroupAction) -> "Character":
-        """Determinant of the signed permutation matrix of each element."""
-        return Character(action, {g: _det(g) for g in action.elements})
-
-    def __call__(self, element: tuple) -> int:
-        return self.values[element]
-
-
 def _compose(g: tuple, h: tuple) -> tuple:
     """Element acting as: apply h first, then g."""
     out = []
@@ -163,50 +134,18 @@ def _compose(g: tuple, h: tuple) -> tuple:
     return tuple(out)
 
 
-def _det(element: tuple) -> int:
-    perm = [j for j, _ in element]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    for _, s in element:
-        sign *= s
-    return sign
+def invariant_basis(action: GroupAction, degree: int) -> list:
+    """Monic basis of the degree piece of the invariants.
 
-
-def isotypic_component(action: GroupAction, character: Character,
-                       poly: Polynomial) -> Polynomial:
-    """Projection onto the character's isotypic summand."""
-    total = Polynomial.zero(action.table)
-    for g in action.elements:
-        total = total + action.act(g, poly) * character(g)
-    return total * Fraction(1, action.order)
-
-
-def invariant_basis(action: GroupAction, degree: int,
-                    character: Character | None = None) -> list:
-    """Monic basis of the degree piece of the invariants (or an isotypic piece).
-
-    Candidates are Reynolds (or isotypic) images of the degree monomials in
-    decreasing order; a maximal independent subset is kept and normalised.
+    Candidates are Reynolds images of the degree monomials in decreasing
+    order; a maximal independent subset is kept and normalised.
     """
     table = action.table
     order = MonomialOrder.wgrevlex(table.weights)
     monos = standard_monomials(Ideal(table, ()), degree, order)
     images = []
     for m in monos:
-        f = Polynomial(table, {m: Fraction(1)})
-        f = (action.reynolds(f) if character is None
-             else isotypic_component(action, character, f))
+        f = action.reynolds(Polynomial(table, {m: Fraction(1)}))
         if not f.is_zero():
             images.append(f)
     return [images[i] * (1 / images[i].leading_coefficient(order))
@@ -253,28 +192,23 @@ def invariant_presentation(action: GroupAction, names=None,
     if generators is None:
         generators = canonical
     generators = list(generators)
-    tags = _fresh_names("z", len(generators), set(action.table.names), start=1)
     if names is None:
-        names = tags
+        names = _fresh_names("z", len(generators), set(action.table.names), start=1)
     if len(names) != len(generators):
         raise InvariantError("one name per generator is required")
-    weights = []
     for f in generators:
-        if f.is_zero() or not f.is_homogeneous():
-            raise InvariantError("generators must be homogeneous and nonzero")
+        if f.weighted_degree() < 1 or not f.is_homogeneous():
+            raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
-        weights.append(f.weighted_degree())
-    table = VarTable(names, weights)
-    supplied = Subalgebra(action.table, list(zip(tags, generators)))
+    supplied = Subalgebra(action.table, list(zip(names, generators)))
     for f in canonical:
         if subalgebra_member(f, supplied) is None:
             raise InvariantError(
                 f"generators do not span the invariant algebra; "
                 f"not reachable: {f}"
             )
-    kernel = map_kernel(table, dict(zip(names, generators)))
-    pres = Presentation(table, kernel.gens, check=False)
+    pres = Presentation(supplied.tag_table, supplied.kernel().gens)
     for d in range(0, action.order + 3):
         expected = len(invariant_basis(action, d)) if d else 1
         got = pres.dim(d)

@@ -24,11 +24,12 @@ class PresentationError(ValueError):
 
 
 class Presentation:
-    """Q[table]/relations with weighted-homogeneous relations."""
+    """Q[table]/relations with weighted-homogeneous relations; relations
+    that generate the unit ideal are rejected."""
 
     __slots__ = ("table", "relations", "order")
 
-    def __init__(self, table: VarTable, relations=(), check: bool = True):
+    def __init__(self, table: VarTable, relations=()):
         self.table = table
         rels = []
         for rel in relations:
@@ -43,14 +44,10 @@ class Presentation:
             rels.append(rel)
         self.relations = Ideal(table, rels)
         self.order = MonomialOrder.wgrevlex(table.weights)
-        if check and rels:
+        if rels:
             gb = self.relations.groebner(self.order)
             if len(gb) == 1 and gb[0].is_constant():
                 raise PresentationError("relations collapse the ring to zero")
-
-    @staticmethod
-    def free(names, weights=None) -> "Presentation":
-        return Presentation(VarTable(names, weights), ())
 
     def is_free(self) -> bool:
         return self.relations.is_zero()
@@ -69,10 +66,8 @@ class Presentation:
         """Standard monomials of exact weighted degree, decreasing."""
         return standard_monomials(self.relations, degree, self.order)
 
-    def quotient(self, extra_relations, check: bool = True) -> "Presentation":
-        return Presentation(
-            self.table, list(self.relations.gens) + list(extra_relations), check=check
-        )
+    def quotient(self, extra_relations) -> "Presentation":
+        return Presentation(self.table, list(self.relations.gens) + list(extra_relations))
 
     def __repr__(self):
         return f"Presentation({self.table!r}, {len(self.relations.gens)} relations)"
@@ -83,8 +78,7 @@ class Morphism:
 
     __slots__ = ("source", "target", "images")
 
-    def __init__(self, source: Presentation, target: Presentation, images: dict,
-                 check: bool = True):
+    def __init__(self, source: Presentation, target: Presentation, images: dict):
         self.source = source
         self.target = target
         fixed = {}
@@ -98,18 +92,17 @@ class Morphism:
                 raise PresentationError(f"image of {name} lives in the wrong table")
             fixed[name] = img
         self.images = fixed
-        if check:
-            for name, img in fixed.items():
-                if img.is_zero():
-                    continue
-                w = source.table.weight(name)
-                if not img.is_homogeneous() or img.weighted_degree() != w:
-                    raise PresentationError(
-                        f"image of {name} is not homogeneous of weight {w}: {img}"
-                    )
-            for rel in source.relations.gens:
-                if not self.target.is_zero(self._raw(rel)):
-                    raise PresentationError(f"relation does not map to zero: {rel}")
+        for name, img in fixed.items():
+            if img.is_zero():
+                continue
+            w = source.table.weight(name)
+            if not img.is_homogeneous() or img.weighted_degree() != w:
+                raise PresentationError(
+                    f"image of {name} is not homogeneous of weight {w}: {img}"
+                )
+        for rel in source.relations.gens:
+            if not self.target.is_zero(self._raw(rel)):
+                raise PresentationError(f"relation does not map to zero: {rel}")
 
     def _raw(self, f: Polynomial) -> Polynomial:
         return f.substitute(self.images, target=self.target.table)
@@ -121,9 +114,8 @@ class Morphism:
 
     def kernel(self) -> Ideal:
         """Kernel as an ideal over the source table (full preimage of 0)."""
-        target_ideal = None if self.target.is_free() else self.target.relations
-        return map_kernel(self.source.table, self.images, target_ideal=target_ideal,
-                          target=self.target.table)
+        return map_kernel(self.source.table, self.images, self.target.table,
+                          self.target.relations)
 
     def killed_names(self):
         return [n for n in self.source.table.names if self.images[n].is_zero()]
@@ -133,15 +125,14 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> Presentation:
     """Present the image of the common source inside target(alpha) x target(beta).
 
     Both maps must leave the same free tag ring.  The relation ideal is the
-    intersection of the two kernels; triviality cannot occur for unital
-    maps, so the constructor check is skipped.
+    intersection of the two kernels.
     """
     if alpha.source is not beta.source and alpha.source.table != beta.source.table:
         raise PresentationError("fiber product needs a common source")
     if not alpha.source.is_free():
         raise PresentationError("fiber product source must be free")
     rels = intersect(alpha.kernel(), beta.kernel())
-    return Presentation(alpha.source.table, rels.gens, check=False)
+    return Presentation(alpha.source.table, rels.gens)
 
 
 def _vector(tagged, poly: Polynomial) -> dict:

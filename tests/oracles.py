@@ -1,7 +1,8 @@
 """Independent oracles the tests check the engine against."""
 
+from chowcheck.groebner import Ideal, eliminate
 from chowcheck.linalg import solve_linear
-from chowcheck.polyarith import mono_mul
+from chowcheck.polyarith import Polynomial, VarTable, mono_mul
 
 
 def brute_force_member(f, gens, slack: int = 2):
@@ -34,3 +35,22 @@ def _monomials_up_to(n: int, d: int):
     for e in range(d + 1):
         for rest in _monomials_up_to(n - 1, d - e):
             yield (e,) + rest
+
+
+def kernel_by_elimination(source, images, target, target_ideal=None):
+    """Kernel of Q[source] -> Q[target]/target_ideal from the textbook graph.
+
+    Every target variable is renamed apart (to _t0, _t1, ...) and eliminated
+    from the full graph ideal: the target relations and s - image(s) for
+    every source variable s, none identified with a target variable.
+    """
+    apart = {v: f"_t{i}" for i, v in enumerate(target.names)}
+    graph = VarTable(tuple(apart.values()) + source.names,
+                     target.weights + source.weights)
+    gens = [g.rename(graph, apart) for g in target_ideal.gens] if target_ideal else []
+    for name in source.names:
+        image = images[name]
+        if not isinstance(image, Polynomial):
+            image = Polynomial.constant(target, image)
+        gens.append(Polynomial.variable(graph, name) - image.rename(graph, apart))
+    return eliminate(Ideal(graph, gens), list(apart.values()))

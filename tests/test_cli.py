@@ -185,6 +185,30 @@ k2: t1*t2
     assert (code, out) == (0, "false\n")
 
 
+def test_kernel_and_subalg_accept_names_shared_by_source_and_target(tmp_path, capsys):
+    # the source tag x is the image x + y, not the target variable x
+    doc = write(tmp_path, "shared.morph", """\
+[kind]
+morphism
+
+[source]
+x
+s(2)
+
+[target]
+x
+y
+
+[images]
+x: x + y
+s: x*y
+""")
+    code, out, _ = run(capsys, ["subalg", doc, "--element", "x^2 + y^2"])
+    assert (code, out) == (0, "true\nexpression: x^2 - 2*s\n")
+    code, out, _ = run(capsys, ["kernel", doc])
+    assert (code, out) == (0, "{}\n")
+
+
 def test_subalg_rejects_relations(tmp_path, capsys):
     doc = write(tmp_path, "quot.morph", """\
 [kind]

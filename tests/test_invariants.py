@@ -7,13 +7,11 @@ import pytest
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import subalgebra_member
 from chowcheck.invariants import (
-    Character,
     GroupAction,
     InvariantError,
     algebra_generators,
     invariant_basis,
     invariant_presentation,
-    isotypic_component,
 )
 from chowcheck.polyarith import Polynomial, VarTable
 
@@ -167,23 +165,3 @@ def test_s3_power_sums_generate():
                                   generators=power_sums)
     assert pres.is_free()
     assert pres.table.weights == (1, 2, 3)
-
-
-def test_character_isotypic_component():
-    table, s3 = s3_action()
-    sign = Character.determinant(s3)
-    vandermonde = parse_polynomial("(w1 - w2)*(w1 - w3)*(w2 - w3)", table)
-    assert isotypic_component(s3, sign, vandermonde) == vandermonde
-    proj = isotypic_component(s3, sign, parse_polynomial("w1^2*w2", table))
-    assert not proj.is_zero()
-    for g in s3.elements:
-        assert s3.act(g, proj) == sign(g) * proj
-    # the alternating degree-3 polynomials are spanned by the Vandermonde
-    assert len(invariant_basis(s3, 3, character=sign)) == 1
-
-
-def test_determinant_character_of_signed_swap_is_trivial():
-    """Swapping two letters and flipping one sign has determinant +1."""
-    _, signed = signed_pair_action()
-    det = Character.determinant(signed)
-    assert all(det(g) == 1 for g in signed.elements)

@@ -10,7 +10,9 @@ from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
     buchberger,
+    ideal_equal,
     ideal_quotient,
+    map_kernel,
     reduce_full,
     standard_monomials,
 )
@@ -18,7 +20,7 @@ from chowcheck.invariants import GroupAction
 from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div
 from chowcheck.ringpres import Presentation
-from oracles import brute_force_member
+from oracles import brute_force_member, kernel_by_elimination
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -319,7 +321,7 @@ def homogeneous_presentations(draw):
         chosen = draw(st.lists(st.sampled_from(monos), min_size=min(2, len(monos)),
                                max_size=3, unique=True))
         gens.append(Polynomial(table, {m: draw(coeffs) for m in chosen}))
-    return Presentation(table, gens, check=False)
+    return Presentation(table, gens)
 
 
 def membership_loop(pres):
@@ -360,3 +362,54 @@ def test_homogeneous_basis_ignores_generator_order(case):
     pres, shuffled = case
     for order in (pres.order, LEX):
         assert buchberger(shuffled, order) == buchberger(pres.relations.gens, order)
+
+
+# ---------------------------------------------------------------------------
+# kernels of ring maps: one Subalgebra graph against the textbook elimination
+
+@st.composite
+def ring_maps(draw):
+    """(source, images, target, target_ideal) for a small ring map.
+
+    Source names are drawn from a pool that overlaps the target's, and each
+    image is a bare or scaled target variable, a constant or a short
+    polynomial."""
+    def weighted(names):
+        n = len(names)
+        return VarTable(names, draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+
+    target_names = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    target = weighted(target_names)
+    source_names = draw(st.lists(st.sampled_from(["x", "y", "a", "b"]), min_size=1,
+                                 max_size=3, unique=True))
+    source = weighted(source_names)
+    # square-free monomials: random non-homogeneous graphs with squares in
+    # them can run Buchberger for minutes, in the oracle as in map_kernel
+    monos = st.tuples(*[st.integers(0, 1)] * len(target_names))
+
+    def short_polys():
+        return st.dictionaries(monos, coeffs, max_size=3).map(
+            lambda terms: Polynomial(target, terms))
+
+    images = {}
+    for name in source_names:
+        kind = draw(st.sampled_from(["bare", "scaled", "constant", "poly"]))
+        if kind in ("bare", "scaled"):
+            images[name] = Polynomial.variable(target, draw(st.sampled_from(target_names)))
+            if kind == "scaled":
+                images[name] = images[name] * draw(coeffs)
+        elif kind == "constant":
+            images[name] = draw(st.integers(-2, 2))
+        else:
+            images[name] = draw(short_polys())
+    relations = draw(st.one_of(st.none(), st.lists(short_polys(), min_size=1, max_size=2)))
+    target_ideal = None if relations is None else Ideal(target, relations)
+    return source, images, target, target_ideal
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_maps())
+def test_map_kernel_matches_elimination_of_the_full_graph(case):
+    source, images, target, target_ideal = case
+    kernel = map_kernel(source, images, target, target_ideal)
+    assert ideal_equal(kernel, kernel_by_elimination(source, images, target, target_ideal))
