@@ -259,14 +259,13 @@ class Stratum:
 
     @_built_once
     def ring(self) -> Presentation:
-        return invariant_presentation(
-            self.action, names=self.ring_names, generators=self.ring_forms
-        )
+        return invariant_presentation(self.action, generators=self._coordinates)
 
     @_built_once
     def _coordinates(self) -> Subalgebra:
-        return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)),
-                          tag_table=self.ring.table)
+        """The ring coordinates as one Subalgebra: `ring` presents it and
+        `coordinates_of` reads the same basis."""
+        return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)))
 
     @_built_once
     def restriction_coords(self) -> dict:

@@ -8,11 +8,23 @@ normal strategy for homogeneous input), so each degree is finished before
 the next begins whatever the monomial order.  Reduced bases are unique
 per (ideal, order) and cached write-once on the Ideal object.
 
+Inside the kernel a monomial is one int (the packed exponent vectors of
+Monagan-Pearce, CASC 2007).  Fixed-width fields hold, most significant
+first, the rows of the order's key and then the exponents; the top bit of
+each field is a guard.  So multiplying is `a + b`, ints compare in the
+monomial order, and b divides a exactly when `(a - b) & guard == 0`.  The
+width is picked from the input so that every row value and exponent fits
+below its guard; a product that sets a guard bit mid-run makes the whole
+call start again at double width, so the width never changes an answer.
+Polynomials are packed once on entry and unpacked once on exit.
+
 There is one reduction loop, `_reduce`: fraction-free, on primitive integer
-coefficient dicts, with optional quotients.  Buchberger reduces S-polynomials
-with it and builds reduced monic bases only at the end; `reduce_full`
-clears the denominators of its input, runs the same loop and scales the
-remainder and quotients back to exact rationals.
+coefficient dicts over packed monomials, with optional quotients.
+Buchberger reduces S-polynomials with it and builds reduced monic bases
+only at the end; `reduce_full` clears the denominators of its input, runs
+the same loop and scales the remainder and quotients back to exact
+rationals.  An Ideal keeps its basis packed for `reduce_full` next to the
+basis itself, so normal forms modulo one ideal pack it once.
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -28,6 +40,7 @@ import math
 from bisect import insort
 from fractions import Fraction
 from heapq import heappush, heappop
+from operator import itemgetter, mul
 
 from .polyarith import (
     GREVLEX,
@@ -37,69 +50,149 @@ from .polyarith import (
     mono_coprime,
     mono_div,
     mono_lcm,
-    mono_mul,
 )
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+class _Overflow(Exception):
+    """A packed product set a guard bit: the call is redone at double width."""
+
+
+def _largest_field(order: MonomialOrder, monos) -> int:
+    """The largest exponent or row value of any of `monos`."""
+    key = order.key
+    top = 0
+    for m in monos:
+        if m:
+            top = max(top, *m, *key(m))
+    return top
+
+
+class _Packing:
+    """Monomials of one order and variable count as ints of guarded fields.
+
+    The rows are the order's key evaluated at the unit vectors, so packed
+    ints compare exactly as `order.key` does.  Every field must stay below
+    its guard bit; `fits` checks that for input monomials, and any sum of
+    two packed monomials either fits or sets a guard bit (no field spills).
+    """
+
+    __slots__ = ("order", "n", "width", "guard", "limit", "cols", "_shifts", "_mask")
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        zero = (0,) * n
+        units = [order.key(zero[:i] + (1,) + zero[i + 1:]) for i in range(n)]
+        nrows = len(order.key(zero))
+        fields = nrows + n
+        self.order = order
+        self.n = n
+        self.width = width
+        self.limit = 1 << (width - 1)
+        self.guard = sum(self.limit << (j * width) for j in range(fields))
+        self._shifts = tuple((n - 1 - i) * width for i in range(n))
+        self.cols = tuple(
+            sum(v << ((fields - 1 - k) * width) for k, v in enumerate(row)) + (1 << s)
+            for row, s in zip(units, self._shifts))
+        self._mask = (1 << width) - 1
+
+    @staticmethod
+    def for_input(order: MonomialOrder, n: int, monos) -> "_Packing":
+        """The narrowest packing (32-bit fields or wider) whose fields hold
+        every exponent and every row value of `monos`."""
+        top = _largest_field(order, monos)
+        width = 32
+        while top >> (width - 1):
+            width *= 2
+        return _Packing(order, n, width)
+
+    def doubled(self) -> "_Packing":
+        return _Packing(self.order, self.n, 2 * self.width)
+
+    def fits(self, monos) -> bool:
+        return _largest_field(self.order, monos) < self.limit
+
+    def pack(self, mono: tuple) -> int:
+        return sum(map(mul, mono, self.cols))
+
+    def unpack(self, packed: int) -> tuple:
+        mask = self._mask
+        return tuple((packed >> s) & mask for s in self._shifts)
+
+    def int_terms(self, poly: Polynomial):
+        """(terms, lift): poly packed, with denominators cleared and content
+        stripped, and the factor lift with terms == lift * poly; ({}, 1)
+        for zero."""
+        if not poly.terms:
+            return {}, Fraction(1)
+        den = 1
+        for c in poly.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        pack = self.pack
+        terms = {pack(m): c.numerator * (den // c.denominator)
+                 for m, c in poly.terms.items()}
+        g = math.gcd(*terms.values())
+        if g > 1:
+            terms = {m: c // g for m, c in terms.items()}
+        return terms, Fraction(den, g)
+
+    def polynomial(self, context: VarTable, terms: dict, unit) -> Polynomial:
+        unpack = self.unpack
+        return Polynomial(context, {unpack(m): c * unit for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # the reduction kernel
 
-def _int_terms(poly: Polynomial):
-    """(terms, lift): poly with denominators cleared and content stripped,
-    and the factor lift with terms == lift * poly; ({}, 1) for zero."""
-    if not poly.terms:
-        return {}, Fraction(1)
-    den = 1
-    for c in poly.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    terms = {m: c.numerator * (den // c.denominator) for m, c in poly.terms.items()}
-    g = math.gcd(*terms.values())
-    if g > 1:
-        terms = {m: c // g for m, c in terms.items()}
-    return terms, Fraction(den, g)
-
-
-def _strip(terms: dict, keyfn) -> dict:
+def _strip(terms: dict) -> dict:
     """Divide by the content and normalise the leading sign to positive."""
     if not terms:
         return terms
     g = math.gcd(*terms.values())
-    if terms[max(terms, key=keyfn)] < 0:
+    if terms[max(terms)] < 0:
         g = -g
     if g != 1:
         terms = {m: c // g for m, c in terms.items()}
     return terms
 
 
-def _reduce(work: dict, reducers, key, quotients=None):
-    """Fully reduce integer terms modulo reducers, fraction-free.
+def _reducer(terms: dict, i: int) -> tuple:
+    """The (lm, lc, terms, i) entry `_reduce` expects."""
+    lm = max(terms)
+    return (lm, terms[lm], terms, i)
 
-    `work` is consumed.  `reducers` is a list of (lmkey, lm, lc, terms, i)
-    sorted by lmkey; each term is reduced by the first reducer whose
-    leading monomial divides it.  Returns (rem, scale), where scale times
-    the input equals rem plus an integer combination of the reducers.
-    With `quotients`, a list of dicts indexed by i, that combination is
-    recorded there already divided by scale, so that
+
+def _reduce(work: dict, reducers, guard: int, quotients=None):
+    """Fully reduce packed integer terms modulo reducers, fraction-free.
+
+    `work` is consumed.  `reducers` is a list of (lm, lc, terms, i) sorted
+    by lm; each term is reduced by the first reducer whose leading monomial
+    divides it.  Returns (rem, scale), where scale times the input equals
+    rem plus an integer combination of the reducers.  With `quotients`, a
+    list of dicts indexed by i, that combination is recorded there already
+    divided by scale, so that
     input = sum(quotients[i] * terms_i) + rem / scale.
+    Raises _Overflow when a product sets a guard bit.
     """
     rem = {}
     scale = 1
-    agenda = sorted((key(m), m) for m in work)
+    agenda = sorted(work)
     while agenda:
-        _, m = agenda.pop()
+        m = agenda.pop()
         c = work.get(m)
         if not c:
             work.pop(m, None)
             continue
         for entry in reducers:
-            q = mono_div(m, entry[1])
-            if q is not None:
+            if not (m - entry[0]) & guard:
                 break
         else:
             rem[m] = c
             del work[m]
             continue
-        lc = entry[2]
+        q = m - entry[0]
+        lc = entry[1]
         d = math.gcd(c, lc)
         s = lc // d
         t = c // d
@@ -110,16 +203,16 @@ def _reduce(work: dict, reducers, key, quotients=None):
                 rem[mm] *= s
             scale *= s
         if quotients is not None:
-            qd = quotients[entry[4]]
+            qd = quotients[entry[3]]
             qd[q] = qd.get(q, 0) + Fraction(t, scale)
-        for gm, gc in entry[3].items():
-            mm = mono_mul(gm, q)
+        for gm, gc in entry[2].items():
+            mm = gm + q
             old = work.get(mm)
             if old is None:
-                v = -t * gc
-                if v:
-                    work[mm] = v
-                    insort(agenda, (key(mm), mm))
+                if mm & guard:
+                    raise _Overflow
+                work[mm] = -t * gc
+                insort(agenda, mm)
             else:
                 v = old - t * gc
                 if v:
@@ -129,53 +222,30 @@ def _reduce(work: dict, reducers, key, quotients=None):
     return rem, scale
 
 
-class _Engine:
-    """Buchberger state for one monomial order and one variable count."""
-
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-        self._keys = {}
-
-    def key(self, mono):
-        k = self._keys.get(mono)
-        if k is None:
-            k = self.order.key(mono)
-            self._keys[mono] = k
-        return k
-
-    def reducer(self, terms: dict, i: int):
-        """The (lmkey, lm, lc, terms, i) entry `_reduce` expects."""
-        lm = max(terms, key=self.key)
-        return (self.key(lm), lm, terms[lm], terms, i)
-
-    def reduce_int(self, p: dict, reducers) -> dict:
-        """Remainder of integer terms modulo reducers, primitive with positive
-        leading coefficient; membership in the generated ideal is preserved
-        up to a nonzero rational factor."""
-        rem, _ = _reduce(dict(p), reducers, self.key)
-        return _strip(rem, self.key)
-
-    def spoly(self, f, g) -> dict:
-        """S-polynomial of primitive integer term dicts, fraction-free."""
-        lmf, lcf, tf = f
-        lmg, lcg, tg = g
-        L = mono_lcm(lmf, lmg)
-        qf = mono_div(L, lmf)
-        qg = mono_div(L, lmg)
-        d = math.gcd(lcf, lcg)
-        a = lcg // d
-        b = lcf // d
-        out = {}
-        for m, c in tf.items():
-            out[mono_mul(m, qf)] = a * c
-        for m, c in tg.items():
-            mm = mono_mul(m, qg)
-            v = out.get(mm, 0) - b * c
-            if v:
-                out[mm] = v
-            else:
-                out.pop(mm, None)
-        return out
+def _spoly(f, g, qf: int, qg: int, guard: int) -> dict:
+    """S-polynomial of reducer entries f and g, fraction-free; qf and qg
+    are the packed cofactors of their leading monomials in the lcm."""
+    lcf, tf = f[1], f[2]
+    lcg, tg = g[1], g[2]
+    d = math.gcd(lcf, lcg)
+    a = lcg // d
+    b = lcf // d
+    out = {}
+    for m, c in tf.items():
+        mm = m + qf
+        if mm & guard:
+            raise _Overflow
+        out[mm] = a * c
+    for m, c in tg.items():
+        mm = m + qg
+        if mm & guard:
+            raise _Overflow
+        v = out.get(mm, 0) - b * c
+        if v:
+            out[mm] = v
+        else:
+            out.pop(mm, None)
+    return out
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX):
@@ -187,133 +257,172 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     for g in gens:
         if g.context != context:
             raise ValueError("generators live in different variable tables")
-    eng = _Engine(order)
-    key = eng.key
+    pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
+    while True:
+        try:
+            return _buchberger(gens, context, pk)
+        except _Overflow:
+            pk = pk.doubled()
+
+
+def _buchberger(gens, context: VarTable, pk: _Packing):
+    guard = pk.guard
+    pack = pk.pack
     if all(g.is_homogeneous() for g in gens):
         weights = context.weights
 
-        def pair_key(L, Lk):
-            return (sum(e * w for e, w in zip(L, weights)), Lk)
+        def pair_key(L, Lp):
+            return (sum(map(mul, L, weights)), Lp)
     else:
-        def pair_key(L, Lk):
-            return Lk
+        def pair_key(L, Lp):
+            return Lp
 
-    lead = []      # per element: (lmkey, lm, lc, terms, index)
+    lead = []      # per element: (lm, lc, terms, index)
+    lms = []       # per element: its leading monomial as an exponent tuple
     alive = set()
-    reducers = []  # alive + dead, sorted by lmkey; duplicates of `lead`
+    reducers = []  # alive + dead, sorted by lm; duplicates of `lead`
     pairs = []     # heap of (pair_key, i, j)
-    pair_live = {} # (i,j) -> lcm monomial
+    pair_live = {} # (i,j) -> (lcm monomial, packed lcm)
 
     def push_element(terms):
         """Insert a fully reduced nonzero element, run the pair update."""
         t = len(lead)
-        entry = eng.reducer(terms, t)
-        lm = entry[1]
-        # Gebauer-Moeller update for the new index t
+        entry = _reducer(terms, t)
+        lmp = entry[0]
+        lm = pk.unpack(lmp)
+        # Gebauer-Moeller update for the new index t; lcms are taken on
+        # exponent tuples, divisibility is tested on packed ints
         cand = []
         for i in sorted(alive):
-            L = mono_lcm(lead[i][1], lm)
-            cand.append((key(L), L, i))
+            L = mono_lcm(lms[i], lm)
+            Lp = pack(L)
+            if Lp & guard:
+                raise _Overflow
+            cand.append((Lp, L, i))
         cand.sort()
         kept = []
         while cand:
-            Lk, L, i = cand.pop(0)
-            cop = mono_coprime(lead[i][1], lm)
+            Lp, L, i = cand.pop(0)
+            cop = mono_coprime(lms[i], lm)
             if not cop:
                 dominated = any(
-                    mono_div(L, L2) is not None for _, L2, _ in cand
-                ) or any(mono_div(L, L2) is not None for _, L2, _ in kept)
+                    not (Lp - c[0]) & guard for c in cand
+                ) or any(not (Lp - c[0]) & guard for c in kept)
                 if dominated:
                     continue
-            kept.append((Lk, L, i))
+            kept.append((Lp, L, i))
         # chain criterion against surviving old pairs
-        for (i, j), L in list(pair_live.items()):
+        for (i, j), (L, Lp) in list(pair_live.items()):
             if (
-                mono_div(L, lm) is not None
-                and mono_lcm(lead[i][1], lm) != L
-                and mono_lcm(lead[j][1], lm) != L
+                not (Lp - lmp) & guard
+                and mono_lcm(lms[i], lm) != L
+                and mono_lcm(lms[j], lm) != L
             ):
                 del pair_live[(i, j)]
-        for Lk, L, i in kept:
-            if mono_coprime(lead[i][1], lm):
+        for Lp, L, i in kept:
+            if mono_coprime(lms[i], lm):
                 continue
-            pair_live[(i, t)] = L
-            heappush(pairs, (pair_key(L, Lk), i, t))
+            pair_live[(i, t)] = (L, Lp)
+            heappush(pairs, (pair_key(L, Lp), i, t))
         for i in list(alive):
-            if mono_div(lead[i][1], lm) is not None:
+            if not (lead[i][0] - lmp) & guard:
                 alive.discard(i)
         lead.append(entry)
+        lms.append(lm)
         alive.add(t)
-        insort(reducers, entry, key=lambda e: e[0])
+        insort(reducers, entry, key=itemgetter(0))
 
-    for g in sorted(gens, key=lambda p: key(p.leading_monomial(order))):
-        r = eng.reduce_int(_int_terms(g)[0], reducers)
+    packed = [pk.int_terms(g)[0] for g in gens]
+    for terms in sorted(packed, key=max):
+        r = _strip(_reduce(dict(terms), reducers, guard)[0])
         if r:
             push_element(r)
 
     while pairs:
         _, i, j = heappop(pairs)
-        if pair_live.pop((i, j), None) is None:
+        live = pair_live.pop((i, j), None)
+        if live is None:
             continue
-        s = eng.spoly(
-            (lead[i][1], lead[i][2], lead[i][3]),
-            (lead[j][1], lead[j][2], lead[j][3]),
-        )
-        r = eng.reduce_int(s, reducers)
+        Lp = live[1]
+        s = _spoly(lead[i], lead[j], Lp - lead[i][0], Lp - lead[j][0], guard)
+        r = _strip(_reduce(s, reducers, guard)[0])
         if r:
             push_element(r)
 
     # interreduce the minimal generators to the unique reduced basis
     minimal = sorted(alive, key=lambda i: lead[i][0])
-    basis = {i: lead[i][3] for i in minimal}
+    basis = {i: lead[i][2] for i in minimal}
     changed = True
     while changed:
         changed = False
         for i in minimal:
-            others = sorted((eng.reducer(t, j) for j, t in basis.items() if j != i),
-                            key=lambda e: e[0])
-            r = eng.reduce_int(basis[i], others)
+            others = sorted((_reducer(t, j) for j, t in basis.items() if j != i),
+                            key=itemgetter(0))
+            r = _strip(_reduce(dict(basis[i]), others, guard)[0])
             if r != basis[i]:
                 basis[i] = r
                 changed = True
 
-    out = []
-    for i in minimal:
-        terms = basis[i]
-        lm = max(terms, key=key)
-        lc = terms[lm]
-        poly = Polynomial(context, {m: Fraction(c, lc) for m, c in terms.items()})
-        out.append(poly)
-    out.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    return tuple(out)
+    out = sorted((basis[i] for i in minimal), key=max, reverse=True)
+    return tuple(pk.polynomial(context, terms, Fraction(1, terms[max(terms)]))
+                 for terms in out)
 
 
 # ---------------------------------------------------------------------------
 # reduction with exact coefficients
 
+class _Reducers:
+    """A basis packed once for `_reduce`: its reducers sorted by leading
+    monomial and the lift of each element (see `_Packing.int_terms`)."""
+
+    __slots__ = ("basis", "packing", "entries", "lifts")
+
+    def __init__(self, basis, packing: _Packing):
+        self.basis = tuple(basis)
+        self.packing = packing
+        self.entries = []
+        self.lifts = []
+        for i, g in enumerate(self.basis):
+            terms, lift = packing.int_terms(g)
+            self.lifts.append(lift)
+            if terms:
+                self.entries.append(_reducer(terms, i))
+        self.entries.sort(key=itemgetter(0))
+
+    @staticmethod
+    def of(basis, order: MonomialOrder, n: int) -> "_Reducers":
+        basis = tuple(basis)
+        return _Reducers(basis, _Packing.for_input(
+            order, n, (m for g in basis for m in g.terms)))
+
+
 def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quotients=False):
     """Remainder of f modulo a list of polynomials (top and tail reduction).
 
     Returns the remainder, or (remainder, quotients) with `with_quotients`,
-    where f = sum(q_i * basis_i) + remainder exactly.  The reduction runs
-    on integer terms; the remainder and quotients are scaled back at the end.
+    where f = sum(q_i * basis_i) + remainder exactly.  `basis` may also be
+    the packed reducers an Ideal keeps for its basis.  The reduction runs on
+    packed integer terms; the remainder and quotients are scaled back at
+    the end.
     """
     context = f.context
-    eng = _Engine(order)
-    reducers = []
-    lifts = {}
-    for i, g in enumerate(basis):
-        terms, lifts[i] = _int_terms(g)
-        if terms:
-            reducers.append(eng.reducer(terms, i))
-    reducers.sort(key=lambda e: e[0])
-    work, lift = _int_terms(f)
-    quotients = [{} for _ in basis] if with_quotients else None
-    rem, scale = _reduce(work, reducers, eng.key, quotients)
-    unit = 1 / (lift * scale)
-    r = Polynomial(context, {m: c * unit for m, c in rem.items()})
+    red = basis if isinstance(basis, _Reducers) else _Reducers.of(basis, order, len(context))
+    pk = red.packing
+    while not pk.fits(f.terms):
+        pk = pk.doubled()
+    while True:
+        if red.packing is not pk:
+            red = _Reducers(red.basis, pk)
+        work, lift = pk.int_terms(f)
+        quotients = [{} for _ in red.basis] if with_quotients else None
+        try:
+            rem, scale = _reduce(work, red.entries, pk.guard, quotients)
+            break
+        except _Overflow:
+            pk = pk.doubled()
+    r = pk.polynomial(context, rem, 1 / (lift * scale))
     if with_quotients:
-        return r, [Polynomial(context, {m: c * lifts[i] / lift for m, c in qd.items()})
+        return r, [pk.polynomial(context, qd, red.lifts[i] / lift)
                    for i, qd in enumerate(quotients)]
     return r
 
@@ -334,7 +443,7 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
 class Ideal:
     """Finitely generated ideal in Q[context] with cached reduced bases."""
 
-    __slots__ = ("context", "gens", "_gb")
+    __slots__ = ("context", "gens", "_gb", "_reducers")
 
     def __init__(self, context: VarTable, gens):
         self.context = context
@@ -348,6 +457,7 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = {}
+        self._reducers = {}
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -362,7 +472,13 @@ class Ideal:
         return cached
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
-        return reduce_full(f, self.groebner(order), order, with_quotients)
+        """Remainder modulo the reduced basis; the basis is packed for
+        `reduce_full` once per order and kept write-once next to it."""
+        reducers = self._reducers.get(order.tag)
+        if reducers is None:
+            reducers = _Reducers.of(self.groebner(order), order, len(self.context))
+            self._reducers[order.tag] = reducers
+        return reduce_full(f, reducers, order, with_quotients)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()
@@ -494,7 +610,7 @@ class Subalgebra:
     """Named generators over one table and the graph ideal of their tags.
 
     `gens` is a list of (name, Polynomial or constant) over `context`; the
-    names are tag variables.  The graph ideal holds tag - generator for
+    names are tag variables, and the pairs are kept as `gens`.  The graph ideal holds tag - generator for
     every pair, plus the generators of `relations` (an Ideal over
     `context`) when the generators live in a quotient ring.  The variables
     of `context` are renamed apart from the tags, so the two may share
@@ -510,7 +626,7 @@ class Subalgebra:
     first use and kept on the object.
     """
 
-    __slots__ = ("context", "tag_table", "graph", "order", "_rename")
+    __slots__ = ("context", "gens", "tag_table", "graph", "order", "_rename")
 
     def __init__(self, context: VarTable, gens, tag_table: VarTable | None = None,
                  relations: Ideal | None = None):
@@ -550,6 +666,7 @@ class Subalgebra:
             if n not in shared:
                 graph.append(Polynomial.variable(combined, n) - g.rename(combined, rename))
         self.context = context
+        self.gens = tuple(zip(names, images))
         self.tag_table = tag_table
         self.graph = Ideal(combined, graph)
         self.order = _block_order(welim, tag_table.weights)

@@ -187,9 +187,20 @@ def invariant_presentation(action: GroupAction, names=None,
     ones.  A degreewise dimension comparison through degree |G| + 2 runs as
     an independent cross-check.  Default names
     are z1, z2, ..., skipping the action's own variable names.
+    `generators` may also be a Subalgebra over the action's table built
+    with its default tag table; its tags name the generators, and its
+    basis then serves both the presentation and the caller's later
+    membership tests.
     """
     canonical = algebra_generators(action)
-    if generators is None:
+    supplied = None
+    if isinstance(generators, Subalgebra):
+        if names is not None:
+            raise InvariantError("a Subalgebra already names its generators")
+        supplied = generators
+        names = [n for n, _ in supplied.gens]
+        generators = [g for _, g in supplied.gens]
+    elif generators is None:
         generators = canonical
     generators = list(generators)
     if names is None:
@@ -201,7 +212,8 @@ def invariant_presentation(action: GroupAction, names=None,
             raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
-    supplied = Subalgebra(action.table, list(zip(names, generators)))
+    if supplied is None:
+        supplied = Subalgebra(action.table, list(zip(names, generators)))
     for f in canonical:
         if subalgebra_member(f, supplied) is None:
             raise InvariantError(

@@ -10,6 +10,8 @@ arithmetic uses fractions.Fraction, so results are exact by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping
 
 Coeff = Fraction
@@ -96,10 +98,17 @@ def mono_coprime(a: tuple, b: tuple) -> bool:
 class MonomialOrder:
     """Admissible monomial order, exposed as a sort key on exponent tuples.
 
-    Keys compare so that bigger key means bigger monomial.  Supported kinds:
-    lex, grlex, grevlex and block(split, left, right) which compares the
-    first `split` exponents by `left` and the rest by `right`.  Block orders
-    with the eliminated variables in the left block are elimination orders.
+    Keys compare so that bigger key means bigger monomial.  Every key is a
+    flat tuple of linear forms in the exponents with non-negative integer
+    coefficients (the rows of a matrix order), so the Groebner kernel
+    derives its packed rows from `key` itself, by evaluating it at unit
+    vectors.  Supported kinds: lex (the exponents), grlex (degree, then the
+    exponents), (w)grevlex (weighted degree, then the weighted prefix sums
+    from the longest down: a smaller last exponent means a bigger prefix)
+    and block(split, left, right), which concatenates the keys of the first
+    `split` exponents under `left` and of the rest under `right`.  Block
+    orders with the eliminated variables in the left block are elimination
+    orders.
     """
 
     __slots__ = ("tag", "_key")
@@ -110,17 +119,15 @@ class MonomialOrder:
 
     @staticmethod
     def lex() -> "MonomialOrder":
-        return MonomialOrder(("lex",), lambda e: e)
+        return MonomialOrder(("lex",), tuple)
 
     @staticmethod
     def grlex() -> "MonomialOrder":
-        return MonomialOrder(("grlex",), lambda e: (sum(e), e))
+        return MonomialOrder(("grlex",), lambda e: (sum(e),) + tuple(e))
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
-        def key(e):
-            return (sum(e), tuple(-x for x in reversed(e)))
-        return MonomialOrder(("grevlex",), key)
+        return MonomialOrder(("grevlex",), lambda e: tuple(accumulate(e))[::-1])
 
     @staticmethod
     def wgrevlex(weights) -> "MonomialOrder":
@@ -129,14 +136,14 @@ class MonomialOrder:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         def key(e):
-            return (sum(x * w for x, w in zip(e, weights)), tuple(-x for x in reversed(e)))
+            return tuple(accumulate(map(mul, e, weights)))[::-1]
         return MonomialOrder(("wgrevlex", weights), key)
 
     @staticmethod
     def block(split: int, left: "MonomialOrder", right: "MonomialOrder") -> "MonomialOrder":
         lk, rk = left._key, right._key
         def key(e):
-            return (lk(e[:split]), rk(e[split:]))
+            return lk(e[:split]) + rk(e[split:])
         return MonomialOrder(("block", split, left.tag, right.tag), key)
 
     def key(self, exps: tuple):

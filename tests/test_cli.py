@@ -79,6 +79,32 @@ def test_nf_and_member(sym2, capsys):
     assert (code, out) == (0, "false\n")
 
 
+@pytest.fixture
+def huge(tmp_path):
+    return write(tmp_path, "huge.ideal", """\
+[kind]
+ideal
+
+[vars]
+x
+y
+
+[relations]
+x^4294967296 - y
+""")
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_exponents_past_any_field_width_keep_their_answers(huge, capsys, order):
+    # 2^32 does not fit a 32-bit packed field: the width is picked from
+    # every exponent and row value of the input, not from packed sums
+    code, out, err = run(capsys, ["gb", huge, "--order", order])
+    assert (code, out, err) == (0, "{x^4294967296 - y}\n", "")
+    code, out, err = run(capsys, ["nf", huge, "--order", order,
+                                  "--element", "x^4294967297 + x^2147483648*y"])
+    assert (code, out, err) == (0, "x^2147483648*y + x*y\n", "")
+
+
 def test_elim_twisted_cubic(tmp_path, capsys):
     doc = write(tmp_path, "cubic.ideal", """\
 [kind]

@@ -281,19 +281,61 @@ def test_brute_force_member_agrees_on_crafted_cases():
     assert brute_force_member(Polynomial.zero(table), gens)
 
 
-def test_katsura3_lex_matches_the_reference_basis():
-    # Non-homogeneous input keeps smallest-lcm-first pair selection; with
-    # sugar-degree selection this instance took 27.5 s instead of 0.013 s.
-    refs = json.loads(REFS.read_text())
-    case = next(c for c in refs["ideals"]
-                if c["name"] == "katsura-3" and c["order"] == "lex")
-    table = VarTable(case["vars"], case["weights"])
+REF_IDEALS = json.loads(REFS.read_text())["ideals"]
 
-    def poly(terms):
-        return Polynomial(table, {tuple(m): Fraction(c) for m, c in terms})
+
+@pytest.mark.parametrize("case", REF_IDEALS,
+                         ids=[f"{c['name']}-{c['order']}" for c in REF_IDEALS])
+def test_buchberger_matches_the_reference_basis(case):
+    # The reference bases were computed by sympy, an independent engine.
+    # Non-homogeneous input keeps smallest-lcm-first pair selection; with
+    # sugar-degree selection katsura-3 under lex took 27.5 s instead of
+    # 0.013 s.
+    table = VarTable(case["vars"], case["weights"])
+    order = {"lex": LEX, "grevlex": GREVLEX,
+             "wgrevlex": MonomialOrder.wgrevlex(table.weights)}[case["order"]]
+
+    def monic(terms):
+        p = Polynomial(table, {tuple(m): Fraction(c) for m, c in terms})
+        return p * (1 / p.leading_coefficient(order))
 
     t0 = perf_counter()
-    gb = buchberger([poly(g) for g in case["gens"]], LEX)
+    gb = buchberger([monic(g) for g in case["gens"]], order)
     elapsed = perf_counter() - t0
-    assert sorted(gb, key=str) == sorted((poly(g) for g in case["gb"]), key=str)
+    assert sorted(gb, key=str) == sorted((monic(g) for g in case["gb"]), key=str)
     assert elapsed < 5.0
+
+
+def test_a_guard_bit_set_mid_run_redoes_the_call_at_double_width(monkeypatch):
+    # every input exponent fits a 32-bit field, but the S-polynomial
+    # reduces to x^4000000000 - 1, which does not
+    from chowcheck import groebner
+    widths = []
+    doubled = groebner._Packing.doubled
+
+    def spy(self):
+        widths.append(self.width)
+        return doubled(self)
+
+    monkeypatch.setattr(groebner._Packing, "doubled", spy)
+    table = VarTable(["y", "x"])
+    gens = polys(table, "y - x^2000000000", "y^2 - 1")
+    assert [str(g) for g in buchberger(gens, LEX)] == [
+        "-x^2000000000 + y", "x^4000000000 - 1"]
+    assert widths == [32]
+    del widths[:]
+    f = parse_polynomial("x^2000000000*y", table)
+    r, (q,) = reduce_full(f, gens[:1], LEX, with_quotients=True)
+    assert str(r) == "x^4000000000"
+    assert q * gens[0] + r == f
+    assert widths == [32]
+
+
+def test_the_field_width_holds_every_exponent_and_row_value():
+    from chowcheck.groebner import _Packing
+    wide = MonomialOrder.wgrevlex((1, 4))
+    assert _Packing.for_input(LEX, 2, [(2**31 - 1, 0)]).width == 32
+    assert _Packing.for_input(LEX, 2, [(2**31, 0)]).width == 64
+    # every exponent fits 32 bits, the weighted degree does not
+    assert _Packing.for_input(wide, 2, [(0, 2**29)]).width == 64
+    assert _Packing.for_input(wide, 2, [(0, 2**29 - 1)]).width == 32

@@ -522,3 +522,28 @@ def test_a_failed_lazy_stratum_piece_is_built_once(tmp_path, monkeypatch):
         stratum.pair_overrides
     assert again.value is first.value
     assert parses[True] == 2
+
+
+def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
+    from chowcheck import groebner
+    from chowcheck.invariants import invariant_presentation
+    runs = []
+    real = groebner.buchberger
+
+    def counting(gens, order=groebner.GREVLEX):
+        runs.append(order.tag)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    spec = StratumSpec.load("gamma2.stratum")
+    alone, stratum = (Stratum(spec, SignConvention()) for _ in range(2))
+    del runs[:]
+    invariant_presentation(alone.action, names=alone.ring_names,
+                           generators=alone.ring_forms)
+    presentation_runs = len(runs)
+    del runs[:]
+    stratum.ring
+    stratum.coordinates_of(stratum.top_form)
+    # the coordinate Subalgebra is the one the presentation reduced
+    assert presentation_runs > 0
+    assert len(runs) == presentation_runs

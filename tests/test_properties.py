@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chowcheck.chowpipeline import minimal_generators
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
+    _block_order,
+    _Packing,
     buchberger,
     ideal_equal,
     ideal_quotient,
@@ -18,7 +20,7 @@ from chowcheck.groebner import (
 )
 from chowcheck.invariants import GroupAction
 from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
-from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div
+from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
 from chowcheck.ringpres import Presentation
 from oracles import brute_force_member, kernel_by_elimination
 
@@ -413,3 +415,40 @@ def test_map_kernel_matches_elimination_of_the_full_graph(case):
     source, images, target, target_ideal = case
     kernel = map_kernel(source, images, target, target_ideal)
     assert ideal_equal(kernel, kernel_by_elimination(source, images, target, target_ideal))
+
+
+@st.composite
+def packing_cases(draw):
+    """An order of every kind, two exponent vectors and a field width: 32
+    bits with exponents that always fit, or 8 bits, where sums overflow."""
+    n = draw(st.integers(1, 5))
+    weights = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["lex", "grlex", "grevlex", "wgrevlex", "block"]))
+    if kind == "wgrevlex":
+        order = MonomialOrder.wgrevlex(draw(weights))
+    elif kind == "block":
+        w = draw(weights)
+        split = draw(st.integers(0, n - 1))
+        order = _block_order(tuple(w[:split]), tuple(w[split:]))
+    else:
+        order = getattr(MonomialOrder, kind)()
+    width, top = draw(st.sampled_from([(32, 1 << 20), (8, 12)]))
+    vector = st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+    return order, _Packing(order, n, width), draw(vector), draw(vector)
+
+
+@settings(max_examples=400, deadline=None)
+@given(packing_cases())
+def test_packed_monomials_follow_the_order_and_the_exponents(case):
+    order, pk, a, b = case
+    assume(pk.fits([a, b]))
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert (not (pa - pb) & pk.guard) == (mono_div(a, b) is not None)
+    product = mono_mul(a, b)
+    if pk.fits([product]):
+        assert pa + pb == pk.pack(product)
+    else:
+        assert (pa + pb) & pk.guard
