@@ -323,7 +323,9 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     displayed gluing pairs against those restrictions (bottom-compatible
     overrides are used, incompatible ones fall back), the kernel
     intersection presenting the glued ring, transport of the previous
-    relations, and the degreewise generation certificate.
+    relations, the Hilbert series check that the glued ring adds the
+    stratum ring shifted by the degree of the top Chern class to the
+    previous ring through `dmax`, and the degreewise generation certificate.
     """
     A = stratum.ring
     ctop = stratum.coordinates_of(stratum.top_form)
@@ -396,6 +398,16 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     ker_beta = beta.kernel()
     fiber = Presentation(tags, intersect(ker_alpha, ker_beta).gens)
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
+    # the gluing square with a non-zero-divisor top class of degree c gives
+    # HS(result) = HS(prev) + t^c HS(A), degree by degree
+    c = ctop.weighted_degree()
+    shifted = ([0] * c + A.dims(dmax - c))[:dmax + 1]
+    for d, (got, old, new) in enumerate(zip(result.dims(dmax), prev.dims(dmax), shifted)):
+        if got != old + new:
+            raise PipelineError(
+                f"glued ring of {stratum.label} has dimension {got} in degree {d}, "
+                f"but the stratification gives {old} + {new}"
+            )
     info["lifts"] = lift_notes
     info["surjectivity"] = graded_surjectivity(fiber, alpha, beta, B,
                                                range(0, dmax + 1))

@@ -32,6 +32,12 @@ renamed-apart originals): its basis gives both the kernel of a ring map
 (`map_kernel`) and subalgebra membership (`express`).  Intersections use
 the one-tag trick on homogenized generators, colon ideals intersection
 with a principal ideal.
+
+Counting is done on leading term ideals without listing monomials:
+`hilbert_numerator` gives the numerator of the Hilbert series of a
+monomial ideal by Bigatti's pivot recursion, which graded dimensions and
+`zero_dimensional` read; `standard_monomials` lists the monomials for the
+callers that need them.
 """
 
 from __future__ import annotations
@@ -720,36 +726,21 @@ def subalgebra_member(f: Polynomial, gens, tag_table: VarTable | None = None):
 
 
 def zero_dimensional(I: Ideal, order: MonomialOrder = GREVLEX):
-    """(True, count of standard monomials) for 0-dimensional I, else (False, None)."""
-    gb = I.groebner(order)
-    if not gb:
-        return (False, None) if len(I.context) else (True, 1)
-    if len(gb) == 1 and gb[0].is_constant():
-        return True, 0
+    """(True, count of standard monomials) for 0-dimensional I, else (False, None).
+
+    I is 0-dimensional when every variable has a pure power (or 1) among
+    the leading monomials.  The count is then the value at t = 1 of the
+    Hilbert series of the leading term ideal under unit weights, the
+    polynomial N(t) / (1 - t)^n, read off the numerator's coefficients c_k
+    as (-1)^n * sum(c_k * binomial(k, n)).
+    """
+    lms = [g.leading_monomial(order) for g in I.groebner(order)]
     n = len(I.context)
-    lms = [g.leading_monomial(order) for g in gb]
-    bounds = [None] * n
-    for lm in lms:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            e = lm[i]
-            if bounds[i] is None or e < bounds[i]:
-                bounds[i] = e
-    if any(b is None for b in bounds):
-        return False, None
-    total = 0
-    stack = [(0, [0] * n)]
-    while stack:
-        i, exps = stack.pop()
-        if i == n:
-            m = tuple(exps)
-            if not any(mono_div(m, lm) is not None for lm in lms):
-                total += 1
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, exps[:i] + [e] + [0] * (n - i - 1)))
-    return True, total
+    for i in range(n):
+        if all(any(m[:i] + m[i + 1:]) for m in lms):
+            return False, None
+    numerator = hilbert_numerator(lms, (1,) * n)
+    return True, (-1) ** n * sum(c * math.comb(k, n) for k, c in numerator.items())
 
 
 def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
@@ -782,3 +773,55 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
     walk(0, 0, [])
     out.sort(key=order.key, reverse=True)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series of monomial ideals
+
+def _add_shifted(p: dict, q: dict, shift: int, sign: int) -> dict:
+    """p + sign * t^shift * q on {degree: coefficient} dicts."""
+    out = dict(p)
+    for k, c in q.items():
+        v = out.get(k + shift, 0) + sign * c
+        if v:
+            out[k + shift] = v
+        else:
+            out.pop(k + shift, None)
+    return out
+
+
+def hilbert_numerator(leading_monomials, weights) -> dict:
+    """The numerator N(t) of the Hilbert series of a monomial ideal.
+
+    The series of Q[x]/(leading_monomials) is N(t) / prod(1 - t^w_i) with
+    x_i of weight w_i; N comes back as {degree: nonzero integer}, and is
+    {0: 1} for no generators.  Bigatti's pivot recursion (JPAA 119, 1997)
+    on the minimal generators: pairwise coprime generators m give
+    prod(1 - t^deg m); otherwise, for a power p of the variable found in
+    the most generators, N(I) = N(I + (p)) + t^deg p * N(I : p).  The
+    exponent of p is the lower median of that variable's exponents.  A
+    pure power of the variable among the minimal generators has the
+    strictly largest exponent, so the lower median of two or more stays
+    below it and p is never in I.  Each branch then holds at most about
+    half as many generators divisible by the variable, and no more of any
+    other, so the depth is bounded by the generators, not the exponents.
+    """
+    gens = []
+    for m in sorted(set(leading_monomials), key=sum):
+        if not any(mono_div(m, g) is not None for g in gens):
+            gens.append(m)
+    counts = [sum(1 for m in gens if m[i]) for i in range(len(weights))]
+    top = max(counts, default=0)
+    if top < 2:
+        out = {0: 1}
+        for m in gens:
+            out = _add_shifted(out, out, sum(map(mul, m, weights)), -1)
+        return out
+    i = counts.index(top)
+    exps = sorted(m[i] for m in gens if m[i])
+    e = exps[(len(exps) - 1) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(len(weights)))
+    larger = [pivot] + [m for m in gens if m[i] < e]
+    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+    return _add_shifted(hilbert_numerator(larger, weights),
+                        hilbert_numerator(colon, weights), e * weights[i], 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
-from .groebner import Ideal, intersect, map_kernel, standard_monomials
+from .groebner import Ideal, hilbert_numerator, intersect, map_kernel, standard_monomials
 from .linalg import SparseEchelon, solve_linear
 
 
@@ -25,9 +25,11 @@ class PresentationError(ValueError):
 
 class Presentation:
     """Q[table]/relations with weighted-homogeneous relations; relations
-    that generate the unit ideal are rejected."""
+    that generate the unit ideal are rejected.  Graded dimensions are read
+    off one Hilbert series, built on first use from the leading monomials
+    of the cached basis and expanded as far as asked."""
 
-    __slots__ = ("table", "relations", "order")
+    __slots__ = ("table", "relations", "order", "_numerator", "_series")
 
     def __init__(self, table: VarTable, relations=()):
         self.table = table
@@ -44,6 +46,8 @@ class Presentation:
             rels.append(rel)
         self.relations = Ideal(table, rels)
         self.order = MonomialOrder.wgrevlex(table.weights)
+        self._numerator = None
+        self._series = []
         if rels:
             gb = self.relations.groebner(self.order)
             if len(gb) == 1 and gb[0].is_constant():
@@ -60,11 +64,34 @@ class Presentation:
 
     def dim(self, degree: int) -> int:
         """Dimension of the degree piece as a Q-vector space."""
-        return len(self.basis(degree))
+        if degree < 0:
+            return 0
+        self._expand(degree)
+        return self._series[degree]
 
-    def basis(self, degree: int):
-        """Standard monomials of exact weighted degree, decreasing."""
-        return standard_monomials(self.relations, degree, self.order)
+    def dims(self, dmax: int) -> list:
+        """Dimensions of the degree pieces 0..dmax."""
+        self._expand(dmax)
+        return self._series[:max(dmax + 1, 0)]
+
+    def _expand(self, dmax: int) -> None:
+        """Make `_series` hold the Hilbert series N(t) / prod(1 - t^w)
+        through at least t^dmax, N the numerator of the leading term
+        ideal (`hilbert_numerator`)."""
+        if dmax >= len(self._series):
+            if self._numerator is None:
+                gb = self.relations.groebner(self.order) if self.relations.gens else ()
+                self._numerator = hilbert_numerator(
+                    [g.leading_monomial(self.order) for g in gb], self.table.weights)
+            top = max(dmax, 2 * len(self._series))
+            series = [0] * (top + 1)
+            for k, c in self._numerator.items():
+                if k <= top:
+                    series[k] = c
+            for w in self.table.weights:
+                for d in range(w, top + 1):
+                    series[d] += series[d - w]
+            self._series = series
 
     def quotient(self, extra_relations) -> "Presentation":
         return Presentation(self.table, list(self.relations.gens) + list(extra_relations))
@@ -185,7 +212,7 @@ def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
     bottom ring is onto), the independent linear-system rank of the tag
     images is counted by one `pair_image_rank` call over all the degrees,
     and the quotient presentation's own graded dimension is read off its
-    standard monomials.  All three must agree for the degree to be
+    Hilbert series.  All three must agree for the degree to be
     certified.
     """
     degrees = list(degrees)

@@ -1,8 +1,10 @@
 """Independent oracles the tests check the engine against."""
 
+from itertools import product
+
 from chowcheck.groebner import Ideal, eliminate
 from chowcheck.linalg import solve_linear
-from chowcheck.polyarith import Polynomial, VarTable, mono_mul
+from chowcheck.polyarith import Polynomial, VarTable, mono_div, mono_mul
 
 
 def brute_force_member(f, gens, slack: int = 2):
@@ -54,3 +56,19 @@ def kernel_by_elimination(source, images, target, target_ideal=None):
             image = Polynomial.constant(target, image)
         gens.append(Polynomial.variable(graph, name) - image.rename(graph, apart))
     return eliminate(Ideal(graph, gens), list(apart.values()))
+
+
+def count_standard_monomials(I, order):
+    """Count the standard monomials of I one by one, or None when there are
+    infinitely many (some variable has no pure power among the leading
+    monomials): the box below the smallest pure powers is walked in full
+    and every point is tested against every leading monomial."""
+    lms = [g.leading_monomial(order) for g in I.groebner(order)]
+    bounds = []
+    for i in range(len(I.context)):
+        powers = [m[i] for m in lms if not any(m[:i] + m[i + 1:])]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    return sum(1 for m in product(*(range(b) for b in bounds))
+               if not any(mono_div(m, lm) is not None for lm in lms))

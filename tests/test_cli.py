@@ -351,6 +351,24 @@ k1^2
     assert out == "0: 1\n1: 1\n2: 1\n3: 1\n4: 1\n"
 
 
+def test_dims_with_a_high_pure_power(tmp_path, capsys):
+    doc = write(tmp_path, "power.pres", """\
+[kind]
+presentation
+
+[vars]
+x
+y
+
+[relations]
+x^1000
+x*y
+""")
+    code, out, _ = run(capsys, ["dims", doc, "--dmax", "1001"])
+    assert code == 0
+    assert out.splitlines()[998:] == ["998: 2", "999: 2", "1000: 1", "1001: 1"]
+
+
 @pytest.mark.parametrize("command", ["dims", "verify-paper"])
 def test_negative_dmax_exits_2(tmp_path, capsys, command):
     argv = [command, "--dmax", "-1"]

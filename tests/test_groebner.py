@@ -14,6 +14,7 @@ from chowcheck.groebner import (
     buchberger,
     eliminate,
     exact_divide,
+    hilbert_numerator,
     ideal_equal,
     ideal_quotient,
     intersect,
@@ -254,6 +255,34 @@ def test_zero_dimensional_counts_points_with_multiplicity():
     line = Ideal(table, polys(table, "x"))
     finite, count = zero_dimensional(line)
     assert not finite and count is None
+    # 1, x, ..., x^999 and y
+    power = Ideal(table, polys(table, "x^1000", "x*y", "y^2"))
+    assert zero_dimensional(power) == (True, 1001)
+
+
+def test_zero_dimensional_edge_ideals():
+    table = VarTable(["x", "y"])
+    assert zero_dimensional(Ideal(table, [1])) == (True, 0)
+    assert zero_dimensional(Ideal(table, [])) == (False, None)
+    assert zero_dimensional(Ideal(VarTable([]), [])) == (True, 1)
+
+
+def test_hilbert_numerator_fixed_cases():
+    assert hilbert_numerator([], (1, 2)) == {0: 1}
+    assert hilbert_numerator([(0, 0)], (1, 1)) == {}  # the unit ideal
+    assert hilbert_numerator([(1, 0), (0, 2)], (2, 3)) == {0: 1, 2: -1, 6: -1, 8: 1}
+    # no two generators coprime: 1 - 3t^2 + 2t^3
+    assert hilbert_numerator([(1, 1, 0), (1, 0, 1), (0, 1, 1)], (1, 1, 1)) == {
+        0: 1, 2: -3, 3: 2}
+    # the pivot is the lower median x, below the pure power x^2; x^2 itself
+    # would leave I + (p) = I and never return
+    assert hilbert_numerator([(2, 0), (1, 1)], (1, 1)) == {0: 1, 2: -2, 3: 1}
+    # a high pure power splits in one step, not one step per exponent
+    assert hilbert_numerator([(2000, 0), (1, 1)], (1, 1)) == {
+        0: 1, 2: -1, 2000: -1, 2001: 1}
+    # non-minimal and repeated generators change nothing
+    assert hilbert_numerator([(2, 0), (1, 1), (3, 1), (1, 1)], (1, 1)) == {
+        0: 1, 2: -2, 3: 1}
 
 
 def test_standard_monomials():

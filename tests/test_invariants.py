@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from chowcheck.chowpipeline import STRATUM_FILES, StratumSpec
 from chowcheck.exprparser import parse_polynomial
-from chowcheck.groebner import subalgebra_member
+from chowcheck.groebner import Ideal, Subalgebra, subalgebra_member
 from chowcheck.invariants import (
     GroupAction,
     InvariantError,
     algebra_generators,
     invariant_basis,
     invariant_presentation,
+    molien_series,
 )
 from chowcheck.polyarith import Polynomial, VarTable
 
@@ -96,6 +98,35 @@ def test_invariant_basis_dimensions_c2():
     _, c2 = swap_action()
     # symmetric polynomials in two letters: dims 1, 1, 2, 2, 3 in degrees 0..4
     assert [len(invariant_basis(c2, d)) for d in range(5)] == [1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("name", STRATUM_FILES)
+def test_molien_series_counts_the_invariants_of_each_stratum(name):
+    spec = StratumSpec.load(name)
+    action = GroupAction(spec.table, spec.group_specs)
+    top = action.order + 2
+    assert molien_series(action, top) == [len(invariant_basis(action, d))
+                                          for d in range(top + 1)]
+
+
+def test_molien_series_of_the_signed_swap():
+    # 1/2 (1/(1-t)^3 + 1/((1-t^2)(1+t))): dims 1, 1, 4, 4, 9, 9
+    _, signed = signed_pair_action()
+    assert molien_series(signed, 5) == [1, 1, 4, 4, 9, 9]
+    assert molien_series(signed, -1) == []
+
+
+def test_invariant_presentation_names_the_first_degree_off_the_molien_series(
+        monkeypatch):
+    # the one relation z1^2*z4 + z3^2 - 2*z2*z4 lives in degree 4; without
+    # it the presentation has one dimension too many there
+    _, signed = signed_pair_action()
+    kernel = Subalgebra.kernel
+    monkeypatch.setattr(Subalgebra, "kernel",
+                        lambda self: Ideal(self.tag_table, kernel(self).gens[1:]))
+    with pytest.raises(InvariantError, match=r"in degree 4: dimension 10 presented, "
+                                             r"9 invariant"):
+        invariant_presentation(signed)
 
 
 def test_algebra_generators_c2_swap():

@@ -547,3 +547,19 @@ def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
     # the coordinate Subalgebra is the one the presentation reduced
     assert presentation_runs > 0
     assert len(runs) == presentation_runs
+
+
+def test_a_dropped_lift_fails_the_hilbert_series_stage_check(monkeypatch):
+    # Gamma3p transports the one Gamma2 relation J1 (degree 8); without its
+    # lift the glued ring is too big from degree 8 on, which the gluing
+    # recurrence HS(result) = HS(prev) + t^c HS(stratum ring) catches
+    transport = chowpipeline.apply_quotient
+
+    def drop_last(fiber, alpha, beta, extras):
+        return transport(fiber, alpha, beta, list(extras)[:-1])
+
+    monkeypatch.setattr(chowpipeline, "apply_quotient", drop_last)
+    with pytest.raises(PipelineError, match=r"glued ring of Gamma3p has dimension 27 "
+                                            r"in degree 8, but the stratification "
+                                            r"gives 21 \+ 5"):
+        run_pipeline()

@@ -17,12 +17,13 @@ from chowcheck.groebner import (
     map_kernel,
     reduce_full,
     standard_monomials,
+    zero_dimensional,
 )
-from chowcheck.invariants import GroupAction
+from chowcheck.invariants import GroupAction, invariant_basis, molien_series
 from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
 from chowcheck.ringpres import Presentation
-from oracles import brute_force_member, kernel_by_elimination
+from oracles import brute_force_member, count_standard_monomials, kernel_by_elimination
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -452,3 +453,88 @@ def test_packed_monomials_follow_the_order_and_the_exponents(case):
         assert pa + pb == pk.pack(product)
     else:
         assert (pa + pb) & pk.guard
+
+
+# ---------------------------------------------------------------------------
+# graded dimensions from Hilbert series, against monomial walks
+
+@st.composite
+def weighted_ideals(draw):
+    """A weighted table of 2-4 variables (weights 1-3) and an ideal over
+    it: monomials, or weighted-homogeneous polynomials, or nothing."""
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    table = VarTable([f"x{i}" for i in range(n)], weights)
+    if draw(st.booleans()):
+        exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+        monos = draw(st.lists(exps, max_size=5))
+        return table, [Polynomial(table, {tuple(m): Fraction(1)}) for m in monos]
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        monos = standard_monomials(Ideal(table, ()), draw(st.integers(1, 5)), GREVLEX)
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
+                               max_size=3, unique=True))
+        gens.append(Polynomial(table, {m: draw(coeffs) for m in chosen}))
+    return table, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_ideals(), st.permutations(range(-1, 13)))
+def test_dimensions_from_the_hilbert_series_match_the_monomial_walk(case, degrees):
+    table, gens = case
+    pres = Presentation(table, gens)
+    for d in degrees:  # any order: the series is expanded as far as asked
+        assert pres.dim(d) == len(standard_monomials(pres.relations, d, pres.order))
+    assert pres.dims(12) == [pres.dim(d) for d in range(13)]
+
+
+@st.composite
+def finite_ideals(draw):
+    """Monomial ideals in 1-4 variables, with a pure power of each variable
+    or not, and short random polynomials in three."""
+    if draw(st.booleans()):
+        return draw(small_ideals())
+    n = draw(st.integers(1, 4))
+    table = VarTable([f"x{i}" for i in range(n)])
+    monos = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                          max_size=5))
+    for i in range(n):
+        if draw(st.booleans()):
+            monos.append([draw(st.integers(1, 4)) if j == i else 0 for j in range(n)])
+    return [Polynomial(table, {tuple(m): Fraction(1)}) for m in monos]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_ideals())
+def test_zero_dimensional_count_matches_the_box_walk(gens):
+    table = gens[0].context if gens else TABLE3
+    I = Ideal(table, gens)
+    count = count_standard_monomials(I, GREVLEX)
+    assert zero_dimensional(I) == (count is not None, count)
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    """Up to two weight-preserving signed permutations of 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    table = VarTable([f"y{i}" for i in range(n)], weights)
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        images = list(range(n))
+        for w in set(weights):
+            block = [i for i in range(n) if weights[i] == w]
+            for i, j in zip(block, draw(st.permutations(block))):
+                images[i] = j
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        gens.append(tuple(zip(images, signs)))
+    return GroupAction(table, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_permutation_groups())
+def test_molien_series_counts_the_invariant_basis(action):
+    assert molien_series(action, 6) == [len(invariant_basis(action, d))
+                                        for d in range(7)]

@@ -50,6 +50,12 @@ def test_quotient_dims_drop():
     q = p.quotient([parse_polynomial("y^2", p.table)])
     assert [q.dim(d) for d in range(5)] == [1, 2, 1, 1, 1]
     assert q.dim(3) == 1
+    p = pres(["x", "y"], [1, 1], "x^1000", "x*y")
+    # x^d and y^d below degree 1000, only y^d from there on
+    dims = p.dims(1001)
+    assert dims[:3] == [1, 2, 2]
+    assert dims[998:] == [2, 2, 1, 1]
+    assert p.dim(999) == 2 and p.dim(1000) == 1 and p.dim(-1) == 0
 
 
 def test_normal_form_and_is_zero():
