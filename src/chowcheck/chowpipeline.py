@@ -41,10 +41,11 @@ from itertools import product
 from pathlib import Path
 from time import perf_counter
 
-from .polyarith import MonomialOrder, Polynomial, VarTable, mono_mul
+from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
     Ideal,
     Subalgebra,
+    _Overflow,
     ideal_equal,
     intersect,
     is_nonzerodivisor,
@@ -538,24 +539,42 @@ def minimal_generators(pres: Presentation) -> list:
     element is kept unless the ones kept before it generate it.  Relations
     are homogeneous, so an element g of degree d is generated exactly when
     it lies in the Q-span of m*s over the kept elements s and the monomials
-    m of degree d - deg s; one echelon per degree decides that.
+    m of degree d - deg s; one echelon per degree decides that.  The rows
+    are the packed integer terms the relation ideal keeps for normal forms
+    (`Ideal.reducers`), shifted by packed monomials; a shift that sets a
+    guard bit redoes the call at double width.
     """
+    red = pres.relations.reducers(pres.order)
+    while True:
+        try:
+            return _minimal_generators(pres, red)
+        except _Overflow:
+            red = red.doubled()
+
+
+def _minimal_generators(pres: Presentation, red) -> list:
     order = pres.order
+    pk = red.packing
+    guard = pk.guard
     free = Ideal(pres.table, ())
-    basis = sorted(pres.relations.groebner(order),
-                   key=lambda g: (g.weighted_degree(), str(g)))
+    terms = {entry[3]: entry[2] for entry in red.entries}
+    degrees = [g.weighted_degree() for g in red.basis]
     selected = []
     degree = span = None
-    for g in basis:
-        d = g.weighted_degree()
+    for i in sorted(range(len(red.basis)), key=lambda i: (degrees[i], str(red.basis[i]))):
+        d = degrees[i]
         if d != degree:
             degree, span = d, SparseEchelon()
             for s in selected:
-                for m in standard_monomials(free, d - s.weighted_degree(), order):
-                    span.add({mono_mul(sm, m): c for sm, c in s.terms.items()})
-        if span.add(g.terms):
-            selected.append(g)
-    return selected
+                for m in standard_monomials(free, d - degrees[s], order):
+                    q = pk.pack(m)
+                    row = {k + q: c for k, c in terms[s].items()}
+                    if any(k & guard for k in row):
+                        raise _Overflow
+                    span.add(row)
+        if span.add(terms[i]):
+            selected.append(i)
+    return [red.basis[i] for i in selected]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ coefficient dicts over packed monomials, with optional quotients.
 Buchberger reduces S-polynomials with it and builds reduced monic bases
 only at the end; `reduce_full` clears the denominators of its input, runs
 the same loop and scales the remainder and quotients back to exact
-rationals.  An Ideal keeps its basis packed for `reduce_full` next to the
-basis itself, so normal forms modulo one ideal pack it once.
+rationals.  An Ideal keeps its basis packed (`Ideal.reducers`) next to the
+basis itself, so normal forms modulo one ideal pack it once; callers that
+keep their own rows packed (`pair_image_rank`, `minimal_generators`) run
+`_reduce` or build rows on the same entry.
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -401,6 +403,18 @@ class _Reducers:
         return _Reducers(basis, _Packing.for_input(
             order, n, (m for g in basis for m in g.terms)))
 
+    def doubled(self) -> "_Reducers":
+        """The same basis packed again at double width (a new object)."""
+        return _Reducers(self.basis, self.packing.doubled())
+
+    def fitting(self, monos) -> "_Reducers":
+        """Self, or the basis packed again wide enough that the collection
+        `monos` fits too."""
+        pk = self.packing
+        while not pk.fits(monos):
+            pk = pk.doubled()
+        return self if pk is self.packing else _Reducers(self.basis, pk)
+
 
 def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quotients=False):
     """Remainder of f modulo a list of polynomials (top and tail reduction).
@@ -413,19 +427,16 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quoti
     """
     context = f.context
     red = basis if isinstance(basis, _Reducers) else _Reducers.of(basis, order, len(context))
-    pk = red.packing
-    while not pk.fits(f.terms):
-        pk = pk.doubled()
+    red = red.fitting(f.terms)
     while True:
-        if red.packing is not pk:
-            red = _Reducers(red.basis, pk)
+        pk = red.packing
         work, lift = pk.int_terms(f)
         quotients = [{} for _ in red.basis] if with_quotients else None
         try:
             rem, scale = _reduce(work, red.entries, pk.guard, quotients)
             break
         except _Overflow:
-            pk = pk.doubled()
+            red = red.doubled()
     r = pk.polynomial(context, rem, 1 / (lift * scale))
     if with_quotients:
         return r, [pk.polynomial(context, qd, red.lifts[i] / lift)
@@ -477,14 +488,20 @@ class Ideal:
             self._gb[order.tag] = cached
         return cached
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
-        """Remainder modulo the reduced basis; the basis is packed for
-        `reduce_full` once per order and kept write-once next to it."""
+    def reducers(self, order: MonomialOrder = GREVLEX) -> _Reducers:
+        """The reduced basis packed for `_reduce`; built once per order and
+        kept write-once next to the basis.  Callers that need a wider
+        packing make a new one (`_Reducers.fitting`, `doubled`)."""
         reducers = self._reducers.get(order.tag)
         if reducers is None:
             reducers = _Reducers.of(self.groebner(order), order, len(self.context))
             self._reducers[order.tag] = reducers
-        return reduce_full(f, reducers, order, with_quotients)
+        return reducers
+
+    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
+        """Remainder modulo the reduced basis, via `reduce_full` on the
+        packed basis of `reducers`."""
+        return reduce_full(f, self.reducers(order), order, with_quotients)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()

@@ -1,11 +1,14 @@
 """Exact sparse linear algebra over Q: one incremental, fraction-free eliminator.
 
-Vectors are {key: Fraction} dicts, keyed by monomials or by any other
-mutually comparable keys.  `SparseEchelon` keeps an echelon form of
+Vectors are {key: int or Fraction} dicts, keyed by monomials or by any
+other mutually comparable keys.  `SparseEchelon` keeps an echelon form of
 everything added to it; ranks, independent subsets and linear solves are
 all read off it.  Inside, rows are integer and elimination scales by gcd
 cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
-polynomials; `Fraction` appears only in what `reduce` returns.
+polynomials; `Fraction` appears only in what `reduce` returns.  An int
+row is already integer: every denominator is 1, so clearing them leaves
+it as it is, and callers that hold integer rows (`ringpres.pair_image_rank`,
+`chowpipeline.minimal_generators`) pass them without a `Fraction` round trip.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from fractions import Fraction
 
 
 class SparseEchelon:
-    """Incremental echelon form of sparse vectors given as {key: Fraction} dicts.
+    """Incremental echelon form of sparse vectors given as {key: int or
+    Fraction} dicts.
 
     Keys only need to be mutually comparable; elimination pivots on the
     largest key of each row, and each stored pivot row is a primitive
-    integer row.  The number of pivot rows is the rank of everything added
-    so far.
+    integer row.  An int row goes in as it is (its denominators are all
+    1); a Fraction row is first scaled by the lcm of its denominators.  The
+    number of pivot rows is the rank of everything added so far.
     """
 
     __slots__ = ("pivots",)

@@ -12,10 +12,19 @@ side kills whenever the naive lift fails.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
-from .groebner import Ideal, hilbert_numerator, intersect, map_kernel, standard_monomials
+from .groebner import (
+    Ideal,
+    _Overflow,
+    _reduce,
+    hilbert_numerator,
+    intersect,
+    map_kernel,
+    standard_monomials,
+)
 from .linalg import SparseEchelon, solve_linear
 
 
@@ -162,42 +171,85 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> Presentation:
     return Presentation(alpha.source.table, rels.gens)
 
 
-def _vector(tagged, poly: Polynomial) -> dict:
-    return {(tagged,) + m: c for m, c in poly.terms.items()}
-
-
 def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
     one per d in `degrees`.
 
     This is the honest linear-system count: one row per monomial in the
-    tags, coordinates running over both targets at once.  Unreduced images
-    are built incrementally and kept for the whole call,
-    raw[m] = raw[m / x_i] * (alpha(x_i), beta(x_i)) with x_i the last
-    variable of m, filled on demand so `degrees` may come in any order;
-    only the row that enters the eliminator is put in normal form.
+    tags, coordinates running over both targets at once.  It runs on
+    packed integer terms throughout.  Tag i maps to (L_i alpha(x_i),
+    L_i beta(x_i)), with L_i the lcm of the denominators on both sides, so
+    every row is the rational row times one non-zero integer and the
+    ranks are unchanged.  Unreduced images are built incrementally and
+    kept for the whole call, raw[m] = raw[m / x_i] * gen_i with x_i the
+    last variable of m, filled on demand so `degrees` may come in any
+    order; only the row that enters the eliminator is put in normal form,
+    against the packed basis each target keeps (`Ideal.reducers`).  A
+    product that sets a guard bit restarts the call with both packings at
+    double width.
     """
     table = alpha.source.table
-    order = MonomialOrder.wgrevlex(table.weights)
-    gens = [(alpha.images[n], beta.images[n]) for n in table.names]
-    raw = {(0,) * len(table): (Polynomial.one(alpha.target.table),
-                               Polynomial.one(beta.target.table))}
+    degrees = list(degrees)
+    maps = (alpha, beta)
+    lifts = [math.lcm(*(c.denominator for f in maps for c in f.images[n].terms.values()))
+             for n in table.names]
+    reds = [f.target.relations.reducers(f.target.order).fitting(
+                [m for n in table.names for m in f.images[n].terms])
+            for f in maps]
+    while True:
+        try:
+            return _pair_ranks(table, maps, lifts, reds, degrees)
+        except _Overflow:
+            reds = [red.doubled() for red in reds]
+
+
+def _times(f: dict, g: dict, guard: int) -> dict:
+    """Product of packed integer terms; _Overflow when a guard bit is set."""
+    out = {}
+    for k, c in f.items():
+        for q, d in g.items():
+            kq = k + q
+            old = out.get(kq)
+            if old is None:
+                if kq & guard:
+                    raise _Overflow
+                out[kq] = c * d
+            else:
+                out[kq] = old + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def _pair_ranks(table, maps, lifts, reds, degrees) -> list:
+    red_a, red_c = reds
+    ea, ga = red_a.entries, red_a.packing.guard
+    ec, gc = red_c.entries, red_c.packing.guard
+    gens = [tuple({red.packing.pack(m): c.numerator * (lift // c.denominator)
+                   for m, c in f.images[n].terms.items()}
+                  for f, red in zip(maps, reds))
+            for n, lift in zip(table.names, lifts)]
+    raw = {(0,) * len(table): ({0: 1}, {0: 1})}
 
     def image(m):
         got = raw.get(m)
         if got is None:
             i = max(j for j, e in enumerate(m) if e)
             a, c = image(m[:i] + (m[i] - 1,) + m[i + 1:])
-            got = raw[m] = (a * gens[i][0], c * gens[i][1])
+            got = raw[m] = (_times(a, gens[i][0], ga), _times(c, gens[i][1], gc))
         return got
 
+    free = Ideal(table, ())
+    order = MonomialOrder.wgrevlex(table.weights)
     ranks = []
     for d in degrees:
         echelon = SparseEchelon()
-        for m in standard_monomials(Ideal(table, ()), d, order):
+        for m in standard_monomials(free, d, order):
             a, c = image(m)
-            row = _vector("A", alpha.target.normal_form(a))
-            row.update(_vector("C", beta.target.normal_form(c)))
+            rem_a, s_a = _reduce(dict(a), ea, ga)
+            rem_c, s_c = _reduce(dict(c), ec, gc)
+            g = math.gcd(s_a, s_c)
+            s_a, s_c = s_a // g, s_c // g
+            row = {2 * k: v * s_c for k, v in rem_a.items()}
+            row.update({2 * k + 1: v * s_a for k, v in rem_c.items()})
             echelon.add(row)
         ranks.append(len(echelon))
     return ranks

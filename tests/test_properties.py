@@ -1,5 +1,6 @@
 """Property-based suites: algebra laws that must hold for any input."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -297,14 +298,23 @@ fraction_rows = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(fraction_rows, max_size=8), fraction_rows)
 def test_fraction_free_echelon_matches_a_fraction_eliminator(rows, probe):
-    echelon, reference = SparseEchelon(), FractionEchelon()
+    """The same rows are also fed as plain ints, each scaled by the lcm of
+    its denominators: the int echelon keeps the same primitive pivot rows
+    and reduces each row to the same vector times that scale."""
+    echelon, reference, ints = SparseEchelon(), FractionEchelon(), SparseEchelon()
     for row in rows + [probe]:
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        int_row = {k: int(v * scale) for k, v in row.items()}
+        assert all(type(v) is int for v in int_row.values())
         reduced = echelon.reduce(row)
         assert reduced == reference.reduce(row)
         assert all(isinstance(v, Fraction) for v in reduced.values())
-        assert echelon.add(row) == reference.add(row)
+        assert ints.reduce(int_row) == {k: v * scale for k, v in reduced.items()}
+        added = echelon.add(row)
+        assert added == reference.add(row) == ints.add(int_row)
     assert len(echelon) == len(reference.pivots) == sparse_rank(rows + [probe])
     assert set(echelon.pivots) == set(reference.pivots)
+    assert ints.pivots == echelon.pivots
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +361,20 @@ def test_minimal_generators_drop_a_generated_basis_element():
     table = VarTable(["x", "y"])
     pres = Presentation(table, [parse_polynomial(t, table)
                                 for t in ("x^2 + y^2", "x*y")])
+    assert sorted(str(g) for g in pres.relations.groebner(pres.order)) == [
+        "x*y", "x^2 + y^2", "y^3"]
+    assert [str(g) for g in minimal_generators(pres)] == ["x*y", "x^2 + y^2"]
+    assert minimal_generators(pres) == membership_loop(pres)
+
+
+def test_minimal_generators_with_a_huge_degree():
+    """Weight 2^30 puts the degree rows of x^2 + y^2 and x*y at 2^31, past
+    32-bit fields, so the packed rows are wide; y^3 = y*(x^2 + y^2) -
+    x*(x*y) is still found redundant."""
+    table = VarTable(["x", "y"], [2**30, 2**30])
+    pres = Presentation(table, [parse_polynomial(t, table)
+                                for t in ("x^2 + y^2", "x*y")])
+    assert pres.relations.reducers(pres.order).packing.width == 64
     assert sorted(str(g) for g in pres.relations.groebner(pres.order)) == [
         "x*y", "x^2 + y^2", "y^3"]
     assert [str(g) for g in minimal_generators(pres)] == ["x*y", "x^2 + y^2"]

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chowcheck import ringpres
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import Ideal, standard_monomials
 from chowcheck.linalg import sparse_rank
@@ -166,6 +168,79 @@ def test_pair_image_rank_matches_the_from_scratch_count(artifacts):
         for degrees in (list(range(13)), [5, 2], [3]):
             assert pair_image_rank(alpha, beta, degrees) == [
                 pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+
+
+@st.composite
+def homogeneous(draw, table, degree, denominators):
+    """A weighted-homogeneous polynomial of `degree` over `table`, zero only
+    when there is no monomial of that degree, with coefficients n/d for d
+    drawn from `denominators`."""
+    monos = standard_monomials(Ideal(table, ()), degree,
+                               MonomialOrder.wgrevlex(table.weights))
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                           unique=True)) if monos else []
+    return Polynomial(table, {
+        m: Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.sampled_from(denominators)))
+        for m in chosen})
+
+
+@st.composite
+def tag_maps(draw):
+    """Two maps out of one free weighted tag ring into targets of the same
+    weights, each with or without relations.  Alpha's coefficients have
+    denominators 2 and 4; a beta image is either drawn with denominators 3
+    and 9 or is the alpha image times 1/3 or 2/9, which ties the two sides
+    together so that their common lift decides the rank, or is zero."""
+    tag_weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    tags = Presentation(VarTable([f"k{i}" for i in range(len(tag_weights))], tag_weights))
+    weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    targets = []
+    for side in "ac":
+        table = VarTable([f"{side}{i}" for i in range(len(weights))], weights)
+        relations = [draw(homogeneous(table, draw(st.integers(1, 3)), [1, 2]))
+                     for _ in range(draw(st.integers(0, 1)))]
+        targets.append(Presentation(table, relations))
+    a, c = targets
+    alpha_images, beta_images = {}, {}
+    for name, w in zip(tags.table.names, tag_weights):
+        image = alpha_images[name] = draw(homogeneous(a.table, w, [1, 2, 4]))
+        factor = draw(st.sampled_from([None, 0, Fraction(1, 3), Fraction(2, 9)]))
+        if factor is None:
+            beta_images[name] = draw(homogeneous(c.table, w, [1, 3, 9]))
+        else:
+            beta_images[name] = Polynomial(c.table, {m: v * factor
+                                                     for m, v in image.terms.items()})
+    return Morphism(tags, a, alpha_images), Morphism(tags, c, beta_images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tag_maps(), st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_pair_image_rank_matches_the_from_scratch_count_on_drawn_maps(maps, degrees):
+    alpha, beta = maps
+    assert pair_image_rank(alpha, beta, degrees) == [
+        pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+
+
+def test_pair_image_rank_restarts_at_double_width(monkeypatch):
+    """k^2 maps to x^(2^31), past 32-bit fields: the call starts again once
+    with both packings at 64 bits, and the targets' own packed bases stay
+    as they were."""
+    n = 2**30
+    tags = pres(["k"], [n])
+    a, c = pres(["x"], [1]), pres(["y"], [1])
+    alpha = Morphism(tags, a, {"k": Polynomial(a.table, {(n,): 1})})
+    beta = Morphism(tags, c, {"k": Polynomial(c.table, {(n,): 1})})
+    widths = []
+    inner = ringpres._pair_ranks
+
+    def spy(table, maps, lifts, reds, degrees):
+        widths.append([red.packing.width for red in reds])
+        return inner(table, maps, lifts, reds, degrees)
+
+    monkeypatch.setattr(ringpres, "_pair_ranks", spy)
+    assert pair_image_rank(alpha, beta, [2**31]) == [1]
+    assert widths == [[32, 32], [64, 64]]
+    assert a.relations.reducers(a.order).packing.width == 32
 
 
 def test_apply_quotient_lifts_prev_relations():
