@@ -14,16 +14,16 @@ Sign conventions enter as the symbols e1, e2, e3 (kappa-class pullbacks)
 and eg (pushforward classes).  Built pieces live in an `Artifacts` store:
 a stratum is built the first time something reads it, and a stage is
 glued, with all stages before it in file order, the first time something
-reads it; a failure is kept and raised again to every later reader.  The
-store keys each piece by the values of only those sign symbols its spec
-texts read (a stage: the texts of every stratum through it), so
-conventions that agree on those signs share one build.  A `Stratum` is
-lazy too: its forms and invariance checks are built at once, its ring
-presentation, coordinate subalgebra, restriction coordinates and gluing
-pairs on first read.  The stratum specs and the base are read once and
-shared by every convention.  `run_pipeline` is a store with every stage
-glued; the sign sweep reads one store under every convention, so it builds
-only what its claims read, once per distinct sign restriction.  Claims
+reads it; a failure is kept and raised again to every later reader.  A
+stratum is keyed by the values of the sign symbols its spec texts read.
+The expensive pieces are keyed by content, so conventions that yield
+equal pieces share one build: a stratum's ring presentation, coordinate
+subalgebra and restriction coordinates by the forms they read (a memo on
+the shared spec), a stage by what `induction_step` reads.  A `Stratum` is
+lazy too: its forms and invariance checks are built at once, the rest on
+first read.  `run_pipeline` is a store with every stage glued;
+`verify_paper` runs its claims and its sign sweeps on that one store, so
+the sweeps build only what their claims read and the main run lacks.  Claims
 extracted from the source text are data: each one is evaluated against the
 computed objects and compared to its expected status, so known misprints
 are flagged exactly, with corrected forms verified alongside.
@@ -210,6 +210,8 @@ class StratumSpec:
         order_entry = doc.single("tags", required=False)
         self.tag_order = (split_list(order_entry.value)
                           if order_entry is not None else None)
+        # the algebra of its strata, keyed by the forms it is built from
+        self.algebra = {}
 
     @staticmethod
     def load(name: str, root=None) -> "StratumSpec":
@@ -229,7 +231,10 @@ class Stratum:
 
     The forms and their invariance checks are built at once; the ring
     presentation, the coordinate subalgebra, the restriction coordinates
-    and the gluing pairs on first read, each at most once.
+    and the gluing pairs on first read, each at most once.  The first three
+    read only forms, so they are kept in the spec's `algebra` memo, keyed
+    by those forms (the spec fixes the label, ring names and weights), and
+    strata whose forms agree share them whatever their signs.
     """
 
     def __init__(self, spec: StratumSpec, convention: SignConvention):
@@ -260,18 +265,26 @@ class Stratum:
 
     @_built_once
     def ring(self) -> Presentation:
-        return invariant_presentation(self.action, generators=self._coordinates)
+        return _once(self.spec.algebra, ("ring", *self.ring_forms), lambda:
+                     invariant_presentation(self.action, generators=self._coordinates))
 
     @_built_once
     def _coordinates(self) -> Subalgebra:
         """The ring coordinates as one Subalgebra: `ring` presents it and
         `coordinates_of` reads the same basis."""
-        return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)))
+        return _once(self.spec.algebra, ("coordinates", *self.ring_forms), lambda:
+                     Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms))))
 
     @_built_once
     def restriction_coords(self) -> dict:
-        return {tag: self.coordinates_of(form)
-                for tag, form in self.restrictions.items()}
+        key = ("restrict", *self.ring_forms, *self.restrictions.values())
+        return _once(self.spec.algebra, key, lambda: {
+            tag: self.coordinates_of(form) for tag, form in self.restrictions.items()})
+
+    @_built_once
+    def top_coords(self) -> Polynomial:
+        """The top Chern class in the ring coordinates."""
+        return self.coordinates_of(self.top_form)
 
     @_built_once
     def pair_overrides(self) -> dict:
@@ -284,7 +297,7 @@ class Stratum:
         return parse_polynomial(text, self.table, self.env, self.functions)
 
     def _require_invariant(self, what: str, form: Polynomial) -> None:
-        for element in self.action.elements:
+        for element in self.action.generators:
             if self.action.act(element, form) != form:
                 moved = ", ".join(
                     f"{src} -> {'-' if sign < 0 else ''}{self.table.names[j]}"
@@ -329,7 +342,7 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     previous ring through `dmax`, and the degreewise generation certificate.
     """
     A = stratum.ring
-    ctop = stratum.coordinates_of(stratum.top_form)
+    ctop = stratum.top_coords
     gate = is_nonzerodivisor(ctop, A.relations)
     info = {
         "label": stratum.label,
@@ -424,7 +437,6 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
         "alpha": alpha,
         "beta": beta,
         "bottom": B,
-        "stratum": stratum,
     }
 
 
@@ -443,12 +455,17 @@ class Artifacts:
     `stratum(label)` materialises one stratum; `stage(label)` glues every
     stage through `label` in file order, taking its strata from `stratum`;
     `final` is the last stage's ring and `minimal` its minimal relations.
-    The pieces live in a store keyed by piece, label and the values of the
-    signs the piece's spec texts read (a stage, and `minimal`, read the
-    texts of every stratum through it).  `under(convention)` reads the
-    same store under another convention, so conventions that agree on
-    those signs share one build.  A piece whose construction fails keeps
-    its error and raises it again to every later reader.
+    A stratum is keyed by its label and the values of the signs its spec
+    texts read.  A stage is keyed by its content, exactly what
+    `induction_step` reads: the label, the previous ring, the stratum's
+    ring, its top class and restrictions in ring coordinates and its pair
+    overrides; a per-(label, convention) index points into that store.
+    Pieces derived from one stage (the claims' kernel presentations,
+    `minimal`) are kept in its dict.  `under(convention)` reads the same
+    store under another convention, so conventions that yield equal pieces
+    share one build.  A piece whose construction fails keeps its error and
+    raises it again to every later reader.  No stage holds a stratum, so a
+    store is freed without the cycle collector.
     """
 
     def __init__(self, convention: SignConvention, specs, base: Presentation,
@@ -460,13 +477,7 @@ class Artifacts:
         if len(self.specs) != len(specs):
             raise PipelineError("two stratum files share a label")
         self.labels = list(self.specs)
-        self._reads = {}  # (piece, label) -> the sign names its texts read
-        through = frozenset()
-        for spec in specs:
-            own = spec.signs_read()
-            through |= own
-            self._reads["stratum", spec.label] = own
-            self._reads["stage", spec.label] = through
+        self._index = {}  # (label, signs) -> its stage, shared by equal content
         self._built = {}
 
     def under(self, convention: SignConvention) -> "Artifacts":
@@ -475,14 +486,9 @@ class Artifacts:
         view.convention = convention
         return view
 
-    def _key(self, piece: str, label: str) -> tuple:
-        read = self._reads["stratum" if piece == "stratum" else "stage", label]
-        return (piece, label) + tuple(
-            (name, value) for name, value in self.convention.values.items()
-            if name in read)
-
-    def _piece(self, piece: str, label: str, build):
-        return _once(self._built, self._key(piece, label), build)
+    def _signs(self, read=SIGN_NAMES) -> tuple:
+        return tuple((name, value) for name, value in self.convention.values.items()
+                     if name in read)
 
     def _spec(self, label: str) -> StratumSpec:
         spec = self.specs.get(label)
@@ -492,22 +498,31 @@ class Artifacts:
 
     def stratum(self, label: str) -> Stratum:
         spec = self._spec(label)
-        return self._piece("stratum", label,
-                           lambda: Stratum(spec, self.convention))
+        return _once(self._built, ("stratum", label) + self._signs(spec.signs_read()),
+                     lambda: Stratum(spec, self.convention))
 
     def stage(self, label: str) -> dict:
         self._spec(label)
-        return self._piece("stage", label, lambda: self._glue(label))
+        return _once(self._index, (label, self._signs()), lambda: self._glue(label))
 
     def _glue(self, label: str) -> dict:
+        """The stage keyed by what `induction_step` reads (the label fixes
+        the spec), glued the first time any convention yields that key."""
         index = self.labels.index(label)
         prev = self.stage(self.labels[index - 1])["result"] if index else self.base
-        return induction_step(prev, self.stratum(label), dmax=self.dmax)
+        stratum = self.stratum(label)
+        A = stratum.ring
+        key = ("stage", label, prev.table, prev.relations.gens, A.table,
+               A.relations.gens, stratum.top_coords,
+               tuple(stratum.restriction_coords.items()),
+               tuple(stratum.pair_overrides.items()))
+        return _once(self._built, key,
+                     lambda: induction_step(prev, stratum, dmax=self.dmax))
 
     @property
     def stages(self) -> list:
         """The stages glued under this convention, in file order."""
-        built = (self._built.get(self._key("stage", label)) for label in self.labels)
+        built = (self._index.get((label, self._signs())) for label in self.labels)
         return [stage for stage in built if isinstance(stage, dict)]
 
     @property
@@ -516,8 +531,9 @@ class Artifacts:
 
     @property
     def minimal(self) -> list:
-        return self._piece("minimal", self.labels[-1],
-                           lambda: minimal_generators(self.final))
+        # kept next to the last stage, like the claims' kernel presentations
+        return _once(self.stage(self.labels[-1]), "minimal",
+                     lambda: minimal_generators(self.final))
 
 
 def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
@@ -662,9 +678,10 @@ class ClaimRunner:
                 return self.artifacts.stratum(label).ring
             if kind in ("result", "fiber", "bottom"):
                 return self.artifacts.stage(label)[kind]
-            if kind in ("keralpha", "kerbeta"):
-                ideal = self.artifacts.stage(label)["ker_" + kind[3:]]
-                return Presentation(ideal.context, ideal.gens)
+            if kind in ("keralpha", "kerbeta"):  # kept with the stage: one basis
+                stage = self.artifacts.stage(label)
+                ideal = stage["ker_" + kind[3:]]
+                return _once(stage, kind, lambda: Presentation(ideal.context, ideal.gens))
         raise PipelineError(f"unknown space {name!r}")
 
     def parse_in(self, pres: Presentation, text: str) -> Polynomial:
@@ -879,16 +896,20 @@ def convention_search(claims=None, conventions=None, dmax: int = 12,
 
     A claim counts as passed when its raw status is PASS (its expectation
     annotation plays no role here).  The stratum specs and the base are
-    read once, from `root` when given, into one `Artifacts` store that
-    every convention reads: only the strata and stages the claims read are
-    built, once per distinct value of the signs their texts read.  A claim
-    that cannot be evaluated, or that reads a stage whose construction
-    failed, keeps an error row with that message.
+    read once, from `root` when given, into the store `_sweep` reads.
     """
+    store = Artifacts(SignConvention(), *_load_inputs(root), dmax=dmax)
+    return _sweep(store, claims, conventions)
+
+
+def _sweep(store: Artifacts, claims=None, conventions=None) -> dict:
+    """`convention_search` on a store every convention reads: only the
+    pieces the claims read are built, each once per distinct key.  A claim
+    that cannot be evaluated, or that reads a stage whose construction
+    failed, keeps an error row with that message."""
     if claims is None:
         claims = load_claims()
     claims = [c for c in claims if c.kind != "assumption"]
-    store = Artifacts(SignConvention(), *_load_inputs(root), dmax=dmax)
     rows = []
     for convention in (conventions if conventions is not None
                        else SignConvention.all()):
@@ -985,7 +1006,7 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         tag = claim.get("sweep", None)
         if tag:
             groups.setdefault(tag, []).append(claim)
-    sign_search = {tag: convention_search(group, dmax=dmax, root=strata_root)
+    sign_search = {tag: _sweep(artifacts, group)
                    for tag, group in sorted(groups.items())}
     timing["sign_search_s"] = round(perf_counter() - t3, 3)
 

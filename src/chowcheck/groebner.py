@@ -765,29 +765,32 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
 
     Sorted decreasingly in the order; this is the canonical linear basis of
     the degree piece of Q[context]/I.  An ideal without generators has
-    every monomial standard, and no basis is computed for it.
+    every monomial standard, and no basis is computed for it.  The walk
+    takes the heaviest variables first and solves the lightest exponent
+    from the degree left, so a piece costs about its size, not its degree.
     """
     lms = [g.leading_monomial(order) for g in I.groebner(order)] if I.gens else []
-    ctx = I.context
-    n = len(ctx)
-    w = ctx.weights
+    w = I.context.weights
+    if not w or degree < 0:
+        return [()] if degree == 0 else []
+    *walked, last = sorted(range(len(w)), key=lambda i: -w[i])
+    exps = [0] * len(w)
     out = []
 
-    def walk(i, acc, exps):
-        if i == n:
-            if acc == degree:
+    def walk(k, remaining):
+        if k == len(walked):
+            exps[last], rest = divmod(remaining, w[last])
+            if not rest:
                 m = tuple(exps)
                 if not any(mono_div(m, lm) is not None for lm in lms):
                     out.append(m)
             return
-        remaining = degree - acc
-        # weights are positive so the exponent range is finite
+        i = walked[k]
         for e in range(remaining // w[i] + 1):
-            exps.append(e)
-            walk(i + 1, acc + e * w[i], exps)
-            exps.pop()
+            exps[i] = e
+            walk(k + 1, remaining - e * w[i])
 
-    walk(0, 0, [])
+    walk(0, degree)
     out.sort(key=order.key, reverse=True)
     return out
 

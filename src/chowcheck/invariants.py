@@ -46,14 +46,15 @@ class GroupAction:
     """A finite group of signed variable permutations of one table.
 
     Elements are tuples over variable positions: element[i] == (j, s)
-    means the i-th variable maps to s times the j-th one.
+    means the i-th variable maps to s times the j-th one.  The generators
+    are kept too: a form fixed by each of them is fixed by the group.
     """
 
-    __slots__ = ("table", "elements")
+    __slots__ = ("table", "generators", "elements")
 
     def __init__(self, table: VarTable, generators):
         self.table = table
-        gens = [self._element(g) for g in generators]
+        self.generators = gens = tuple(self._element(g) for g in generators)
         identity = tuple((i, 1) for i in range(len(table)))
         seen = {identity}
         queue = [identity]
@@ -124,7 +125,7 @@ class GroupAction:
         return self.transfer(poly) * Fraction(1, self.order)
 
     def is_invariant(self, poly: Polynomial) -> bool:
-        return all(self.act(g, poly) == poly for g in self.elements)
+        return all(self.act(g, poly) == poly for g in self.generators)
 
 
 def _compose(g: tuple, h: tuple) -> tuple:

@@ -5,8 +5,10 @@ Frozen expected values here were produced by independent recomputation
 source text; they are the regression oracles for the whole pipeline.
 """
 
+import gc
 import json
 import shutil
+import weakref
 from collections import Counter
 from importlib import resources
 
@@ -25,6 +27,7 @@ from chowcheck.chowpipeline import (
     load_claims,
     minimal_generators,
     run_pipeline,
+    verify_paper,
 )
 from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
 
@@ -465,8 +468,53 @@ def test_sweep_glues_each_stage_once_per_sign_restriction(monkeypatch):
     steps = _count_calls(monkeypatch, "induction_step",
                          key=lambda prev, stratum, **kw: stratum.label)
     convention_search(_sweep_groups()["incompatible-pair"])
-    # Gamma1 reads e1, e2; Gamma2 also eg
-    assert steps == {"Gamma1": 4, "Gamma2": 8}
+    # stages are keyed by content: Gamma1's top class is -k1 or k1 (e1), and
+    # Gamma2 glues onto those two rings with two restrictions of g2 (eg)
+    assert steps == {"Gamma1": 2, "Gamma2": 4}
+
+
+def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
+    # the sweeps read the store the main run glued at the default convention
+    steps = _count_calls(monkeypatch, "induction_step",
+                         key=lambda prev, stratum, **kw: stratum.label)
+    verify_paper()
+    assert steps == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
+
+
+def test_a_stage_key_holds_the_top_class_in_ring_coordinates(monkeypatch):
+    # Gamma1's ring, restrictions and pairs agree under e1 = +1 and -1;
+    # only its top class, (t1 + t2) = e1*k1, tells the two stages apart
+    steps = _count_calls(monkeypatch, "induction_step",
+                         key=lambda prev, stratum, **kw: stratum.label)
+    store = chowpipeline.Artifacts(SignConvention(),
+                                   *chowpipeline._load_inputs())
+    minus, plus, plus_e2 = (store.under(SignConvention(e1, e2, -1, 1)).stage("Gamma1")
+                            for e1, e2 in ((-1, -1), (1, -1), (1, 1)))
+    assert minus is not plus and plus is plus_e2
+    assert (minus["info"]["top_chern"], plus["info"]["top_chern"]) == ("-k1", "k1")
+    assert steps == {"Gamma1": 2}
+
+
+def test_verify_paper_leaves_no_stratum_to_the_cycle_collector(monkeypatch):
+    """No stage holds a stratum and no memo holds a stage, so every stratum
+    of one verify_paper dies with its store by reference counting alone."""
+    strata = []
+    init = Stratum.__init__
+
+    def tracked(self, *args, **kwargs):
+        strata.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stratum, "__init__", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify_paper()
+        alive = sum(ref() is not None for ref in strata)
+    finally:
+        if enabled:
+            gc.enable()
+    assert strata and alive == 0
 
 
 def test_identity_sweep_builds_no_stratum_ring(monkeypatch):

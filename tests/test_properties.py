@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -153,6 +154,28 @@ def test_reynolds_laws_random(f, g):
     # and a projector onto invariants: R(inv * f) = inv * R(f)
     inv = parse_polynomial("x1*x2", TABLE3)
     assert action.reynolds(inv * f) == inv * rf
+
+
+@st.composite
+def signed_permutations(draw, n=3):
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return tuple(zip(images, signs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(signed_permutations(), max_size=3), polynomials(),
+       st.sampled_from(["raw", "group", "first generator"]))
+def test_invariance_under_the_generators_is_invariance_under_the_group(gens, f, kind):
+    action = GroupAction(TABLE3, gens)
+    if kind == "group":
+        f = action.reynolds(f)
+    elif kind == "first generator":
+        f = GroupAction(TABLE3, gens[:1]).reynolds(f)
+    fixed = all(action.act(g, f) == f for g in action.elements)
+    assert action.is_invariant(f) == fixed
+    if kind == "group":
+        assert fixed
 
 
 def _random_poly(rng, table, max_deg, max_terms=4):
@@ -381,6 +404,16 @@ def test_minimal_generators_with_a_huge_degree():
     assert minimal_generators(pres) == membership_loop(pres)
 
 
+def test_minimal_generators_of_a_huge_degree_piece_cost_its_size():
+    """The degree-2^31 piece has two monomials, x^(2^31) and y; walking
+    the weight-1 variable's exponents one by one would take 2^31 steps."""
+    table = VarTable(["x", "y"], [1, 2**31])
+    pres = Presentation(table, [parse_polynomial(t, table)
+                                for t in ("x^2147483648 + y", "x*y")])
+    assert len(pres.relations.groebner(pres.order)) == 3
+    assert [str(g) for g in minimal_generators(pres)] == ["x^2147483648 + y", "x*y"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(homogeneous_presentations().flatmap(
     lambda pres: st.tuples(st.just(pres),
@@ -512,6 +545,22 @@ def test_dimensions_from_the_hilbert_series_match_the_monomial_walk(case, degree
     for d in degrees:  # any order: the series is expanded as far as asked
         assert pres.dim(d) == len(standard_monomials(pres.relations, d, pres.order))
     assert pres.dims(12) == [pres.dim(d) for d in range(13)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_ideals(), st.integers(-1, 9), st.sampled_from(["wgrevlex", "lex"]))
+def test_standard_monomials_match_a_brute_force_enumeration(case, degree, kind):
+    table, gens = case
+    weights = table.weights
+    order = MonomialOrder.wgrevlex(weights) if kind == "wgrevlex" else LEX
+    box = product(*(range(max(degree, 0) // w + 1) for w in weights))
+    piece = [m for m in box if sum(e * w for e, w in zip(m, weights)) == degree]
+    for I in (Ideal(table, ()), Ideal(table, gens)):
+        lms = [g.leading_monomial(order) for g in I.groebner(order)] if I.gens else []
+        want = sorted((m for m in piece
+                       if not any(mono_div(m, lm) is not None for lm in lms)),
+                      key=order.key, reverse=True)
+        assert standard_monomials(I, degree, order) == want
 
 
 @st.composite
