@@ -243,7 +243,8 @@ class Stratum:
         self.label = spec.label
         self.table = spec.table
         self._lazy = {}
-        self.action = GroupAction(spec.table, spec.group_specs)
+        self.action = _once(spec.algebra, ("action",), lambda:
+                            GroupAction(spec.table, spec.group_specs))
         self.functions = {"transfer": self.action.transfer,
                           "reynolds": self.action.reynolds}
         env = dict(convention.values)

@@ -15,6 +15,7 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .chowpipeline import (
@@ -329,6 +330,8 @@ def _add_element(parser, help_text):
                         help=help_text)
 
 
+# built on the first call and reused: parse_args keeps no state between calls
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chowcheck",

@@ -48,12 +48,14 @@ class GroupAction:
     Elements are tuples over variable positions: element[i] == (j, s)
     means the i-th variable maps to s times the j-th one.  The generators
     are kept too: a form fixed by each of them is fixed by the group.
+    `canonical` keeps the generator sweep of `algebra_generators`.
     """
 
-    __slots__ = ("table", "generators", "elements")
+    __slots__ = ("table", "generators", "elements", "canonical")
 
     def __init__(self, table: VarTable, generators):
         self.table = table
+        self.canonical = None
         self.generators = gens = tuple(self._element(g) for g in generators)
         identity = tuple((i, 1) for i in range(len(table)))
         seen = {identity}
@@ -192,7 +194,10 @@ def algebra_generators(action: GroupAction) -> list:
     candidates are taken in the deterministic invariant_basis order and kept
     when they are not already expressible in the generators found so far.
     Tags are named z<k>, skipping the action's own variable names.
+    The sweep runs once per action; each call returns a new list.
     """
+    if action.canonical is not None:
+        return list(action.canonical)
     taken = set(action.table.names)
     selected = []
     span = None  # one Subalgebra per state of `selected`
@@ -206,6 +211,7 @@ def algebra_generators(action: GroupAction) -> list:
                     continue
             selected.append(f)
             span = None
+    action.canonical = tuple(selected)
     return selected
 
 

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,3 +466,50 @@ expect: assumed
     assert [row["status"] for row in report["claims"]] == [
         "PASS", "PASS", "ASSUMED"]
     assert "timing" not in report
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_later_calls_reuse_the_parser_of_the_first(sym2, capsys, monkeypatch):
+    run(capsys, ["gb", sym2])
+    built = _count_parsers(monkeypatch)
+    assert run(capsys, ["gb"])[0] == 2
+    helps = [run(capsys, ["--help"]) for _ in range(2)]
+    assert helps[0] == helps[1] and helps[0][0] == 0 and "verify-paper" in helps[0][1]
+    assert run(capsys, ["gb", sym2])[:2] == (0, "{t2^2, t1 + t2}\n")
+    assert run(capsys, ["nf", sym2, "--element", "t1"])[:2] == (0, "-t2\n")
+    assert run(capsys, ["member", sym2, "--element", "t1*t2"])[:2] == (0, "true\n")
+    assert built == []
+
+
+def test_defaults_do_not_leak_between_calls(tmp_path, capsys):
+    doc = write(tmp_path, "free.pres", "[kind]\npresentation\n[vars]\nk1\n")
+    assert run(capsys, ["dims", doc, "--dmax", "3"])[:2] == (0, "0: 1\n1: 1\n2: 1\n3: 1\n")
+    code, out, _ = run(capsys, ["dims", doc])
+    assert (code, out) == (0, "".join(f"{d}: 1\n" for d in range(13)))
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import chowcheck.cli\n"
+             "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(DATA.parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

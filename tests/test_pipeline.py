@@ -14,7 +14,7 @@ from importlib import resources
 
 import pytest
 
-from chowcheck import chowpipeline
+from chowcheck import chowpipeline, invariants
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -452,15 +452,16 @@ def test_shared_sweep_store_matches_one_store_per_convention(tag):
     assert shared == alone
 
 
-def _count_calls(monkeypatch, name, key=lambda *args, **kwargs: None):
+def _count_calls(monkeypatch, name, key=lambda *args, **kwargs: None,
+                 module=chowpipeline):
     calls = Counter()
-    inner = getattr(chowpipeline, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[key(*args, **kwargs)] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(chowpipeline, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -479,6 +480,16 @@ def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
                          key=lambda prev, stratum, **kw: stratum.label)
     verify_paper()
     assert steps == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
+
+
+def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch):
+    actions = _count_calls(monkeypatch, "GroupAction")
+    # the generator sweep asks for the degree-1 invariants once per run
+    sweeps = _count_calls(monkeypatch, "invariant_basis", module=invariants,
+                          key=lambda action, degree: (id(action), degree))
+    verify_paper()
+    assert sum(actions.values()) == len(chowpipeline.STRATUM_FILES) == 4
+    assert [n for (_, degree), n in sweeps.items() if degree == 1] == [1] * 4
 
 
 def test_a_stage_key_holds_the_top_class_in_ring_coordinates(monkeypatch):
@@ -574,7 +585,7 @@ def test_a_failed_lazy_stratum_piece_is_built_once(tmp_path, monkeypatch):
 
 def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
     from chowcheck import groebner
-    from chowcheck.invariants import invariant_presentation
+    from chowcheck.invariants import GroupAction, invariant_presentation
     runs = []
     real = groebner.buchberger
 
@@ -586,8 +597,10 @@ def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
     spec = StratumSpec.load("gamma2.stratum")
     alone, stratum = (Stratum(spec, SignConvention()) for _ in range(2))
     del runs[:]
-    invariant_presentation(alone.action, names=alone.ring_names,
-                           generators=alone.ring_forms)
+    # a fresh action: the strata of one spec share theirs, and the baseline
+    # must not find its generator sweep already kept on it
+    invariant_presentation(GroupAction(spec.table, spec.group_specs),
+                           names=alone.ring_names, generators=alone.ring_forms)
     presentation_runs = len(runs)
     del runs[:]
     stratum.ring
