@@ -109,6 +109,16 @@ def _once(built: dict, key, build):
     return value
 
 
+def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None):
+    """`parse_polynomial(text, table, env, functions)`, kept in `built` by
+    `_once` under the text, the table, the function names and the value of
+    each name of the text that `env` binds.  A memo given `functions` must
+    be the spec's, whose one action they come from."""
+    reads = tuple((name, env[name]) for name in _NAME_RE.findall(text) if name in env)
+    return _once(built, ("parse", text, table, tuple(functions or ()), reads),
+                 lambda: parse_polynomial(text, table, env, functions))
+
+
 class _built_once:
     """A read-only attribute built on first read and kept, by `_once`."""
 
@@ -234,7 +244,10 @@ class Stratum:
     and the gluing pairs on first read, each at most once.  The first three
     read only forms, so they are kept in the spec's `algebra` memo, keyed
     by those forms (the spec fixes the label, ring names and weights), and
-    strata whose forms agree share them whatever their signs.
+    strata whose forms agree share them whatever their signs.  The memo
+    also keeps every text a stratum of the spec parses (`_parsed`) and
+    every form that passed its invariance check; a failing form is
+    checked again, and fails, in each stratum that reads it.
     """
 
     def __init__(self, spec: StratumSpec, convention: SignConvention):
@@ -249,7 +262,7 @@ class Stratum:
                           "reynolds": self.action.reynolds}
         env = dict(convention.values)
         for name, text in spec.defs:
-            env[name] = parse_polynomial(text, self.table, env, self.functions)
+            env[name] = _parsed(spec.algebra, text, self.table, env, self.functions)
         self.env = env
         self.ring_names = [n for n, _, _ in spec.ring]
         self.ring_weights = [w for _, w, _ in spec.ring]
@@ -291,13 +304,15 @@ class Stratum:
     def pair_overrides(self) -> dict:
         pair_env = dict(self.convention.values)
         pair_env.update(self.restriction_coords)
-        return {tag: parse_polynomial(text, self.ring.table, pair_env)
+        return {tag: _parsed(self.spec.algebra, text, self.ring.table, pair_env)
                 for tag, text in self.spec.pairs.items()}
 
     def _psi(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self.table, self.env, self.functions)
+        return _parsed(self.spec.algebra, text, self.table, self.env, self.functions)
 
     def _require_invariant(self, what: str, form: Polynomial) -> None:
+        if ("invariant", form) in self.spec.algebra:  # passed for another stratum
+            return
         for element in self.action.generators:
             if self.action.act(element, form) != form:
                 moved = ", ".join(
@@ -307,6 +322,7 @@ class Stratum:
                 raise PipelineError(
                     f"{self.label}: {what} is not invariant under ({moved})"
                 )
+        self.spec.algebra["invariant", form] = True
 
     def coordinates_of(self, form: Polynomial) -> Polynomial:
         """Express an invariant form in the ring coordinates."""
@@ -465,8 +481,10 @@ class Artifacts:
     `minimal`) are kept in its dict.  `under(convention)` reads the same
     store under another convention, so conventions that yield equal pieces
     share one build.  A piece whose construction fails keeps its error and
-    raises it again to every later reader.  No stage holds a stratum, so a
-    store is freed without the cycle collector.
+    raises it again to every later reader.  Claim texts parsed without a
+    stratum's functions are kept in the store by `_parsed`, keyed by the
+    text, the table and the value of each name the text reads.  No stage
+    holds a stratum, so a store is freed without the cycle collector.
     """
 
     def __init__(self, convention: SignConvention, specs, base: Presentation,
@@ -667,8 +685,8 @@ class ClaimRunner:
 
     def psi(self, label: str, text: str) -> Polynomial:
         stratum = self.artifacts.stratum(label)
-        return parse_polynomial(text, stratum.table, self.claim_env(stratum),
-                                stratum.functions)
+        return _parsed(stratum.spec.algebra, text, stratum.table,
+                       self.claim_env(stratum), stratum.functions)
 
     def space(self, name: str) -> Presentation:
         if name == "final":
@@ -686,8 +704,8 @@ class ClaimRunner:
         raise PipelineError(f"unknown space {name!r}")
 
     def parse_in(self, pres: Presentation, text: str) -> Polynomial:
-        return parse_polynomial(text, pres.table,
-                                dict(self.artifacts.convention.values))
+        return _parsed(self.artifacts._built, text, pres.table,
+                       dict(self.artifacts.convention.values))
 
     # -- claim kinds ---------------------------------------------------------
 
@@ -743,23 +761,20 @@ class ClaimRunner:
         return same, detail
 
     def _claim_tables(self, claim):
+        """The source table, the target table and a parser into the target."""
         svars = [parse_name_weight(t) for t in split_list(claim.get("vars"))]
         source = VarTable([n for n, _ in svars], [w for _, w in svars])
         where = claim.get("where", None)
         if where:
             stratum = self.artifacts.stratum(where)
-            target = stratum.table
-            env = self.claim_env(stratum)
-            functions = stratum.functions
-        else:
-            tvars = [parse_name_weight(t) for t in split_list(claim.get("tvars"))]
-            target = VarTable([n for n, _ in tvars], [w for _, w in tvars])
-            env = dict(self.artifacts.convention.values)
-            functions = None
-        return source, target, env, functions
+            return source, stratum.table, lambda text: self.psi(where, text)
+        tvars = [parse_name_weight(t) for t in split_list(claim.get("tvars"))]
+        target = VarTable([n for n, _ in tvars], [w for _, w in tvars])
+        return source, target, lambda text: _parsed(
+            self.artifacts._built, text, target, dict(self.artifacts.convention.values))
 
     def kind_map_kernel_equal(self, claim):
-        source, target, env, functions = self._claim_tables(claim)
+        source, target, parse = self._claim_tables(claim)
         images = {}
         for item in split_list(claim.get("images")):
             if "->" not in item:
@@ -770,13 +785,13 @@ class ClaimRunner:
                 raise PipelineError(
                     f"claim field 'images' gives an image for {name}, "
                     "which is not a source variable")
-            images[name] = parse_polynomial(text.strip(), target, env, functions)
+            images[name] = parse(text.strip())
         missing = [n for n in source.names if n not in images]
         if missing:
             raise PipelineError(f"claim field 'images' gives no image for {missing[0]}")
         kernel = map_kernel(source, images, target=target)
         order = MonomialOrder.wgrevlex(source.weights)
-        rhs = Ideal(source, [parse_polynomial(t, source)
+        rhs = Ideal(source, [_parsed(self.artifacts._built, t, source, {})
                              for t in split_list(claim.get("rhs", ""))])
         return ideal_equal(kernel, rhs, order), None
 
@@ -851,8 +866,7 @@ class ClaimRunner:
     def kind_nzd(self, claim):
         label = claim.get("where")
         stratum = self.artifacts.stratum(label)
-        f = parse_polynomial(claim.get("expr"), stratum.ring.table,
-                             dict(self.artifacts.convention.values))
+        f = self.parse_in(stratum.ring, claim.get("expr"))
         return is_nonzerodivisor(f, stratum.ring.relations), None
 
     def kind_generator_count(self, claim):
@@ -992,8 +1006,7 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         text = (entry["row"] if outcome["status"] == "PASS"
                 else entry["corrected"])
         if text is not None:
-            stated.append(parse_polynomial(text, final.table,
-                                           dict(convention.values)))
+            stated.append(runner.parse_in(final, text))
     stated_ideal = Ideal(final.table, stated)
     gap = [str(g) for g in reduced
            if not stated_ideal.member(g, final.order)]

@@ -163,9 +163,12 @@ GREVLEX = MonomialOrder.grevlex()
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q attached to a VarTable."""
+    """Immutable sparse polynomial over Q attached to a VarTable.
 
-    __slots__ = ("context", "terms")
+    Never mutated once constructed: its hash is computed once and kept.
+    """
+
+    __slots__ = ("context", "terms", "_hash")
 
     def __init__(self, context: VarTable, terms: Mapping[tuple, Coeff] | None = None):
         self.context = context
@@ -349,7 +352,11 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.context, frozenset(self.terms.items())))
+            return self._hash
 
     # -- substitution and context moves ------------------------------------
 

@@ -7,7 +7,9 @@ source text; they are the regression oracles for the whole pipeline.
 
 import gc
 import json
+import re
 import shutil
+import sys
 import weakref
 from collections import Counter
 from importlib import resources
@@ -490,6 +492,91 @@ def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch)
     verify_paper()
     assert sum(actions.values()) == len(chowpipeline.STRATUM_FILES) == 4
     assert [n for (_, degree), n in sweeps.items() if degree == 1] == [1] * 4
+
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _parse_key(text, table, env=None, functions=None):
+    """What a parse result depends on: the text, the table, the action
+    behind `functions` and the value of each name of the text `env` binds."""
+    reads = tuple((name, env[name]) for name in _NAME.findall(text)
+                  if env and name in env)
+    return text, table, reads, functions and functions["transfer"].__self__
+
+
+def test_verify_paper_parses_and_checks_each_distinct_form_once(monkeypatch):
+    parses = _count_calls(monkeypatch, "parse_polynomial", key=_parse_key)
+    checks = Counter()
+    act = invariants.GroupAction.act
+
+    def counted(action, element, form):
+        if sys._getframe(1).f_code.co_name == "_require_invariant":
+            checks[action, element, form] += 1
+        return act(action, element, form)
+
+    monkeypatch.setattr(invariants.GroupAction, "act", counted)
+    verify_paper()
+    # 894 parses and 364 checks of 59 forms before the memo
+    assert max(parses.values()) == 1 and sum(parses.values()) <= 230
+    assert max(checks.values()) == 1
+    assert len({form for _, _, form in checks}) <= 59
+
+
+def test_a_parse_is_shared_by_conventions_that_agree_on_the_names_it_reads():
+    store = chowpipeline.Artifacts(SignConvention(),
+                                   *chowpipeline._load_inputs())
+    minus, plus = (chowpipeline.ClaimRunner(store.under(SignConvention(e1, -1, -1, 1)))
+                   for e1 in (-1, 1))
+    # Gamma1 reads e1, so the two runners read two strata of one spec
+    assert minus.artifacts.stratum("Gamma1") is not plus.artifacts.stratum("Gamma1")
+    assert minus.psi("Gamma1", "e1*t1") != plus.psi("Gamma1", "e1*t1")
+    assert minus.psi("Gamma1", "t1 + t2") is plus.psi("Gamma1", "t1 + t2")
+    base = store.base
+    assert minus.parse_in(base, "e1*k2") == -plus.parse_in(base, "e1*k2")
+    assert minus.parse_in(base, "e2*k2") is plus.parse_in(base, "e2*k2")
+
+
+def test_an_unparsable_ring_text_fails_every_convention_alike(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma1 = root / "strata" / "gamma1.stratum"
+    good = "k1(1): e1*(t1 + t2)"
+    assert good in gamma1.read_text()
+    gamma1.write_text(gamma1.read_text().replace(good, good[:-1]))
+    path = tmp_path / "one.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: on-stratum\n"
+                    "kind: identity\nwhere: Gamma1\nlhs: t1\nrhs: t1\n")
+    rows = convention_search(load_claims(path=path), root=root)["rows"]
+    errors = {error["error"] for row in rows for error in row["errors"]}
+    assert len(rows) == 16 and all(len(row["errors"]) == 1 for row in rows)
+    assert errors == {"expected ')' at line 1, column 12"}
+
+
+def test_a_form_invariant_under_one_sign_only_fails_under_the_other():
+    spec = StratumSpec(parse_document("""
+    [kind]
+    stratum
+    [label]
+    Demo
+    [vars]
+    t1
+    t2
+    [group]
+    t1 -> t2; t2 -> t1
+    [ring]
+    k1(1): t1 + e1*t2
+    [top]
+    t1 + t2
+    [restrict]
+    k1: t1 + t2
+    [new]
+    k1(1)
+    """))
+    Stratum(spec, SignConvention(1, -1, -1, 1))  # t1 + t2: invariant
+    with pytest.raises(PipelineError) as err:
+        Stratum(spec, SignConvention(-1, -1, -1, 1))  # t1 - t2 is not
+    assert str(err.value) == ("Demo: ring coordinate k1 is not invariant "
+                              "under (t1 -> t2, t2 -> t1)")
 
 
 def test_a_stage_key_holds_the_top_class_in_ring_coordinates(monkeypatch):

@@ -146,3 +146,24 @@ def test_str_canonical_form():
     assert str(Polynomial.zero(table)) == "0"
     assert str(poly(table, "-t1 - 1")) == "-t1 - 1"
     assert str(poly(table, "t1*t2*2 - t1^2")) == "-t1^2 + 2*t1*t2"
+
+
+def test_equal_polynomials_hash_equal_whatever_built_them():
+    # the hash is kept after its first use, so this holds only because no
+    # polynomial is changed once constructed
+    table = VarTable(["x", "y"], [1, 2])
+    x = Polynomial.variable(table, "x")
+    y = Polynomial.variable(table, "y")
+    built = Polynomial(table, {(2, 0): 1, (0, 1): Fraction(-3, 2)})
+    computed = x * x - Fraction(3, 2) * y
+    parsed = poly(table, "x^2 - 3/2*y")
+    cancelled = (x + y) ** 2 - 2 * x * y - y * y - Fraction(3, 2) * y
+    assert built == computed == parsed == cancelled
+    assert len({hash(p) for p in (built, computed, parsed, cancelled)}) == 1
+    memo = {built: "first"}
+    for p in (computed, parsed, cancelled):
+        memo[p] = memo.get(p, "") + "+"
+    assert memo == {built: "first+++"}
+    other = VarTable(["x", "y"], [1, 1])
+    moved = built.rename(other)
+    assert moved != built and len({built: 0, moved: 1}) == 2
