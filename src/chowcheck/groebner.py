@@ -1,12 +1,26 @@
 """Groebner bases over Q and the ideal operations built on them.
 
-The engine is Buchberger's algorithm with the Gebauer-Moeller pair update
-(coprime, chain and equal-lcm criteria).  S-pairs are taken smallest lcm
-first; when every input generator is weighted-homogeneous under its table's
-weights, pairs are taken by the weighted degree of their lcm first (the
-normal strategy for homogeneous input), so each degree is finished before
-the next begins whatever the monomial order.  Reduced bases are unique
-per (ideal, order) and cached write-once on the Ideal object.
+`buchberger` has two paths, chosen by the input alone.  When every input
+generator is weighted-homogeneous under its table's weights, it runs
+Buchberger's algorithm with the Gebauer-Moeller pair update (coprime, chain
+and equal-lcm criteria), S-pairs by the weighted degree of their lcm first,
+so each degree is finished before the next begins whatever the monomial
+order.  Any other input runs a signature-based algorithm (Eder-Faugere,
+J. Symb. Comput. 80, 2017).  Input i has signature (lm_i, i), and t*e_i
+has (t*lm_i, i): the Schreyer order (Roune-Stillman, ISSAC 2012), compared
+as tuples.  S-pairs come from one heap in increasing signature, each
+signature at most once, and every reduction is regular: a reducer may act
+only where its multiple has a smaller signature.  Three criteria skip a
+pair before it is reduced: a known syzygy signature of the same index
+divides its signature (the Koszul signatures of every two elements, and
+every reduction to zero); an element added after the pair's generator has
+the same index and a signature that divides the pair's (the rewrite
+criterion, "add" order); and two equal sides (a singular pair).  A result
+that is singular top-reducible is kept as an element, not discarded: on
+(x1*x2^2*x3^2 + 1, x2^3*x3 + x2^2) under grevlex, discarding it loses the
+leading monomial x1 of the basis.  Both paths end in one interreduction,
+so the answer is the unique reduced monic basis per (ideal, order), cached
+write-once on the Ideal object.
 
 Inside the kernel a monomial is one int (the packed exponent vectors of
 Monagan-Pearce, CASC 2007).  Fixed-width fields hold, most significant
@@ -20,13 +34,14 @@ Polynomials are packed once on entry and unpacked once on exit.
 
 There is one reduction loop, `_reduce`: fraction-free, on primitive integer
 coefficient dicts over packed monomials, with optional quotients.
-Buchberger reduces S-polynomials with it and builds reduced monic bases
-only at the end; `reduce_full` clears the denominators of its input, runs
-the same loop and scales the remainder and quotients back to exact
-rationals.  An Ideal keeps its basis packed (`Ideal.reducers`) next to the
-basis itself, so normal forms modulo one ideal pack it once; callers that
-keep their own rows packed (`pair_image_rank`, `minimal_generators`) run
-`_reduce` or build rows on the same entry.
+Both Buchberger paths reduce S-polynomials with it (the signature path
+with a signature bound) and build reduced monic bases only at the end;
+`reduce_full` clears the denominators of its input, runs the same loop
+and scales the remainder and quotients back to exact rationals.  An Ideal
+keeps its basis packed (`Ideal.reducers`) next to the basis itself, so
+normal forms modulo one ideal pack it once; callers that keep their own
+rows packed (`pair_image_rank`, `minimal_generators`) run `_reduce` or
+build rows on the same entry.
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -171,7 +186,7 @@ def _reducer(terms: dict, i: int) -> tuple:
     return (lm, terms[lm], terms, i)
 
 
-def _reduce(work: dict, reducers, guard: int, quotients=None):
+def _reduce(work: dict, reducers, guard: int, quotients=None, bound=None):
     """Fully reduce packed integer terms modulo reducers, fraction-free.
 
     `work` is consumed.  `reducers` is a list of (lm, lc, terms, i) sorted
@@ -181,6 +196,9 @@ def _reduce(work: dict, reducers, guard: int, quotients=None):
     list of dicts indexed by i, that combination is recorded there already
     divided by scale, so that
     input = sum(quotients[i] * terms_i) + rem / scale.
+    With a signature `bound` (value, index), the reduction is regular: each
+    reducer also carries its signature (lm, lc, terms, i, value, index),
+    and reduces a term m only when (m - lm + value, index) < bound.
     Raises _Overflow when a product sets a guard bit.
     """
     rem = {}
@@ -194,7 +212,13 @@ def _reduce(work: dict, reducers, guard: int, quotients=None):
             continue
         for entry in reducers:
             if not (m - entry[0]) & guard:
-                break
+                if bound is None:
+                    break
+                v = m - entry[0] + entry[4]
+                if v & guard:
+                    raise _Overflow
+                if (v, entry[5]) < bound:
+                    break
         else:
             rem[m] = c
             del work[m]
@@ -257,7 +281,11 @@ def _spoly(f, g, qf: int, qg: int, guard: int) -> dict:
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX):
-    """Reduced monic Groebner basis, sorted by decreasing leading monomial."""
+    """Reduced monic Groebner basis, sorted by decreasing leading monomial.
+
+    Weighted-homogeneous input runs `_gebauer_moeller`, any other input
+    `_signature_elements`; both feed `_reduced_basis`.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
@@ -265,31 +293,31 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     for g in gens:
         if g.context != context:
             raise ValueError("generators live in different variable tables")
+    homogeneous = all(g.is_homogeneous() for g in gens)
     pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
     while True:
         try:
-            return _buchberger(gens, context, pk)
+            packed = sorted((pk.int_terms(g)[0] for g in gens), key=max)
+            if homogeneous:
+                elements = _gebauer_moeller(packed, pk, context.weights)
+            else:
+                elements = _signature_elements(packed, pk)
+            return _reduced_basis(elements, pk, context)
         except _Overflow:
             pk = pk.doubled()
 
 
-def _buchberger(gens, context: VarTable, pk: _Packing):
+def _gebauer_moeller(packed, pk: _Packing, weights):
+    """Minimal basis elements of a weighted-homogeneous ideal: S-pairs by
+    the weighted degree of their lcm first, pruned by the Gebauer-Moeller
+    update."""
     guard = pk.guard
     pack = pk.pack
-    if all(g.is_homogeneous() for g in gens):
-        weights = context.weights
-
-        def pair_key(L, Lp):
-            return (sum(map(mul, L, weights)), Lp)
-    else:
-        def pair_key(L, Lp):
-            return Lp
-
     lead = []      # per element: (lm, lc, terms, index)
     lms = []       # per element: its leading monomial as an exponent tuple
     alive = set()
     reducers = []  # alive + dead, sorted by lm; duplicates of `lead`
-    pairs = []     # heap of (pair_key, i, j)
+    pairs = []     # heap of ((degree, packed lcm), i, j)
     pair_live = {} # (i,j) -> (lcm monomial, packed lcm)
 
     def push_element(terms):
@@ -331,7 +359,7 @@ def _buchberger(gens, context: VarTable, pk: _Packing):
             if mono_coprime(lms[i], lm):
                 continue
             pair_live[(i, t)] = (L, Lp)
-            heappush(pairs, (pair_key(L, Lp), i, t))
+            heappush(pairs, ((sum(map(mul, L, weights)), Lp), i, t))
         for i in list(alive):
             if not (lead[i][0] - lmp) & guard:
                 alive.discard(i)
@@ -340,8 +368,7 @@ def _buchberger(gens, context: VarTable, pk: _Packing):
         alive.add(t)
         insort(reducers, entry, key=itemgetter(0))
 
-    packed = [pk.int_terms(g)[0] for g in gens]
-    for terms in sorted(packed, key=max):
+    for terms in packed:
         r = _strip(_reduce(dict(terms), reducers, guard)[0])
         if r:
             push_element(r)
@@ -356,22 +383,97 @@ def _buchberger(gens, context: VarTable, pk: _Packing):
         r = _strip(_reduce(s, reducers, guard)[0])
         if r:
             push_element(r)
+    return [lead[i][2] for i in alive]
 
-    # interreduce the minimal generators to the unique reduced basis
-    minimal = sorted(alive, key=lambda i: lead[i][0])
-    basis = {i: lead[i][2] for i in minimal}
+
+def _add_syzygy(found: list, value: int, guard: int):
+    """Keep `found` the minimal syzygy signature values of one index."""
+    if any(not (value - s) & guard for s in found):
+        return
+    found[:] = [s for s in found if (s - value) & guard]
+    found.append(value)
+
+
+def _signature_elements(packed, pk: _Packing):
+    """Basis elements of any ideal, by regular reductions in increasing
+    signature (Schreyer order), with the syzygy, rewrite and singular-pair
+    criteria of the module docstring."""
+    guard = pk.guard
+    lead = []      # per element: (lm, lc, terms, number, signature value, index)
+    lms = []       # per element: its leading monomial as an exponent tuple
+    reducers = []  # `lead` sorted by lm
+    syz = [[] for _ in packed]  # per index: minimal syzygy signature values
+    # (signature value, index, generator, other, packed lcm); generator -1
+    # is the input of that index itself.  `packed` is sorted by lm, so the
+    # list is already a heap.
+    heap = [(max(terms), i, -1, -1, 0) for i, terms in enumerate(packed)]
+    last = None
+    while heap:
+        v, i, k, j, L = heappop(heap)
+        sig = (v, i)
+        if sig == last or any(not (v - s) & guard for s in syz[i]):
+            continue
+        if any(e[5] == i and not (v - e[4]) & guard for e in lead[k + 1:]):
+            continue
+        last = sig
+        if k < 0:
+            work = dict(packed[i])
+        else:
+            work = _spoly(lead[k], lead[j], L - lead[k][0], L - lead[j][0], guard)
+        r = _strip(_reduce(work, reducers, guard, bound=sig)[0])
+        if not r:
+            _add_syzygy(syz[i], v, guard)
+            continue
+        # a singular top-reducible r is kept as an element: discarding it
+        # can lose a leading monomial of the reduced basis
+        t = len(lead)
+        lm = max(r)
+        lmt = pk.unpack(lm)
+        for h, (hm, _, _, _, hv, hi) in enumerate(lead):
+            # the Koszul syzygy r*e_h - h*e_r, then the S-pair of r and h
+            a, b = (lm + hv, hi), (hm + v, i)
+            if (a[0] | b[0]) & guard:
+                raise _Overflow
+            if a != b:
+                _add_syzygy(syz[max(a, b)[1]], max(a, b)[0], guard)
+            Lh = pk.pack(mono_lcm(lms[h], lmt))
+            a, b = (Lh - lm + v, i), (Lh - hm + hv, hi)
+            if (Lh | a[0] | b[0]) & guard:
+                raise _Overflow
+            if a > b:
+                heappush(heap, (*a, t, h, Lh))
+            elif b > a:
+                heappush(heap, (*b, h, t, Lh))
+        entry = (lm, r[lm], r, t, v, i)
+        lead.append(entry)
+        lms.append(lmt)
+        insort(reducers, entry, key=itemgetter(0))
+    return [entry[2] for entry in lead]
+
+
+def _reduced_basis(elements, pk: _Packing, context: VarTable):
+    """The unique reduced monic basis from packed elements whose leading
+    monomials generate the leading ideal: the minimal elements, each fully
+    reduced modulo the others until none changes, sorted by decreasing
+    leading monomial."""
+    guard = pk.guard
+    minimal = {}  # lm -> terms
+    for terms in sorted(elements, key=max):
+        lm = max(terms)
+        if all((lm - m) & guard for m in minimal):
+            minimal[lm] = terms
+    basis = dict(enumerate(minimal.values()))
     changed = True
     while changed:
         changed = False
-        for i in minimal:
+        for i in basis:
             others = sorted((_reducer(t, j) for j, t in basis.items() if j != i),
                             key=itemgetter(0))
             r = _strip(_reduce(dict(basis[i]), others, guard)[0])
             if r != basis[i]:
                 basis[i] = r
                 changed = True
-
-    out = sorted((basis[i] for i in minimal), key=max, reverse=True)
+    out = sorted(basis.values(), key=max, reverse=True)
     return tuple(pk.polynomial(context, terms, Fraction(1, terms[max(terms)]))
                  for terms in out)
 

@@ -317,9 +317,8 @@ REF_IDEALS = json.loads(REFS.read_text())["ideals"]
                          ids=[f"{c['name']}-{c['order']}" for c in REF_IDEALS])
 def test_buchberger_matches_the_reference_basis(case):
     # The reference bases were computed by sympy, an independent engine.
-    # Non-homogeneous input keeps smallest-lcm-first pair selection; with
-    # sugar-degree selection katsura-3 under lex took 27.5 s instead of
-    # 0.013 s.
+    # katsura and cyclic are not homogeneous, so they take the signature
+    # path; the weighted kernels take Gebauer-Moeller.
     table = VarTable(case["vars"], case["weights"])
     order = {"lex": LEX, "grevlex": GREVLEX,
              "wgrevlex": MonomialOrder.wgrevlex(table.weights)}[case["order"]]
@@ -368,3 +367,79 @@ def test_the_field_width_holds_every_exponent_and_row_value():
     # every exponent fits 32 bits, the weighted degree does not
     assert _Packing.for_input(wide, 2, [(0, 2**29)]).width == 64
     assert _Packing.for_input(wide, 2, [(0, 2**29 - 1)]).width == 32
+
+
+def test_a_singular_top_reducible_result_is_kept():
+    # discarding the result of the S-pair that is singular top-reducible
+    # returned [x1*x2^2 + x2^2, x2*x3 + 1]: x1 + 1 was never found
+    table = VarTable(["x1", "x2", "x3"])
+    gens = polys(table, "x1*x2^2*x3^2 + 1", "x2^3*x3 + x2^2")
+    assert [str(g) for g in buchberger(gens, GREVLEX)] == ["x2*x3 + 1", "x1 + 1"]
+
+
+@pytest.mark.parametrize("name, zeros, reductions", [("katsura-5", 5, 80), ("cyclic-5", 6, 100)])
+def test_signature_criteria_skip_useless_s_pairs(monkeypatch, name, zeros, reductions):
+    # Gebauer-Moeller reduces 48 of katsura-5's and 65 of cyclic-5's
+    # S-pairs to zero under grevlex, in 114 and 147 reductions; without the
+    # rewrite criterion cyclic-5 takes 135
+    from chowcheck import groebner
+    case = next(c for c in REF_IDEALS if (c["name"], c["order"]) == (name, "grevlex"))
+    table = VarTable(case["vars"], case["weights"])
+    gens = [Polynomial(table, {tuple(m): Fraction(c) for m, c in terms})
+            for terms in case["gens"]]
+    assert not all(g.is_homogeneous() for g in gens)
+    remainders = []
+    reduce = groebner._reduce
+
+    def spy(*args, **kwargs):
+        out = reduce(*args, **kwargs)
+        remainders.append(out[0])
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    assert len(buchberger(gens, GREVLEX)) == len(case["gb"])
+    assert sum(not r for r in remainders) <= zeros
+    assert len(remainders) <= reductions
+
+
+def test_a_koszul_signature_past_the_field_width_redoes_the_call(monkeypatch):
+    # the inputs fit 32-bit fields; lm(g) * sig(h) for the two elements
+    # x^1200000000 - y and y^2 - 1 has degree 2400000001, which does not
+    from chowcheck import groebner
+    widths = []
+    doubled = groebner._Packing.doubled
+
+    def spy(self):
+        widths.append(self.width)
+        return doubled(self)
+
+    monkeypatch.setattr(groebner._Packing, "doubled", spy)
+    table = VarTable(["x", "y"])
+    gens = polys(table, "x^1200000000 - y", "x^1200000000*y - 1")
+    assert [str(g) for g in buchberger(gens, GREVLEX)] == ["x^1200000000 - y", "y^2 - 1"]
+    assert widths == [32]
+
+
+def test_a_small_non_homogeneous_kernel_finishes_and_matches_sympy():
+    # Gebauer-Moeller with smallest-lcm-first pairs ran past 10 s on this
+    # graph; sympy's lex elimination of the same graph is the reference
+    sympy = pytest.importorskip("sympy")
+    source = VarTable(["b", "x"], [2, 2])
+    target = VarTable(["x", "y", "z"], [1, 2, 2])
+    images = {"b": "13/2*x*y^2*z^2 - 15/2*x^2*z^2 - 38/5*y*z^2", "x": "-4*y"}
+    relations = ["2*x^2*y^2*z^2 - 7/2*x^2*y*z - 5*y*z", "25/6*x^2*z^2 - 9/4*y"]
+    t0 = perf_counter()
+    kernel = map_kernel(source, {n: parse_polynomial(t, target) for n, t in images.items()},
+                        target, Ideal(target, polys(target, *relations)))
+    assert perf_counter() - t0 < 2.0
+
+    t = sympy.symbols("t0 t1 t2")
+    b, x = sympy.symbols("b x")
+    on_t = dict(zip(target.names, t))
+    graph = [sympy.sympify(r.replace("^", "**"), locals=on_t) for r in relations]
+    graph += [sympy.Symbol(n) - sympy.sympify(f.replace("^", "**"), locals=on_t)
+              for n, f in images.items()]
+    full = sympy.groebner(graph, *t, b, x, order="lex")
+    expected = [g for g in full.exprs if not g.free_symbols & set(t)]
+    ours = [sympy.sympify(str(g).replace("^", "**")) for g in kernel.gens]
+    assert list(sympy.groebner(ours, b, x, order="lex").exprs) == expected
