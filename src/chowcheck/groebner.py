@@ -18,9 +18,9 @@ the same index and a signature that divides the pair's (the rewrite
 criterion, "add" order); and two equal sides (a singular pair).  A result
 that is singular top-reducible is kept as an element, not discarded: on
 (x1*x2^2*x3^2 + 1, x2^3*x3 + x2^2) under grevlex, discarding it loses the
-leading monomial x1 of the basis.  Both paths end in one interreduction,
-so the answer is the unique reduced monic basis per (ideal, order), cached
-write-once on the Ideal object.
+leading monomial x1 of the basis.  Both paths end in one interreduction
+pass, so the answer is the unique reduced monic basis per (ideal, order),
+cached write-once on the Ideal object.
 
 Inside the kernel a monomial is one int (the packed exponent vectors of
 Monagan-Pearce, CASC 2007).  Fixed-width fields hold, most significant
@@ -30,18 +30,20 @@ monomial order, and b divides a exactly when `(a - b) & guard == 0`.  The
 width is picked from the input so that every row value and exponent fits
 below its guard; a product that sets a guard bit mid-run makes the whole
 call start again at double width, so the width never changes an answer.
-Polynomials are packed once on entry and unpacked once on exit.
+Polynomials are packed once on entry; a basis is unpacked when read.
 
 There is one reduction loop, `_reduce`: fraction-free, on primitive integer
 coefficient dicts over packed monomials, with optional quotients.
 Both Buchberger paths reduce S-polynomials with it (the signature path
-with a signature bound) and build reduced monic bases only at the end;
-`reduce_full` clears the denominators of its input, runs the same loop
-and scales the remainder and quotients back to exact rationals.  An Ideal
-keeps its basis packed (`Ideal.reducers`) next to the basis itself, so
-normal forms modulo one ideal pack it once; callers that keep their own
-rows packed (`pair_image_rank`, `minimal_generators`) run `_reduce` or
-build rows on the same entry.
+with a signature bound), and one pass of it by increasing leading monomial
+interreduces their result; `reduce_full` clears the denominators of its
+input, runs the same loop and scales the remainder and quotients back to
+exact rationals.  The reduced basis leaves `buchberger` as the primitive
+integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
+object per order: normal forms reduce with it as it is, and its monic
+polynomials are built only when a caller reads the basis.  Callers that
+keep their own rows packed (`pair_image_rank`, `minimal_generators`) run
+`_reduce` or build rows on the same entries (`Ideal.reducers`).
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -284,7 +286,8 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced monic Groebner basis, sorted by decreasing leading monomial.
 
     Weighted-homogeneous input runs `_gebauer_moeller`, any other input
-    `_signature_elements`; both feed `_reduced_basis`.
+    `_signature_elements`; both feed `_reduced_basis`, whose packed
+    `_Reducers` is the answer (`()` when no generator is nonzero).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -451,71 +454,92 @@ def _signature_elements(packed, pk: _Packing):
     return [entry[2] for entry in lead]
 
 
-def _reduced_basis(elements, pk: _Packing, context: VarTable):
-    """The unique reduced monic basis from packed elements whose leading
-    monomials generate the leading ideal: the minimal elements, each fully
-    reduced modulo the others until none changes, sorted by decreasing
-    leading monomial."""
+def _reduced_basis(elements, pk: _Packing, context: VarTable) -> "_Reducers":
+    """The unique reduced monic basis, still packed, from elements whose
+    leading monomials generate the leading ideal: one pass by increasing
+    leading monomial keeps the minimal elements and reduces each modulo
+    those kept before it.  That is enough, since a reducer divides a term
+    only when its leading monomial is not larger than the term: only the
+    earlier elements can reduce a tail, and reducing it changes none."""
     guard = pk.guard
-    minimal = {}  # lm -> terms
+    done = []  # (lm, lc, terms) by increasing lm; no index, no quotients
     for terms in sorted(elements, key=max):
         lm = max(terms)
-        if all((lm - m) & guard for m in minimal):
-            minimal[lm] = terms
-    basis = dict(enumerate(minimal.values()))
-    changed = True
-    while changed:
-        changed = False
-        for i in basis:
-            others = sorted((_reducer(t, j) for j, t in basis.items() if j != i),
-                            key=itemgetter(0))
-            r = _strip(_reduce(dict(basis[i]), others, guard)[0])
-            if r != basis[i]:
-                basis[i] = r
-                changed = True
-    out = sorted(basis.values(), key=max, reverse=True)
-    return tuple(pk.polynomial(context, terms, Fraction(1, terms[max(terms)]))
-                 for terms in out)
+        if all((lm - e[0]) & guard for e in done):
+            r = _strip(_reduce(dict(terms), done, guard)[0])
+            done.append((lm, r[lm], r))
+    n = len(done)
+    return _Reducers(pk, [(*e, n - 1 - p) for p, e in enumerate(done)],
+                     [e[1] for e in reversed(done)], context)
 
 
 # ---------------------------------------------------------------------------
 # reduction with exact coefficients
 
 class _Reducers:
-    """A basis packed once for `_reduce`: its reducers sorted by leading
-    monomial and the lift of each element (see `_Packing.int_terms`)."""
+    """A basis packed for `_reduce`, read as the tuple of its polynomials.
 
-    __slots__ = ("basis", "packing", "entries", "lifts")
+    `entries` are its reducers (lm, lc, terms, i) sorted by lm, i the place
+    in the basis, and terms == lifts[i] * basis[i] (`_Packing.int_terms`).
+    `buchberger` returns its reduced basis in this form, the lifts being the
+    leading coefficients, and the monic polynomials are built on first
+    read; `len` reads the lifts."""
 
-    def __init__(self, basis, packing: _Packing):
-        self.basis = tuple(basis)
+    __slots__ = ("packing", "entries", "lifts", "context", "_basis")
+
+    def __init__(self, packing: _Packing, entries, lifts, context, basis=None):
         self.packing = packing
-        self.entries = []
-        self.lifts = []
-        for i, g in enumerate(self.basis):
-            terms, lift = packing.int_terms(g)
-            self.lifts.append(lift)
-            if terms:
-                self.entries.append(_reducer(terms, i))
-        self.entries.sort(key=itemgetter(0))
+        self.entries = entries
+        self.lifts = lifts
+        self.context = context
+        self._basis = basis
 
     @staticmethod
     def of(basis, order: MonomialOrder, n: int) -> "_Reducers":
         basis = tuple(basis)
-        return _Reducers(basis, _Packing.for_input(
-            order, n, (m for g in basis for m in g.terms)))
+        pk = _Packing.for_input(order, n, (m for g in basis for m in g.terms))
+        packed = [pk.int_terms(g) for g in basis]
+        entries = sorted((_reducer(terms, i) for i, (terms, _) in enumerate(packed) if terms),
+                         key=itemgetter(0))
+        return _Reducers(pk, entries, [lift for _, lift in packed], None, basis)
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            poly = self.packing.polynomial
+            self._basis = tuple(poly(self.context, e[2], Fraction(1, e[1]))
+                                for e in reversed(self.entries))
+        return self._basis
+
+    def __len__(self):
+        return len(self.lifts)
+
+    def __iter__(self):
+        return iter(self.basis)
+
+    def __getitem__(self, i):
+        return self.basis[i]
+
+    def __eq__(self, other):
+        other = other.basis if isinstance(other, _Reducers) else other
+        return self.basis == other if isinstance(other, tuple) else NotImplemented
 
     def doubled(self) -> "_Reducers":
-        """The same basis packed again at double width (a new object)."""
-        return _Reducers(self.basis, self.packing.doubled())
+        """The same basis at double width (a new object), its packed terms
+        moved over: the wider packing orders them alike."""
+        pk = self.packing.doubled()
+        pack, unpack = pk.pack, self.packing.unpack
+        entries = [(pack(unpack(lm)), lc, {pack(unpack(m)): c for m, c in terms.items()}, i)
+                   for lm, lc, terms, i in self.entries]
+        return _Reducers(pk, entries, self.lifts, self.context, self._basis)
 
     def fitting(self, monos) -> "_Reducers":
         """Self, or the basis packed again wide enough that the collection
         `monos` fits too."""
-        pk = self.packing
-        while not pk.fits(monos):
-            pk = pk.doubled()
-        return self if pk is self.packing else _Reducers(self.basis, pk)
+        red = self
+        while not red.packing.fits(monos):
+            red = red.doubled()
+        return red
 
 
 def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quotients=False):
@@ -533,7 +557,7 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quoti
     while True:
         pk = red.packing
         work, lift = pk.int_terms(f)
-        quotients = [{} for _ in red.basis] if with_quotients else None
+        quotients = [{} for _ in range(len(red))] if with_quotients else None
         try:
             rem, scale = _reduce(work, red.entries, pk.guard, quotients)
             break
@@ -562,7 +586,7 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
 class Ideal:
     """Finitely generated ideal in Q[context] with cached reduced bases."""
 
-    __slots__ = ("context", "gens", "_gb", "_reducers")
+    __slots__ = ("context", "gens", "_gb")
 
     def __init__(self, context: VarTable, gens):
         self.context = context
@@ -576,33 +600,27 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = {}
-        self._reducers = {}
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inside})"
 
-    def groebner(self, order: MonomialOrder = GREVLEX):
-        """Reduced monic basis; cached write-once per order."""
+    def groebner(self, order: MonomialOrder = GREVLEX) -> _Reducers:
+        """Reduced monic basis, cached write-once per order as `buchberger`
+        packed it; its polynomials are built only when read.  Callers that
+        need a wider packing make a new one (`fitting`, `doubled`)."""
         cached = self._gb.get(order.tag)
         if cached is None:
-            cached = buchberger(self.gens, order)
-            self._gb[order.tag] = cached
+            # no generators, no basis: the packing then comes from the table
+            cached = self._gb[order.tag] = (buchberger(self.gens, order)
+                                            or _Reducers.of((), order, len(self.context)))
         return cached
 
-    def reducers(self, order: MonomialOrder = GREVLEX) -> _Reducers:
-        """The reduced basis packed for `_reduce`; built once per order and
-        kept write-once next to the basis.  Callers that need a wider
-        packing make a new one (`_Reducers.fitting`, `doubled`)."""
-        reducers = self._reducers.get(order.tag)
-        if reducers is None:
-            reducers = _Reducers.of(self.groebner(order), order, len(self.context))
-            self._reducers[order.tag] = reducers
-        return reducers
+    reducers = groebner  # read as packed reducers
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
-        """Remainder modulo the reduced basis, via `reduce_full` on the
-        packed basis of `reducers`."""
+        """Remainder modulo the reduced basis, via `reduce_full` on its
+        packed entries."""
         return reduce_full(f, self.reducers(order), order, with_quotients)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
@@ -876,23 +894,19 @@ def standard_monomials(I: Ideal, degree: int, order: MonomialOrder = GREVLEX):
     if not w or degree < 0:
         return [()] if degree == 0 else []
     *walked, last = sorted(range(len(w)), key=lambda i: -w[i])
-    exps = [0] * len(w)
     out = []
-
-    def walk(k, remaining):
-        if k == len(walked):
-            exps[last], rest = divmod(remaining, w[last])
-            if not rest:
-                m = tuple(exps)
-                if not any(mono_div(m, lm) is not None for lm in lms):
-                    out.append(m)
-            return
-        i = walked[k]
-        for e in range(remaining // w[i] + 1):
-            exps[i] = e
-            walk(k + 1, remaining - e * w[i])
-
-    walk(0, degree)
+    stack = [(0, degree, (0,) * len(w))]  # (variables walked, degree left, exponents)
+    while stack:
+        k, remaining, exps = stack.pop()
+        if k < len(walked):
+            i = walked[k]
+            stack.extend((k + 1, remaining - e * w[i], exps[:i] + (e,) + exps[i + 1:])
+                         for e in range(remaining // w[i] + 1))
+            continue
+        e, rest = divmod(remaining, w[last])
+        m = exps[:last] + (e,) + exps[last + 1:]
+        if not rest and not any(mono_div(m, lm) is not None for lm in lms):
+            out.append(m)
     out.sort(key=order.key, reverse=True)
     return out
 

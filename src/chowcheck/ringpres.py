@@ -219,6 +219,16 @@ def _times(f: dict, g: dict, guard: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _image(m: tuple, raw: dict, gens, ga: int, gc: int) -> tuple:
+    """raw[m] = raw[m / x_i] * gen_i, x_i the last variable of m, on demand."""
+    got = raw.get(m)
+    if got is None:
+        i = max(j for j, e in enumerate(m) if e)
+        a, c = _image(m[:i] + (m[i] - 1,) + m[i + 1:], raw, gens, ga, gc)
+        got = raw[m] = (_times(a, gens[i][0], ga), _times(c, gens[i][1], gc))
+    return got
+
+
 def _pair_ranks(table, maps, lifts, reds, degrees) -> list:
     red_a, red_c = reds
     ea, ga = red_a.entries, red_a.packing.guard
@@ -228,22 +238,13 @@ def _pair_ranks(table, maps, lifts, reds, degrees) -> list:
                   for f, red in zip(maps, reds))
             for n, lift in zip(table.names, lifts)]
     raw = {(0,) * len(table): ({0: 1}, {0: 1})}
-
-    def image(m):
-        got = raw.get(m)
-        if got is None:
-            i = max(j for j, e in enumerate(m) if e)
-            a, c = image(m[:i] + (m[i] - 1,) + m[i + 1:])
-            got = raw[m] = (_times(a, gens[i][0], ga), _times(c, gens[i][1], gc))
-        return got
-
     free = Ideal(table, ())
     order = MonomialOrder.wgrevlex(table.weights)
     ranks = []
     for d in degrees:
         echelon = SparseEchelon()
         for m in standard_monomials(free, d, order):
-            a, c = image(m)
+            a, c = _image(m, raw, gens, ga, gc)
             rem_a, s_a = _reduce(dict(a), ea, ga)
             rem_c, s_c = _reduce(dict(c), ec, gc)
             g = math.gcd(s_a, s_c)

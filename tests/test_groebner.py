@@ -443,3 +443,76 @@ def test_a_small_non_homogeneous_kernel_finishes_and_matches_sympy():
     expected = [g for g in full.exprs if not g.free_symbols & set(t)]
     ours = [sympy.sympify(str(g).replace("^", "**")) for g in kernel.gens]
     assert list(sympy.groebner(ours, b, x, order="lex").exprs) == expected
+
+
+def reference_gens(name):
+    """The generators of one grevlex reference ideal, as listed."""
+    case = next(c for c in REF_IDEALS if (c["name"], c["order"]) == (name, "grevlex"))
+    table = VarTable(case["vars"], case["weights"])
+    return [Polynomial(table, {tuple(m): Fraction(c) for m, c in terms})
+            for terms in case["gens"]]
+
+
+@pytest.mark.parametrize("name, size", [("katsura-5", 22), ("cyclic-5", 20)])
+def test_the_final_interreduction_is_one_pass(monkeypatch, name, size):
+    # only an element with a smaller leading monomial can reduce a tail, so
+    # one pass by increasing leading monomial reduces each element once; a
+    # loop until nothing changes makes a second, confirming round (44, 40)
+    from chowcheck import groebner
+    unbounded = []
+    reduce = groebner._reduce
+
+    def spy(*args, bound=None, **kwargs):
+        unbounded.append(bound is None)
+        return reduce(*args, bound=bound, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    assert len(buchberger(reference_gens(name), GREVLEX)) == size
+    assert sum(unbounded) == size
+
+
+def test_member_and_normal_form_reduce_with_the_basis_buchberger_packed(monkeypatch):
+    # the basis stays packed from buchberger to the normal form: nothing is
+    # packed again, and only the remainder is unpacked
+    from chowcheck import groebner
+    gens = reference_gens("katsura-5")
+    x = Polynomial.variable(gens[0].context, gens[0].context.names[0])
+    calls = {"of": 0, "polynomial": 0}
+    of, polynomial = groebner._Reducers.of, groebner._Packing.polynomial
+
+    def counting_of(*args):
+        calls["of"] += 1
+        return of(*args)
+
+    def counting_polynomial(self, *args):
+        calls["polynomial"] += 1
+        return polynomial(self, *args)
+
+    monkeypatch.setattr(groebner._Reducers, "of", staticmethod(counting_of))
+    monkeypatch.setattr(groebner._Packing, "polynomial", counting_polynomial)
+    I = Ideal(gens[0].context, gens)
+    assert I.member(gens[0] * gens[1] - x * gens[2])
+    assert calls["of"] == 0 and calls["polynomial"] <= 1
+    calls["polynomial"] = 0
+    assert not I.normal_form(x * gens[1] + x).is_zero()
+    assert calls["of"] == 0 and calls["polynomial"] <= 1
+    assert I.groebner(GREVLEX) == buchberger(gens, GREVLEX)
+
+
+def test_an_ideal_computes_its_basis_through_buchberger_once_per_order(monkeypatch):
+    from chowcheck import groebner
+    runs = []
+    real = groebner.buchberger
+
+    def counting(gens, order=groebner.GREVLEX):
+        runs.append(order.tag)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    table = VarTable(["x", "y"])
+    I = Ideal(table, polys(table, "x^2 - y", "x*y - 1"))
+    f = parse_polynomial("x^3*y - x + y^2", table)
+    I.groebner(GREVLEX)
+    I.member(f, GREVLEX)
+    I.normal_form(f, GREVLEX)
+    assert runs == [GREVLEX.tag]

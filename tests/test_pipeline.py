@@ -10,6 +10,7 @@ import json
 import re
 import shutil
 import sys
+import types
 import weakref
 from collections import Counter
 from importlib import resources
@@ -613,6 +614,28 @@ def test_verify_paper_leaves_no_stratum_to_the_cycle_collector(monkeypatch):
         if enabled:
             gc.enable()
     assert strata and alive == 0
+
+
+def test_verify_paper_leaves_no_chowcheck_function_to_the_cycle_collector():
+    """A recursive closure sits in a cycle with its own cell; the walks of
+    standard_monomials and pair_image_rank use none, so one verify_paper
+    leaves the cycle collector no function defined in chowcheck."""
+    verify_paper()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        verify_paper()
+        gc.collect()
+        functions = [o.__qualname__ for o in gc.garbage if isinstance(o, types.FunctionType)
+                     and (o.__module__ or "").startswith("chowcheck")]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        if enabled:
+            gc.enable()
+    assert functions == []
 
 
 def test_identity_sweep_builds_no_stratum_ring(monkeypatch):
