@@ -36,6 +36,7 @@ import re
 from collections import Counter
 from copy import copy
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -47,7 +48,6 @@ from .groebner import (
     Subalgebra,
     _Overflow,
     ideal_equal,
-    intersect,
     is_nonzerodivisor,
     map_kernel,
     standard_monomials,
@@ -57,12 +57,13 @@ from .groebner import (
 from .exprparser import (
     Document,
     ParseError,
+    doc_polynomials,
+    doc_vars,
     parse_document,
     parse_group,
     parse_name_weight,
     parse_polynomial,
     parse_rational,
-    parse_vartable,
     split_list,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
@@ -72,6 +73,7 @@ from .ringpres import (
     Presentation,
     PresentationError,
     apply_quotient,
+    fiber_product,
     graded_surjectivity,
 )
 
@@ -117,18 +119,6 @@ def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None):
     reads = tuple((name, env[name]) for name in _NAME_RE.findall(text) if name in env)
     return _once(built, ("parse", text, table, tuple(functions or ()), reads),
                  lambda: parse_polynomial(text, table, env, functions))
-
-
-class _built_once:
-    """A read-only attribute built on first read and kept, by `_once`."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        return _once(obj._lazy, self.build.__name__, lambda: self.build(obj))
 
 
 class SignConvention:
@@ -197,7 +187,7 @@ class StratumSpec:
         if doc.kind != "stratum":
             raise PipelineError("expected a stratum document")
         self.label = doc.single("label").value
-        self.table = parse_vartable(doc.section("vars", required=True))
+        self.table = doc_vars(doc)
         self.group_specs = parse_group(doc.section("group", required=True))
         self.defs = [(e.key, e.value) for e in (doc.section("defs") or [])]
         self.ring = []
@@ -239,15 +229,17 @@ class StratumSpec:
 class Stratum:
     """A stratum spec materialised under one sign convention.
 
-    The forms and their invariance checks are built at once; the ring
-    presentation, the coordinate subalgebra, the restriction coordinates
-    and the gluing pairs on first read, each at most once.  The first three
-    read only forms, so they are kept in the spec's `algebra` memo, keyed
-    by those forms (the spec fixes the label, ring names and weights), and
-    strata whose forms agree share them whatever their signs.  The memo
-    also keeps every text a stratum of the spec parses (`_parsed`) and
-    every form that passed its invariance check; a failing form is
-    checked again, and fails, in each stratum that reads it.
+    The forms and their weight and invariance checks are built at once; the
+    ring presentation, the coordinate subalgebra, the restriction
+    coordinates and the gluing pairs on first read, each kept once built (a
+    failed one is tried again on the next read, and the memos under it
+    raise the errors they kept).  The first three read only forms, so they
+    are kept in the spec's `algebra` memo, keyed by those forms (the spec
+    fixes the label, ring names and weights), and strata whose forms agree
+    share them whatever their signs.  The memo also keeps every text a
+    stratum of the spec parses (`_parsed`) and every form that passed its
+    invariance check; a failing form is checked again, and fails, in each
+    stratum that reads it.
     """
 
     def __init__(self, spec: StratumSpec, convention: SignConvention):
@@ -255,7 +247,6 @@ class Stratum:
         self.convention = convention
         self.label = spec.label
         self.table = spec.table
-        self._lazy = {}
         self.action = _once(spec.algebra, ("action",), lambda:
                             GroupAction(spec.table, spec.group_specs))
         self.functions = {"transfer": self.action.transfer,
@@ -265,10 +256,13 @@ class Stratum:
             env[name] = _parsed(spec.algebra, text, self.table, env, self.functions)
         self.env = env
         self.ring_names = [n for n, _, _ in spec.ring]
-        self.ring_weights = [w for _, w, _ in spec.ring]
         self.ring_forms = [self._psi(text) for _, _, text in spec.ring]
-        for name, form in zip(self.ring_names, self.ring_forms):
+        for (name, weight, _), form in zip(spec.ring, self.ring_forms):
             self._require_invariant(f"ring coordinate {name}", form)
+            if form.weighted_degree() != weight:
+                raise PipelineError(
+                    f"{self.label}: ring coordinate {name} is declared of weight "
+                    f"{weight}, but its form has degree {form.weighted_degree()}")
         self.top_form = self._psi(spec.top)
         self._require_invariant("top Chern form", self.top_form)
         self.restrictions = {}
@@ -277,30 +271,30 @@ class Stratum:
             self._require_invariant(f"restriction of {tag}", form)
             self.restrictions[tag] = form
 
-    @_built_once
+    @cached_property
     def ring(self) -> Presentation:
         return _once(self.spec.algebra, ("ring", *self.ring_forms), lambda:
                      invariant_presentation(self.action, generators=self._coordinates))
 
-    @_built_once
+    @cached_property
     def _coordinates(self) -> Subalgebra:
         """The ring coordinates as one Subalgebra: `ring` presents it and
         `coordinates_of` reads the same basis."""
         return _once(self.spec.algebra, ("coordinates", *self.ring_forms), lambda:
                      Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms))))
 
-    @_built_once
+    @cached_property
     def restriction_coords(self) -> dict:
         key = ("restrict", *self.ring_forms, *self.restrictions.values())
         return _once(self.spec.algebra, key, lambda: {
             tag: self.coordinates_of(form) for tag, form in self.restrictions.items()})
 
-    @_built_once
+    @cached_property
     def top_coords(self) -> Polynomial:
         """The top Chern class in the ring coordinates."""
         return self.coordinates_of(self.top_form)
 
-    @_built_once
+    @cached_property
     def pair_overrides(self) -> dict:
         pair_env = dict(self.convention.values)
         pair_env.update(self.restriction_coords)
@@ -338,9 +332,8 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
     doc = parse_document(_data_text(name, root))
     if doc.kind != "presentation":
         raise PipelineError("expected a presentation document")
-    table = parse_vartable(doc.section("vars", required=True))
-    rels = [parse_polynomial(e.value, table) for e in (doc.section("relations") or [])]
-    return Presentation(table, rels)
+    table = doc_vars(doc)
+    return Presentation(table, doc_polynomials(doc, "relations", table))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +418,7 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     phi_images = {n: p(alpha_images[n]) for n in prev.table.names}
     Morphism(prev, B, phi_images)
 
-    ker_alpha = alpha.kernel()
-    ker_beta = beta.kernel()
-    fiber = Presentation(tags, intersect(ker_alpha, ker_beta).gens)
+    fiber, ker_alpha, ker_beta = fiber_product(alpha, beta)
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
     # the gluing square with a non-zero-divisor top class of degree c gives
     # HS(result) = HS(prev) + t^c HS(A), degree by degree
@@ -576,10 +567,10 @@ def minimal_generators(pres: Presentation) -> list:
     it lies in the Q-span of m*s over the kept elements s and the monomials
     m of degree d - deg s; one echelon per degree decides that.  The rows
     are the packed integer terms the relation ideal keeps for normal forms
-    (`Ideal.reducers`), shifted by packed monomials; a shift that sets a
+    (`Ideal.groebner`), shifted by packed monomials; a shift that sets a
     guard bit redoes the call at double width.
     """
-    red = pres.relations.reducers(pres.order)
+    red = pres.relations.groebner(pres.order)
     while True:
         try:
             return _minimal_generators(pres, red)
@@ -661,6 +652,13 @@ def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
     return [Claim(entries) for entries in doc.all_sections("claim")]
 
 
+def _membership_gaps(computed: Ideal, stated: Ideal, order) -> tuple:
+    """The texts of the elements of the reduced basis of `computed` outside
+    `stated`, and of the generators of `stated` outside `computed`."""
+    return ([str(g) for g in computed.groebner(order) if not stated.member(g, order)],
+            [str(g) for g in stated.gens if not computed.member(g, order)])
+
+
 class ClaimRunner:
     """Evaluate claims against an `Artifacts` store.
 
@@ -687,6 +685,16 @@ class ClaimRunner:
         stratum = self.artifacts.stratum(label)
         return _parsed(stratum.spec.algebra, text, stratum.table,
                        self.claim_env(stratum), stratum.functions)
+
+    def where(self, claim) -> tuple:
+        """The stratum the claim's `where:` names, and `psi` on it."""
+        label = claim.get("where")
+        return self.artifacts.stratum(label), lambda text: self.psi(label, text)
+
+    @staticmethod
+    def count(claim, got: int) -> tuple:
+        """The verdict that `got` is the claim's `value:`, showing `got`."""
+        return got == claim.get_int("value"), {"computed": got}
 
     def space(self, name: str) -> Presentation:
         if name == "final":
@@ -735,10 +743,8 @@ class ClaimRunner:
         return row
 
     def kind_identity(self, claim):
-        label = claim.get("where")
-        lhs = self.psi(label, claim.get("lhs"))
-        rhs = self.psi(label, claim.get("rhs"))
-        return lhs == rhs, None
+        _, psi = self.where(claim)
+        return psi(claim.get("lhs")) == psi(claim.get("rhs")), None
 
     def kind_member(self, claim):
         pres = self.space(claim.get("space"))
@@ -749,25 +755,19 @@ class ClaimRunner:
         pres = self.space(claim.get("space"))
         rhs_texts = split_list(claim.get("rhs", ""))
         rhs = Ideal(pres.table, [self.parse_in(pres, t) for t in rhs_texts])
-        same = ideal_equal(pres.relations, rhs, pres.order)
-        detail = None
-        if not same:
-            missing = [str(g) for g in pres.relations.groebner(pres.order)
-                       if not rhs.member(g, pres.order)]
-            extra = [str(g) for g in rhs.gens
-                     if not pres.relations.member(g, pres.order)]
-            detail = {"computed_not_in_stated": missing,
-                      "stated_not_in_computed": extra}
-        return same, detail
+        if ideal_equal(pres.relations, rhs, pres.order):
+            return True, None
+        missing, extra = _membership_gaps(pres.relations, rhs, pres.order)
+        return False, {"computed_not_in_stated": missing,
+                       "stated_not_in_computed": extra}
 
     def _claim_tables(self, claim):
         """The source table, the target table and a parser into the target."""
         svars = [parse_name_weight(t) for t in split_list(claim.get("vars"))]
         source = VarTable([n for n, _ in svars], [w for _, w in svars])
-        where = claim.get("where", None)
-        if where:
-            stratum = self.artifacts.stratum(where)
-            return source, stratum.table, lambda text: self.psi(where, text)
+        if claim.get("where", None):
+            stratum, psi = self.where(claim)
+            return source, stratum.table, psi
         tvars = [parse_name_weight(t) for t in split_list(claim.get("tvars"))]
         target = VarTable([n for n, _ in tvars], [w for _, w in tvars])
         return source, target, lambda text: _parsed(
@@ -796,9 +796,8 @@ class ClaimRunner:
         return ideal_equal(kernel, rhs, order), None
 
     def kind_evaluate(self, claim):
-        label = claim.get("where")
-        stratum = self.artifacts.stratum(label)
-        f = self.psi(label, claim.get("expr"))
+        stratum, psi = self.where(claim)
+        f = psi(claim.get("expr"))
         point = {}
         for item in split_list(claim.get("point")):
             if "=" not in item:
@@ -815,20 +814,18 @@ class ClaimRunner:
         return got.is_constant() and got.constant_value() == want, str(got)
 
     def kind_zero_dim(self, claim):
-        label = claim.get("where")
-        gens = [self.psi(label, t) for t in split_list(claim.get("gens"))]
-        table = self.artifacts.stratum(label).table
-        finite, count = zero_dimensional(Ideal(table, gens))
+        stratum, psi = self.where(claim)
+        gens = [psi(t) for t in split_list(claim.get("gens"))]
+        finite, count = zero_dimensional(Ideal(stratum.table, gens))
         want = claim.get_int("count")
         return finite and count == want, {"finite": finite, "count": count}
 
     def kind_pair_display(self, claim):
-        label = claim.get("where")
-        stratum = self.artifacts.stratum(label)
-        shown = self.psi(label, claim.get("a_side"))
+        stratum, psi = self.where(claim)
+        shown = psi(claim.get("a_side"))
         tag = claim.get("tag")
         if tag not in stratum.restrictions:
-            raise PipelineError(f"{label} gives no restriction for {tag}")
+            raise PipelineError(f"{stratum.label} gives no restriction for {tag}")
         true_form = stratum.restrictions[tag]
         if claim.get("mode", "exact") == "bottom":
             diff = shown - true_form
@@ -858,29 +855,21 @@ class ClaimRunner:
 
     def kind_dimension(self, claim):
         pres = self.space(claim.get("space"))
-        degree = claim.get_int("degree")
-        want = claim.get_int("value")
-        got = pres.dim(degree)
-        return got == want, {"computed": got}
+        return self.count(claim, pres.dim(claim.get_int("degree")))
 
     def kind_nzd(self, claim):
-        label = claim.get("where")
-        stratum = self.artifacts.stratum(label)
+        stratum, _ = self.where(claim)
         f = self.parse_in(stratum.ring, claim.get("expr"))
         return is_nonzerodivisor(f, stratum.ring.relations), None
 
     def kind_generator_count(self, claim):
-        final = self.artifacts.final
-        want = claim.get_int("value")
-        return len(final.table) == want, {"computed": len(final.table)}
+        return self.count(claim, len(self.artifacts.final.table))
 
     def kind_minimal_relation_count(self, claim):
-        minimal = self.artifacts.minimal
-        want = claim.get_int("value")
-        detail = {"computed": len(minimal)}
+        passed, detail = self.count(claim, len(self.artifacts.minimal))
         if claim.get("corrected", None) is not None:
-            detail["corrected_ok"] = len(minimal) == claim.get_int("corrected")
-        return len(minimal) == want, detail
+            detail["corrected_ok"] = detail["computed"] == claim.get_int("corrected")
+        return passed, detail
 
     def kind_free_ring(self, claim):
         pres = self.space(claim.get("space"))
@@ -1007,11 +996,8 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
                 else entry["corrected"])
         if text is not None:
             stated.append(runner.parse_in(final, text))
-    stated_ideal = Ideal(final.table, stated)
-    gap = [str(g) for g in reduced
-           if not stated_ideal.member(g, final.order)]
-    extra = [str(g) for g in stated
-             if not final.relations.member(g, final.order)]
+    gap, extra = _membership_gaps(final.relations, Ideal(final.table, stated),
+                                  final.order)
     timing["analysis_s"] = round(perf_counter() - t2, 3)
 
     t3 = perf_counter()

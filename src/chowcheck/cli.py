@@ -26,10 +26,11 @@ from .chowpipeline import (
 )
 from .exprparser import (
     ParseError,
+    doc_polynomials,
+    doc_vars,
     parse_document,
     parse_group,
     parse_polynomial,
-    parse_rational,
     parse_vartable,
 )
 from .groebner import (
@@ -71,43 +72,17 @@ def _read_document(path: str, kinds):
     return doc
 
 
-def _doc_vars(doc) -> VarTable:
-    """[vars] with optional per-name overrides from a [weights] section."""
-    table = parse_vartable(doc.section("vars", required=True))
-    weight_entries = doc.section("weights")
-    if not weight_entries:
-        return table
-    weights = list(table.weights)
-    for entry in weight_entries:
-        if entry.key is None:
-            raise ParseError("entries in [weights] must look like `name: weight`",
-                             entry.line)
-        value = parse_rational(entry.value, entry.line)
-        if value.denominator != 1 or value <= 0:
-            raise ParseError(f"weight of {entry.key} must be a positive integer",
-                             entry.line)
-        weights[table.index(entry.key)] = int(value)
-    return VarTable(table.names, weights)
-
-
-def _doc_polynomials(doc, section: str, table: VarTable):
-    out = []
-    for entry in doc.section(section) or []:
-        out.append(parse_polynomial(entry.value, table, line=entry.line))
-    return out
-
-
 def _load_ideal(path: str):
     """An ideal (or presentation) document: [vars] plus [relations]."""
     doc = _read_document(path, ("ideal", "presentation"))
-    table = _doc_vars(doc)
-    return table, Ideal(table, _doc_polynomials(doc, "relations", table))
+    table = doc_vars(doc)
+    return table, Ideal(table, doc_polynomials(doc, "relations", table))
 
 
 def _load_presentation(path: str) -> Presentation:
     doc = _read_document(path, ("presentation", "ideal"))
-    table = _doc_vars(doc)
-    return Presentation(table, _doc_polynomials(doc, "relations", table))
+    table = doc_vars(doc)
+    return Presentation(table, doc_polynomials(doc, "relations", table))
 
 
 def _load_morphism(path: str):
@@ -133,14 +108,14 @@ def _load_morphism(path: str):
     missing = [name for name in source.names if name not in images]
     if missing:
         raise ParseError(f"[images] is missing: {', '.join(missing)}")
-    relations = _doc_polynomials(doc, "relations", target)
+    relations = doc_polynomials(doc, "relations", target)
     return source, target, images, relations
 
 
 def _load_action(path: str):
     """A group action: [vars] plus [group]; stratum files work unchanged."""
     doc = _read_document(path, ("action", "stratum"))
-    table = _doc_vars(doc)
+    table = doc_vars(doc)
     return table, GroupAction(table, parse_group(doc.section("group", required=True)))
 
 
@@ -285,7 +260,7 @@ def cmd_fiber(args):
     source = Presentation(a_source)
     alpha = Morphism(source, Presentation(a_target, a_relations), a_images)
     beta = Morphism(source, Presentation(b_target, b_relations), b_images)
-    return _presentation_text(fiber_product(alpha, beta)), 0
+    return _presentation_text(fiber_product(alpha, beta)[0]), 0
 
 
 def _require_dmax(args):

@@ -258,10 +258,6 @@ class Document:
             return None
         return found[0]
 
-    def values(self, name):
-        entries = self.section(name) or []
-        return [e.value for e in entries]
-
     def single(self, name, required=True):
         entries = self.section(name, required=required)
         if entries is None:
@@ -347,6 +343,34 @@ def parse_vartable(entries) -> VarTable:
         return VarTable(names, weights)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def doc_vars(doc: Document) -> VarTable:
+    """The `[vars]` table, with weights overridden by an optional
+    `[weights]` section of `name: weight` entries."""
+    table = parse_vartable(doc.section("vars", required=True))
+    weight_entries = doc.section("weights")
+    if not weight_entries:
+        return table
+    weights = list(table.weights)
+    for entry in weight_entries:
+        if entry.key is None:
+            raise ParseError("entries in [weights] must look like `name: weight`",
+                             entry.line)
+        if entry.key not in table.names:
+            raise ParseError(f"unknown variable {entry.key!r}", entry.line)
+        value = parse_rational(entry.value, entry.line)
+        if value.denominator != 1 or value <= 0:
+            raise ParseError(f"weight of {entry.key} must be a positive integer",
+                             entry.line)
+        weights[table.index(entry.key)] = int(value)
+    return VarTable(table.names, weights)
+
+
+def doc_polynomials(doc: Document, section: str, table: VarTable) -> list:
+    """The entries of `section`, each parsed over `table` from its own line."""
+    return [parse_polynomial(e.value, table, line=e.line)
+            for e in doc.section(section) or ()]
 
 
 def parse_name_weight(text, line=None):

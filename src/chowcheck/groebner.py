@@ -43,7 +43,7 @@ integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
 polynomials are built only when a caller reads the basis.  Callers that
 keep their own rows packed (`pair_image_rank`, `minimal_generators`) run
-`_reduce` or build rows on the same entries (`Ideal.reducers`).
+`_reduce` or build rows on the same entries (`Ideal.groebner`).
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -616,19 +616,18 @@ class Ideal:
                                             or _Reducers.of((), order, len(self.context)))
         return cached
 
-    reducers = groebner  # read as packed reducers
-
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
         """Remainder modulo the reduced basis, via `reduce_full` on its
         packed entries."""
-        return reduce_full(f, self.reducers(order), order, with_quotients)
+        return reduce_full(f, self.groebner(order), order, with_quotients)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()
 
-    def is_trivial(self) -> bool:
-        """True when the ideal is the whole ring."""
-        gb = self.groebner()
+    def is_trivial(self, order: MonomialOrder) -> bool:
+        """True when the ideal is the whole ring: its reduced basis under
+        `order`, as under any order, is then {1}."""
+        gb = self.groebner(order)
         return len(gb) == 1 and gb[0].is_constant()
 
     def is_zero(self) -> bool:

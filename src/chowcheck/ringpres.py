@@ -57,10 +57,8 @@ class Presentation:
         self.order = MonomialOrder.wgrevlex(table.weights)
         self._numerator = None
         self._series = []
-        if rels:
-            gb = self.relations.groebner(self.order)
-            if len(gb) == 1 and gb[0].is_constant():
-                raise PresentationError("relations collapse the ring to zero")
+        if rels and self.relations.is_trivial(self.order):
+            raise PresentationError("relations collapse the ring to zero")
 
     def is_free(self) -> bool:
         return self.relations.is_zero()
@@ -157,18 +155,20 @@ class Morphism:
         return [n for n in self.source.table.names if self.images[n].is_zero()]
 
 
-def fiber_product(alpha: Morphism, beta: Morphism) -> Presentation:
+def fiber_product(alpha: Morphism, beta: Morphism) -> tuple:
     """Present the image of the common source inside target(alpha) x target(beta).
 
     Both maps must leave the same free tag ring.  The relation ideal is the
-    intersection of the two kernels.
+    intersection of the two kernels.  Returns the presentation and the
+    kernels of alpha and beta.
     """
     if alpha.source is not beta.source and alpha.source.table != beta.source.table:
         raise PresentationError("fiber product needs a common source")
     if not alpha.source.is_free():
         raise PresentationError("fiber product source must be free")
-    rels = intersect(alpha.kernel(), beta.kernel())
-    return Presentation(alpha.source.table, rels.gens)
+    ker_alpha, ker_beta = alpha.kernel(), beta.kernel()
+    fiber = Presentation(alpha.source.table, intersect(ker_alpha, ker_beta).gens)
+    return fiber, ker_alpha, ker_beta
 
 
 def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
@@ -184,7 +184,7 @@ def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     kept for the whole call, raw[m] = raw[m / x_i] * gen_i with x_i the
     last variable of m, filled on demand so `degrees` may come in any
     order; only the row that enters the eliminator is put in normal form,
-    against the packed basis each target keeps (`Ideal.reducers`).  A
+    against the packed basis each target keeps (`Ideal.groebner`).  A
     product that sets a guard bit restarts the call with both packings at
     double width.
     """
@@ -193,7 +193,7 @@ def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     maps = (alpha, beta)
     lifts = [math.lcm(*(c.denominator for f in maps for c in f.images[n].terms.values()))
              for n in table.names]
-    reds = [f.target.relations.reducers(f.target.order).fitting(
+    reds = [f.target.relations.groebner(f.target.order).fitting(
                 [m for n in table.names for m in f.images[n].terms])
             for f in maps]
     while True:

@@ -408,6 +408,13 @@ def test_unknown_drop_variable_exits_2(sym2, capsys):
     assert "zz" in err
 
 
+def test_unknown_weight_name_exits_2_naming_its_line(tmp_path, capsys):
+    path = write(tmp_path, "weighted.ideal", "[kind]\nideal\n[vars]\nx\n"
+                 "[weights]\nz: 2\n[relations]\nx^2\n")
+    code, out, err = run(capsys, ["gb", path])
+    assert (code, out, err) == (2, "", "error: unknown variable 'z' at line 6\n")
+
+
 def test_bad_element_expression_exits_2(sym2, capsys):
     code, _, err = run(capsys, ["nf", sym2, "--element", "t1 +"])
     assert code == 2

@@ -113,7 +113,7 @@ def test_document_structure():
     assert doc.kind == "ideal"
     table = parse_vartable(doc.section("vars", required=True))
     assert table.names == ("x", "y")
-    rels = doc.values("relations")
+    rels = [e.value for e in doc.section("relations")]
     assert rels == ["x^2 - y"]
 
 

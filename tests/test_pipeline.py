@@ -386,6 +386,36 @@ def test_pipeline_rejects_two_strata_with_one_label(tmp_path):
         run_pipeline(root=root)
 
 
+def test_a_ring_weight_must_be_the_degree_of_its_form(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    text = gamma2.read_text()
+    assert "k2(2): e2*U2" in text
+    gamma2.write_text(text.replace("k2(2): e2*U2", "k2(5): e2*U2"))
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(root=root)
+    assert str(err.value) == ("Gamma2: ring coordinate k2 is declared of weight 5, "
+                              "but its form has degree 2")
+
+
+def test_load_base_reports_the_line_of_a_bad_relation(tmp_path):
+    root = _data_copy(tmp_path)
+    base = root / "strata" / "base.pres"
+    text = base.read_text() + "\n[relations]\nk2^2 +\n"
+    base.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_base(root=root)
+    assert err.value.line == text.splitlines().index("k2^2 +") + 1 > 1
+
+
+def test_stratum_spec_reports_the_line_of_an_unknown_weight_name():
+    text = _stratum_text("gamma1.stratum") + "\n[weights]\nt1: 2\nz: 2\n"
+    with pytest.raises(ParseError) as err:
+        StratumSpec(parse_document(text))
+    line = len(text.splitlines())
+    assert str(err.value) == f"unknown variable 'z' at line {line}"
+
+
 def test_sweep_reads_the_strata_under_its_root(tmp_path):
     root = _data_copy(tmp_path)
     gamma3p = root / "strata" / "gamma3p.stratum"

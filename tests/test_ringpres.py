@@ -110,10 +110,11 @@ def test_fiber_product_of_two_restrictions():
     b = pres(["v"], [1], "v^3")
     alpha = Morphism(source, a, {"x": Polynomial.variable(a.table, "u")})
     beta = Morphism(source, b, {"x": Polynomial.variable(b.table, "v")})
-    glued = fiber_product(alpha, beta)
+    glued, ker_alpha, ker_beta = fiber_product(alpha, beta)
     # relations = ker alpha ∩ ker beta = (x^2) ∩ (x^3) = (x^3)
-    rels = glued.relations.groebner(glued.order)
-    assert [str(g) for g in rels] == ["x^3"]
+    for ideal, gens in ((glued.relations, ["x^3"]), (ker_alpha, ["x^2"]),
+                        (ker_beta, ["x^3"])):
+        assert [str(g) for g in ideal.groebner(glued.order)] == gens
 
 
 def test_fiber_product_requires_free_source():
@@ -138,7 +139,7 @@ def test_pair_image_rank_and_graded_surjectivity():
         "k1": Polynomial.zero(prev.table),
         "k2": Polynomial.variable(prev.table, "k2"),
     })
-    glued = fiber_product(alpha, beta)
+    glued = fiber_product(alpha, beta)[0]
     assert glued.is_free()  # ker alpha = 0
     assert pair_image_rank(alpha, beta, [2]) == [2]  # k1^2 and k2 stay independent
     rows = graded_surjectivity(glued, alpha, beta, bottom, range(7))
@@ -240,7 +241,7 @@ def test_pair_image_rank_restarts_at_double_width(monkeypatch):
     monkeypatch.setattr(ringpres, "_pair_ranks", spy)
     assert pair_image_rank(alpha, beta, [2**31]) == [1]
     assert widths == [[32, 32], [64, 64]]
-    assert a.relations.reducers(a.order).packing.width == 32
+    assert a.relations.groebner(a.order).packing.width == 32
 
 
 def test_apply_quotient_lifts_prev_relations():
@@ -250,7 +251,7 @@ def test_apply_quotient_lifts_prev_relations():
     prev = pres(["x"], [1])  # free prev ring sharing the tag name
     alpha = Morphism(tags, a, {"x": Polynomial.variable(a.table, "u")})
     beta = Morphism(tags, prev, {"x": Polynomial.variable(prev.table, "x")})
-    glued = fiber_product(alpha, beta)  # ker alpha ∩ ker beta = (x^2) ∩ 0 = 0
+    glued = fiber_product(alpha, beta)[0]  # ker alpha ∩ ker beta = (x^2) ∩ 0 = 0
     assert glued.is_free()
     prev_rel = parse_polynomial("x^3", prev.table)
     result, notes = apply_quotient(glued, alpha, beta, [prev_rel])
