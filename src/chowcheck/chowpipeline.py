@@ -585,6 +585,7 @@ def _minimal_generators(pres: Presentation, red) -> list:
     free = Ideal(pres.table, ())
     terms = {entry[3]: entry[2] for entry in red.entries}
     degrees = [g.weighted_degree() for g in red.basis]
+    shifts = {}  # degree difference -> its packed monomials
     selected = []
     degree = span = None
     for i in sorted(range(len(red.basis)), key=lambda i: (degrees[i], str(red.basis[i]))):
@@ -592,8 +593,10 @@ def _minimal_generators(pres: Presentation, red) -> list:
         if d != degree:
             degree, span = d, SparseEchelon()
             for s in selected:
-                for m in standard_monomials(free, d - degrees[s], order):
-                    q = pk.pack(m)
+                e = d - degrees[s]
+                if e not in shifts:
+                    shifts[e] = [pk.pack(m) for m in standard_monomials(free, e, order)]
+                for q in shifts[e]:
                     row = {k + q: c for k, c in terms[s].items()}
                     if any(k & guard for k in row):
                         raise _Overflow

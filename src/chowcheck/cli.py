@@ -104,7 +104,8 @@ def _load_morphism(path: str):
                              f"[source] variable", entry.line)
         if entry.key in images:
             raise ParseError(f"duplicate image for {entry.key!r}", entry.line)
-        images[entry.key] = parse_polynomial(entry.value, target, line=entry.line)
+        images[entry.key] = parse_polynomial(entry.value, target, line=entry.line,
+                                             col=entry.col)
     missing = [name for name in source.names if name not in images]
     if missing:
         raise ParseError(f"[images] is missing: {', '.join(missing)}")

@@ -238,6 +238,7 @@ class Entry:
     key: str | None
     value: str
     line: int
+    col: int  # column of the line where `value` starts
 
 
 @dataclass
@@ -300,13 +301,15 @@ def parse_document(text: str) -> Document:
             continue
         if current is None:
             raise ParseError("content before the first [section] header", lineno)
-        entry_text = line.strip()
+        entry_text = line.lstrip()
+        start = len(line) - len(entry_text)  # where the value starts, 0-based
         key = None
         if ":" in entry_text:
             head, tail = entry_text.split(":", 1)
             key = head.strip()
             entry_text = tail.strip()
-        current[1].append(Entry(key, entry_text, lineno))
+            start += len(head) + 1 + len(tail) - len(tail.lstrip())
+        current[1].append(Entry(key, entry_text, lineno, start + 1))
     if not sections:
         raise ParseError("empty document")
     name, entries = sections[0]
@@ -369,7 +372,7 @@ def doc_vars(doc: Document) -> VarTable:
 
 def doc_polynomials(doc: Document, section: str, table: VarTable) -> list:
     """The entries of `section`, each parsed over `table` from its own line."""
-    return [parse_polynomial(e.value, table, line=e.line)
+    return [parse_polynomial(e.value, table, line=e.line, col=e.col)
             for e in doc.section(section) or ()]
 
 

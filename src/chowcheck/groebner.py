@@ -54,9 +54,9 @@ with a principal ideal.
 
 Counting is done on leading term ideals without listing monomials:
 `hilbert_numerator` gives the numerator of the Hilbert series of a
-monomial ideal by Bigatti's pivot recursion, which graded dimensions and
-`zero_dimensional` read; `standard_monomials` lists the monomials for the
-callers that need them.
+monomial ideal by Bigatti's pivot recursion, which `zero_dimensional`
+reads and `hilbert_series` expands into graded dimensions;
+`standard_monomials` lists the monomials for the callers that need them.
 """
 
 from __future__ import annotations
@@ -960,3 +960,16 @@ def hilbert_numerator(leading_monomials, weights) -> dict:
     colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
     return _add_shifted(hilbert_numerator(larger, weights),
                         hilbert_numerator(colon, weights), e * weights[i], 1)
+
+
+def hilbert_series(numerator: dict, weights, dmax: int) -> list:
+    """Coefficients through t^dmax of N(t) / prod(1 - t^w_i), N a
+    `hilbert_numerator`."""
+    series = [0] * (dmax + 1)
+    for k, c in numerator.items():
+        if k <= dmax:
+            series[k] = c
+    for w in weights:
+        for d in range(w, dmax + 1):
+            series[d] += series[d - w]
+    return series

@@ -2,12 +2,14 @@
 
 An element sends each variable to plus or minus another variable of the
 same weight; the group is closed off from its generators by breadth-first
-search.  On top of the action sit the Reynolds and transfer operators,
-per-degree bases of invariants, the Molien series, a minimal generator
-sweep for the invariant algebra, and a presentation of that algebra by
-generators and relations, whose spanning check and relations come from
-one `Subalgebra` and whose graded dimensions are checked against the
-Molien series.
+search.  An element sends a monomial to plus or minus a monomial, so the
+Reynolds and transfer operators and the per-degree bases of invariants
+(one orbit sum per orbit) are signed bookkeeping on exponent tuples.  On
+top sit the Molien series, a minimal generator sweep for the invariant
+algebra that skips every degree its generators already fill to the
+Molien count, and a presentation of that algebra by generators and
+relations, whose spanning check and relations come from one `Subalgebra`
+and whose graded dimensions are checked against the Molien series.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .groebner import (
     Ideal,
     Subalgebra,
     _fresh_names,
+    hilbert_numerator,
+    hilbert_series,
     standard_monomials,
     subalgebra_member,
 )
-from .linalg import independent_rows
 from .ringpres import Presentation
 
 
@@ -99,35 +102,41 @@ class GroupAction:
             raise InvariantError("polynomial lives in a different variable table")
         terms = {}
         for mono, coeff in poly.terms.items():
-            exps = [0] * len(mono)
-            sign = 1
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                j, s = element[i]
-                exps[j] += e
-                if s < 0 and e % 2:
-                    sign = -sign
-            key = tuple(exps)
-            val = terms.get(key, Fraction(0)) + sign * coeff
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
+            key, sign = _image(element, mono)
+            terms[key] = sign * coeff
         return Polynomial(self.table, terms)
 
     def transfer(self, poly: Polynomial) -> Polynomial:
         """Sum of the whole orbit, with multiplicity |stabilizer|."""
-        total = Polynomial.zero(self.table)
+        if poly.context != self.table:
+            raise InvariantError("polynomial lives in a different variable table")
+        terms = {}
         for g in self.elements:
-            total = total + self.act(g, poly)
-        return total
+            for mono, coeff in poly.terms.items():
+                key, sign = _image(g, mono)
+                val = terms.get(key, 0) + sign * coeff
+                if val:
+                    terms[key] = val
+                else:
+                    del terms[key]
+        return Polynomial(self.table, terms)
 
     def reynolds(self, poly: Polynomial) -> Polynomial:
         return self.transfer(poly) * Fraction(1, self.order)
 
     def is_invariant(self, poly: Polynomial) -> bool:
         return all(self.act(g, poly) == poly for g in self.generators)
+
+
+def _image(element: tuple, mono: tuple):
+    """(image, sign): the element sends the monomial to sign * image."""
+    exps = [0] * len(mono)
+    sign = 1
+    for (j, s), e in zip(element, mono):
+        exps[j] = e
+        if s < 0 and e % 2:
+            sign = -sign
+    return tuple(exps), sign
 
 
 def _compose(g: tuple, h: tuple) -> tuple:
@@ -142,19 +151,31 @@ def _compose(g: tuple, h: tuple) -> tuple:
 def invariant_basis(action: GroupAction, degree: int) -> list:
     """Monic basis of the degree piece of the invariants.
 
-    Candidates are Reynolds images of the degree monomials in decreasing
-    order; a maximal independent subset is kept and normalised.
+    The degree monomials are walked in decreasing order, one orbit per
+    monomial not met before.  A signed permutation sends a monomial to
+    plus or minus a monomial, so each orbit sum is signed counts over
+    exponent tuples; it vanishes exactly when some stabilizer element
+    flips the sign, and is otherwise kept, divided by its coefficient at
+    the orbit's first (largest) monomial.  Distinct orbits have disjoint
+    supports, so the kept sums are independent and span the invariants.
     """
     table = action.table
     order = MonomialOrder.wgrevlex(table.weights)
-    monos = standard_monomials(Ideal(table, ()), degree, order)
-    images = []
-    for m in monos:
-        f = action.reynolds(Polynomial(table, {m: Fraction(1)}))
-        if not f.is_zero():
-            images.append(f)
-    return [images[i] * (1 / images[i].leading_coefficient(order))
-            for i in independent_rows([f.terms for f in images])]
+    seen = set()
+    basis = []
+    for m in standard_monomials(Ideal(table, ()), degree, order):
+        if m in seen:
+            continue
+        counts = {}
+        for g in action.elements:
+            key, sign = _image(g, m)
+            counts[key] = counts.get(key, 0) + sign
+        seen.update(counts)
+        lead = counts[m]
+        if lead:
+            basis.append(Polynomial(table, {k: Fraction(c, lead)
+                                            for k, c in counts.items()}))
+    return basis
 
 
 def molien_series(action: GroupAction, dmax: int) -> list:
@@ -193,26 +214,50 @@ def algebra_generators(action: GroupAction) -> list:
     The sweep runs through the Noether bound |G|; within a degree,
     candidates are taken in the deterministic invariant_basis order and kept
     when they are not already expressible in the generators found so far.
+    A degree is skipped when the generators found so far already span as
+    many dimensions there as the Molien series counts: they span a
+    subspace of the invariants, so no candidate could be kept.
     Tags are named z<k>, skipping the action's own variable names.
     The sweep runs once per action; each call returns a new list.
     """
     if action.canonical is not None:
         return list(action.canonical)
-    taken = set(action.table.names)
+    molien = molien_series(action, action.order)
     selected = []
     span = None  # one Subalgebra per state of `selected`
     for d in range(1, action.order + 1):
+        if not molien[d]:
+            continue
+        if selected:
+            span = span or _span(action, selected)
+            if _spanned(span, d) == molien[d]:
+                continue
         for f in invariant_basis(action, d):
             if selected:
-                if span is None:
-                    names = _fresh_names("z", len(selected), taken)
-                    span = Subalgebra(action.table, list(zip(names, selected)))
+                span = span or _span(action, selected)
                 if subalgebra_member(f, span) is not None:
                     continue
             selected.append(f)
             span = None
     action.canonical = tuple(selected)
     return selected
+
+
+def _span(action: GroupAction, selected: list) -> Subalgebra:
+    names = _fresh_names("z", len(selected), set(action.table.names))
+    return Subalgebra(action.table, list(zip(names, selected)))
+
+
+def _spanned(span: Subalgebra, degree: int) -> int:
+    """Dimension of the degree piece of the subalgebra of homogeneous
+    generators, read off the leading monomials of the tag-only part of its
+    graph basis: under the block order that part is a basis of the kernel
+    over the tags, whose weights are the generators' degrees."""
+    tags = len(span.tag_table)
+    lms = [g.leading_monomial(span.order) for g in span.graph.groebner(span.order)]
+    kernel = [m[-tags:] for m in lms if not any(m[:-tags])]
+    weights = span.tag_table.weights
+    return hilbert_series(hilbert_numerator(kernel, weights), weights, degree)[degree]
 
 
 def invariant_presentation(action: GroupAction, names=None,

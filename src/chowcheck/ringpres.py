@@ -21,6 +21,7 @@ from .groebner import (
     _Overflow,
     _reduce,
     hilbert_numerator,
+    hilbert_series,
     intersect,
     map_kernel,
     standard_monomials,
@@ -90,15 +91,8 @@ class Presentation:
                 gb = self.relations.groebner(self.order) if self.relations.gens else ()
                 self._numerator = hilbert_numerator(
                     [g.leading_monomial(self.order) for g in gb], self.table.weights)
-            top = max(dmax, 2 * len(self._series))
-            series = [0] * (top + 1)
-            for k, c in self._numerator.items():
-                if k <= top:
-                    series[k] = c
-            for w in self.table.weights:
-                for d in range(w, top + 1):
-                    series[d] += series[d - w]
-            self._series = series
+            self._series = hilbert_series(self._numerator, self.table.weights,
+                                          max(dmax, 2 * len(self._series)))
 
     def quotient(self, extra_relations) -> "Presentation":
         return Presentation(self.table, list(self.relations.gens) + list(extra_relations))

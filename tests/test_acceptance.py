@@ -28,6 +28,8 @@ from chowcheck.groebner import (
 from chowcheck.invariants import GroupAction, algebra_generators
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 CLASS_WEIGHTS = {"k1": 1, "k2": 2, "g2": 2, "g3p": 3, "g3pp": 3,
                  "q": 4, "r": 4, "s": 5, "t": 5, "u": 6}
 
@@ -236,7 +238,9 @@ def test_criterion_10_machine_reports_are_byte_identical(tmp_path):
     codes = []
     for seed in ("0", "1"):
         out = tmp_path / f"report-{seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        # the child imports chowcheck from this checkout, installed or not
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "chowcheck", "verify-paper",
              "--format", "machine", "--out", str(out)],

@@ -415,6 +415,22 @@ def test_unknown_weight_name_exits_2_naming_its_line(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: unknown variable 'z' at line 6\n")
 
 
+def test_bad_relation_reports_the_column_of_its_line(tmp_path, capsys):
+    path = write(tmp_path, "cut.ideal", "[kind]\nideal\n[vars]\nx\n"
+                 "[relations]\n   x^2 +\n")
+    code, out, err = run(capsys, ["gb", path])
+    assert (code, out) == (2, "")
+    assert "at line 6, column 9" in err  # the end of the line, not of the value
+
+
+def test_bad_image_reports_the_column_of_its_line(tmp_path, capsys):
+    path = write(tmp_path, "cut.morph", "[kind]\nmorphism\n[source]\nk1\n"
+                 "[target]\nt1\n\n[images]\nk1:    t1 +\n")
+    code, out, err = run(capsys, ["kernel", path])
+    assert (code, out) == (2, "")
+    assert "at line 9, column 12" in err
+
+
 def test_bad_element_expression_exits_2(sym2, capsys):
     code, _, err = run(capsys, ["nf", sym2, "--element", "t1 +"])
     assert code == 2

@@ -7,6 +7,7 @@ import pytest
 from chowcheck.chowpipeline import STRATUM_FILES, StratumSpec
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import Ideal, Subalgebra, subalgebra_member
+from chowcheck import invariants
 from chowcheck.invariants import (
     GroupAction,
     InvariantError,
@@ -151,6 +152,27 @@ def test_algebra_generators_signed_pair():
     assert degs == [1, 2, 2, 2]  # Noether bound |G| = 2
     for g in gens:
         assert signed.is_invariant(g)
+
+
+def test_algebra_generators_sweep_only_degrees_the_molien_series_leaves_open(
+        monkeypatch):
+    # S3 invariants have Molien dimensions 1, 1, 2, 3, 4, 5, 7: the power
+    # sums of degrees 1-3 fill degrees 4-6, so those are never swept, and
+    # the 2 + 3 candidates of degrees 2 and 3 are each tested once
+    calls = {"invariant_basis": 0, "subalgebra_member": 0}
+    for name in calls:
+        inner = getattr(invariants, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    _, s3 = s3_action()
+    gens = algebra_generators(s3)
+    assert [str(g) for g in gens] == ["w1 + w2 + w3", "w1^2 + w2^2 + w3^2",
+                                      "w1^3 + w2^3 + w3^3"]
+    assert calls == {"invariant_basis": 3, "subalgebra_member": 5}
 
 
 def test_invariant_presentation_principal_kernel():

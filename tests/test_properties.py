@@ -615,9 +615,9 @@ def test_zero_dimensional_count_matches_the_box_walk(gens):
 
 
 @st.composite
-def signed_permutation_groups(draw):
-    """Up to two weight-preserving signed permutations of 1-3 variables."""
-    n = draw(st.integers(1, 3))
+def signed_permutation_groups(draw, max_vars=3):
+    """Up to two weight-preserving signed permutations of 1-max_vars variables."""
+    n = draw(st.integers(1, max_vars))
     weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     table = VarTable([f"y{i}" for i in range(n)], weights)
     gens = []
@@ -637,3 +637,21 @@ def signed_permutation_groups(draw):
 def test_molien_series_counts_the_invariant_basis(action):
     assert molien_series(action, 6) == [len(invariant_basis(action, d))
                                         for d in range(7)]
+
+
+def _reynolds_basis(action, degree):
+    """The invariants of one degree the long way: Reynolds images of every
+    monomial, a maximal independent subset of them, each made monic."""
+    table = action.table
+    order = MonomialOrder.wgrevlex(table.weights)
+    images = [action.reynolds(Polynomial(table, {m: Fraction(1)}))
+              for m in standard_monomials(Ideal(table, ()), degree, order)]
+    images = [f for f in images if not f.is_zero()]
+    return [images[i] * (1 / images[i].leading_coefficient(order))
+            for i in independent_rows([f.terms for f in images])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_permutation_groups(max_vars=4), st.integers(0, 6))
+def test_invariant_basis_matches_the_reynolds_images(action, degree):
+    assert invariant_basis(action, degree) == _reynolds_basis(action, degree)
