@@ -217,6 +217,7 @@ class StratumSpec:
     def load(name: str, root=None) -> "StratumSpec":
         return StratumSpec(parse_document(_data_text(name, root)))
 
+    @cached_property
     def signs_read(self) -> frozenset:
         """The sign symbols named by the texts a `Stratum` parses."""
         texts = ([t for _, t in self.defs] + [t for _, _, t in self.ring]
@@ -508,7 +509,7 @@ class Artifacts:
 
     def stratum(self, label: str) -> Stratum:
         spec = self._spec(label)
-        return _once(self._built, ("stratum", label) + self._signs(spec.signs_read()),
+        return _once(self._built, ("stratum", label) + self._signs(spec.signs_read),
                      lambda: Stratum(spec, self.convention))
 
     def stage(self, label: str) -> dict:
@@ -695,6 +696,15 @@ class ClaimRunner:
         return self.artifacts.stratum(label), lambda text: self.psi(label, text)
 
     @staticmethod
+    def var_table(claim, key) -> VarTable:
+        """The claim's `name(weight)` list field `key` as a table."""
+        decl = [parse_name_weight(t) for t in split_list(claim.get(key))]
+        try:
+            return VarTable([n for n, _ in decl], [w for _, w in decl])
+        except ValueError as exc:
+            raise PipelineError(f"claim field {key!r}: {exc}") from None
+
+    @staticmethod
     def count(claim, got: int) -> tuple:
         """The verdict that `got` is the claim's `value:`, showing `got`."""
         return got == claim.get_int("value"), {"computed": got}
@@ -766,13 +776,11 @@ class ClaimRunner:
 
     def _claim_tables(self, claim):
         """The source table, the target table and a parser into the target."""
-        svars = [parse_name_weight(t) for t in split_list(claim.get("vars"))]
-        source = VarTable([n for n, _ in svars], [w for _, w in svars])
+        source = self.var_table(claim, "vars")
         if claim.get("where", None):
             stratum, psi = self.where(claim)
             return source, stratum.table, psi
-        tvars = [parse_name_weight(t) for t in split_list(claim.get("tvars"))]
-        target = VarTable([n for n, _ in tvars], [w for _, w in tvars])
+        target = self.var_table(claim, "tvars")
         return source, target, lambda text: _parsed(
             self.artifacts._built, text, target, dict(self.artifacts.convention.values))
 
@@ -876,8 +884,7 @@ class ClaimRunner:
 
     def kind_free_ring(self, claim):
         pres = self.space(claim.get("space"))
-        decl = [parse_name_weight(t) for t in split_list(claim.get("vars"))]
-        table = VarTable([n for n, _ in decl], [w for _, w in decl])
+        table = self.var_table(claim, "vars")
         return pres.table == table and pres.relations.is_zero(), None
 
     def kind_lift_profile(self, claim):
@@ -898,22 +905,18 @@ class ClaimRunner:
 # sign-convention sweep
 
 def convention_search(claims=None, conventions=None, dmax: int = 12,
-                      root=None) -> dict:
+                      root=None, store=None) -> dict:
     """Evaluate the claims as stated under every sign convention.
 
     A claim counts as passed when its raw status is PASS (its expectation
-    annotation plays no role here).  The stratum specs and the base are
-    read once, from `root` when given, into the store `_sweep` reads.
+    annotation plays no role here).  Every convention reads one store,
+    `store` (with its own dmax) or one over the specs and base read from
+    `root`, which builds only the pieces the claims read, once per key.  A
+    claim that cannot be evaluated, or that reads a stage whose
+    construction failed, keeps an error row with that message.
     """
-    store = Artifacts(SignConvention(), *_load_inputs(root), dmax=dmax)
-    return _sweep(store, claims, conventions)
-
-
-def _sweep(store: Artifacts, claims=None, conventions=None) -> dict:
-    """`convention_search` on a store every convention reads: only the
-    pieces the claims read are built, each once per distinct key.  A claim
-    that cannot be evaluated, or that reads a stage whose construction
-    failed, keeps an error row with that message."""
+    if store is None:
+        store = Artifacts(SignConvention(), *_load_inputs(root), dmax=dmax)
     if claims is None:
         claims = load_claims()
     claims = [c for c in claims if c.kind != "assumption"]
@@ -1009,7 +1012,7 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         tag = claim.get("sweep", None)
         if tag:
             groups.setdefault(tag, []).append(claim)
-    sign_search = {tag: _sweep(artifacts, group)
+    sign_search = {tag: convention_search(group, store=artifacts)
                    for tag, group in sorted(groups.items())}
     timing["sign_search_s"] = round(perf_counter() - t3, 3)
 

@@ -79,12 +79,6 @@ def _load_ideal(path: str):
     return table, Ideal(table, doc_polynomials(doc, "relations", table))
 
 
-def _load_presentation(path: str) -> Presentation:
-    doc = _read_document(path, ("presentation", "ideal"))
-    table = doc_vars(doc)
-    return Presentation(table, doc_polynomials(doc, "relations", table))
-
-
 def _load_morphism(path: str):
     """A morphism document: [source], [target], [images], optional [relations].
 
@@ -271,7 +265,8 @@ def _require_dmax(args):
 
 def cmd_dims(args):
     _require_dmax(args)
-    pres = _load_presentation(args.presentation)
+    table, ideal = _load_ideal(args.presentation)
+    pres = Presentation(table, ideal.gens)
     lines = [f"{d}: {pres.dim(d)}" for d in range(args.dmax + 1)]
     return "\n".join(lines) + "\n", 0
 

@@ -6,10 +6,10 @@ search.  An element sends a monomial to plus or minus a monomial, so the
 Reynolds and transfer operators and the per-degree bases of invariants
 (one orbit sum per orbit) are signed bookkeeping on exponent tuples.  On
 top sit the Molien series, a minimal generator sweep for the invariant
-algebra that skips every degree its generators already fill to the
-Molien count, and a presentation of that algebra by generators and
-relations, whose spanning check and relations come from one `Subalgebra`
-and whose graded dimensions are checked against the Molien series.
+algebra through the weighted Noether bound that skips every degree its
+generators already fill to the Molien count, and a presentation of that
+algebra whose relations come from one `Subalgebra` and whose graded
+dimensions, matched to the Molien series through that bound, prove it complete.
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ class GroupAction:
     Elements are tuples over variable positions: element[i] == (j, s)
     means the i-th variable maps to s times the j-th one.  The generators
     are kept too: a form fixed by each of them is fixed by the group.
-    `canonical` keeps the generator sweep of `algebra_generators`.
     """
 
-    __slots__ = ("table", "generators", "elements", "canonical")
+    __slots__ = ("table", "generators", "elements")
 
     def __init__(self, table: VarTable, generators):
         self.table = table
-        self.canonical = None
         self.generators = gens = tuple(self._element(g) for g in generators)
         identity = tuple((i, 1) for i in range(len(table)))
         seen = {identity}
@@ -96,6 +94,12 @@ class GroupAction:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def degree_bound(self) -> int:
+        """Noether's bound, |G| times the largest weight: the invariants
+        are generated by Reynolds images of monomials of degree <= |G|."""
+        return self.order * max(self.table.weights, default=1)
 
     def act(self, element: tuple, poly: Polynomial) -> Polynomial:
         if poly.context != self.table:
@@ -211,21 +215,23 @@ def molien_series(action: GroupAction, dmax: int) -> list:
 def algebra_generators(action: GroupAction) -> list:
     """Minimal generators of the invariant algebra, swept degree by degree.
 
-    The sweep runs through the Noether bound |G|; within a degree,
-    candidates are taken in the deterministic invariant_basis order and kept
-    when they are not already expressible in the generators found so far.
-    A degree is skipped when the generators found so far already span as
-    many dimensions there as the Molien series counts: they span a
-    subspace of the invariants, so no candidate could be kept.
-    Tags are named z<k>, skipping the action's own variable names.
-    The sweep runs once per action; each call returns a new list.
+    The sweep runs through `GroupAction.degree_bound`; within a degree,
+    candidates are taken in the deterministic invariant_basis order and
+    kept when they are not already expressible in the generators found so
+    far.  A degree is skipped when the generators found so far already
+    span as many dimensions there as the Molien series counts: they span
+    a subspace of the invariants, so no candidate could be kept.
     """
-    if action.canonical is not None:
-        return list(action.canonical)
-    molien = molien_series(action, action.order)
+    return [g for _, g in _generator_span(action).gens]
+
+
+def _generator_span(action: GroupAction) -> Subalgebra:
+    """The generators of `algebra_generators` as one `Subalgebra`."""
+    bound = action.degree_bound
+    molien = molien_series(action, bound)
     selected = []
     span = None  # one Subalgebra per state of `selected`
-    for d in range(1, action.order + 1):
+    for d in range(1, bound + 1):
         if not molien[d]:
             continue
         if selected:
@@ -239,12 +245,11 @@ def algebra_generators(action: GroupAction) -> list:
                     continue
             selected.append(f)
             span = None
-    action.canonical = tuple(selected)
-    return selected
+    return span or _span(action, selected)
 
 
 def _span(action: GroupAction, selected: list) -> Subalgebra:
-    names = _fresh_names("z", len(selected), set(action.table.names))
+    names = _fresh_names("z", len(selected), set(action.table.names), start=1)
     return Subalgebra(action.table, list(zip(names, selected)))
 
 
@@ -264,49 +269,39 @@ def invariant_presentation(action: GroupAction, names=None,
                            generators=None) -> Presentation:
     """Present the invariant algebra by generators and relations.
 
-    The relation ideal is the kernel of the evaluation map onto the chosen
-    generators.  Completeness holds in every degree: the canonical sweep up
-    to the group-order degree bound yields generators of the whole invariant
-    algebra, and each of those is checked to be expressible in the supplied
-    ones.  A degreewise comparison of the presented dimensions with the
-    Molien series through degree |G| + 2 runs as an independent
-    cross-check.  Default names
-    are z1, z2, ..., skipping the action's own variable names.
-    `generators` may also be a Subalgebra over the action's table built
-    with its default tag table; its tags name the generators, and its
-    basis then serves both the presentation and the caller's later
-    membership tests.
+    The relations are the kernel of the evaluation map onto the chosen
+    generators, so the presentation has the graded dimensions of their
+    span.  Each generator is checked to be invariant, so the span lies in
+    the invariants, which are generated in degree at most D =
+    `degree_bound`: presented dimensions equal to the Molien series
+    through D prove that the span is the whole invariant algebra.  The
+    comparison runs through D + 2 and names the first degree off.  By
+    default the sweep's `Subalgebra` (tags z1, z2, ..., skipping the
+    action's names) is presented.  `generators` may be a Subalgebra over
+    the action's table with its default tag table; its tags name the
+    generators, and its basis serves the caller's membership tests too.
     """
-    canonical = algebra_generators(action)
-    supplied = None
     if isinstance(generators, Subalgebra):
         if names is not None:
             raise InvariantError("a Subalgebra already names its generators")
-        supplied = generators
-        names = [n for n, _ in supplied.gens]
-        generators = [g for _, g in supplied.gens]
-    elif generators is None:
-        generators = canonical
-    generators = list(generators)
-    if names is None:
-        names = _fresh_names("z", len(generators), set(action.table.names), start=1)
-    if len(names) != len(generators):
-        raise InvariantError("one name per generator is required")
-    for f in generators:
+        span = generators
+    elif generators is None and names is None:
+        span = _generator_span(action)
+    else:
+        generators = list(algebra_generators(action) if generators is None
+                          else generators)
+        if names is None:
+            names = _fresh_names("z", len(generators), set(action.table.names), start=1)
+        if len(names) != len(generators):
+            raise InvariantError("one name per generator is required")
+        span = Subalgebra(action.table, list(zip(names, generators)))
+    for _, f in span.gens:
         if f.weighted_degree() < 1 or not f.is_homogeneous():
             raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
-    if supplied is None:
-        supplied = Subalgebra(action.table, list(zip(names, generators)))
-    for f in canonical:
-        if subalgebra_member(f, supplied) is None:
-            raise InvariantError(
-                f"generators do not span the invariant algebra; "
-                f"not reachable: {f}"
-            )
-    pres = Presentation(supplied.tag_table, supplied.kernel().gens)
-    for d, expected in enumerate(molien_series(action, action.order + 2)):
+    pres = Presentation(span.tag_table, span.kernel().gens)
+    for d, expected in enumerate(molien_series(action, action.degree_bound + 2)):
         got = pres.dim(d)
         if expected != got:
             raise InvariantError(

@@ -300,6 +300,20 @@ z0 -> z1; z1 -> z0
     assert "z0(1)\nz1(2)" in out
 
 
+@pytest.mark.parametrize("vars_, group, gens, pres", [
+    ("y(3)", "y -> -y", "y^2\n", "z1(6)\n"),
+    ("x(1)\ny(2)", "x -> -x; y -> -y", "x^2\nx*y\ny^2\n",
+     "z1(2)\nz2(3)\nz3(4)\n[relations]\nz2^2 - z1*z3\n"),
+], ids=["y3", "x1-y2"])
+def test_invgen_and_invpres_on_weighted_variables(tmp_path, capsys, vars_, group,
+                                                  gens, pres):
+    action = write(tmp_path, "weighted.action",
+                   f"[kind]\naction\n\n[vars]\n{vars_}\n\n[group]\n{group}\n")
+    assert run(capsys, ["invgen", action]) == (0, gens, "")
+    assert run(capsys, ["invpres", action]) == (
+        0, "[kind]\npresentation\n[vars]\n" + pres, "")
+
+
 def test_fiber(tmp_path, capsys):
     alpha = write(tmp_path, "alpha.morph", """\
 [kind]

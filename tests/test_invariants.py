@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowcheck.chowpipeline import STRATUM_FILES, StratumSpec
+from chowcheck.chowpipeline import STRATUM_FILES, SignConvention, Stratum, StratumSpec
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import Ideal, Subalgebra, subalgebra_member
 from chowcheck import invariants
@@ -218,3 +218,33 @@ def test_s3_power_sums_generate():
                                   generators=power_sums)
     assert pres.is_free()
     assert pres.table.weights == (1, 2, 3)
+
+
+@pytest.mark.parametrize("weights, generator, gens, degrees, relations", [
+    # y^2 lies in degree 6 = |G| * 3, past the unweighted bound |G|
+    ({"y": 3}, {"y": "-y"}, ["y^2"], (6,), []),
+    ({"x": 1, "y": 2}, {"x": "-x", "y": "-y"}, ["x^2", "x*y", "y^2"], (2, 3, 4),
+     ["z2^2 - z1*z3"]),
+], ids=["y3", "x1-y2"])
+def test_weighted_actions_sweep_through_the_weighted_noether_bound(
+        weights, generator, gens, degrees, relations):
+    action = GroupAction(VarTable(list(weights), list(weights.values())), [generator])
+    assert [str(g) for g in algebra_generators(action)] == gens
+    pres = invariant_presentation(action)
+    assert pres.table.weights == degrees
+    assert [str(r) for r in pres.relations.gens] == relations
+
+
+def test_supplied_generators_never_run_the_generator_sweep(monkeypatch):
+    def refuse(action):
+        raise AssertionError("the generator sweep ran")
+
+    monkeypatch.setattr(invariants, "algebra_generators", refuse)
+    monkeypatch.setattr(invariants, "_generator_span", refuse)
+    table, s3 = s3_action()
+    power_sums = [parse_polynomial(f"w1^{k} + w2^{k} + w3^{k}", table)
+                  for k in (1, 2, 3)]
+    assert invariant_presentation(s3, names=["p1", "p2", "p3"],
+                                  generators=power_sums).is_free()
+    stratum = Stratum(StratumSpec.load("gamma2.stratum"), SignConvention())
+    assert list(stratum.ring.table.names) == stratum.ring_names

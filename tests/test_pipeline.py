@@ -33,6 +33,7 @@ from chowcheck.chowpipeline import (
     verify_paper,
 )
 from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
+from chowcheck.invariants import InvariantError
 
 # stage-2 glued relation, recomputed via kernel intersection and lifting
 J1 = "k1^4*g2^2 + 2*k1^2*k2*g2^2 - 4*k1^2*g2^3 - 8*k2*g2^3 + q^2"
@@ -338,6 +339,16 @@ def test_sweep_reports_a_non_integer_degree(tmp_path):
     assert error == "claim field 'degree' must be an integer, not 'two'"
 
 
+@pytest.mark.parametrize("body, error", [
+    ("kind: map_kernel_equal\nvars: u(1); u(1)\ntvars: t(1)\nimages: u -> t\n",
+     "claim field 'vars': duplicate variable name"),
+    ("kind: free_ring\nspace: ring:Gamma1\nvars: k1(0)\n",
+     "claim field 'vars': weights must be positive integers, got 0"),
+], ids=["duplicate-name", "zero-weight"])
+def test_sweep_reports_a_bad_claim_variable_table(tmp_path, body, error):
+    assert _sweep_error(tmp_path, body) == error
+
+
 def test_sweep_reports_a_source_variable_without_image(tmp_path):
     error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1); w(1)\n"
                          "tvars: t(1)\nimages: u -> t\nrhs: 0\n")
@@ -396,6 +407,17 @@ def test_a_ring_weight_must_be_the_degree_of_its_form(tmp_path):
         run_pipeline(root=root)
     assert str(err.value) == ("Gamma2: ring coordinate k2 is declared of weight 5, "
                               "but its form has degree 2")
+
+
+def test_a_stratum_missing_a_ring_coordinate_fails_by_the_molien_count(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    text = gamma2.read_text()
+    assert "eta(2): ETA\n" in text
+    gamma2.write_text(text.replace("eta(2): ETA\n", ""))
+    with pytest.raises(InvariantError, match=r"miss the invariants in degree 2: "
+                                             r"dimension 3 presented, 4 invariant"):
+        run_pipeline(root=root)
 
 
 def test_load_base_reports_the_line_of_a_bad_relation(tmp_path):
@@ -517,12 +539,20 @@ def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
 
 def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch):
     actions = _count_calls(monkeypatch, "GroupAction")
-    # the generator sweep asks for the degree-1 invariants once per run
+    # the strata supply their ring coordinates, which the Molien count
+    # proves complete, so no generator sweep asks for invariants
     sweeps = _count_calls(monkeypatch, "invariant_basis", module=invariants,
                           key=lambda action, degree: (id(action), degree))
     verify_paper()
     assert sum(actions.values()) == len(chowpipeline.STRATUM_FILES) == 4
-    assert [n for (_, degree), n in sweeps.items() if degree == 1] == [1] * 4
+    assert not sweeps
+
+
+def test_verify_paper_runs_its_sweeps_through_convention_search(monkeypatch):
+    searches = _count_calls(monkeypatch, "convention_search",
+                            key=lambda claims, **kw: kw["store"] is not None)
+    verify_paper()
+    assert searches == {True: 2}
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -737,8 +767,7 @@ def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
     spec = StratumSpec.load("gamma2.stratum")
     alone, stratum = (Stratum(spec, SignConvention()) for _ in range(2))
     del runs[:]
-    # a fresh action: the strata of one spec share theirs, and the baseline
-    # must not find its generator sweep already kept on it
+    # the baseline presents the same forms through a Subalgebra of its own
     invariant_presentation(GroupAction(spec.table, spec.group_specs),
                            names=alone.ring_names, generators=alone.ring_forms)
     presentation_runs = len(runs)
