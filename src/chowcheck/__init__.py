@@ -14,7 +14,6 @@ from .groebner import (
     ideal_equal,
     ideal_quotient,
     intersect,
-    is_nonzerodivisor,
     map_kernel,
     standard_monomials,
     subalgebra_member,
@@ -81,7 +80,6 @@ __all__ = [
     "intersect",
     "invariant_basis",
     "invariant_presentation",
-    "is_nonzerodivisor",
     "load_base",
     "load_claims",
     "map_kernel",

@@ -48,7 +48,6 @@ from .groebner import (
     Subalgebra,
     _Overflow,
     ideal_equal,
-    is_nonzerodivisor,
     map_kernel,
     standard_monomials,
     subalgebra_member,
@@ -343,18 +342,19 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
 def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict:
     """Glue the previous ring with one stratum; returns the stage artifacts.
 
-    Steps: non-zero-divisor gate for the top Chern class, restriction of
-    every ambient generator into the stratum coordinates, validation of
-    displayed gluing pairs against those restrictions (bottom-compatible
-    overrides are used, incompatible ones fall back), the kernel
-    intersection presenting the glued ring, transport of the previous
-    relations, the Hilbert series check that the glued ring adds the
-    stratum ring shifted by the degree of the top Chern class to the
-    previous ring through `dmax`, and the degreewise generation certificate.
+    Steps: the bottom ring A/(top Chern class), whose Hilbert numerator is
+    the non-zero-divisor gate, restriction of every ambient generator into
+    the stratum coordinates, validation of displayed gluing pairs against
+    those restrictions (bottom-compatible overrides are used, incompatible
+    ones fall back), the kernel intersection presenting the glued ring,
+    transport of the previous relations, the Hilbert series check that the
+    glued ring adds the stratum ring shifted by the degree of the top Chern
+    class to the previous ring through `dmax`, and the degreewise
+    generation certificate.
     """
     A = stratum.ring
     ctop = stratum.top_coords
-    gate = is_nonzerodivisor(ctop, A.relations)
+    B, gate = A.regular_quotient(ctop)
     info = {
         "label": stratum.label,
         "top_chern": str(ctop),
@@ -368,8 +368,6 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
             f"top Chern class of {stratum.label} is a zero divisor; "
             "the gluing square does not apply"
         )
-    B = A.quotient([ctop])
-    p = Morphism(A, B, {n: Polynomial.variable(B.table, n) for n in A.table.names})
 
     names = list(prev.table.names) + [n for n, _ in stratum.spec.new]
     weights = list(prev.table.weights) + [w for _, w in stratum.spec.new]
@@ -396,7 +394,7 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
             pair_rows.append({"tag": tag, "a_side": str(true_side),
                               "source": "restriction"})
             continue
-        compatible = B.is_zero(p(override - true_side))
+        compatible = B.is_zero(override - true_side)
         if compatible:
             alpha_images[tag] = override
             pair_rows.append({"tag": tag, "a_side": str(override),
@@ -416,16 +414,15 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     beta = Morphism(free_tags, prev_free, beta_images)
 
     # the previous ring must actually map to the bottom: relations die there
-    phi_images = {n: p(alpha_images[n]) for n in prev.table.names}
-    Morphism(prev, B, phi_images)
+    Morphism(prev, B, {n: alpha_images[n] for n in prev.table.names})
 
     fiber, ker_alpha, ker_beta = fiber_product(alpha, beta)
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
     # the gluing square with a non-zero-divisor top class of degree c gives
     # HS(result) = HS(prev) + t^c HS(A), degree by degree
     c = ctop.weighted_degree()
-    shifted = ([0] * c + A.dims(dmax - c))[:dmax + 1]
-    for d, (got, old, new) in enumerate(zip(result.dims(dmax), prev.dims(dmax), shifted)):
+    for d in range(dmax + 1):
+        got, old, new = result.dim(d), prev.dim(d), A.dim(d - c)
         if got != old + new:
             raise PipelineError(
                 f"glued ring of {stratum.label} has dimension {got} in degree {d}, "
@@ -871,7 +868,9 @@ class ClaimRunner:
     def kind_nzd(self, claim):
         stratum, _ = self.where(claim)
         f = self.parse_in(stratum.ring, claim.get("expr"))
-        return is_nonzerodivisor(f, stratum.ring.relations), None
+        if f.is_constant():  # R/(unit) is the zero ring, which is no Presentation
+            return not f.is_zero(), None
+        return stratum.ring.regular_quotient(f)[1], None
 
     def kind_generator_count(self, claim):
         return self.count(claim, len(self.artifacts.final.table))

@@ -66,9 +66,9 @@ def _read_document(path: str, kinds):
     except ParseError as exc:
         raise InputError(f"{path}: {exc}") from None
     if doc.kind not in kinds:
-        raise InputError(
-            f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind!r}"
-        )
+        article = "an" if kinds[0][0] in "aeiou" else "a"
+        raise InputError(f"{path}: expected {article} {' or '.join(kinds)} document, "
+                         f"got {doc.kind!r}")
     return doc
 
 

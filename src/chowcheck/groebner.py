@@ -616,10 +616,10 @@ class Ideal:
                                             or _Reducers.of((), order, len(self.context)))
         return cached
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX, with_quotients=False):
+    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         """Remainder modulo the reduced basis, via `reduce_full` on its
         packed entries."""
-        return reduce_full(f, self.groebner(order), order, with_quotients)
+        return reduce_full(f, self.groebner(order), order)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()
@@ -741,11 +741,6 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("colon by the zero polynomial")
     H = intersect(I, Ideal(I.context, [f]))
     return Ideal(I.context, [exact_divide(g, f) for g in H.gens])
-
-
-def is_nonzerodivisor(f: Polynomial, I: Ideal) -> bool:
-    """True when f is a non-zero-divisor on Q[context]/I."""
-    return ideal_equal(ideal_quotient(I, f), I)
 
 
 class Subalgebra:

@@ -19,6 +19,7 @@ from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
     Ideal,
     _Overflow,
+    _add_shifted,
     _reduce,
     hilbert_numerator,
     hilbert_series,
@@ -70,29 +71,36 @@ class Presentation:
     def is_zero(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
+    @property
+    def numerator(self) -> dict:
+        """N(t) of the Hilbert series N(t) / prod(1 - t^w), read off the
+        leading monomials of the cached basis (`hilbert_numerator`)."""
+        if self._numerator is None:
+            gb = self.relations.groebner(self.order) if self.relations.gens else ()
+            self._numerator = hilbert_numerator(
+                [g.leading_monomial(self.order) for g in gb], self.table.weights)
+        return self._numerator
+
     def dim(self, degree: int) -> int:
         """Dimension of the degree piece as a Q-vector space."""
         if degree < 0:
             return 0
-        self._expand(degree)
+        if degree >= len(self._series):
+            self._series = hilbert_series(self.numerator, self.table.weights,
+                                          max(degree, 2 * len(self._series)))
         return self._series[degree]
 
-    def dims(self, dmax: int) -> list:
-        """Dimensions of the degree pieces 0..dmax."""
-        self._expand(dmax)
-        return self._series[:max(dmax + 1, 0)]
+    def regular_quotient(self, f: Polynomial) -> tuple:
+        """R/(f), R this ring, and whether f is a non-zero-divisor on R.
 
-    def _expand(self, dmax: int) -> None:
-        """Make `_series` hold the Hilbert series N(t) / prod(1 - t^w)
-        through at least t^dmax, N the numerator of the leading term
-        ideal (`hilbert_numerator`)."""
-        if dmax >= len(self._series):
-            if self._numerator is None:
-                gb = self.relations.groebner(self.order) if self.relations.gens else ()
-                self._numerator = hilbert_numerator(
-                    [g.leading_monomial(self.order) for g in gb], self.table.weights)
-            self._series = hilbert_series(self._numerator, self.table.weights,
-                                          max(dmax, 2 * len(self._series)))
+        For f homogeneous of degree c > 0, 0 -> (0:f)(-c) -> R(-c) -f-> R
+        -> R/(f) -> 0 is exact, so HS(R/(f)) - (1 - t^c) HS(R) is
+        t^c HS(0:f), zero only when (0:f) is; all share R's denominator, so
+        f is regular exactly when N(R/(f)) = N - t^c N, N = N(R).  Zero is
+        not regular; a non-homogeneous f or a unit raises PresentationError."""
+        quotient = self.quotient([f])
+        return quotient, not f.is_zero() and quotient.numerator == _add_shifted(
+            self.numerator, self.numerator, f.weighted_degree(), -1)
 
     def quotient(self, extra_relations) -> "Presentation":
         return Presentation(self.table, list(self.relations.gens) + list(extra_relations))

@@ -410,10 +410,18 @@ def test_argparse_and_io_failures_exit_2(argv, capsys):
     assert code == 2
 
 
-def test_wrong_kind_exits_2(sym2, capsys):
+def test_wrong_kind_exits_2(sym2, swap_action, capsys):
     code, _, err = run(capsys, ["kernel", sym2])
     assert code == 2
     assert "error:" in err
+    assert "expected a morphism document, got 'ideal'" in err
+    # the article follows the first kind named
+    code, _, err = run(capsys, ["dims", swap_action])
+    assert code == 2
+    assert "expected an ideal or presentation document, got 'action'" in err
+    code, _, err = run(capsys, ["invgen", sym2])
+    assert code == 2
+    assert "expected an action or stratum document, got 'ideal'" in err
 
 
 def test_unknown_drop_variable_exits_2(sym2, capsys):

@@ -18,7 +18,6 @@ from chowcheck.groebner import (
     ideal_equal,
     ideal_quotient,
     intersect,
-    is_nonzerodivisor,
     map_kernel,
     reduce_full,
     standard_monomials,
@@ -79,7 +78,7 @@ def test_normal_form_quotients_certify_reduction():
     I = Ideal(table, polys(table, "x^2 - y", "x*y - 1"))
     f = parse_polynomial("x^3*y - x + y^2", table)
     gb = I.groebner(GREVLEX)
-    r, qs = I.normal_form(f, GREVLEX, with_quotients=True)
+    r, qs = reduce_full(f, gb, GREVLEX, with_quotients=True)
     rebuilt = r
     for q, g in zip(qs, gb):
         rebuilt = rebuilt + q * g
@@ -190,8 +189,6 @@ def test_colon_and_nonzerodivisors():
     y = Polynomial.variable(table, "y")
     colon = ideal_quotient(I, x)
     assert ideal_equal(colon, Ideal(table, [y]))
-    assert not is_nonzerodivisor(x, I)
-    assert is_nonzerodivisor(x + y, I)
     # containment f * (I : f) <= I
     for g in colon.gens:
         assert I.member(g * x)

@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from chowcheck import chowpipeline, invariants
+from chowcheck import chowpipeline, groebner, invariants
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -418,6 +418,42 @@ def test_a_stratum_missing_a_ring_coordinate_fails_by_the_molien_count(tmp_path)
     with pytest.raises(InvariantError, match=r"miss the invariants in degree 2: "
                                              r"dimension 3 presented, 4 invariant"):
         run_pipeline(root=root)
+
+
+def test_a_zero_top_class_stops_the_gluing_as_a_zero_divisor(tmp_path):
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    text = gamma2.read_text()
+    assert "[top]\nTOP\n" in text
+    gamma2.write_text(text.replace("[top]\nTOP\n", "[top]\n0\n"))
+    with pytest.raises(PipelineError, match="top Chern class of Gamma2 is a zero divisor"):
+        run_pipeline(root=root)
+
+
+@pytest.mark.parametrize("expr, outcome", [
+    ("0", "failed"),
+    ("3", "passed"),
+    ("k1 + k1^2", "errors"),
+])
+def test_a_degenerate_nzd_claim_gets_a_row(tmp_path, expr, outcome):
+    path = tmp_path / "nzd.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: degenerate\nkind: nzd\n"
+                    f"where: Gamma1\nexpr: {expr}\n")
+    (row,) = convention_search(load_claims(path=path),
+                               conventions=[SignConvention()])["rows"]
+    got = {key: row[key] for key in ("passed", "failed", "errors") if row[key]}
+    assert list(got) == [outcome]
+    if outcome == "errors":
+        (error,) = got["errors"]
+        assert "not weighted-homogeneous" in error["error"]
+
+
+def test_verify_paper_needs_no_colon_ideal(report, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("colon ideal built")
+
+    monkeypatch.setattr(groebner, "ideal_quotient", refuse)
+    assert emit_report(verify_paper(), "machine") == emit_report(report, "machine")
 
 
 def test_load_base_reports_the_line_of_a_bad_relation(tmp_path):

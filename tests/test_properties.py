@@ -570,7 +570,22 @@ def test_dimensions_from_the_hilbert_series_match_the_monomial_walk(case, degree
     pres = Presentation(table, gens)
     for d in degrees:  # any order: the series is expanded as far as asked
         assert pres.dim(d) == len(standard_monomials(pres.relations, d, pres.order))
-    assert pres.dims(12) == [pres.dim(d) for d in range(13)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_ideals(), st.data())
+def test_regular_quotient_agrees_with_the_colon_ideal(case, data):
+    # the colon path stays in groebner, so it decides regularity independently
+    table, gens = case
+    pres = Presentation(table, gens)
+    monos = standard_monomials(Ideal(table, ()), data.draw(st.integers(1, 4)), GREVLEX)
+    assume(monos)
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                                unique=True))
+    f = Polynomial(table, {m: data.draw(coeffs) for m in chosen})
+    quotient, regular = pres.regular_quotient(f)
+    assert regular == ideal_equal(ideal_quotient(pres.relations, f), pres.relations)
+    assert ideal_equal(quotient.relations, Ideal(table, list(gens) + [f]))
 
 
 @settings(max_examples=80, deadline=None)

@@ -26,6 +26,28 @@ def pres(names, weights, *relations):
     return Presentation(table, [parse_polynomial(t, table) for t in relations])
 
 
+def test_regular_quotient_reads_the_gate_off_hilbert_numerators():
+    p = pres(["x", "y"], [1, 1], "x*y")
+    x = Polynomial.variable(p.table, "x")
+    y = Polynomial.variable(p.table, "y")
+    # x kills y; x + y is regular, and Q[x, y]/(x*y, x + y) is Q[x]/(x^2)
+    quotient, regular = p.regular_quotient(x)
+    assert not regular and [quotient.dim(d) for d in range(3)] == [1, 1, 1]
+    quotient, regular = p.regular_quotient(x + y)
+    assert regular and [quotient.dim(d) for d in range(3)] == [1, 1, 0]
+    assert p.numerator == {0: 1, 2: -1}
+    assert quotient.numerator == {0: 1, 1: -1, 2: -1, 3: 1}
+    # zero is never regular; a relation of the ring is zero there
+    assert not p.regular_quotient(Polynomial.zero(p.table))[1]
+    assert not p.regular_quotient(x * y)[1]
+    free = pres(["k1", "k2"], [1, 2])
+    assert free.regular_quotient(parse_polynomial("k1^2 + k2", free.table))[1]
+    with pytest.raises(PresentationError, match="not weighted-homogeneous"):
+        free.regular_quotient(parse_polynomial("k1 + k2", free.table))
+    with pytest.raises(PresentationError, match="collapse"):
+        free.regular_quotient(Polynomial.constant(free.table, 3))
+
+
 def test_presentation_requires_homogeneous_relations():
     with pytest.raises(PresentationError):
         pres(["k1", "k2"], [1, 2], "k1 + k2")
@@ -54,7 +76,7 @@ def test_quotient_dims_drop():
     assert q.dim(3) == 1
     p = pres(["x", "y"], [1, 1], "x^1000", "x*y")
     # x^d and y^d below degree 1000, only y^d from there on
-    dims = p.dims(1001)
+    dims = [p.dim(d) for d in range(1002)]
     assert dims[:3] == [1, 2, 2]
     assert dims[998:] == [2, 2, 1, 1]
     assert p.dim(999) == 2 and p.dim(1000) == 1 and p.dim(-1) == 0
