@@ -274,7 +274,7 @@ class Stratum:
     @cached_property
     def ring(self) -> Presentation:
         return _once(self.spec.algebra, ("ring", *self.ring_forms), lambda:
-                     invariant_presentation(self.action, generators=self._coordinates))
+                     invariant_presentation(self.action, self._coordinates))
 
     @cached_property
     def _coordinates(self) -> Subalgebra:
@@ -621,6 +621,9 @@ class Claim:
         self.id = self.get("id")
         self.kind = self.get("kind")
         self.expect = self.get("expect", "pass")
+        if self.expect.upper() not in ("PASS", "FAIL", "ASSUMED"):
+            raise PipelineError(f"claim {self.id}: expect must be pass, fail or "
+                                f"assumed, not {self.expect!r}")
         self.note = self.get("note", "")
 
     def get(self, key, default=_REQUIRED):
@@ -650,7 +653,12 @@ def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
     doc = parse_document(text)
     if doc.kind != "claims":
         raise PipelineError("expected a claims document")
-    return [Claim(entries) for entries in doc.all_sections("claim")]
+    claims = [Claim(entries) for entries in doc.all_sections("claim")]
+    ids = Counter(c.id for c in claims)
+    repeated = next((c.id for c in claims if ids[c.id] > 1), None)
+    if repeated is not None:
+        raise PipelineError(f"claim {repeated} is stated more than once")
+    return claims
 
 
 def _membership_gaps(computed: Ideal, stated: Ideal, order) -> tuple:
@@ -966,13 +974,13 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
     """Run the pipeline, evaluate every claim, and assemble the report."""
     timing = {}
     convention = convention or SignConvention()
+    claims = load_claims(path=claims_path)  # a bad claims file fails before any work
 
     t0 = perf_counter()
     artifacts = run_pipeline(convention, dmax=dmax, root=strata_root)
     timing["pipeline_s"] = round(perf_counter() - t0, 3)
 
     t1 = perf_counter()
-    claims = load_claims(path=claims_path)
     runner = ClaimRunner(artifacts)
     outcomes = [runner.run(claim) for claim in claims]
     timing["claims_s"] = round(perf_counter() - t1, 3)

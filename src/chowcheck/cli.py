@@ -35,14 +35,14 @@ from .exprparser import (
 )
 from .groebner import (
     Ideal,
+    Subalgebra,
     eliminate,
     ideal_quotient,
     intersect,
     map_kernel,
-    subalgebra_member,
 )
 from .invariants import GroupAction, InvariantError, algebra_generators, invariant_presentation
-from .polyarith import MonomialOrder, VarTable
+from .polyarith import MonomialOrder, Polynomial, VarTable
 from .ringpres import Morphism, Presentation, PresentationError, fiber_product
 
 ORDER_NAMES = ("lex", "grlex", "grevlex", "wgrevlex")
@@ -137,11 +137,10 @@ def _braces(polys) -> str:
     return "{" + ", ".join(str(p) for p in polys) + "}\n"
 
 
-def _presentation_text(pres: Presentation) -> str:
+def _presentation_text(table: VarTable, relations) -> str:
     lines = ["[kind]", "presentation", "[vars]"]
-    for name, weight in zip(pres.table.names, pres.table.weights):
+    for name, weight in zip(table.names, table.weights):
         lines.append(f"{name}({weight})")
-    relations = pres.relations.groebner(pres.order)
     if relations:
         lines.append("[relations]")
         lines.extend(str(g) for g in relations)
@@ -222,8 +221,8 @@ def cmd_subalg(args):
         raise InputError("subalgebra membership runs in a free ambient ring; "
                          "remove [relations]")
     f = _element(args, target)
-    expression = subalgebra_member(f, [(name, images[name]) for name in source.names],
-                                   tag_table=source)
+    expression = Subalgebra(target, [(name, images[name]) for name in source.names],
+                            source).express(f)
     if expression is None:
         return "false\n", 0
     return f"true\nexpression: {expression}\n", 0
@@ -242,9 +241,16 @@ def cmd_invgen(args):
 
 def cmd_invpres(args):
     _, action = _load_action(args.action)
-    names = ([n.strip() for n in args.names.split(",") if n.strip()]
-             if args.names else None)
-    return _presentation_text(invariant_presentation(action, names=names)), 0
+    pres = invariant_presentation(action)
+    table, relations = pres.table, pres.relations.groebner(pres.order)
+    if args.names:
+        names = [n.strip() for n in args.names.split(",") if n.strip()]
+        if len(names) != len(table):
+            raise InputError("one name per generator is required")
+        # renamed, not recomputed: wgrevlex reads only positions and weights
+        table = VarTable(names, table.weights)
+        relations = [Polynomial(table, g.terms) for g in relations]
+    return _presentation_text(table, relations), 0
 
 
 def cmd_fiber(args):
@@ -255,7 +261,8 @@ def cmd_fiber(args):
     source = Presentation(a_source)
     alpha = Morphism(source, Presentation(a_target, a_relations), a_images)
     beta = Morphism(source, Presentation(b_target, b_relations), b_images)
-    return _presentation_text(fiber_product(alpha, beta)[0]), 0
+    pres = fiber_product(alpha, beta)[0]
+    return _presentation_text(pres.table, pres.relations.groebner(pres.order)), 0
 
 
 def _require_dmax(args):

@@ -326,6 +326,14 @@ def parse_document(text: str) -> Document:
 _NAME_WEIGHT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((\d+)\))?$")
 
 
+def _weight(name: str, text: str, line) -> int:
+    """A declared weight, which must be a positive integer."""
+    value = parse_rational(text, line)
+    if value.denominator != 1 or value <= 0:
+        raise ParseError(f"weight of {name} must be a positive integer", line)
+    return int(value)
+
+
 def parse_vartable(entries) -> VarTable:
     """Read `[vars]`-style entries: `name`, `name(weight)` or `name: weight`."""
     names, weights = [], []
@@ -334,14 +342,11 @@ def parse_vartable(entries) -> VarTable:
         m = _NAME_WEIGHT_RE.match(text.strip())
         if not m:
             raise ParseError(f"bad variable declaration {text!r}", e.line)
-        names.append(m.group(1))
-        if m.group(2) is not None:
-            w = int(m.group(2))
-        elif e.key is not None:
-            w = int(parse_rational(e.value, e.line))
-        else:
-            w = 1
-        weights.append(w)
+        name, weight = m.groups()
+        if weight is None and e.key is not None:
+            weight = e.value
+        names.append(name)
+        weights.append(1 if weight is None else _weight(name, weight, e.line))
     try:
         return VarTable(names, weights)
     except ValueError as exc:
@@ -362,11 +367,7 @@ def doc_vars(doc: Document) -> VarTable:
                              entry.line)
         if entry.key not in table.names:
             raise ParseError(f"unknown variable {entry.key!r}", entry.line)
-        value = parse_rational(entry.value, entry.line)
-        if value.denominator != 1 or value <= 0:
-            raise ParseError(f"weight of {entry.key} must be a positive integer",
-                             entry.line)
-        weights[table.index(entry.key)] = int(value)
+        weights[table.index(entry.key)] = _weight(entry.key, entry.value, entry.line)
     return VarTable(table.names, weights)
 
 

@@ -841,19 +841,10 @@ def map_kernel(source: VarTable, images: dict, target: VarTable,
     return Subalgebra(target, gens, source, target_ideal).kernel()
 
 
-def subalgebra_member(f: Polynomial, gens, tag_table: VarTable | None = None):
-    """Express f in the subalgebra generated by named polynomials.
-
-    `gens` is a list of (name, Polynomial) over f's table, or a Subalgebra
-    already built for them when many forms are tested against one list.
-    Returns the expression as a Polynomial over the tag table or None when
-    f is not a member.
-    """
-    if isinstance(gens, Subalgebra):
-        if tag_table is not None:
-            raise ValueError("a Subalgebra already carries its tag table")
-        return gens.express(f)
-    return Subalgebra(f.context, gens, tag_table).express(f)
+def subalgebra_member(f: Polynomial, span: Subalgebra):
+    """Express f in the subalgebra `span` generates: a Polynomial over its
+    tag table, or None when f is not a member."""
+    return span.express(f)
 
 
 def zero_dimensional(I: Ideal, order: MonomialOrder = GREVLEX):

@@ -265,36 +265,23 @@ def _spanned(span: Subalgebra, degree: int) -> int:
     return hilbert_series(hilbert_numerator(kernel, weights), weights, degree)[degree]
 
 
-def invariant_presentation(action: GroupAction, names=None,
-                           generators=None) -> Presentation:
+def invariant_presentation(action: GroupAction,
+                           span: Subalgebra | None = None) -> Presentation:
     """Present the invariant algebra by generators and relations.
 
-    The relations are the kernel of the evaluation map onto the chosen
-    generators, so the presentation has the graded dimensions of their
+    The relations are the kernel of the evaluation map onto the generators
+    of `span`, so the presentation has the graded dimensions of their
     span.  Each generator is checked to be invariant, so the span lies in
     the invariants, which are generated in degree at most D =
     `degree_bound`: presented dimensions equal to the Molien series
     through D prove that the span is the whole invariant algebra.  The
-    comparison runs through D + 2 and names the first degree off.  By
-    default the sweep's `Subalgebra` (tags z1, z2, ..., skipping the
-    action's names) is presented.  `generators` may be a Subalgebra over
-    the action's table with its default tag table; its tags name the
-    generators, and its basis serves the caller's membership tests too.
+    comparison runs through D + 2 and names the first degree off.  `span`
+    defaults to the sweep's own `Subalgebra` (tags z1, z2, ..., skipping
+    the action's names); a caller that builds one over the action's table
+    keeps reading its basis for membership tests.
     """
-    if isinstance(generators, Subalgebra):
-        if names is not None:
-            raise InvariantError("a Subalgebra already names its generators")
-        span = generators
-    elif generators is None and names is None:
+    if span is None:
         span = _generator_span(action)
-    else:
-        generators = list(algebra_generators(action) if generators is None
-                          else generators)
-        if names is None:
-            names = _fresh_names("z", len(generators), set(action.table.names), start=1)
-        if len(names) != len(generators):
-            raise InvariantError("one name per generator is required")
-        span = Subalgebra(action.table, list(zip(names, generators)))
     for _, f in span.gens:
         if f.weighted_degree() < 1 or not f.is_homogeneous():
             raise InvariantError("generators must be homogeneous of positive degree")

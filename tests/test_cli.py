@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -300,6 +301,34 @@ z0 -> z1; z1 -> z0
     assert "z0(1)\nz1(2)" in out
 
 
+def test_invpres_names_renames_the_basis_it_already_reduced(tmp_path, capsys, monkeypatch):
+    from chowcheck import groebner
+    action = write(tmp_path, "s3.action", "[kind]\naction\n[vars]\nx\ny\nz\n"
+                   "[group]\nx -> y; y -> x; z -> z\nx -> y; y -> z; z -> x\n")
+    runs = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args, **kwargs: runs.append(1) or real(*args, **kwargs))
+    named = run(capsys, ["invpres", action, "--names", "p1,p2,p3"])
+    named_runs, runs[:] = len(runs), []
+    default = run(capsys, ["invpres", action])
+    assert named_runs == len(runs) > 0
+    assert named == (0, default[1].replace("z", "p"), "")
+
+
+@pytest.mark.parametrize("stratum", sorted(p.name for p in (DATA / "strata").glob("*.stratum")))
+def test_invpres_names_print_the_default_presentation_renamed(stratum, capsys):
+    path = str(DATA / "strata" / stratum)
+    code, default, _ = run(capsys, ["invpres", path])
+    tags = re.findall(r"^(\w+)\(", default, re.M)
+    assert code == 0 and tags == [f"z{i}" for i in range(1, len(tags) + 1)]
+    names = ",".join(f"p{i}" for i in range(1, len(tags) + 1))
+    assert run(capsys, ["invpres", path, "--names", names]) == (
+        0, re.sub(r"\bz(\d+)\b", r"p\1", default), "")
+    code, out, err = run(capsys, ["invpres", path, "--names", "p1"])
+    assert (code, out, err) == (2, "", "error: one name per generator is required\n")
+
+
 @pytest.mark.parametrize("vars_, group, gens, pres", [
     ("y(3)", "y -> -y", "y^2\n", "z1(6)\n"),
     ("x(1)\ny(2)", "x -> -x; y -> -y", "x^2\nx*y\ny^2\n",
@@ -437,6 +466,15 @@ def test_unknown_weight_name_exits_2_naming_its_line(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: unknown variable 'z' at line 6\n")
 
 
+@pytest.mark.parametrize("weight", ["3/2", "0", "-2"])
+def test_a_name_colon_weight_must_be_a_positive_integer(tmp_path, capsys, weight):
+    path = write(tmp_path, "weighted.pres", "[kind]\npresentation\n[vars]\n"
+                 f"y\nx: {weight}\n[relations]\nx^2\n")
+    code, out, err = run(capsys, ["dims", path])
+    assert (code, out, err) == (
+        2, "", "error: weight of x must be a positive integer at line 5\n")
+
+
 def test_bad_relation_reports_the_column_of_its_line(tmp_path, capsys):
     path = write(tmp_path, "cut.ideal", "[kind]\nideal\n[vars]\nx\n"
                  "[relations]\n   x^2 +\n")
@@ -511,6 +549,18 @@ expect: assumed
     assert [row["status"] for row in report["claims"]] == [
         "PASS", "PASS", "ASSUMED"]
     assert "timing" not in report
+
+
+@pytest.mark.parametrize("second, message", [
+    ("id: b\nkind: free_ring\nexpect: fial\n",
+     "claim b: expect must be pass, fail or assumed, not 'fial'"),
+    ("id: a\nkind: free_ring\n", "claim a is stated more than once"),
+], ids=["misspelled-expect", "repeated-id"])
+def test_verify_paper_exits_2_on_a_bad_claims_file(tmp_path, capsys, second, message):
+    claims = write(tmp_path, "bad.claims", "[kind]\nclaims\n[claim]\nid: a\n"
+                   "kind: free_ring\n[claim]\n" + second)
+    code, out, err = run(capsys, ["verify-paper", str(DATA / "strata"), claims])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _count_parsers(monkeypatch):

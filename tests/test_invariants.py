@@ -137,7 +137,7 @@ def test_algebra_generators_c2_swap():
         parse_polynomial("t1 + t2", table),
         parse_polynomial("t1^2 + t2^2", table),
     ]
-    named = lambda fs: [(f"z{i+1}", f) for i, f in enumerate(fs)]  # noqa: E731
+    named = lambda fs: Subalgebra(table, [(f"z{i+1}", f) for i, f in enumerate(fs)])  # noqa: E731
     for f in expected:
         assert subalgebra_member(f, named(gens)) is not None
     for f in gens:
@@ -189,33 +189,28 @@ def test_invariant_presentation_principal_kernel():
 
 def test_invariant_presentation_rejects_insufficient_generators():
     table, c2 = swap_action()
-    only_linear = [parse_polynomial("t1 + t2", table)]
+    only_linear = Subalgebra(table, [("z1", parse_polynomial("t1 + t2", table))])
     with pytest.raises(InvariantError):
-        invariant_presentation(c2, names=["z1"], generators=only_linear)
+        invariant_presentation(c2, only_linear)
 
 
 def test_invariant_presentation_rejects_non_invariant():
     table, c2 = swap_action()
     with pytest.raises(InvariantError):
-        invariant_presentation(
-            c2,
-            names=["z1", "z2"],
-            generators=[
-                parse_polynomial("t1", table),
-                parse_polynomial("t1*t2", table),
-            ],
-        )
+        invariant_presentation(c2, Subalgebra(table, [
+            ("z1", parse_polynomial("t1", table)),
+            ("z2", parse_polynomial("t1*t2", table)),
+        ]))
 
 
 def test_s3_power_sums_generate():
     table, s3 = s3_action()
-    power_sums = [
-        parse_polynomial("w1 + w2 + w3", table),
-        parse_polynomial("w1^2 + w2^2 + w3^2", table),
-        parse_polynomial("w1^3 + w2^3 + w3^3", table),
-    ]
-    pres = invariant_presentation(s3, names=["p1", "p2", "p3"],
-                                  generators=power_sums)
+    power_sums = Subalgebra(table, [
+        ("p1", parse_polynomial("w1 + w2 + w3", table)),
+        ("p2", parse_polynomial("w1^2 + w2^2 + w3^2", table)),
+        ("p3", parse_polynomial("w1^3 + w2^3 + w3^3", table)),
+    ])
+    pres = invariant_presentation(s3, power_sums)
     assert pres.is_free()
     assert pres.table.weights == (1, 2, 3)
 
@@ -242,9 +237,8 @@ def test_supplied_generators_never_run_the_generator_sweep(monkeypatch):
     monkeypatch.setattr(invariants, "algebra_generators", refuse)
     monkeypatch.setattr(invariants, "_generator_span", refuse)
     table, s3 = s3_action()
-    power_sums = [parse_polynomial(f"w1^{k} + w2^{k} + w3^{k}", table)
-                  for k in (1, 2, 3)]
-    assert invariant_presentation(s3, names=["p1", "p2", "p3"],
-                                  generators=power_sums).is_free()
+    power_sums = Subalgebra(table, [
+        (f"p{k}", parse_polynomial(f"w1^{k} + w2^{k} + w3^{k}", table)) for k in (1, 2, 3)])
+    assert invariant_presentation(s3, power_sums).is_free()
     stratum = Stratum(StratumSpec.load("gamma2.stratum"), SignConvention())
     assert list(stratum.ring.table.names) == stratum.ring_names

@@ -804,8 +804,8 @@ def test_a_stratum_reads_its_ring_and_coordinates_off_one_basis(monkeypatch):
     alone, stratum = (Stratum(spec, SignConvention()) for _ in range(2))
     del runs[:]
     # the baseline presents the same forms through a Subalgebra of its own
-    invariant_presentation(GroupAction(spec.table, spec.group_specs),
-                           names=alone.ring_names, generators=alone.ring_forms)
+    invariant_presentation(GroupAction(spec.table, spec.group_specs), groebner.Subalgebra(
+        spec.table, list(zip(alone.ring_names, alone.ring_forms))))
     presentation_runs = len(runs)
     del runs[:]
     stratum.ring
