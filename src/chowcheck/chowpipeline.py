@@ -47,6 +47,7 @@ from .groebner import (
     Ideal,
     Subalgebra,
     _Overflow,
+    _add_shifted,
     ideal_equal,
     map_kernel,
     standard_monomials,
@@ -71,6 +72,7 @@ from .ringpres import (
     Morphism,
     Presentation,
     PresentationError,
+    alpha_rows,
     apply_quotient,
     fiber_product,
     graded_surjectivity,
@@ -339,6 +341,13 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
 # ---------------------------------------------------------------------------
 # one induction step
 
+def _cleared(numerator: dict, *rings) -> dict:
+    """numerator * prod(1 - t^w), w over the variable weights of each ring."""
+    for w in (w for ring in rings for w in ring.table.weights):
+        numerator = _add_shifted(numerator, numerator, w, -1)
+    return numerator
+
+
 def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict:
     """Glue the previous ring with one stratum; returns the stage artifacts.
 
@@ -349,8 +358,8 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     ones fall back), the kernel intersection presenting the glued ring,
     transport of the previous relations, the Hilbert series check that the
     glued ring adds the stratum ring shifted by the degree of the top Chern
-    class to the previous ring through `dmax`, and the degreewise
-    generation certificate.
+    class to the previous ring, in every degree, and the degreewise
+    generation certificate through `dmax`.
     """
     A = stratum.ring
     ctop = stratum.top_coords
@@ -364,19 +373,15 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
         ],
     }
     if not gate:
-        raise PipelineError(
-            f"top Chern class of {stratum.label} is a zero divisor; "
-            "the gluing square does not apply"
-        )
+        raise PipelineError(f"top Chern class of {stratum.label} is a zero divisor; "
+                            "the gluing square does not apply")
 
     names = list(prev.table.names) + [n for n, _ in stratum.spec.new]
     weights = list(prev.table.weights) + [w for _, w in stratum.spec.new]
     if stratum.spec.tag_order is not None:
         by_name = dict(zip(names, weights))
         if sorted(stratum.spec.tag_order) != sorted(names):
-            raise PipelineError(
-                f"tag order of {stratum.label} must permute {sorted(names)}"
-            )
+            raise PipelineError(f"tag order of {stratum.label} must permute {sorted(names)}")
         names = list(stratum.spec.tag_order)
         weights = [by_name[n] for n in names]
     tags = VarTable(names, weights)
@@ -390,21 +395,13 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
         true_side = stratum.restriction_coords[tag]
         override = stratum.pair_overrides.get(tag)
         if override is None:
-            alpha_images[tag] = true_side
-            pair_rows.append({"tag": tag, "a_side": str(true_side),
-                              "source": "restriction"})
-            continue
-        compatible = B.is_zero(override - true_side)
-        if compatible:
-            alpha_images[tag] = override
-            pair_rows.append({"tag": tag, "a_side": str(override),
-                              "source": "displayed",
-                              "differs_from_restriction": override != true_side})
+            row = {"source": "restriction"}
+        elif B.is_zero(override - true_side):
+            row = {"source": "displayed", "differs_from_restriction": override != true_side}
         else:
-            alpha_images[tag] = true_side
-            pair_rows.append({"tag": tag, "a_side": str(true_side),
-                              "source": "fallback",
-                              "rejected": str(override)})
+            row = {"source": "fallback", "rejected": str(override)}
+        alpha_images[tag] = override if row["source"] == "displayed" else true_side
+        pair_rows.append({"tag": tag, "a_side": str(alpha_images[tag]), **row})
     info["pairs"] = pair_rows
 
     prev_free = Presentation(prev.table)
@@ -417,33 +414,29 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     Morphism(prev, B, {n: alpha_images[n] for n in prev.table.names})
 
     fiber, ker_alpha, ker_beta = fiber_product(alpha, beta)
+    rows = alpha_rows(alpha, beta)  # held here: the transport and the ranks share them
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
-    # the gluing square with a non-zero-divisor top class of degree c gives
-    # HS(result) = HS(prev) + t^c HS(A), degree by degree
+    # a non-zero-divisor top class of degree c gives HS(result) = HS(prev) + t^c HS(A),
+    # so N_res D_prev D_A = N_prev D_A D_res + t^c N_A D_prev D_res for HS = N / D,
+    # D = prod(1 - t^w); each D starts with 1, so the lowest term of the difference
+    # is the first degree where the two series differ
     c = ctop.weighted_degree()
-    for d in range(dmax + 1):
+    gap = _add_shifted(_add_shifted(_cleared(result.numerator, prev, A),
+                                    _cleared(prev.numerator, A, result), 0, -1),
+                       _cleared(A.numerator, prev, result), c, -1)
+    if gap:
+        d = min(gap)
         got, old, new = result.dim(d), prev.dim(d), A.dim(d - c)
-        if got != old + new:
-            raise PipelineError(
-                f"glued ring of {stratum.label} has dimension {got} in degree {d}, "
-                f"but the stratification gives {old} + {new}"
-            )
+        raise PipelineError(f"glued ring of {stratum.label} has dimension {got} in degree "
+                            f"{d}, but the stratification gives {old} + {new}")
     info["lifts"] = lift_notes
     info["surjectivity"] = graded_surjectivity(fiber, alpha, beta, B,
                                                range(0, dmax + 1))
     info["certified_through"] = dmax if all(
         row["certified"] for row in info["surjectivity"]) else -1
     info["result_relations"] = [str(g) for g in result.relations.gens]
-    return {
-        "info": info,
-        "result": result,
-        "fiber": fiber,
-        "ker_alpha": ker_alpha,
-        "ker_beta": ker_beta,
-        "alpha": alpha,
-        "beta": beta,
-        "bottom": B,
-    }
+    return {"info": info, "result": result, "fiber": fiber, "ker_alpha": ker_alpha,
+            "ker_beta": ker_beta, "alpha": alpha, "beta": beta, "bottom": B}
 
 
 # ---------------------------------------------------------------------------

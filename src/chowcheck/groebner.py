@@ -42,7 +42,7 @@ exact rationals.  The reduced basis leaves `buchberger` as the primitive
 integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
 polynomials are built only when a caller reads the basis.  Callers that
-keep their own rows packed (`pair_image_rank`, `minimal_generators`) run
+keep their own rows packed (`ringpres._AlphaRows`, `minimal_generators`) run
 `_reduce` or build rows on the same entries (`Ideal.groebner`).
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the

@@ -6,10 +6,9 @@ everything added to it; ranks, independent subsets and linear solves are
 all read off it.  Inside, rows are integer and elimination scales by gcd
 cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
 polynomials; `Fraction` appears only in what `reduce` returns.  An int
-row is already integer: every denominator is 1, so clearing them leaves
-it as it is, and callers that hold integer rows (`ringpres.pair_image_rank`,
-`chowpipeline.minimal_generators`) pass them without a `Fraction` round trip.
-"""
+row goes in as it is, so the packed integer rows of `ringpres._AlphaRows`
+(ranked, and solved over by `solve_linear`) and of
+`chowpipeline.minimal_generators` need no `Fraction` round trip."""
 
 from __future__ import annotations
 

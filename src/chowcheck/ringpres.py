@@ -4,15 +4,16 @@ A presentation is Q[x_1..x_n]/I with positive integer weights on the
 variables and weighted-homogeneous relations.  Maps are determined by
 generator images and are checked to preserve the grading and to kill the
 source relations.  The fiber product of two maps out of a common free tag
-ring is presented by the intersection of their kernels; relations that
-only exist on one side of a fiber square are transported across it by
-`apply_quotient`, solving for a correction supported on the tags the other
-side kills whenever the naive lift fails.
-"""
+ring is presented by the intersection of their kernels.  For beta a
+projection, one set of packed alpha rows (`alpha_rows`) serves two jobs:
+the pair-image rank is counted from alpha alone (`pair_image_rank`), and
+a beta-side relation whose naive lift fails is corrected over the same
+rows (`apply_quotient`)."""
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
@@ -27,7 +28,7 @@ from .groebner import (
     map_kernel,
     standard_monomials,
 )
-from .linalg import SparseEchelon, solve_linear
+from .linalg import solve_linear, sparse_rank
 
 
 class PresentationError(ValueError):
@@ -112,11 +113,12 @@ class Presentation:
 class Morphism:
     """Graded ring map Presentation -> Presentation given by generator images."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_rows")
 
     def __init__(self, source: Presentation, target: Presentation, images: dict):
         self.source = source
         self.target = target
+        self._rows = None
         fixed = {}
         for name in source.table.names:
             if name not in images:
@@ -173,89 +175,104 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> tuple:
     return fiber, ker_alpha, ker_beta
 
 
-def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
-    """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
-    one per d in `degrees`.
-
-    This is the honest linear-system count: one row per monomial in the
-    tags, coordinates running over both targets at once.  It runs on
-    packed integer terms throughout.  Tag i maps to (L_i alpha(x_i),
-    L_i beta(x_i)), with L_i the lcm of the denominators on both sides, so
-    every row is the rational row times one non-zero integer and the
-    ranks are unchanged.  Unreduced images are built incrementally and
-    kept for the whole call, raw[m] = raw[m / x_i] * gen_i with x_i the
-    last variable of m, filled on demand so `degrees` may come in any
-    order; only the row that enters the eliminator is put in normal form,
-    against the packed basis each target keeps (`Ideal.groebner`).  A
-    product that sets a guard bit restarts the call with both packings at
-    double width.
-    """
-    table = alpha.source.table
-    degrees = list(degrees)
-    maps = (alpha, beta)
-    lifts = [math.lcm(*(c.denominator for f in maps for c in f.images[n].terms.values()))
-             for n in table.names]
-    reds = [f.target.relations.groebner(f.target.order).fitting(
-                [m for n in table.names for m in f.images[n].terms])
-            for f in maps]
-    while True:
-        try:
-            return _pair_ranks(table, maps, lifts, reds, degrees)
-        except _Overflow:
-            reds = [red.doubled() for red in reds]
-
-
 def _times(f: dict, g: dict, guard: int) -> dict:
     """Product of packed integer terms; _Overflow when a guard bit is set."""
     out = {}
     for k, c in f.items():
         for q, d in g.items():
             kq = k + q
-            old = out.get(kq)
-            if old is None:
-                if kq & guard:
-                    raise _Overflow
-                out[kq] = c * d
-            else:
-                out[kq] = old + c * d
+            out[kq] = out.get(kq, 0) + c * d
+    if any(k & guard for k in out):
+        raise _Overflow
     return {k: c for k, c in out.items() if c}
 
 
-def _image(m: tuple, raw: dict, gens, ga: int, gc: int) -> tuple:
-    """raw[m] = raw[m / x_i] * gen_i, x_i the last variable of m, on demand."""
-    got = raw.get(m)
-    if got is None:
-        i = max(j for j, e in enumerate(m) if e)
-        a, c = _image(m[:i] + (m[i] - 1,) + m[i + 1:], raw, gens, ga, gc)
-        got = raw[m] = (_times(a, gens[i][0], ga), _times(c, gens[i][1], gc))
-    return got
+class _AlphaRows:
+    """The alpha side of a gluing, by degree, for beta a projection: each
+    tag goes to zero or to a variable of its own in a free ring.
+
+    `rows(d)` gives the number of degree-d tag monomials and, for each one
+    with a tag beta kills, (m, row, scale): row is alpha(m) as packed
+    integer terms reduced by the packed basis of alpha's target, and
+    row == scale * alpha(m) there.  Tag i maps to L_i alpha(x_i), L_i the
+    lcm of its denominators; images are built on first use as
+    raw[m] = raw[m / x_i] * gen_i, x_i the last variable of m, and kept.  A
+    product that sets a guard bit drops them all and builds at double width.
+    """
+
+    __slots__ = ("beta", "tags", "killed", "images", "lifts", "red", "gens", "raw", "built",
+                 "__weakref__")
+
+    def __init__(self, alpha: Morphism, beta: Morphism):
+        self.beta = beta
+        self.tags = alpha.source.table
+        kept = [f.terms for f in beta.images.values() if f.terms]
+        bare = {m for t in kept for m, c in t.items() if len(t) == 1 and c == 1 and sum(m) == 1}
+        if (beta.source.table != self.tags or not beta.target.is_free()
+                or len(bare) != len(kept)):
+            raise PresentationError("beta must send each tag of alpha's source to zero "
+                                    "or to a variable of its own in a free ring")
+        self.killed = [self.tags.index(n) for n in beta.killed_names()]
+        self.images = [alpha.images[n] for n in self.tags.names]
+        self.lifts = [math.lcm(*(c.denominator for c in f.terms.values())) for f in self.images]
+        self._pack(alpha.target.relations.groebner(alpha.target.order).fitting(
+            [m for f in self.images for m in f.terms]))
+
+    def _pack(self, red):
+        self.red = red
+        self.gens = [{red.packing.pack(m): c.numerator * (lift // c.denominator)
+                      for m, c in f.terms.items()} for f, lift in zip(self.images, self.lifts)]
+        self.raw = {(0,) * len(self.gens): {0: 1}}
+        self.built = {}
+
+    def rows(self, d: int) -> tuple:
+        """(number of degree-d tag monomials, [(m, row, scale)])."""
+        while d not in self.built:
+            try:
+                self.built[d] = self._build(d)
+            except _Overflow:
+                self._pack(self.red.doubled())
+        return self.built[d]
+
+    def _build(self, d: int) -> tuple:
+        entries, guard = self.red.entries, self.red.packing.guard
+        monos = standard_monomials(Ideal(self.tags, ()), d,
+                                   MonomialOrder.wgrevlex(self.tags.weights))
+        rows = [(m, *_reduce(dict(self._image(m, guard)), entries, guard))
+                for m in monos if any(m[i] for i in self.killed)]
+        return len(monos), [(m, row, s * math.prod(map(pow, self.lifts, m)))
+                            for m, row, s in rows]
+
+    def _image(self, m: tuple, guard: int) -> dict:
+        got = self.raw.get(m)
+        if got is None:
+            i = max(j for j, e in enumerate(m) if e)
+            got = self.raw[m] = _times(self._image(m[:i] + (m[i] - 1,) + m[i + 1:], guard),
+                                       self.gens[i], guard)
+        return got
 
 
-def _pair_ranks(table, maps, lifts, reds, degrees) -> list:
-    red_a, red_c = reds
-    ea, ga = red_a.entries, red_a.packing.guard
-    ec, gc = red_c.entries, red_c.packing.guard
-    gens = [tuple({red.packing.pack(m): c.numerator * (lift // c.denominator)
-                   for m, c in f.images[n].terms.items()}
-                  for f, red in zip(maps, reds))
-            for n, lift in zip(table.names, lifts)]
-    raw = {(0,) * len(table): ({0: 1}, {0: 1})}
-    free = Ideal(table, ())
-    order = MonomialOrder.wgrevlex(table.weights)
-    ranks = []
-    for d in degrees:
-        echelon = SparseEchelon()
-        for m in standard_monomials(free, d, order):
-            a, c = _image(m, raw, gens, ga, gc)
-            rem_a, s_a = _reduce(dict(a), ea, ga)
-            rem_c, s_c = _reduce(dict(c), ec, gc)
-            g = math.gcd(s_a, s_c)
-            s_a, s_c = s_a // g, s_c // g
-            row = {2 * k: v * s_c for k, v in rem_a.items()}
-            row.update({2 * k + 1: v * s_a for k, v in rem_c.items()})
-            echelon.add(row)
-        ranks.append(len(echelon))
-    return ranks
+def alpha_rows(alpha: Morphism, beta: Morphism) -> _AlphaRows:
+    """The alpha rows for (alpha, beta) that a caller still holds, found
+    through a weak reference on alpha, or new ones.  `induction_step` holds
+    them through a stage, so its transport and its ranks build them once."""
+    rows = alpha._rows() if alpha._rows else None
+    if rows is None or rows.beta is not beta:
+        rows = _AlphaRows(alpha, beta)
+        alpha._rows = weakref.ref(rows)
+    return rows
+
+
+def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
+    """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
+    one per d in `degrees`, for beta a projection (`_AlphaRows`).
+
+    The monomials free of killed tags go to distinct monomials of C and the
+    others to zero there, so the pair matrix is block triangular: its rank
+    is the number of degree-d monomials, less the alpha rows, plus their
+    rank.  A row is its rational image times a nonzero integer."""
+    return [size - len(built) + sparse_rank([row for _, row, _ in built])
+            for size, built in map(alpha_rows(alpha, beta).rows, degrees)]
 
 
 def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
@@ -267,21 +284,16 @@ def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
     bottom ring is onto), the independent linear-system rank of the tag
     images is counted by one `pair_image_rank` call over all the degrees,
     and the quotient presentation's own graded dimension is read off its
-    Hilbert series.  All three must agree for the degree to be
-    certified.
+    Hilbert series.  All three must agree for the degree to be certified.
     """
     degrees = list(degrees)
     out = []
     for d, rank_d in zip(degrees, pair_image_rank(alpha, beta, degrees)):
         expected = alpha.target.dim(d) + beta.target.dim(d) - bottom.dim(d)
         quotient_d = fiber.dim(d)
-        out.append({
-            "degree": d,
-            "pair_rank": rank_d,
-            "fiber_dim": expected,
-            "quotient_dim": quotient_d,
-            "certified": rank_d == expected and quotient_d == expected,
-        })
+        out.append({"degree": d, "pair_rank": rank_d, "fiber_dim": expected,
+                    "quotient_dim": quotient_d,
+                    "certified": rank_d == expected and quotient_d == expected})
     return out
 
 
@@ -289,44 +301,40 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
                    extras) -> tuple:
     """Impose relations of the beta side on a fiber presentation.
 
-    Each extra is a polynomial over the beta target table (all of whose
-    variables must also be tags) that holds in the beta-side ring and whose
-    alpha-side counterpart is zero.  The naive lift renames it into the tag
-    ring; when its alpha image is nonzero the difference is solved for as a
-    combination of same-degree monomials supported on tags that beta kills,
-    so the corrected lift dies on both sides.  Returns the quotient
-    presentation and one note per extra.
-    """
+    Each extra is a polynomial over the beta target table, each of whose
+    variables beta must hit from its namesake tag, that holds in the
+    beta-side ring and whose alpha-side counterpart is zero.  The naive lift
+    renames it into the tag ring; when its alpha image is nonzero the
+    difference is solved for over the alpha rows of its degree
+    (`_AlphaRows.rows`), the monomials with a tag beta kills, and y_m maps
+    back to x_m = y_m * scale_m, so the corrected lift dies on both sides.
+    Returns the quotient presentation and one note per extra."""
     table = fiber.table
-    killed = set(beta.killed_names())
+    rows = alpha_rows(alpha, beta)
     for name in beta.target.table.names:
-        if name not in set(table.names):
-            raise PresentationError(f"beta-side variable {name} is not a tag")
-    order = MonomialOrder.wgrevlex(table.weights)
-    lifts = []
-    notes = []
+        if beta.images.get(name) != Polynomial.variable(beta.target.table, name):
+            raise PresentationError(f"beta does not send a tag {name} to the variable {name}")
+    lifts, notes = [], []
     for extra in extras:
-        naive = extra.rename(table)
+        lift = naive = extra.rename(table)
         resid = alpha(naive)
-        if resid.is_zero():
-            lifts.append(naive)
-            notes.append({"relation": str(extra), "lift": str(naive),
-                          "correction": None})
-            continue
-        d = naive.weighted_degree()
-        candidates = [m for m in standard_monomials(Ideal(table, ()), d, order)
-                      if any(m[i] for i, n in enumerate(table.names) if n in killed)]
-        images = [alpha(Polynomial(table, {m: Fraction(1)})).terms for m in candidates]
-        sol = solve_linear(images, resid.terms)
-        if sol is None:
-            raise PresentationError(
-                f"relation cannot be transported across the fiber square: {extra}"
-            )
-        correction = Polynomial(table, {m: c for m, c in zip(candidates, sol) if c})
-        lift = naive - correction
-        if not alpha(lift).is_zero() or not beta(correction).is_zero():
-            raise PresentationError(f"correction failed to stay on one side: {extra}")
+        correction = None
+        if not resid.is_zero():
+            # the residual has the degree of the rows; under a degree order
+            # every monomial of one degree fits the packing once one does
+            _, built = rows.rows(naive.weighted_degree())
+            pack = rows.red.packing.pack
+            sol = solve_linear([row for _, row, _ in built],
+                               {pack(m): c for m, c in resid.terms.items()})
+            if sol is None:
+                raise PresentationError(
+                    f"relation cannot be transported across the fiber square: {extra}")
+            correction = Polynomial(table, {m: y * scale for (m, _, scale), y
+                                            in zip(built, sol) if y})
+            lift = naive - correction
+            if not alpha(lift).is_zero() or not beta(correction).is_zero():
+                raise PresentationError(f"correction failed to stay on one side: {extra}")
         lifts.append(lift)
         notes.append({"relation": str(extra), "lift": str(lift),
-                      "correction": str(correction)})
+                      "correction": None if correction is None else str(correction)})
     return fiber.quotient(lifts), notes

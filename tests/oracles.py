@@ -1,10 +1,11 @@
 """Independent oracles the tests check the engine against."""
 
+from fractions import Fraction
 from itertools import product
 
-from chowcheck.groebner import Ideal, eliminate
+from chowcheck.groebner import Ideal, eliminate, standard_monomials
 from chowcheck.linalg import solve_linear
-from chowcheck.polyarith import Polynomial, VarTable, mono_div, mono_mul
+from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
 
 
 def brute_force_member(f, gens, slack: int = 2):
@@ -72,3 +73,21 @@ def count_standard_monomials(I, order):
         bounds.append(min(powers))
     return sum(1 for m in product(*(range(b) for b in bounds))
                if not any(mono_div(m, lm) is not None for lm in lms))
+
+
+def transport_correction(alpha, beta, extra):
+    """The correction that lifts `extra` across the fiber square, found the
+    plain way: every tag monomial of its degree with a tag beta kills, the
+    alpha normal form of each in Fraction coefficients, one `solve_linear`
+    against the alpha image of the naive lift.  None when there is none."""
+    table = alpha.source.table
+    killed = set(beta.killed_names())
+    naive = extra.rename(table)
+    candidates = [m for m in standard_monomials(Ideal(table, ()), naive.weighted_degree(),
+                                                MonomialOrder.wgrevlex(table.weights))
+                  if any(m[i] for i, n in enumerate(table.names) if n in killed)]
+    images = [alpha(Polynomial(table, {m: Fraction(1)})).terms for m in candidates]
+    sol = solve_linear(images, alpha(naive).terms)
+    if sol is None:
+        return None
+    return Polynomial(table, {m: c for m, c in zip(candidates, sol) if c})

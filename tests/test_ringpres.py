@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chowcheck import ringpres
 from chowcheck.exprparser import parse_polynomial
@@ -19,6 +19,7 @@ from chowcheck.ringpres import (
     graded_surjectivity,
     pair_image_rank,
 )
+from oracles import transport_correction
 
 
 def pres(names, weights, *relations):
@@ -209,30 +210,24 @@ def homogeneous(draw, table, degree, denominators):
 
 @st.composite
 def tag_maps(draw):
-    """Two maps out of one free weighted tag ring into targets of the same
-    weights, each with or without relations.  Alpha's coefficients have
-    denominators 2 and 4; a beta image is either drawn with denominators 3
-    and 9 or is the alpha image times 1/3 or 2/9, which ties the two sides
-    together so that their common lift decides the rank, or is zero."""
+    """Two maps out of one free weighted tag ring.  Alpha goes into a target
+    of drawn weights, with or without relations, its coefficients with
+    denominators 2 and 4.  Beta is a projection: it kills a drawn subset of
+    the tags and sends each of the rest to its namesake in a free target,
+    whose variables come in a drawn order."""
     tag_weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
-    tags = Presentation(VarTable([f"k{i}" for i in range(len(tag_weights))], tag_weights))
+    names = [f"k{i}" for i in range(len(tag_weights))]
+    tags = Presentation(VarTable(names, tag_weights))
     weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
-    targets = []
-    for side in "ac":
-        table = VarTable([f"{side}{i}" for i in range(len(weights))], weights)
-        relations = [draw(homogeneous(table, draw(st.integers(1, 3)), [1, 2]))
-                     for _ in range(draw(st.integers(0, 1)))]
-        targets.append(Presentation(table, relations))
-    a, c = targets
-    alpha_images, beta_images = {}, {}
-    for name, w in zip(tags.table.names, tag_weights):
-        image = alpha_images[name] = draw(homogeneous(a.table, w, [1, 2, 4]))
-        factor = draw(st.sampled_from([None, 0, Fraction(1, 3), Fraction(2, 9)]))
-        if factor is None:
-            beta_images[name] = draw(homogeneous(c.table, w, [1, 3, 9]))
-        else:
-            beta_images[name] = Polynomial(c.table, {m: v * factor
-                                                     for m, v in image.terms.items()})
+    table = VarTable([f"a{i}" for i in range(len(weights))], weights)
+    a = Presentation(table, [draw(homogeneous(table, draw(st.integers(1, 3)), [1, 2]))
+                             for _ in range(draw(st.integers(0, 1)))])
+    kept = draw(st.permutations([n for n in names if draw(st.booleans())]))
+    c = Presentation(VarTable(kept, [tags.table.weight(n) for n in kept]))
+    alpha_images = {n: draw(homogeneous(a.table, w, [1, 2, 4]))
+                    for n, w in zip(names, tag_weights)}
+    beta_images = {n: Polynomial.variable(c.table, n) if n in kept
+                   else Polynomial.zero(c.table) for n in names}
     return Morphism(tags, a, alpha_images), Morphism(tags, c, beta_images)
 
 
@@ -244,26 +239,73 @@ def test_pair_image_rank_matches_the_from_scratch_count_on_drawn_maps(maps, degr
         pair_rank_from_scratch(alpha, beta, d) for d in degrees]
 
 
+@settings(max_examples=60, deadline=None)
+@given(tag_maps(), st.data())
+def test_apply_quotient_corrects_as_the_fraction_path_does(maps, data):
+    """A relation of beta's side whose naive lift fails gets the correction
+    the Fraction path finds, or no correction on both paths."""
+    alpha, beta = maps
+    c = beta.target.table
+    extra = data.draw(homogeneous(c, data.draw(st.integers(1, 4)), [1, 3]))
+    assume(not alpha(extra.rename(alpha.source.table)).is_zero())
+    expected = transport_correction(alpha, beta, extra)
+    if expected is None:
+        with pytest.raises(PresentationError, match="cannot be transported"):
+            apply_quotient(alpha.source, alpha, beta, [extra])
+    else:
+        (note,) = apply_quotient(alpha.source, alpha, beta, [extra])[1]
+        assert note["correction"] == str(expected)
+
+
 def test_pair_image_rank_restarts_at_double_width(monkeypatch):
-    """k^2 maps to x^(2^31), past 32-bit fields: the call starts again once
-    with both packings at 64 bits, and the targets' own packed bases stay
-    as they were."""
+    """k^2 maps to x^(2^31), past 32-bit fields: the alpha rows are built
+    once more with the packing at 64 bits, and the target's own packed
+    basis stays as it was."""
     n = 2**30
     tags = pres(["k"], [n])
     a, c = pres(["x"], [1]), pres(["y"], [1])
     alpha = Morphism(tags, a, {"k": Polynomial(a.table, {(n,): 1})})
-    beta = Morphism(tags, c, {"k": Polynomial(c.table, {(n,): 1})})
+    beta = Morphism(tags, c, {"k": Polynomial.zero(c.table)})
     widths = []
-    inner = ringpres._pair_ranks
+    inner = ringpres._AlphaRows._build
 
-    def spy(table, maps, lifts, reds, degrees):
-        widths.append([red.packing.width for red in reds])
-        return inner(table, maps, lifts, reds, degrees)
+    def spy(self, d):
+        widths.append(self.red.packing.width)
+        return inner(self, d)
 
-    monkeypatch.setattr(ringpres, "_pair_ranks", spy)
+    monkeypatch.setattr(ringpres._AlphaRows, "_build", spy)
     assert pair_image_rank(alpha, beta, [2**31]) == [1]
-    assert widths == [[32, 32], [64, 64]]
+    assert widths == [32, 64]
     assert a.relations.groebner(a.order).packing.width == 32
+
+
+def test_pair_ranks_and_transport_need_beta_a_projection():
+    """Beta must kill each tag or send it to a variable of its own in a free
+    ring, and the transport needs that variable to be the tag's namesake;
+    anything else is a domain error, not a KeyError or a wrong lift."""
+    tags = pres(["k1", "k2"], [1, 1])
+    a = pres(["u"], [1])
+    alpha = Morphism(tags, a, {n: Polynomial.variable(a.table, "u") for n in ("k1", "k2")})
+    bound = pres(["k1", "k2"], [1, 1], "k1*k2")
+    onto_relations = Morphism(tags, bound, {n: Polynomial.variable(bound.table, n)
+                                            for n in ("k1", "k2")})
+    one = pres(["y"], [1])
+    merged = Morphism(tags, one, {n: Polynomial.variable(one.table, "y")
+                                  for n in ("k1", "k2")})
+    for beta in (onto_relations, merged):
+        with pytest.raises(PresentationError, match="variable of its own in a free ring"):
+            pair_image_rank(alpha, beta, [2])
+        with pytest.raises(PresentationError, match="variable of its own in a free ring"):
+            apply_quotient(Presentation(tags.table), alpha, beta, [])
+    # a projection that swaps the names: ranks are fine, but renaming an
+    # extra would lift k1^2 to a tag polynomial that beta sends to k2^2
+    free = pres(["k1", "k2"], [1, 1])
+    swapped = Morphism(tags, free, {"k1": Polynomial.variable(free.table, "k2"),
+                                    "k2": Polynomial.variable(free.table, "k1")})
+    assert pair_image_rank(alpha, swapped, [2]) == [3]
+    with pytest.raises(PresentationError, match="does not send a tag k1 to the variable k1"):
+        apply_quotient(Presentation(tags.table), alpha, swapped,
+                       [parse_polynomial("k1^2", free.table)])
 
 
 def test_apply_quotient_lifts_prev_relations():
