@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import insort
 from collections import Counter
 from copy import copy
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter, mul
 from pathlib import Path
 from time import perf_counter
 
@@ -48,9 +50,10 @@ from .groebner import (
     Subalgebra,
     _Overflow,
     _add_shifted,
+    _reduce,
+    _spoly,
     ideal_equal,
     map_kernel,
-    standard_monomials,
     subalgebra_member,
     zero_dimensional,
 )
@@ -554,12 +557,16 @@ def minimal_generators(pres: Presentation) -> list:
 
     The reduced basis is walked in (weighted degree, text) order and each
     element is kept unless the ones kept before it generate it.  Relations
-    are homogeneous, so an element g of degree d is generated exactly when
-    it lies in the Q-span of m*s over the kept elements s and the monomials
-    m of degree d - deg s; one echelon per degree decides that.  The rows
-    are the packed integer terms the relation ideal keeps for normal forms
-    (`Ideal.groebner`), shifted by packed monomials; a shift that sets a
-    guard bit redoes the call at double width.
+    are homogeneous, so the kept elements below degree d generate what the
+    basis elements below d generate, and those form a (d-1)-truncated
+    Groebner basis G of it.  Its degree-d part, reduced modulo G, is then
+    the span of the remainders of the S-pairs of G whose lcm has degree d
+    (Buchberger's criterion, coprime pairs skipped); a degree-d element,
+    already reduced, is generated exactly when it lies in that span plus
+    the ones kept before it in degree d.  One small echelon per degree
+    decides that, on the packed integer terms the relation ideal keeps for
+    normal forms (`Ideal.groebner`); an lcm that sets a guard bit redoes
+    the call at double width.
     """
     red = pres.relations.groebner(pres.order)
     while True:
@@ -570,30 +577,34 @@ def minimal_generators(pres: Presentation) -> list:
 
 
 def _minimal_generators(pres: Presentation, red) -> list:
-    order = pres.order
     pk = red.packing
     guard = pk.guard
-    free = Ideal(pres.table, ())
-    terms = {entry[3]: entry[2] for entry in red.entries}
+    entries = {entry[3]: entry for entry in red.entries}
     degrees = [g.weighted_degree() for g in red.basis]
-    shifts = {}  # degree difference -> its packed monomials
+    walk = sorted(range(len(red.basis)), key=lambda i: (degrees[i], str(red.basis[i])))
+    below = []  # entries of the elements walked so far, by lm
+    pairs = {}  # lcm degree -> [(packed lcm, entry, entry)] over `below`
     selected = []
-    degree = span = None
-    for i in sorted(range(len(red.basis)), key=lambda i: (degrees[i], str(red.basis[i]))):
-        d = degrees[i]
-        if d != degree:
-            degree, span = d, SparseEchelon()
-            for s in selected:
-                e = d - degrees[s]
-                if e not in shifts:
-                    shifts[e] = [pk.pack(m) for m in standard_monomials(free, e, order)]
-                for q in shifts[e]:
-                    row = {k + q: c for k, c in terms[s].items()}
-                    if any(k & guard for k in row):
+    for d, group in groupby(walk, key=degrees.__getitem__):
+        span = SparseEchelon()
+        for Lp, f, g in pairs.pop(d, ()):
+            r = _reduce(_spoly(f, g, Lp - f[0], Lp - g[0], guard), below, guard)[0]
+            if r:
+                span.add(r)
+        for i in group:  # the basis is reduced: an lcm with i has degree > d
+            f = entries[i]
+            if span.add(f[2]):
+                selected.append(i)
+            lm = pk.unpack(f[0])
+            for g in below:
+                gm = pk.unpack(g[0])
+                if any(map(min, lm, gm)):
+                    L = tuple(map(max, lm, gm))
+                    Lp = pk.pack(L)
+                    if Lp & guard:
                         raise _Overflow
-                    span.add(row)
-        if span.add(terms[i]):
-            selected.append(i)
+                    pairs.setdefault(sum(map(mul, L, pres.table.weights)), []).append((Lp, f, g))
+            insort(below, f, key=itemgetter(0))
     return [red.basis[i] for i in selected]
 
 
@@ -671,6 +682,7 @@ class ClaimRunner:
 
     def __init__(self, artifacts: Artifacts):
         self.artifacts = artifacts
+        self._details = True  # off in the sweep, which reads statuses only
 
     # -- helpers -----------------------------------------------------------
 
@@ -768,6 +780,8 @@ class ClaimRunner:
         rhs = Ideal(pres.table, [self.parse_in(pres, t) for t in rhs_texts])
         if ideal_equal(pres.relations, rhs, pres.order):
             return True, None
+        if not self._details:
+            return False, None
         missing, extra = _membership_gaps(pres.relations, rhs, pres.order)
         return False, {"computed_not_in_stated": missing,
                        "stated_not_in_computed": extra}
@@ -926,6 +940,7 @@ def convention_search(claims=None, conventions=None, dmax: int = 12,
         row = {"convention": convention.label, "passed": [], "failed": [],
                "errors": []}
         runner = ClaimRunner(store.under(convention))
+        runner._details = False
         for claim in claims:
             try:
                 outcome = runner.run(claim)

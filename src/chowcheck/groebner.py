@@ -42,8 +42,9 @@ exact rationals.  The reduced basis leaves `buchberger` as the primitive
 integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
 polynomials are built only when a caller reads the basis.  Callers that
-keep their own rows packed (`ringpres._AlphaRows`, `minimal_generators`) run
-`_reduce` or build rows on the same entries (`Ideal.groebner`).
+keep their own rows packed run `_reduce` on the same entries
+(`Ideal.groebner`): `ringpres._AlphaRows` for its alpha rows, and
+`minimal_generators` for the S-pairs (`_spoly`) of the basis itself.
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -72,7 +73,6 @@ from .polyarith import (
     MonomialOrder,
     Polynomial,
     VarTable,
-    mono_coprime,
     mono_div,
     mono_lcm,
 )
@@ -318,10 +318,11 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
     pack = pk.pack
     lead = []      # per element: (lm, lc, terms, index)
     lms = []       # per element: its leading monomial as an exponent tuple
+    supports = []  # per element: bit k set when its lm contains variable k
     alive = set()
     reducers = []  # alive + dead, sorted by lm; duplicates of `lead`
     pairs = []     # heap of ((degree, packed lcm), i, j)
-    pair_live = {} # (i,j) -> (lcm monomial, packed lcm)
+    pair_live = {} # (i,j) -> packed lcm
 
     def push_element(terms):
         """Insert a fully reduced nonzero element, run the pair update."""
@@ -329,45 +330,43 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
         entry = _reducer(terms, t)
         lmp = entry[0]
         lm = pk.unpack(lmp)
-        # Gebauer-Moeller update for the new index t; lcms are taken on
-        # exponent tuples, divisibility is tested on packed ints
-        cand = []
-        for i in sorted(alive):
-            L = mono_lcm(lms[i], lm)
-            Lp = pack(L)
-            if Lp & guard:
-                raise _Overflow
-            cand.append((Lp, L, i))
-        cand.sort()
+        support = sum(1 << k for k, e in enumerate(lm) if e)
+        lcms = {}  # old index -> packed lcm of its lm and lm, taken once
+
+        def lcm(i):
+            Lp = lcms.get(i)
+            if Lp is None:
+                Lp = lcms[i] = pack(tuple(map(max, lms[i], lm)))
+            return Lp
+
+        # Gebauer-Moeller update for the new index t.  A packed divisor is
+        # never larger, so in the sorted candidates only an equal next
+        # lcm can divide one; the kept ones are scanned in full
+        cand = sorted((lcm(i), i) for i in alive)
+        if any(Lp & guard for Lp, _ in cand):
+            raise _Overflow
         kept = []
-        while cand:
-            Lp, L, i = cand.pop(0)
-            cop = mono_coprime(lms[i], lm)
-            if not cop:
-                dominated = any(
-                    not (Lp - c[0]) & guard for c in cand
-                ) or any(not (Lp - c[0]) & guard for c in kept)
-                if dominated:
-                    continue
-            kept.append((Lp, L, i))
-        # chain criterion against surviving old pairs
-        for (i, j), (L, Lp) in list(pair_live.items()):
-            if (
-                not (Lp - lmp) & guard
-                and mono_lcm(lms[i], lm) != L
-                and mono_lcm(lms[j], lm) != L
-            ):
-                del pair_live[(i, j)]
-        for Lp, L, i in kept:
-            if mono_coprime(lms[i], lm):
+        for k, (Lp, i) in enumerate(cand):
+            if supports[i] & support and (
+                    k + 1 < len(cand) and cand[k + 1][0] == Lp
+                    or any(not (Lp - c) & guard for c, _ in kept)):
                 continue
-            pair_live[(i, t)] = (L, Lp)
-            heappush(pairs, ((sum(map(mul, L, weights)), Lp), i, t))
+            kept.append((Lp, i))
+        # chain criterion against surviving old pairs
+        for (i, j), Lp in list(pair_live.items()):
+            if not (Lp - lmp) & guard and lcm(i) != Lp and lcm(j) != Lp:
+                del pair_live[(i, j)]
+        for Lp, i in kept:
+            if supports[i] & support:
+                pair_live[(i, t)] = Lp
+                degree = sum(map(mul, map(max, lms[i], lm), weights))
+                heappush(pairs, ((degree, Lp), i, t))
         for i in list(alive):
             if not (lead[i][0] - lmp) & guard:
                 alive.discard(i)
         lead.append(entry)
         lms.append(lm)
+        supports.append(support)
         alive.add(t)
         insort(reducers, entry, key=itemgetter(0))
 
@@ -377,11 +376,9 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
             push_element(r)
 
     while pairs:
-        _, i, j = heappop(pairs)
-        live = pair_live.pop((i, j), None)
-        if live is None:
+        (_, Lp), i, j = heappop(pairs)
+        if pair_live.pop((i, j), None) is None:
             continue
-        Lp = live[1]
         s = _spoly(lead[i], lead[j], Lp - lead[i][0], Lp - lead[j][0], guard)
         r = _strip(_reduce(s, reducers, guard)[0])
         if r:

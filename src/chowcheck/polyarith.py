@@ -92,9 +92,6 @@ def mono_div(a: tuple, b: tuple):
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
-def mono_coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
 class MonomialOrder:
     """Admissible monomial order, exposed as a sort key on exponent tuples.
 

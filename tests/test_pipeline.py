@@ -180,6 +180,18 @@ def test_minimal_generators_profile(artifacts):
     assert ideal_equal(Ideal(final.table, minimal), regen, final.order)
 
 
+def test_minimal_generators_build_no_macaulay_rows(artifacts, monkeypatch):
+    """The echelon rows are the S-pair remainders and the candidates: 81
+    of them, against 3440 monomial multiples of the kept elements."""
+    final = artifacts.final
+    final.relations.groebner(final.order)
+    listed = _count_calls(monkeypatch, "standard_monomials", module=groebner)
+    adds = _count_calls(monkeypatch, "add", module=chowpipeline.SparseEchelon)
+    assert len(minimal_generators(final)) == 22
+    assert sum(listed.values()) == 0
+    assert sum(adds.values()) <= 150
+
+
 def test_claims_file_is_wellformed():
     claims = load_claims(CLAIMS_FILE)
     assert len(claims) == 84
@@ -618,6 +630,17 @@ def test_verify_paper_parses_and_checks_each_distinct_form_once(monkeypatch):
     assert max(parses.values()) == 1 and sum(parses.values()) <= 230
     assert max(checks.values()) == 1
     assert len({form for _, _, form in checks}) <= 59
+
+
+def test_the_sweep_lists_no_membership_gaps(monkeypatch):
+    """The sweep reads statuses only; the failing ideal_equal claims of the
+    incompatible pair fail without listing their gaps."""
+    group = [c for c in load_claims() if c.get("sweep", None) == "incompatible-pair"]
+    assert {c.kind for c in group} == {"ideal_equal"}
+    gaps = _count_calls(monkeypatch, "_membership_gaps")
+    rows = convention_search(group)["rows"]
+    assert all(row["failed"] for row in rows)
+    assert sum(gaps.values()) == 0
 
 
 def test_a_parse_is_shared_by_conventions_that_agree_on_the_names_it_reads():

@@ -417,6 +417,17 @@ def test_minimal_generators_drop_a_generated_basis_element():
     assert minimal_generators(pres) == membership_loop(pres)
 
 
+def test_minimal_generators_drop_an_element_the_same_degree_generates():
+    """In degree 3 the one S-pair remainder is b^2*c + b*c^2: b^2*c lies
+    outside its span, and inside it once b*c^2 is kept."""
+    table = VarTable(["a", "b", "c"])
+    pres = Presentation(table, [parse_polynomial(t, table)
+                                for t in ("a^2 + a*b", "a^2 + b*c", "a^3 - a^2*b")])
+    assert [str(g) for g in minimal_generators(pres)] == [
+        "a*b - b*c", "a^2 + b*c", "b*c^2"]
+    assert minimal_generators(pres) == membership_loop(pres)
+
+
 def test_minimal_generators_with_a_huge_degree():
     """Weight 2^30 puts the degree rows of x^2 + y^2 and x*y at 2^31, past
     32-bit fields, so the packed rows are wide; y^3 = y*(x^2 + y^2) -
@@ -429,6 +440,33 @@ def test_minimal_generators_with_a_huge_degree():
         "x*y", "x^2 + y^2", "y^3"]
     assert [str(g) for g in minimal_generators(pres)] == ["x*y", "x^2 + y^2"]
     assert minimal_generators(pres) == membership_loop(pres)
+
+
+def test_minimal_generators_redo_an_s_pair_lcm_past_32_bit_fields(monkeypatch):
+    """Weight 2^29: the reduced basis x*y, x^2 + y^2, y^3 has degrees below
+    2^31 and fits 32-bit fields, but the lcm x*y^3 of x*y and y^3 has
+    degree 2^31 and sets a guard bit, so the call is redone at double
+    width."""
+    from chowcheck import groebner
+    table = VarTable(["x", "y"], [2**29, 2**29])
+    gens = [parse_polynomial(t, table) for t in ("x^2 + y^2", "x*y")]
+    pres = Presentation(table, gens)
+    basis = tuple(Ideal(table, gens).groebner(pres.order))
+    narrow = groebner._Reducers.of(basis, pres.order, len(table))
+    assert narrow.packing.width == 32
+    pres.relations._gb[pres.order.tag] = narrow
+    widths = []
+    doubled = groebner._Reducers.doubled
+
+    def spy(red):
+        widths.append(red.packing.width)
+        return doubled(red)
+
+    monkeypatch.setattr(groebner._Reducers, "doubled", spy)
+    minimal = minimal_generators(pres)
+    assert widths == [32]
+    assert [str(g) for g in minimal] == ["x*y", "x^2 + y^2"]
+    assert minimal == membership_loop(pres)
 
 
 def test_minimal_generators_of_a_huge_degree_piece_cost_its_size():
