@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import insort
 from collections import Counter
 from copy import copy
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from itertools import groupby, product
-from operator import itemgetter, mul
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
@@ -48,11 +46,9 @@ from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
     Ideal,
     Subalgebra,
-    _Overflow,
     _add_shifted,
-    _reduce,
-    _spoly,
     ideal_equal,
+    irredundant,
     map_kernel,
     subalgebra_member,
     zero_dimensional,
@@ -70,7 +66,6 @@ from .exprparser import (
     split_list,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
-from .linalg import SparseEchelon
 from .ringpres import (
     Morphism,
     Presentation,
@@ -553,59 +548,12 @@ def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
 
 
 def minimal_generators(pres: Presentation) -> list:
-    """Degree-increasing irredundant generating set of the relation ideal.
-
-    The reduced basis is walked in (weighted degree, text) order and each
-    element is kept unless the ones kept before it generate it.  Relations
-    are homogeneous, so the kept elements below degree d generate what the
-    basis elements below d generate, and those form a (d-1)-truncated
-    Groebner basis G of it.  Its degree-d part, reduced modulo G, is then
-    the span of the remainders of the S-pairs of G whose lcm has degree d
-    (Buchberger's criterion, coprime pairs skipped); a degree-d element,
-    already reduced, is generated exactly when it lies in that span plus
-    the ones kept before it in degree d.  One small echelon per degree
-    decides that, on the packed integer terms the relation ideal keeps for
-    normal forms (`Ideal.groebner`); an lcm that sets a guard bit redoes
-    the call at double width.
-    """
-    red = pres.relations.groebner(pres.order)
-    while True:
-        try:
-            return _minimal_generators(pres, red)
-        except _Overflow:
-            red = red.doubled()
-
-
-def _minimal_generators(pres: Presentation, red) -> list:
-    pk = red.packing
-    guard = pk.guard
-    entries = {entry[3]: entry for entry in red.entries}
-    degrees = [g.weighted_degree() for g in red.basis]
-    walk = sorted(range(len(red.basis)), key=lambda i: (degrees[i], str(red.basis[i])))
-    below = []  # entries of the elements walked so far, by lm
-    pairs = {}  # lcm degree -> [(packed lcm, entry, entry)] over `below`
-    selected = []
-    for d, group in groupby(walk, key=degrees.__getitem__):
-        span = SparseEchelon()
-        for Lp, f, g in pairs.pop(d, ()):
-            r = _reduce(_spoly(f, g, Lp - f[0], Lp - g[0], guard), below, guard)[0]
-            if r:
-                span.add(r)
-        for i in group:  # the basis is reduced: an lcm with i has degree > d
-            f = entries[i]
-            if span.add(f[2]):
-                selected.append(i)
-            lm = pk.unpack(f[0])
-            for g in below:
-                gm = pk.unpack(g[0])
-                if any(map(min, lm, gm)):
-                    L = tuple(map(max, lm, gm))
-                    Lp = pk.pack(L)
-                    if Lp & guard:
-                        raise _Overflow
-                    pairs.setdefault(sum(map(mul, L, pres.table.weights)), []).append((Lp, f, g))
-            insort(below, f, key=itemgetter(0))
-    return [red.basis[i] for i in selected]
+    """Degree-increasing irredundant generating set of the relation ideal:
+    `irredundant` over the reduced basis walked in (weighted degree, text)
+    order, so each element is kept unless the ones before it generate it."""
+    basis = sorted(pres.relations.groebner(pres.order),
+                   key=lambda g: (g.weighted_degree(), str(g)))
+    return irredundant(basis, pres.order)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ generator is weighted-homogeneous under its table's weights, it runs
 Buchberger's algorithm with the Gebauer-Moeller pair update (coprime, chain
 and equal-lcm criteria), S-pairs by the weighted degree of their lcm first,
 so each degree is finished before the next begins whatever the monomial
-order.  Any other input runs a signature-based algorithm (Eder-Faugere,
+order.  The inputs join that loop by weighted degree, each after every
+pair of its degree; one reduces to zero exactly when the inputs before it
+generate it, and `irredundant` returns the others, a minimal generating
+set.  Any other input runs a signature-based algorithm (Eder-Faugere,
 J. Symb. Comput. 80, 2017).  Input i has signature (lm_i, i), and t*e_i
 has (t*lm_i, i): the Schreyer order (Roune-Stillman, ISSAC 2012), compared
 as tuples.  S-pairs come from one heap in increasing signature, each
@@ -41,10 +44,9 @@ input, runs the same loop and scales the remainder and quotients back to
 exact rationals.  The reduced basis leaves `buchberger` as the primitive
 integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
-polynomials are built only when a caller reads the basis.  Callers that
-keep their own rows packed run `_reduce` on the same entries
-(`Ideal.groebner`): `ringpres._AlphaRows` for its alpha rows, and
-`minimal_generators` for the S-pairs (`_spoly`) of the basis itself.
+polynomials are built only when a caller reads the basis.  The one caller
+that keeps its own rows packed, `ringpres._AlphaRows`, runs `_reduce` on
+the same entries (`Ideal.groebner`).
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -282,38 +284,72 @@ def _spoly(f, g, qf: int, qg: int, guard: int) -> dict:
     return out
 
 
+def _packed_run(gens, order: MonomialOrder, run):
+    """run(packed, pk) on the nonzero `gens` packed as primitive integer
+    terms, in their order; a product that sets a guard bit starts the run
+    again at double width."""
+    context = gens[0].context
+    for g in gens:
+        if g.context != context:
+            raise ValueError("generators live in different variable tables")
+    pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
+    while True:
+        try:
+            return run([pk.int_terms(g)[0] for g in gens], pk)
+        except _Overflow:
+            pk = pk.doubled()
+
+
 def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced monic Groebner basis, sorted by decreasing leading monomial.
 
     Weighted-homogeneous input runs `_gebauer_moeller`, any other input
-    `_signature_elements`; both feed `_reduced_basis`, whose packed
-    `_Reducers` is the answer (`()` when no generator is nonzero).
+    `_signature_elements`, each on the inputs by increasing leading
+    monomial; both feed `_reduced_basis`, whose packed `_Reducers` is the
+    answer (`()` when no generator is nonzero).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
     context = gens[0].context
-    for g in gens:
-        if g.context != context:
-            raise ValueError("generators live in different variable tables")
     homogeneous = all(g.is_homogeneous() for g in gens)
-    pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
-    while True:
-        try:
-            packed = sorted((pk.int_terms(g)[0] for g in gens), key=max)
-            if homogeneous:
-                elements = _gebauer_moeller(packed, pk, context.weights)
-            else:
-                elements = _signature_elements(packed, pk)
-            return _reduced_basis(elements, pk, context)
-        except _Overflow:
-            pk = pk.doubled()
+
+    def run(packed, pk):
+        packed.sort(key=max)
+        if homogeneous:
+            elements = _gebauer_moeller(packed, pk, context.weights)[0]
+        else:
+            elements = _signature_elements(packed, pk)
+        return _reduced_basis(elements, pk, context)
+    return _packed_run(gens, order, run)
+
+
+def irredundant(gens, order: MonomialOrder = GREVLEX) -> list:
+    """The weighted-homogeneous `gens` that the ones before them do not
+    generate, in their order, where `gens` are taken by weighted degree and
+    in their order within one degree: a minimal generating set of their
+    ideal (Kreuzer-Robbiano, Computational Commutative Algebra 2, 2005).
+    ValueError for a non-homogeneous input."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("irredundant generators need weighted-homogeneous input")
+    if not gens:
+        return []
+    weights = gens[0].context.weights
+    needed = _packed_run(gens, order,
+                         lambda packed, pk: _gebauer_moeller(packed, pk, weights)[1])
+    return [gens[k] for k in sorted(needed)]
 
 
 def _gebauer_moeller(packed, pk: _Packing, weights):
-    """Minimal basis elements of a weighted-homogeneous ideal: S-pairs by
-    the weighted degree of their lcm first, pruned by the Gebauer-Moeller
-    update."""
+    """(elements, needed) for a weighted-homogeneous ideal: S-pairs by the
+    weighted degree of their lcm first, pruned by the Gebauer-Moeller
+    update, and `elements` minimal basis elements.  The inputs go by
+    weighted degree, in their order within one degree; one of degree d is
+    reduced after every pair of degree at most d and before any other, so
+    the elements then are a d-truncated basis of the ideal of the inputs
+    before it, and it reduces to zero exactly when those generate it.
+    `needed` lists the indices of the inputs that do not."""
     guard = pk.guard
     pack = pk.pack
     lead = []      # per element: (lm, lc, terms, index)
@@ -370,20 +406,26 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
         alive.add(t)
         insort(reducers, entry, key=itemgetter(0))
 
-    for terms in packed:
-        r = _strip(_reduce(dict(terms), reducers, guard)[0])
+    # popped from the end: by degree, then in input order
+    inputs = sorted(((sum(map(mul, pk.unpack(max(terms)), weights)), k)
+                     for k, terms in enumerate(packed)), reverse=True)
+    needed = []
+    while inputs or pairs:
+        if inputs and (not pairs or pairs[0][0][0] > inputs[-1][0]):
+            k = inputs.pop()[1]
+            work = dict(packed[k])
+        else:
+            (_, Lp), i, j = heappop(pairs)
+            if pair_live.pop((i, j), None) is None:
+                continue
+            k = None
+            work = _spoly(lead[i], lead[j], Lp - lead[i][0], Lp - lead[j][0], guard)
+        r = _strip(_reduce(work, reducers, guard)[0])
         if r:
             push_element(r)
-
-    while pairs:
-        (_, Lp), i, j = heappop(pairs)
-        if pair_live.pop((i, j), None) is None:
-            continue
-        s = _spoly(lead[i], lead[j], Lp - lead[i][0], Lp - lead[j][0], guard)
-        r = _strip(_reduce(s, reducers, guard)[0])
-        if r:
-            push_element(r)
-    return [lead[i][2] for i in alive]
+            if k is not None:
+                needed.append(k)
+    return [lead[i][2] for i in alive], needed
 
 
 def _add_syzygy(found: list, value: int, guard: int):

@@ -7,8 +7,7 @@ all read off it.  Inside, rows are integer and elimination scales by gcd
 cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
 polynomials; `Fraction` appears only in what `reduce` returns.  An int
 row goes in as it is, so the packed integer rows of `ringpres._AlphaRows`
-(ranked, and solved over by `solve_linear`) and the packed S-pair
-remainders of `chowpipeline.minimal_generators` need no `Fraction` round
+(ranked, and solved over by `solve_linear`) need no `Fraction` round
 trip."""
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
-"""The package's exported names: every helper it exports has a caller."""
+"""The package's names: every helper it exports has a caller, and the
+reduction kernel's private names stay inside `groebner`."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -15,3 +17,25 @@ def test_every_exported_helper_has_a_caller_in_the_package():
     unused = [name for name in chowcheck.__all__ if name != "__version__"
               and len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2]
     assert unused == []
+
+
+KERNEL = {"_Overflow", "_reduce", "_spoly", "_Packing", "_Reducers"}
+
+
+def test_only_ringpres_reaches_into_the_reduction_kernel():
+    # ringpres keeps its alpha rows packed and reduces them itself; every
+    # other module goes through groebner's public functions
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("groebner", "chowcheck.groebner"):
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "groebner"):
+                names = {node.attr}
+            else:
+                continue
+            users.setdefault(path.stem, set()).update(names & KERNEL)
+    assert {module for module, names in users.items() if names} <= {"ringpres"}

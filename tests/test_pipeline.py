@@ -181,15 +181,16 @@ def test_minimal_generators_profile(artifacts):
 
 
 def test_minimal_generators_build_no_macaulay_rows(artifacts, monkeypatch):
-    """The echelon rows are the S-pair remainders and the candidates: 81
-    of them, against 3440 monomial multiples of the kept elements."""
+    """`irredundant` on the 37 basis elements: each input is reduced once,
+    and 159 S-pairs (144 of them to zero) against 175 with no chain
+    criterion, and against 3440 monomial multiples of the kept elements."""
     final = artifacts.final
     final.relations.groebner(final.order)
     listed = _count_calls(monkeypatch, "standard_monomials", module=groebner)
-    adds = _count_calls(monkeypatch, "add", module=chowpipeline.SparseEchelon)
+    reductions = _count_calls(monkeypatch, "_reduce", module=groebner)
     assert len(minimal_generators(final)) == 22
     assert sum(listed.values()) == 0
-    assert sum(adds.values()) <= 150
+    assert sum(reductions.values()) == 37 + 159
 
 
 def test_claims_file_is_wellformed():
@@ -251,6 +252,22 @@ def test_relation_analysis_counts(report):
     gap = [parse_polynomial(t, _final_table(report)) for t in
            analysis["missing_from_displayed"]]
     assert min(g.weighted_degree() for g in gap) == 8
+
+
+def test_the_displayed_rows_extend_to_a_minimal_generating_set(report, artifacts):
+    """The 11 displayed rows as the report uses them (a failing row as
+    corrected), then the 22 minimal generators: `irredundant` keeps every
+    row and 11 generators, so the rows are irredundant and short by
+    exactly 11 relations."""
+    final = artifacts.final
+    runner = chowpipeline.ClaimRunner(artifacts)
+    rows = [runner.parse_in(final, row["row"] if row["status"] == "PASS" else row["corrected"])
+            for row in report["final"]["theorem_rows"]]
+    kept = {id(g) for g in groebner.irredundant(rows + artifacts.minimal, final.order)}
+    added = [g for g in artifacts.minimal if id(g) in kept]
+    assert [id(g) in kept for g in rows] == [True] * 11
+    assert len(added) == 11
+    assert Counter(g.weighted_degree() for g in added) == {8: 1, 9: 3, 10: 4, 11: 2, 12: 1}
 
 
 def _final_table(report):

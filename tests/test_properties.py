@@ -17,6 +17,7 @@ from chowcheck.groebner import (
     buchberger,
     ideal_equal,
     ideal_quotient,
+    irredundant,
     map_kernel,
     reduce_full,
     standard_monomials,
@@ -24,7 +25,8 @@ from chowcheck.groebner import (
 )
 from chowcheck.invariants import GroupAction, invariant_basis, molien_series
 from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
-from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
+from chowcheck.polyarith import (
+    MonomialOrder, Polynomial, VarTable, mono_div, mono_lcm, mono_mul)
 from chowcheck.ringpres import Presentation
 from oracles import brute_force_member, count_standard_monomials, kernel_by_elimination
 
@@ -451,18 +453,16 @@ def test_minimal_generators_redo_an_s_pair_lcm_past_32_bit_fields(monkeypatch):
     table = VarTable(["x", "y"], [2**29, 2**29])
     gens = [parse_polynomial(t, table) for t in ("x^2 + y^2", "x*y")]
     pres = Presentation(table, gens)
-    basis = tuple(Ideal(table, gens).groebner(pres.order))
-    narrow = groebner._Reducers.of(basis, pres.order, len(table))
-    assert narrow.packing.width == 32
-    pres.relations._gb[pres.order.tag] = narrow
+    basis = pres.relations.groebner(pres.order)  # buchberger doubles here, before the spy
+    assert _Packing.for_input(pres.order, 2, (m for g in basis for m in g.terms)).width == 32
     widths = []
-    doubled = groebner._Reducers.doubled
+    doubled = groebner._Packing.doubled
 
-    def spy(red):
-        widths.append(red.packing.width)
-        return doubled(red)
+    def spy(pk):
+        widths.append(pk.width)
+        return doubled(pk)
 
-    monkeypatch.setattr(groebner._Reducers, "doubled", spy)
+    monkeypatch.setattr(groebner._Packing, "doubled", spy)
     minimal = minimal_generators(pres)
     assert widths == [32]
     assert [str(g) for g in minimal] == ["x*y", "x^2 + y^2"]
@@ -477,6 +477,80 @@ def test_minimal_generators_of_a_huge_degree_piece_cost_its_size():
                                 for t in ("x^2147483648 + y", "x*y")])
     assert len(pres.relations.groebner(pres.order)) == 3
     assert [str(g) for g in minimal_generators(pres)] == ["x^2147483648 + y", "x*y"]
+
+
+@st.composite
+def homogeneous_input_lists(draw):
+    """Weighted-homogeneous inputs in any degree order: new forms, repeats
+    and scalar multiples of earlier inputs, zero, and the S-polynomial of
+    two earlier inputs, which those generate only through their S-pair in
+    its own degree."""
+    weights = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    table = VarTable(["a", "b", "c"], weights)
+    order = draw(st.sampled_from([GREVLEX, LEX, MonomialOrder.wgrevlex(tuple(weights))]))
+    gens = []
+    for _ in range(draw(st.integers(1, 7))):
+        earlier = [g for g in gens if not g.is_zero()]
+        kind = draw(st.sampled_from(["new", "new", "repeat", "multiple", "zero", "spair", "spair"]))
+        if kind == "new" or not earlier or kind == "spair" and len(earlier) < 2:
+            monos = standard_monomials(Ideal(table, ()), draw(st.integers(1, 4)), GREVLEX)
+            if not monos:
+                continue
+            chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+            gens.append(Polynomial(table, {m: draw(coeffs) for m in chosen}))
+        elif kind == "repeat":
+            gens.append(Polynomial(table, dict(draw(st.sampled_from(earlier)).terms)))
+        elif kind == "multiple":
+            gens.append(draw(st.sampled_from(earlier)) * draw(coeffs))
+        elif kind == "zero":
+            gens.append(Polynomial(table, {}))
+        else:
+            # a pair whose leading monomials share a variable, when there is one:
+            # the S-polynomial of a coprime pair reduces to zero by the pair
+            pairs = [(f, g) for i, f in enumerate(earlier) for g in earlier[:i]]
+            shared = [(f, g) for f, g in pairs if any(
+                map(min, f.leading_monomial(order), g.leading_monomial(order)))]
+            f, g = draw(st.sampled_from(shared or pairs))
+            lcm = mono_lcm(f.leading_monomial(order), g.leading_monomial(order))
+
+            def top(h):
+                cofactor = mono_div(lcm, h.leading_monomial(order))
+                return Polynomial(table, {cofactor: 1 / h.leading_coefficient(order)}) * h
+            gens.append(top(f) - top(g))
+    return gens, order
+
+
+def membership_walk(gens, order):
+    """The inputs by degree, in their order within one degree; keep each
+    one outside the ideal of those before it, by a fresh basis each time."""
+    walk = sorted(range(len(gens)), key=lambda k: gens[k].weighted_degree())
+    kept = [k for p, k in enumerate(walk) if not gens[k].is_zero() and not Ideal(
+        gens[k].context, [gens[j] for j in walk[:p]]).member(gens[k], order)]
+    return [gens[k] for k in sorted(kept)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_input_lists())
+def test_irredundant_keeps_the_inputs_the_ones_before_do_not_generate(case):
+    gens, order = case
+    kept = irredundant(gens, order)
+    assert [id(g) for g in kept] == [id(g) for g in membership_walk(gens, order)]
+    if kept:
+        assert ideal_equal(Ideal(kept[0].context, kept), Ideal(kept[0].context, gens), order)
+
+
+def test_irredundant_fixed_cases():
+    table = VarTable(["x", "y"])
+    x2y2, xy, y3, x2xy, x = (parse_polynomial(t, table)
+                             for t in ("x^2 + y^2", "x*y", "y^3", "x^2 + x*y", "x"))
+    assert irredundant([]) == []
+    assert irredundant([Polynomial(table, {})]) == []
+    # y^3 = y*(x^2 + y^2) - x*(x*y), through their S-pair of degree 3
+    assert irredundant([y3, xy, x2y2]) == [xy, x2y2]
+    # by degree: x comes first, and generates x^2 + x*y
+    assert irredundant([x2xy, x]) == [x]
+    with pytest.raises(ValueError):
+        irredundant([xy + x])
 
 
 @settings(max_examples=25, deadline=None)
