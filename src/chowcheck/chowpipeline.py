@@ -14,14 +14,13 @@ Sign conventions enter as the symbols e1, e2, e3 (kappa-class pullbacks)
 and eg (pushforward classes).  Built pieces live in an `Artifacts` store:
 a stratum is built the first time something reads it, and a stage is
 glued, with all stages before it in file order, the first time something
-reads it; a failure is kept and raised again to every later reader.  A
-stratum is keyed by the values of the sign symbols its spec texts read.
-The expensive pieces are keyed by content, so conventions that yield
-equal pieces share one build: a stratum's ring presentation, coordinate
-subalgebra and restriction coordinates by the forms they read (a memo on
-the shared spec), a stage by what `induction_step` reads.  A `Stratum` is
-lazy too: its forms and invariance checks are built at once, the rest on
-first read.  `run_pipeline` is a store with every stage glued;
+reads it; every later reader of a failed piece gets the same error.  A
+stratum is keyed by the values of the sign symbols its spec texts read,
+and a stage by its content, what `induction_step` reads, so conventions
+that yield equal stages share one gluing.  A `Stratum` is lazy too: its
+forms and invariance checks are built at once, the rest on first read,
+and strata of one spec share its action, parses and invariance checks.
+`run_pipeline` is a store with every stage glued;
 `verify_paper` runs its claims and its sign sweeps on that one store, so
 the sweeps build only what their claims read and the main run lacks.  Claims
 extracted from the source text are data: each one is evaluated against the
@@ -70,7 +69,6 @@ from .ringpres import (
     Morphism,
     Presentation,
     PresentationError,
-    alpha_rows,
     apply_quotient,
     fiber_product,
     graded_surjectivity,
@@ -180,7 +178,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class StratumSpec:
-    """Raw, convention-independent contents of one stratum file."""
+    """Raw, convention-independent contents of one stratum file, and the
+    `algebra` memo its strata share: their action, parses and invariance checks."""
 
     def __init__(self, doc: Document):
         if doc.kind != "stratum":
@@ -209,7 +208,6 @@ class StratumSpec:
         order_entry = doc.single("tags", required=False)
         self.tag_order = (split_list(order_entry.value)
                           if order_entry is not None else None)
-        # the algebra of its strata, keyed by the forms it is built from
         self.algebra = {}
 
     @staticmethod
@@ -231,15 +229,13 @@ class Stratum:
 
     The forms and their weight and invariance checks are built at once; the
     ring presentation, the coordinate subalgebra, the restriction
-    coordinates and the gluing pairs on first read, each kept once built (a
-    failed one is tried again on the next read, and the memos under it
-    raise the errors they kept).  The first three read only forms, so they
-    are kept in the spec's `algebra` memo, keyed by those forms (the spec
-    fixes the label, ring names and weights), and strata whose forms agree
-    share them whatever their signs.  The memo also keeps every text a
-    stratum of the spec parses (`_parsed`) and every form that passed its
-    invariance check; a failing form is checked again, and fails, in each
-    stratum that reads it.
+    coordinates and the gluing pairs on first read, each kept once built.
+    A failed one is built again on the next read and fails with the same
+    message; the parses under it raise the errors they kept.  The spec's
+    `algebra` memo holds what the strata of one spec share: its group
+    action, every text they parse (`_parsed`) and every form that passed
+    its invariance check; a failing form is checked again, and fails, in
+    each stratum that reads it.
     """
 
     def __init__(self, spec: StratumSpec, convention: SignConvention):
@@ -273,21 +269,17 @@ class Stratum:
 
     @cached_property
     def ring(self) -> Presentation:
-        return _once(self.spec.algebra, ("ring", *self.ring_forms), lambda:
-                     invariant_presentation(self.action, self._coordinates))
+        return invariant_presentation(self.action, self._coordinates)
 
     @cached_property
     def _coordinates(self) -> Subalgebra:
         """The ring coordinates as one Subalgebra: `ring` presents it and
         `coordinates_of` reads the same basis."""
-        return _once(self.spec.algebra, ("coordinates", *self.ring_forms), lambda:
-                     Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms))))
+        return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)))
 
     @cached_property
     def restriction_coords(self) -> dict:
-        key = ("restrict", *self.ring_forms, *self.restrictions.values())
-        return _once(self.spec.algebra, key, lambda: {
-            tag: self.coordinates_of(form) for tag, form in self.restrictions.items()})
+        return {tag: self.coordinates_of(form) for tag, form in self.restrictions.items()}
 
     @cached_property
     def top_coords(self) -> Polynomial:
@@ -382,7 +374,10 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
             raise PipelineError(f"tag order of {stratum.label} must permute {sorted(names)}")
         names = list(stratum.spec.tag_order)
         weights = [by_name[n] for n in names]
-    tags = VarTable(names, weights)
+    try:
+        tags = VarTable(names, weights)
+    except ValueError as exc:
+        raise PipelineError(f"{stratum.label}: bad [new] entry: {exc}") from None
     free_tags = Presentation(tags, ())
 
     alpha_images = {}
@@ -412,7 +407,6 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     Morphism(prev, B, {n: alpha_images[n] for n in prev.table.names})
 
     fiber, ker_alpha, ker_beta = fiber_product(alpha, beta)
-    rows = alpha_rows(alpha, beta)  # held here: the transport and the ranks share them
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
     # a non-zero-divisor top class of degree c gives HS(result) = HS(prev) + t^c HS(A),
     # so N_res D_prev D_A = N_prev D_A D_res + t^c N_A D_prev D_res for HS = N / D,
@@ -456,15 +450,16 @@ class Artifacts:
     texts read.  A stage is keyed by its content, exactly what
     `induction_step` reads: the label, the previous ring, the stratum's
     ring, its top class and restrictions in ring coordinates and its pair
-    overrides; a per-(label, convention) index points into that store.
-    Pieces derived from one stage (the claims' kernel presentations,
-    `minimal`) are kept in its dict.  `under(convention)` reads the same
-    store under another convention, so conventions that yield equal pieces
-    share one build.  A piece whose construction fails keeps its error and
-    raises it again to every later reader.  Claim texts parsed without a
-    stratum's functions are kept in the store by `_parsed`, keyed by the
-    text, the table and the value of each name the text reads.  No stage
-    holds a stratum, so a store is freed without the cycle collector.
+    overrides; each read builds that key again.  Pieces derived from one
+    stage (the claims' kernel presentations, `minimal`) are kept in its
+    dict.  `under(convention)` reads the same store under another
+    convention, so conventions that yield equal pieces share one build.  A
+    stratum or a gluing that fails keeps its error and raises it again to
+    every later reader; a stage whose key reads a failed stratum piece
+    fails again, with the same message, on each read.  Claim texts parsed
+    without a stratum's functions are kept in the store by `_parsed`, keyed
+    by the text, the table and the value of each name the text reads.  No
+    stage holds a stratum, so a store is freed without the cycle collector.
     """
 
     def __init__(self, convention: SignConvention, specs, base: Presentation,
@@ -476,7 +471,6 @@ class Artifacts:
         if len(self.specs) != len(specs):
             raise PipelineError("two stratum files share a label")
         self.labels = list(self.specs)
-        self._index = {}  # (label, signs) -> its stage, shared by equal content
         self._built = {}
 
     def under(self, convention: SignConvention) -> "Artifacts":
@@ -485,7 +479,7 @@ class Artifacts:
         view.convention = convention
         return view
 
-    def _signs(self, read=SIGN_NAMES) -> tuple:
+    def _signs(self, read) -> tuple:
         return tuple((name, value) for name, value in self.convention.values.items()
                      if name in read)
 
@@ -501,12 +495,9 @@ class Artifacts:
                      lambda: Stratum(spec, self.convention))
 
     def stage(self, label: str) -> dict:
-        self._spec(label)
-        return _once(self._index, (label, self._signs()), lambda: self._glue(label))
-
-    def _glue(self, label: str) -> dict:
         """The stage keyed by what `induction_step` reads (the label fixes
         the spec), glued the first time any convention yields that key."""
+        self._spec(label)
         index = self.labels.index(label)
         prev = self.stage(self.labels[index - 1])["result"] if index else self.base
         stratum = self.stratum(label)
@@ -520,9 +511,8 @@ class Artifacts:
 
     @property
     def stages(self) -> list:
-        """The stages glued under this convention, in file order."""
-        built = (self._index.get((label, self._signs())) for label in self.labels)
-        return [stage for stage in built if isinstance(stage, dict)]
+        """The stages under this convention, in file order."""
+        return [self.stage(label) for label in self.labels]
 
     @property
     def final(self) -> Presentation:

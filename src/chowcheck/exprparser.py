@@ -196,7 +196,7 @@ class _ExprParser:
                 if isinstance(val, (int, Fraction)):
                     return Polynomial.constant(self.context, val)
                 return val
-            if t.value in self.context._index:
+            if t.value in self.context._position:
                 return Polynomial.variable(self.context, t.value)
             raise ParseError(f"unknown identifier {t.value!r}", t.line, t.col)
         if t.kind == "op" and t.value == "(":

@@ -28,7 +28,7 @@ def _coeff(value) -> Fraction:
 class VarTable:
     """Ordered list of variable names with positive integer weights."""
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_position")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int] | None = None):
         names = tuple(names)
@@ -48,7 +48,7 @@ class VarTable:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
         self.names = names
         self.weights = weights
-        self._index = {n: i for i, n in enumerate(names)}
+        self._position = {n: i for i, n in enumerate(names)}
 
     def __len__(self):
         return len(self.names)
@@ -69,7 +69,7 @@ class VarTable:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self._position[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
@@ -409,7 +409,7 @@ class Polynomial:
         slot = []
         for name in self.context.names:
             tname = name_map.get(name, name) if name_map else name
-            slot.append(target._index.get(tname))
+            slot.append(target._position.get(tname))
         terms = {}
         for mono, c in self.terms.items():
             out = [0] * n

@@ -5,15 +5,14 @@ variables and weighted-homogeneous relations.  Maps are determined by
 generator images and are checked to preserve the grading and to kill the
 source relations.  The fiber product of two maps out of a common free tag
 ring is presented by the intersection of their kernels.  For beta a
-projection, one set of packed alpha rows (`alpha_rows`) serves two jobs:
-the pair-image rank is counted from alpha alone (`pair_image_rank`), and
-a beta-side relation whose naive lift fails is corrected over the same
-rows (`apply_quotient`)."""
+projection, packed alpha rows (`_AlphaRows`) serve two jobs, each call
+building its own: the pair-image rank is counted from alpha alone
+(`pair_image_rank`), and a beta-side relation whose naive lift fails is
+corrected over the rows of its degree (`apply_quotient`)."""
 
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
@@ -113,12 +112,11 @@ class Presentation:
 class Morphism:
     """Graded ring map Presentation -> Presentation given by generator images."""
 
-    __slots__ = ("source", "target", "images", "_rows")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: Presentation, target: Presentation, images: dict):
         self.source = source
         self.target = target
-        self._rows = None
         fixed = {}
         for name in source.table.names:
             if name not in images:
@@ -192,19 +190,18 @@ class _AlphaRows:
     tag goes to zero or to a variable of its own in a free ring.
 
     `rows(d)` gives the number of degree-d tag monomials and, for each one
-    with a tag beta kills, (m, row, scale): row is alpha(m) as packed
-    integer terms reduced by the packed basis of alpha's target, and
-    row == scale * alpha(m) there.  Tag i maps to L_i alpha(x_i), L_i the
-    lcm of its denominators; images are built on first use as
-    raw[m] = raw[m / x_i] * gen_i, x_i the last variable of m, and kept.  A
-    product that sets a guard bit drops them all and builds at double width.
+    with a tag beta kills, (m, row, s): row is alpha(m) as packed integer
+    terms reduced by the packed basis of alpha's target, and row ==
+    s * L^m * alpha(m) there, L^m the product of the L_i^m_i.  Gen i is
+    L_i alpha(x_i) as packed terms (`_Packing.int_terms`, lift L_i); images
+    are built on first use as raw[m] = raw[m / x_i] * gen_i, x_i the last
+    variable of m, and kept.  A product that sets a guard bit drops them
+    all and builds at double width.
     """
 
-    __slots__ = ("beta", "tags", "killed", "images", "lifts", "red", "gens", "raw", "built",
-                 "__weakref__")
+    __slots__ = ("tags", "killed", "images", "lifts", "red", "gens", "raw", "built")
 
     def __init__(self, alpha: Morphism, beta: Morphism):
-        self.beta = beta
         self.tags = alpha.source.table
         kept = [f.terms for f in beta.images.values() if f.terms]
         bare = {m for t in kept for m, c in t.items() if len(t) == 1 and c == 1 and sum(m) == 1}
@@ -214,19 +211,17 @@ class _AlphaRows:
                                     "or to a variable of its own in a free ring")
         self.killed = [self.tags.index(n) for n in beta.killed_names()]
         self.images = [alpha.images[n] for n in self.tags.names]
-        self.lifts = [math.lcm(*(c.denominator for c in f.terms.values())) for f in self.images]
         self._pack(alpha.target.relations.groebner(alpha.target.order).fitting(
             [m for f in self.images for m in f.terms]))
 
     def _pack(self, red):
         self.red = red
-        self.gens = [{red.packing.pack(m): c.numerator * (lift // c.denominator)
-                      for m, c in f.terms.items()} for f, lift in zip(self.images, self.lifts)]
+        self.gens, self.lifts = zip(*map(red.packing.int_terms, self.images))
         self.raw = {(0,) * len(self.gens): {0: 1}}
         self.built = {}
 
     def rows(self, d: int) -> tuple:
-        """(number of degree-d tag monomials, [(m, row, scale)])."""
+        """(number of degree-d tag monomials, [(m, row, s)])."""
         while d not in self.built:
             try:
                 self.built[d] = self._build(d)
@@ -238,10 +233,8 @@ class _AlphaRows:
         entries, guard = self.red.entries, self.red.packing.guard
         monos = standard_monomials(Ideal(self.tags, ()), d,
                                    MonomialOrder.wgrevlex(self.tags.weights))
-        rows = [(m, *_reduce(dict(self._image(m, guard)), entries, guard))
-                for m in monos if any(m[i] for i in self.killed)]
-        return len(monos), [(m, row, s * math.prod(map(pow, self.lifts, m)))
-                            for m, row, s in rows]
+        return len(monos), [(m, *_reduce(dict(self._image(m, guard)), entries, guard))
+                            for m in monos if any(m[i] for i in self.killed)]
 
     def _image(self, m: tuple, guard: int) -> dict:
         got = self.raw.get(m)
@@ -252,17 +245,6 @@ class _AlphaRows:
         return got
 
 
-def alpha_rows(alpha: Morphism, beta: Morphism) -> _AlphaRows:
-    """The alpha rows for (alpha, beta) that a caller still holds, found
-    through a weak reference on alpha, or new ones.  `induction_step` holds
-    them through a stage, so its transport and its ranks build them once."""
-    rows = alpha._rows() if alpha._rows else None
-    if rows is None or rows.beta is not beta:
-        rows = _AlphaRows(alpha, beta)
-        alpha._rows = weakref.ref(rows)
-    return rows
-
-
 def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
     one per d in `degrees`, for beta a projection (`_AlphaRows`).
@@ -270,9 +252,9 @@ def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     The monomials free of killed tags go to distinct monomials of C and the
     others to zero there, so the pair matrix is block triangular: its rank
     is the number of degree-d monomials, less the alpha rows, plus their
-    rank.  A row is its rational image times a nonzero integer."""
+    rank.  A row is its rational image times a nonzero rational."""
     return [size - len(built) + sparse_rank([row for _, row, _ in built])
-            for size, built in map(alpha_rows(alpha, beta).rows, degrees)]
+            for size, built in map(_AlphaRows(alpha, beta).rows, degrees)]
 
 
 def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
@@ -307,10 +289,10 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
     renames it into the tag ring; when its alpha image is nonzero the
     difference is solved for over the alpha rows of its degree
     (`_AlphaRows.rows`), the monomials with a tag beta kills, and y_m maps
-    back to x_m = y_m * scale_m, so the corrected lift dies on both sides.
+    back to x_m = y_m * s_m * L^m, so the corrected lift dies on both sides.
     Returns the quotient presentation and one note per extra."""
     table = fiber.table
-    rows = alpha_rows(alpha, beta)
+    rows = _AlphaRows(alpha, beta)
     for name in beta.target.table.names:
         if beta.images.get(name) != Polynomial.variable(beta.target.table, name):
             raise PresentationError(f"beta does not send a tag {name} to the variable {name}")
@@ -329,8 +311,8 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
             if sol is None:
                 raise PresentationError(
                     f"relation cannot be transported across the fiber square: {extra}")
-            correction = Polynomial(table, {m: y * scale for (m, _, scale), y
-                                            in zip(built, sol) if y})
+            correction = Polynomial(table, {m: y * s * math.prod(map(pow, rows.lifts, m))
+                                            for (m, _, s), y in zip(built, sol) if y})
             lift = naive - correction
             if not alpha(lift).is_zero() or not beta(correction).is_zero():
                 raise PresentationError(f"correction failed to stay on one side: {extra}")

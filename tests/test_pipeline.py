@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from chowcheck import chowpipeline, groebner, invariants
+from chowcheck import chowpipeline, groebner, invariants, ringpres
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -449,6 +449,60 @@ def test_a_stratum_missing_a_ring_coordinate_fails_by_the_molien_count(tmp_path)
         run_pipeline(root=root)
 
 
+def test_every_reader_of_a_failed_stratum_ring_gets_its_invariant_error(tmp_path):
+    """A failed ring is built again on each read, and fails alike: every
+    claim that reads it, in every convention, gets the one message."""
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    gamma2.write_text(gamma2.read_text().replace("eta(2): ETA\n", ""))
+    message = ("generators miss the invariants in degree 2: "
+               "dimension 3 presented, 4 invariant")
+    stratum = Stratum(StratumSpec.load("gamma2.stratum", root=root), SignConvention())
+    for _ in range(2):
+        with pytest.raises(InvariantError) as err:
+            stratum.ring
+        assert str(err.value) == message
+    path = tmp_path / "ring.claims"
+    path.write_text("[kind]\nclaims\n\n"
+                    "[claim]\nid: on-forms\nkind: identity\nwhere: Gamma2\n"
+                    "lhs: g2\nrhs: g2\n\n"
+                    "[claim]\nid: on-ring\nkind: dimension\nspace: ring:Gamma2\n"
+                    "degree: 2\nvalue: 4\n\n"
+                    "[claim]\nid: on-stage\nkind: surjectivity\nstage: Gamma2\n"
+                    "dmax: 4\n\n"
+                    "[claim]\nid: on-next-stage\nkind: lift_profile\n"
+                    "stage: Gamma3p\nexact: 1\ncorrected: 0\n")
+    rows = convention_search(load_claims(path=path), root=root)["rows"]
+    assert len(rows) == 16
+    for row in rows:
+        assert row["passed"] == ["on-forms"] and row["failed"] == []
+        assert row["errors"] == [{"id": claim, "error": message}
+                                 for claim in ("on-ring", "on-stage", "on-next-stage")]
+
+
+@pytest.mark.parametrize("name, old, new, error", [
+    ("gamma1.stratum", "[new]\nk1(1)\n", "[new]\nk1(0)\n",
+     "Gamma1: bad [new] entry: weights must be positive integers, got 0"),
+    ("gamma2.stratum", "[new]\n", "[new]\nk1(1)\n",
+     "Gamma2: bad [new] entry: duplicate variable name"),
+], ids=["zero-weight", "repeated-name"])
+def test_a_bad_new_entry_is_a_pipeline_error_naming_its_stratum(tmp_path, name, old,
+                                                                new, error):
+    root = _data_copy(tmp_path)
+    stratum = root / "strata" / name
+    assert old in stratum.read_text()
+    stratum.write_text(stratum.read_text().replace(old, new))
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(root=root)
+    assert str(err.value) == error
+    path = tmp_path / "stage.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: on-stage\nkind: surjectivity\n"
+                    "stage: Gamma2\ndmax: 4\n")
+    (row,) = convention_search(load_claims(path=path), conventions=[SignConvention()],
+                               root=root)["rows"]
+    assert row["errors"] == [{"id": "on-stage", "error": error}]
+
+
 def test_a_zero_top_class_stops_the_gluing_as_a_zero_divisor(tmp_path):
     root = _data_copy(tmp_path)
     gamma2 = root / "strata" / "gamma2.stratum"
@@ -595,11 +649,18 @@ def test_sweep_glues_each_stage_once_per_sign_restriction(monkeypatch):
 
 
 def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
-    # the sweeps read the store the main run glued at the default convention
+    # the sweeps read the store the main run glued at the default convention;
+    # each of its 14 strata presents its own ring from its own coordinates,
+    # and the rank and the transport of a stage each build their alpha rows
     steps = _count_calls(monkeypatch, "induction_step",
                          key=lambda prev, stratum, **kw: stratum.label)
+    presentations = _count_calls(monkeypatch, "invariant_presentation")
+    coordinates = _count_calls(monkeypatch, "Subalgebra")
+    builds = _count_calls(monkeypatch, "_build", module=ringpres._AlphaRows)
     verify_paper()
     assert steps == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
+    assert sum(presentations.values()) == sum(coordinates.values()) == 14
+    assert sum(builds.values()) <= 105
 
 
 def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch):
