@@ -54,6 +54,7 @@ from .groebner import (
 )
 from .exprparser import (
     Document,
+    Entry,
     ParseError,
     doc_polynomials,
     doc_vars,
@@ -108,14 +109,16 @@ def _once(built: dict, key, build):
     return value
 
 
-def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None):
-    """`parse_polynomial(text, table, env, functions)`, kept in `built` by
-    `_once` under the text, the table, the function names and the value of
-    each name of the text that `env` binds.  A memo given `functions` must
-    be the spec's, whose one action they come from."""
+def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None,
+            line=1, col=1):
+    """`parse_polynomial(text, table, env, functions, line, col)`, kept in
+    `built` by `_once` under the text, the table, the function names and the
+    value of each name of the text that `env` binds, but not the place the
+    text starts.  A memo given `functions` must be the spec's, whose one
+    action they come from."""
     reads = tuple((name, env[name]) for name in _NAME_RE.findall(text) if name in env)
     return _once(built, ("parse", text, table, tuple(functions or ()), reads),
-                 lambda: parse_polynomial(text, table, env, functions))
+                 lambda: parse_polynomial(text, table, env, functions, line, col))
 
 
 class SignConvention:
@@ -187,21 +190,20 @@ class StratumSpec:
         self.label = doc.single("label").value
         self.table = doc_vars(doc)
         self.group_specs = parse_group(doc.section("group", required=True))
-        self.defs = [(e.key, e.value) for e in (doc.section("defs") or [])]
-        self.ring = []
-        for e in doc.section("ring", required=True):
-            name, weight = parse_name_weight(e.key, e.line)
-            self.ring.append((name, weight, e.value))
+        # the texts a `Stratum` parses, as entries: each parse names its place
+        self.defs = doc.keyed("defs", "name: form")
+        self.ring = [(*parse_name_weight(e.key, e.line), e)
+                     for e in doc.keyed("ring", "name(weight): form", required=True)]
         for section, names in (("vars", self.table.names),
-                               ("defs", [n for n, _ in self.defs]),
+                               ("defs", [e.key for e in self.defs]),
                                ("ring", [n for n, _, _ in self.ring])):
             for name in names:
                 if name in SIGN_NAMES:
                     raise PipelineError(f"{self.label}: [{section}] name {name} "
                                         "is reserved for a sign symbol")
-        self.top = doc.single("top").value
-        self.restrict = [(e.key, e.value) for e in doc.section("restrict", required=True)]
-        self.pairs = {e.key: e.value for e in (doc.section("pairs") or [])}
+        self.top = doc.single("top")
+        self.restrict = doc.keyed("restrict", "tag: form", required=True)
+        self.pairs = {e.key: e for e in doc.keyed("pairs", "tag: form")}
         self.new = []
         for e in doc.section("new", required=True):
             self.new.append(parse_name_weight(e.key if e.key else e.value, e.line))
@@ -217,10 +219,9 @@ class StratumSpec:
     @cached_property
     def signs_read(self) -> frozenset:
         """The sign symbols named by the texts a `Stratum` parses."""
-        texts = ([t for _, t in self.defs] + [t for _, _, t in self.ring]
-                 + [self.top] + [t for _, t in self.restrict]
-                 + list(self.pairs.values()))
-        return frozenset(name for text in texts for name in _NAME_RE.findall(text)
+        entries = (self.defs + [e for _, _, e in self.ring] + [self.top]
+                   + self.restrict + list(self.pairs.values()))
+        return frozenset(name for e in entries for name in _NAME_RE.findall(e.value)
                          if name in SIGN_NAMES)
 
 
@@ -247,12 +248,11 @@ class Stratum:
                             GroupAction(spec.table, spec.group_specs))
         self.functions = {"transfer": self.action.transfer,
                           "reynolds": self.action.reynolds}
-        env = dict(convention.values)
-        for name, text in spec.defs:
-            env[name] = _parsed(spec.algebra, text, self.table, env, self.functions)
-        self.env = env
+        self.env = dict(convention.values)
+        for e in spec.defs:
+            self.env[e.key] = self._psi(e)
         self.ring_names = [n for n, _, _ in spec.ring]
-        self.ring_forms = [self._psi(text) for _, _, text in spec.ring]
+        self.ring_forms = [self._psi(e) for _, _, e in spec.ring]
         for (name, weight, _), form in zip(spec.ring, self.ring_forms):
             self._require_invariant(f"ring coordinate {name}", form)
             if form.weighted_degree() != weight:
@@ -262,10 +262,10 @@ class Stratum:
         self.top_form = self._psi(spec.top)
         self._require_invariant("top Chern form", self.top_form)
         self.restrictions = {}
-        for tag, text in spec.restrict:
-            form = self._psi(text)
-            self._require_invariant(f"restriction of {tag}", form)
-            self.restrictions[tag] = form
+        for e in spec.restrict:
+            form = self._psi(e)
+            self._require_invariant(f"restriction of {e.key}", form)
+            self.restrictions[e.key] = form
 
     @cached_property
     def ring(self) -> Presentation:
@@ -290,11 +290,13 @@ class Stratum:
     def pair_overrides(self) -> dict:
         pair_env = dict(self.convention.values)
         pair_env.update(self.restriction_coords)
-        return {tag: _parsed(self.spec.algebra, text, self.ring.table, pair_env)
-                for tag, text in self.spec.pairs.items()}
+        return {tag: _parsed(self.spec.algebra, e.value, self.ring.table, pair_env,
+                             line=e.line, col=e.col)
+                for tag, e in self.spec.pairs.items()}
 
-    def _psi(self, text: str) -> Polynomial:
-        return _parsed(self.spec.algebra, text, self.table, self.env, self.functions)
+    def _psi(self, entry: Entry) -> Polynomial:
+        return _parsed(self.spec.algebra, entry.value, self.table, self.env,
+                       self.functions, entry.line, entry.col)
 
     def _require_invariant(self, what: str, form: Polynomial) -> None:
         if ("invariant", form) in self.spec.algebra:  # passed for another stratum

@@ -89,10 +89,7 @@ def _load_morphism(path: str):
     source = parse_vartable(doc.section("source", required=True))
     target = parse_vartable(doc.section("target", required=True))
     images = {}
-    for entry in doc.section("images", required=True):
-        if entry.key is None:
-            raise ParseError("entries in [images] must look like `name: polynomial`",
-                             entry.line)
+    for entry in doc.keyed("images", "name: polynomial", required=True):
         if entry.key not in source.names:
             raise ParseError(f"[images] names {entry.key!r}, which is not a "
                              f"[source] variable", entry.line)
@@ -291,21 +288,25 @@ def cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_order(parser):
-    parser.add_argument("--order", choices=ORDER_NAMES, default="grevlex",
-                        help="monomial order for bases and normal forms "
-                             "(default: grevlex; wgrevlex uses the declared "
-                             "variable weights)")
-
-
-def _add_out(parser):
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the output to PATH instead of stdout")
-
-
-def _add_element(parser, help_text):
-    parser.add_argument("--element", required=True, metavar="EXPR",
-                        help=help_text)
+def _command(sub, name, func, help, *positionals, element=None, options=(), order=False):
+    """Add subcommand `name`: its positionals as `(dest, metavar, help)`, a
+    required `--element` with help `element`, the `options` as
+    `(name, add_argument keywords)`, `--order` if `order`, then `--out`."""
+    p = sub.add_parser(name, help=help)
+    for dest, metavar, text in positionals:
+        p.add_argument(dest, metavar=metavar, help=text)
+    if element is not None:
+        p.add_argument("--element", required=True, metavar="EXPR", help=element)
+    for option, keywords in options:
+        p.add_argument(option, **keywords)
+    if order:
+        p.add_argument("--order", choices=ORDER_NAMES, default="grevlex",
+                       help="monomial order for bases and normal forms "
+                            "(default: grevlex; wgrevlex uses the declared "
+                            "variable weights)")
+    p.add_argument("--out", metavar="PATH", default=None,
+                   help="write the output to PATH instead of stdout")
+    p.set_defaults(func=func)
 
 
 # built on the first call and reused: parse_args keeps no state between calls
@@ -317,124 +318,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification of the stratified Chow ring computation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    ideal = ("ideal", "IDEAL", None)
+    in_ideal = "polynomial in the ideal's variables"
+    action = ("action", "ACTION", None)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis of an ideal")
-    p.add_argument("ideal", metavar="IDEAL", help="ideal document path")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_gb)
-
-    p = sub.add_parser("nf", help="normal form of an element modulo an ideal")
-    p.add_argument("ideal", metavar="IDEAL")
-    _add_element(p, "polynomial in the ideal's variables")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("member", help="ideal membership test (true/false)")
-    p.add_argument("ideal", metavar="IDEAL")
-    _add_element(p, "polynomial in the ideal's variables")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("elim", help="elimination ideal in the kept variables")
-    p.add_argument("ideal", metavar="IDEAL")
-    p.add_argument("--drop", required=True, metavar="NAMES",
-                   help="comma-separated variables to eliminate")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_elim)
-
-    p = sub.add_parser("kernel", help="kernel of a ring map given by images")
-    p.add_argument("morphism", metavar="MORPHISM", help="morphism document path")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("colon", help="colon ideal (I : f)")
-    p.add_argument("ideal", metavar="IDEAL")
-    _add_element(p, "the divisor f")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_colon)
-
-    p = sub.add_parser("nzd", help="non-zero-divisor test via (I : f) = I")
-    p.add_argument("ideal", metavar="IDEAL")
-    _add_element(p, "the candidate f")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_nzd)
-
-    p = sub.add_parser("intersect", help="intersection of two ideals")
-    p.add_argument("left", metavar="IDEAL_A")
-    p.add_argument("right", metavar="IDEAL_B")
-    _add_order(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("subalg",
-                       help="subalgebra membership against named generators")
-    p.add_argument("morphism", metavar="MORPHISM",
-                   help="morphism document; [images] are the generators")
-    _add_element(p, "polynomial in the [target] variables")
-    _add_out(p)
-    p.set_defaults(func=cmd_subalg)
-
-    p = sub.add_parser("reynolds", help="Reynolds average of a polynomial")
-    p.add_argument("action", metavar="ACTION",
-                   help="action document ([vars] + [group]); stratum files work")
-    _add_element(p, "polynomial in the action's variables")
-    _add_out(p)
-    p.set_defaults(func=cmd_reynolds)
-
-    p = sub.add_parser("invgen",
-                       help="minimal generators of the invariant algebra")
-    p.add_argument("action", metavar="ACTION")
-    _add_out(p)
-    p.set_defaults(func=cmd_invgen)
-
-    p = sub.add_parser("invpres",
-                       help="presentation of the invariant algebra")
-    p.add_argument("action", metavar="ACTION")
-    p.add_argument("--names", metavar="NAMES", default=None,
-                   help="comma-separated names for the invariant generators")
-    _add_out(p)
-    p.set_defaults(func=cmd_invpres)
-
-    p = sub.add_parser("fiber",
-                       help="fiber product presentation of two morphisms "
-                            "out of one free source")
-    p.add_argument("alpha", metavar="MORPHISM_A")
-    p.add_argument("beta", metavar="MORPHISM_B")
-    _add_out(p)
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("dims", help="graded dimension table of a presentation")
-    p.add_argument("presentation", metavar="PRESENTATION")
-    p.add_argument("--dmax", type=int, default=12, metavar="N",
-                   help="largest degree to tabulate (default 12)")
-    _add_out(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("verify-paper",
-                       help="run the full pipeline and check every recorded "
-                            "claim; exit 1 on any discrepancy")
-    p.add_argument("strata", nargs="?", default=None, metavar="STRATA_DIR",
-                   help="directory with the stratum files "
-                        "(default: packaged data)")
-    p.add_argument("claims", nargs="?", default=None, metavar="CLAIMS_FILE",
-                   help="claims file (default: packaged claims)")
-    p.add_argument("--convention", metavar="SIGNS", default=None,
-                   help="sign convention e1,e2,e3[,eg] with each value +1 or "
-                        "-1 (default: -1,-1,-1,+1)")
-    p.add_argument("--dmax", type=int, default=12, metavar="N",
-                   help="degree bound for graded certification (default 12)")
-    p.add_argument("--format", choices=("text", "machine"), default="text",
-                   help="report format; machine output is byte-deterministic")
-    _add_out(p)
-    p.set_defaults(func=cmd_verify_paper)
-
+    _command(sub, "gb", cmd_gb, "reduced Groebner basis of an ideal",
+             ("ideal", "IDEAL", "ideal document path"), order=True)
+    _command(sub, "nf", cmd_nf, "normal form of an element modulo an ideal",
+             ideal, element=in_ideal, order=True)
+    _command(sub, "member", cmd_member, "ideal membership test (true/false)",
+             ideal, element=in_ideal, order=True)
+    _command(sub, "elim", cmd_elim, "elimination ideal in the kept variables", ideal,
+             options=[("--drop", dict(required=True, metavar="NAMES",
+                                      help="comma-separated variables to eliminate"))],
+             order=True)
+    _command(sub, "kernel", cmd_kernel, "kernel of a ring map given by images",
+             ("morphism", "MORPHISM", "morphism document path"), order=True)
+    _command(sub, "colon", cmd_colon, "colon ideal (I : f)",
+             ideal, element="the divisor f", order=True)
+    _command(sub, "nzd", cmd_nzd, "non-zero-divisor test via (I : f) = I",
+             ideal, element="the candidate f", order=True)
+    _command(sub, "intersect", cmd_intersect, "intersection of two ideals",
+             ("left", "IDEAL_A", None), ("right", "IDEAL_B", None), order=True)
+    _command(sub, "subalg", cmd_subalg,
+             "subalgebra membership against named generators",
+             ("morphism", "MORPHISM", "morphism document; [images] are the generators"),
+             element="polynomial in the [target] variables")
+    _command(sub, "reynolds", cmd_reynolds, "Reynolds average of a polynomial",
+             ("action", "ACTION", "action document ([vars] + [group]); stratum files work"),
+             element="polynomial in the action's variables")
+    _command(sub, "invgen", cmd_invgen, "minimal generators of the invariant algebra",
+             action)
+    _command(sub, "invpres", cmd_invpres, "presentation of the invariant algebra", action,
+             options=[("--names", dict(
+                 metavar="NAMES", default=None,
+                 help="comma-separated names for the invariant generators"))])
+    _command(sub, "fiber", cmd_fiber,
+             "fiber product presentation of two morphisms out of one free source",
+             ("alpha", "MORPHISM_A", None), ("beta", "MORPHISM_B", None))
+    _command(sub, "dims", cmd_dims, "graded dimension table of a presentation",
+             ("presentation", "PRESENTATION", None),
+             options=[("--dmax", dict(type=int, default=12, metavar="N",
+                                      help="largest degree to tabulate (default 12)"))])
+    _command(sub, "verify-paper", cmd_verify_paper,
+             "run the full pipeline and check every recorded claim; exit 1 on any "
+             "discrepancy", options=[
+                 ("strata", dict(nargs="?", default=None, metavar="STRATA_DIR",
+                                 help="directory with the stratum files "
+                                      "(default: packaged data)")),
+                 ("claims", dict(nargs="?", default=None, metavar="CLAIMS_FILE",
+                                 help="claims file (default: packaged claims)")),
+                 ("--convention", dict(metavar="SIGNS", default=None,
+                                       help="sign convention e1,e2,e3[,eg] with each "
+                                            "value +1 or -1 (default: -1,-1,-1,+1)")),
+                 ("--dmax", dict(type=int, default=12, metavar="N",
+                                 help="degree bound for graded certification "
+                                      "(default 12)")),
+                 ("--format", dict(choices=("text", "machine"), default="text",
+                                   help="report format; machine output is "
+                                        "byte-deterministic"))])
     return parser
 
 

@@ -267,6 +267,14 @@ class Document:
             raise ParseError(f"section [{name}] must contain exactly one entry")
         return entries[0]
 
+    def keyed(self, name, shape, required=False):
+        """The entries of section `name`, each of which must look like `shape`."""
+        entries = self.section(name, required=required) or []
+        for e in entries:
+            if e.key is None:
+                raise ParseError(f"entries in [{name}] must look like `{shape}`", e.line)
+        return entries
+
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
 
@@ -357,14 +365,11 @@ def doc_vars(doc: Document) -> VarTable:
     """The `[vars]` table, with weights overridden by an optional
     `[weights]` section of `name: weight` entries."""
     table = parse_vartable(doc.section("vars", required=True))
-    weight_entries = doc.section("weights")
+    weight_entries = doc.keyed("weights", "name: weight")
     if not weight_entries:
         return table
     weights = list(table.weights)
     for entry in weight_entries:
-        if entry.key is None:
-            raise ParseError("entries in [weights] must look like `name: weight`",
-                             entry.line)
         if entry.key not in table.names:
             raise ParseError(f"unknown variable {entry.key!r}", entry.line)
         weights[table.index(entry.key)] = _weight(entry.key, entry.value, entry.line)

@@ -76,7 +76,10 @@ class GroupAction:
             pairs = {}
             for src, dst in spec.items():
                 name, sign = _parse_signed_name(dst)
-                pairs[table.index(src)] = (table.index(name), sign)
+                try:
+                    pairs[table.index(src)] = (table.index(name), sign)
+                except ValueError as exc:  # either side may name no variable
+                    raise InvariantError(f"group generator: {exc}") from None
         else:
             pairs = {i: (j, s) for i, (j, s) in enumerate(spec)}
         if sorted(pairs) != list(range(len(table))):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -563,6 +564,30 @@ def test_verify_paper_exits_2_on_a_bad_claims_file(tmp_path, capsys, second, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_verify_paper_exits_2_on_a_bare_ring_entry_naming_its_line(tmp_path, capsys):
+    strata = tmp_path / "strata"
+    shutil.copytree(DATA / "strata", strata)
+    gamma1 = strata / "gamma1.stratum"
+    lines = gamma1.read_text().splitlines()
+    line = lines.index("k1(1): e1*(t1 + t2)") + 1
+    lines[line - 1] = "e1*(t1 + t2)"
+    gamma1.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["verify-paper", str(strata)])
+    assert (code, out) == (2, "")
+    assert err == ("error: entries in [ring] must look like `name(weight): form` "
+                   f"at line {line}\n")
+
+
+@pytest.mark.parametrize("group", ["t1 -> t2; t2 -> t1; zz -> t1",
+                                   "t1 -> zz; t2 -> t1"], ids=["source", "image"])
+def test_invpres_exits_2_on_a_group_entry_naming_an_unknown_variable(tmp_path, capsys,
+                                                                    group):
+    doc = write(tmp_path, "bad.action",
+                f"[kind]\naction\n[vars]\nt1\nt2\n[group]\n{group}\n")
+    assert run(capsys, ["invpres", doc]) == (
+        2, "", "error: group generator: unknown variable 'zz'\n")
+
+
 def _count_parsers(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -608,3 +633,32 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+def _argument_surface(parser):
+    """Every action of `parser` and of each subcommand's parser, in order:
+    the fields that decide parsing, usage and help text, but not layout."""
+    def actions(p):
+        rows = [[p.prog, p.description, getattr(p.get_default("func"), "__name__", None)]]
+        for a in p._actions:
+            choices = a.choices
+            if isinstance(choices, dict):  # the subcommands, with their help
+                choices = [[c.dest, c.help] for c in a._choices_actions]
+            rows.append([a.option_strings, a.dest, a.metavar, a.help, a.default,
+                         a.required, list(choices) if choices else choices, a.nargs,
+                         getattr(a.type, "__name__", a.type)])
+        return rows
+
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+    return [actions(parser)] + [[name, actions(p)] for name, p in sub.choices.items()]
+
+
+def test_the_argument_surface_is_pinned():
+    from chowcheck.cli import build_parser
+    surface = _argument_surface(build_parser())
+    assert [row[0] for row in surface[1:]] == [
+        "gb", "nf", "member", "elim", "kernel", "colon", "nzd", "intersect", "subalg",
+        "reynolds", "invgen", "invpres", "fiber", "dims", "verify-paper"]
+    text = json.dumps(surface, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4cdf1a66b3abc90f76268fac9d54748fb2b4b693a849c1309cf51119c7e3c2a8"), text

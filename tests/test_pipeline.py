@@ -593,6 +593,66 @@ def test_stratum_spec_rejects_a_sign_name(name, old, new, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name, old, section, shape", [
+    ("gamma2.stratum", "U1: t1 + t2", "defs", "name: form"),
+    ("gamma1.stratum", "k1(1): e1*(t1 + t2)", "ring", "name(weight): form"),
+    ("gamma1.stratum", "k2: e2*(t1^2 + t2^2)", "restrict", "tag: form"),
+    ("gamma3p.stratum", "q: -g2*(k1^2 - 4*g2)", "pairs", "tag: form"),
+], ids=["defs", "ring", "restrict", "pairs"])
+def test_a_bare_entry_in_a_keyed_stratum_section_names_its_section_and_line(
+        name, old, section, shape):
+    text = _stratum_text(name)
+    bare = old.split(": ", 1)[1]
+    assert text.count(old) == 1
+    lines = text.replace(old, bare).splitlines()
+    with pytest.raises(ParseError) as err:
+        StratumSpec(parse_document("\n".join(lines)))
+    line = lines.index(bare) + 1
+    assert str(err.value) == f"entries in [{section}] must look like `{shape}` at line {line}"
+
+
+@pytest.mark.parametrize("name, old, read", [
+    ("gamma2.stratum", "U1: t1 + t2", lambda s: s),
+    ("gamma1.stratum", "k1(1): e1*(t1 + t2)", lambda s: s),
+    ("gamma1.stratum", "transfer(1/2*(t1 + t2))", lambda s: s),
+    ("gamma1.stratum", "k2: e2*(t1^2 + t2^2)", lambda s: s),
+    ("gamma3p.stratum", "q: -g2*(k1^2 - 4*g2)", lambda s: s.pair_overrides),
+], ids=["defs", "ring", "top", "restrict", "pairs"])
+def test_a_parse_error_in_a_stratum_text_names_its_place_in_the_file(name, old, read):
+    """A text is parsed from the line and column where it stands in its file,
+    so the error points at the stray `)` there, not inside the text."""
+    text = _stratum_text(name)
+    assert text.count(old) == 1
+    lines = text.replace(old, old + ")").splitlines()
+    spec = StratumSpec(parse_document("\n".join(lines)))
+    with pytest.raises(ParseError, match="unexpected trailing input") as err:
+        read(Stratum(spec, SignConvention()))
+    assert err.value.line == lines.index(old + ")") + 1 > 1
+    assert lines[err.value.line - 1][err.value.col - 1:] == ")"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("r -> -r", "r -> -r; zz -> zz"),
+    ("r -> -r", "r -> -zz"),
+], ids=["source", "image"])
+def test_a_group_entry_naming_an_unknown_variable_is_an_invariant_error(tmp_path,
+                                                                       old, new):
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    assert gamma2.read_text().count(old) == 1
+    gamma2.write_text(gamma2.read_text().replace(old, new))
+    message = "group generator: unknown variable 'zz'"
+    with pytest.raises(InvariantError) as err:
+        run_pipeline(root=root)
+    assert str(err.value) == message
+    path = tmp_path / "stage.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: on-stage\nkind: surjectivity\n"
+                    "stage: Gamma2\ndmax: 4\n")
+    (row,) = convention_search(load_claims(path=path), conventions=[SignConvention()],
+                               root=root)["rows"]
+    assert row["errors"] == [{"id": "on-stage", "error": message}]
+
+
 def test_sweep_reports_a_pair_display_tag_without_restriction(tmp_path):
     error = _sweep_error(tmp_path, "kind: pair_display\nwhere: Gamma1\n"
                          "tag: zz\na_side: t1 + t2\n")
@@ -684,9 +744,10 @@ def test_verify_paper_runs_its_sweeps_through_convention_search(monkeypatch):
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _parse_key(text, table, env=None, functions=None):
+def _parse_key(text, table, env=None, functions=None, line=1, col=1):
     """What a parse result depends on: the text, the table, the action
-    behind `functions` and the value of each name of the text `env` binds."""
+    behind `functions` and the value of each name of the text `env` binds;
+    not the place the text starts, which only an error message reads."""
     reads = tuple((name, env[name]) for name in _NAME.findall(text)
                   if env and name in env)
     return text, table, reads, functions and functions["transfer"].__self__
@@ -747,7 +808,8 @@ def test_an_unparsable_ring_text_fails_every_convention_alike(tmp_path):
     rows = convention_search(load_claims(path=path), root=root)["rows"]
     errors = {error["error"] for row in rows for error in row["errors"]}
     assert len(rows) == 16 and all(len(row["errors"]) == 1 for row in rows)
-    assert errors == {"expected ')' at line 1, column 12"}
+    # the place in the file: line 17, the end of `k1(1): e1*(t1 + t2`
+    assert errors == {"expected ')' at line 17, column 19"}
 
 
 def test_a_form_invariant_under_one_sign_only_fails_under_the_other():

@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chowcheck.chowpipeline import minimal_generators
-from chowcheck.exprparser import parse_polynomial
+from chowcheck.chowpipeline import PipelineError, StratumSpec, minimal_generators
+from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
 from chowcheck.groebner import (
     Ideal,
     _block_order,
@@ -782,3 +782,50 @@ def _reynolds_basis(action, degree):
 @given(signed_permutation_groups(max_vars=4), st.integers(0, 6))
 def test_invariant_basis_matches_the_reynolds_images(action, degree):
     assert invariant_basis(action, degree) == _reynolds_basis(action, degree)
+
+
+_USUAL_STRATUM = {"label": ["Gamma1"], "vars": ["t1", "t2", "r(2)"],
+                  "weights": ["t1: 1"], "group": ["t1 -> t2; t2 -> t1; r -> -r"],
+                  "defs": ["U: t1 + t2"], "ring": ["k1(1): e1*U", "k2(2): t1^2 + t2^2"],
+                  "top": ["transfer(t1)"], "restrict": ["k1: e1*U", "k2: t1*t2"],
+                  "pairs": ["q: k1"], "new": ["k1(1)", "q(4)"], "tags": ["k1; k2"],
+                  "other": ["x"]}
+_stratum_keys = st.sampled_from(["t1", "r", "k1", "e1", "zz", "k1(1)", "k2(0)",
+                                 "x(1/2)", "a b", "1", ""])
+_stratum_values = st.one_of(
+    st.sampled_from(["t1 + t2", "e1*(t1", "t1 -> t2; t2 -> t1", "r -> -zz", "k1(2)",
+                     "1/0", "k1; k2", "Gamma1", "transfer(t1)", "->", "2"]),
+    st.text(alphabet=" t12ekrz()+-*^/:;>#[]", max_size=12))
+
+
+@st.composite
+def stratum_texts(draw):
+    """Stratum text by sections, each with its usual entries but for one to
+    three changes: a section dropped, or an entry, bare or keyed, put in
+    place of its first or last one or after them; a section may come twice."""
+    sections = {name: list(entries) for name, entries in _USUAL_STRATUM.items()}
+    names = list(sections) + draw(st.lists(st.sampled_from(list(sections)), max_size=2))
+    for name, how, key, value in draw(st.lists(st.tuples(
+            st.sampled_from(list(sections)), st.integers(0, 3),
+            st.none() | _stratum_keys, _stratum_values), min_size=1, max_size=3)):
+        line = value if key is None else f"{key}: {value}"
+        if how == 0 or sections[name] is None:
+            sections[name] = None
+        elif how == 3:
+            sections[name].append(line)
+        else:
+            sections[name][1 - how] = line
+    lines = ["[kind]", "stratum"]
+    for name in names:
+        if sections[name] is not None:
+            lines += [f"[{name}]"] + sections[name]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stratum_texts())
+def test_a_stratum_spec_rejects_any_text_with_a_domain_error(text):
+    try:
+        StratumSpec(parse_document(text))
+    except (ParseError, PipelineError):
+        pass
