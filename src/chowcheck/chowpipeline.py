@@ -20,6 +20,9 @@ and a stage by its content, what `induction_step` reads, so conventions
 that yield equal stages share one gluing.  A `Stratum` is lazy too: its
 forms and invariance checks are built at once, the rest on first read,
 and strata of one spec share its action, parses and invariance checks.
+Every data file is read by `exprparser.read_document`, so an input error
+in one, found while it is read or when a stratum first parses its texts,
+names the file.
 `run_pipeline` is a store with every stage glued;
 `verify_paper` runs its claims and its sign sweeps on that one store, so
 the sweeps build only what their claims read and the main run lacks.  Claims
@@ -35,7 +38,6 @@ import re
 from collections import Counter
 from copy import copy
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -58,11 +60,13 @@ from .exprparser import (
     ParseError,
     doc_polynomials,
     doc_vars,
-    parse_document,
+    in_file,
+    parse_declaration,
     parse_group,
-    parse_name_weight,
     parse_polynomial,
     parse_rational,
+    parse_vartable,
+    read_document,
     split_list,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
@@ -107,6 +111,12 @@ def _once(built: dict, key, build):
     if isinstance(value, Exception):
         raise value
     return value
+
+
+def _piece(build):
+    """A property kept by `_once` in the object's `_pieces`, a failure too."""
+    return property(lambda self: _once(self._pieces, build.__name__, lambda: build(self)),
+                    doc=build.__doc__)
 
 
 def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None,
@@ -163,18 +173,15 @@ class SignConvention:
 # ---------------------------------------------------------------------------
 # data loading
 
-def _data_text(name: str, root=None) -> str:
-    if root is not None:
-        base = Path(root)
-        for candidate in (base / name, base / "strata" / name):
-            if candidate.is_file():
-                return candidate.read_text()
-        raise PipelineError(f"missing data file {name!r} under {root}")
-    pkg = resources.files("chowcheck").joinpath("data")
-    for candidate in (pkg.joinpath("strata", name), pkg.joinpath(name)):
+def _data_path(name: str, root=None):
+    """The data file `name` in `root` (by default the package's data) or in
+    its strata/ folder."""
+    base = resources.files("chowcheck").joinpath("data") if root is None else Path(root)
+    for candidate in (base.joinpath(name), base.joinpath("strata", name)):
         if candidate.is_file():
-            return candidate.read_text()
-    raise PipelineError(f"missing data file {name!r}")
+            return candidate
+    raise PipelineError(f"missing data file {name!r}"
+                        + ("" if root is None else f" under {root}"))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -185,14 +192,13 @@ class StratumSpec:
     `algebra` memo its strata share: their action, parses and invariance checks."""
 
     def __init__(self, doc: Document):
-        if doc.kind != "stratum":
-            raise PipelineError("expected a stratum document")
+        self.source = doc.source
         self.label = doc.single("label").value
         self.table = doc_vars(doc)
         self.group_specs = parse_group(doc.section("group", required=True))
         # the texts a `Stratum` parses, as entries: each parse names its place
         self.defs = doc.keyed("defs", "name: form")
-        self.ring = [(*parse_name_weight(e.key, e.line), e)
+        self.ring = [(*parse_declaration(e.key, e.line), e)
                      for e in doc.keyed("ring", "name(weight): form", required=True)]
         for section, names in (("vars", self.table.names),
                                ("defs", [e.key for e in self.defs]),
@@ -204,25 +210,21 @@ class StratumSpec:
         self.top = doc.single("top")
         self.restrict = doc.keyed("restrict", "tag: form", required=True)
         self.pairs = {e.key: e for e in doc.keyed("pairs", "tag: form")}
-        self.new = []
-        for e in doc.section("new", required=True):
-            self.new.append(parse_name_weight(e.key if e.key else e.value, e.line))
+        self.new = parse_vartable(doc.section("new", required=True))
         order_entry = doc.single("tags", required=False)
         self.tag_order = (split_list(order_entry.value)
                           if order_entry is not None else None)
+        # the sign symbols named by the texts a `Stratum` parses
+        self.signs_read = frozenset(
+            name for e in self.defs + [e for _, _, e in self.ring] + [self.top]
+            + self.restrict + list(self.pairs.values())
+            for name in _NAME_RE.findall(e.value) if name in SIGN_NAMES)
         self.algebra = {}
 
     @staticmethod
     def load(name: str, root=None) -> "StratumSpec":
-        return StratumSpec(parse_document(_data_text(name, root)))
-
-    @cached_property
-    def signs_read(self) -> frozenset:
-        """The sign symbols named by the texts a `Stratum` parses."""
-        entries = (self.defs + [e for _, _, e in self.ring] + [self.top]
-                   + self.restrict + list(self.pairs.values()))
-        return frozenset(name for e in entries for name in _NAME_RE.findall(e.value)
-                         if name in SIGN_NAMES)
+        with read_document(_data_path(name, root), ("stratum",)) as doc:
+            return StratumSpec(doc)
 
 
 class Stratum:
@@ -230,9 +232,8 @@ class Stratum:
 
     The forms and their weight and invariance checks are built at once; the
     ring presentation, the coordinate subalgebra, the restriction
-    coordinates and the gluing pairs on first read, each kept once built.
-    A failed one is built again on the next read and fails with the same
-    message; the parses under it raise the errors they kept.  The spec's
+    coordinates and the gluing pairs on first read, each kept by `_once`,
+    a failure too.  A parse error names the spec's file.  The spec's
     `algebra` memo holds what the strata of one spec share: its group
     action, every text they parse (`_parsed`) and every form that passed
     its invariance check; a failing form is checked again, and fails, in
@@ -244,6 +245,7 @@ class Stratum:
         self.convention = convention
         self.label = spec.label
         self.table = spec.table
+        self._pieces = {}
         self.action = _once(spec.algebra, ("action",), lambda:
                             GroupAction(spec.table, spec.group_specs))
         self.functions = {"transfer": self.action.transfer,
@@ -267,36 +269,40 @@ class Stratum:
             self._require_invariant(f"restriction of {e.key}", form)
             self.restrictions[e.key] = form
 
-    @cached_property
+    @_piece
     def ring(self) -> Presentation:
         return invariant_presentation(self.action, self._coordinates)
 
-    @cached_property
+    @_piece
     def _coordinates(self) -> Subalgebra:
         """The ring coordinates as one Subalgebra: `ring` presents it and
         `coordinates_of` reads the same basis."""
         return Subalgebra(self.table, list(zip(self.ring_names, self.ring_forms)))
 
-    @cached_property
+    @_piece
     def restriction_coords(self) -> dict:
         return {tag: self.coordinates_of(form) for tag, form in self.restrictions.items()}
 
-    @cached_property
+    @_piece
     def top_coords(self) -> Polynomial:
         """The top Chern class in the ring coordinates."""
         return self.coordinates_of(self.top_form)
 
-    @cached_property
+    @_piece
     def pair_overrides(self) -> dict:
         pair_env = dict(self.convention.values)
         pair_env.update(self.restriction_coords)
-        return {tag: _parsed(self.spec.algebra, e.value, self.ring.table, pair_env,
-                             line=e.line, col=e.col)
+        return {tag: self._form(e, self.ring.table, pair_env)
                 for tag, e in self.spec.pairs.items()}
 
+    def _form(self, entry: Entry, table: VarTable, env: dict, functions=None) -> Polynomial:
+        """A spec entry's text, by `_parsed` from its place in the spec's file."""
+        with in_file(self.spec.source):
+            return _parsed(self.spec.algebra, entry.value, table, env, functions,
+                           entry.line, entry.col)
+
     def _psi(self, entry: Entry) -> Polynomial:
-        return _parsed(self.spec.algebra, entry.value, self.table, self.env,
-                       self.functions, entry.line, entry.col)
+        return self._form(entry, self.table, self.env, self.functions)
 
     def _require_invariant(self, what: str, form: Polynomial) -> None:
         if ("invariant", form) in self.spec.algebra:  # passed for another stratum
@@ -323,11 +329,9 @@ class Stratum:
 
 
 def load_base(name: str = BASE_FILE, root=None) -> Presentation:
-    doc = parse_document(_data_text(name, root))
-    if doc.kind != "presentation":
-        raise PipelineError("expected a presentation document")
-    table = doc_vars(doc)
-    return Presentation(table, doc_polynomials(doc, "relations", table))
+    with read_document(_data_path(name, root), ("presentation",)) as doc:
+        table = doc_vars(doc)
+        return Presentation(table, doc_polynomials(doc, "relations", table))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +372,8 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
         raise PipelineError(f"top Chern class of {stratum.label} is a zero divisor; "
                             "the gluing square does not apply")
 
-    names = list(prev.table.names) + [n for n, _ in stratum.spec.new]
-    weights = list(prev.table.weights) + [w for _, w in stratum.spec.new]
+    names = list(prev.table.names) + list(stratum.spec.new.names)
+    weights = list(prev.table.weights) + list(stratum.spec.new.weights)
     if stratum.spec.tag_order is not None:
         by_name = dict(zip(names, weights))
         if sorted(stratum.spec.tag_order) != sorted(names):
@@ -456,9 +460,9 @@ class Artifacts:
     stage (the claims' kernel presentations, `minimal`) are kept in its
     dict.  `under(convention)` reads the same store under another
     convention, so conventions that yield equal pieces share one build.  A
-    stratum or a gluing that fails keeps its error and raises it again to
-    every later reader; a stage whose key reads a failed stratum piece
-    fails again, with the same message, on each read.  Claim texts parsed
+    stratum, a stratum piece or a gluing that fails keeps its error and
+    raises it again to every later reader, a stage whose key reads that
+    piece among them.  Claim texts parsed
     without a stratum's functions are kept in the store by `_parsed`, keyed
     by the text, the table and the value of each name the text reads.  No
     stage holds a stratum, so a store is freed without the cycle collector.
@@ -590,14 +594,8 @@ class Claim:
 
 
 def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
-    if path is not None:
-        text = Path(path).read_text()
-    else:
-        text = _data_text(name)
-    doc = parse_document(text)
-    if doc.kind != "claims":
-        raise PipelineError("expected a claims document")
-    claims = [Claim(entries) for entries in doc.all_sections("claim")]
+    with read_document(_data_path(name) if path is None else path, ("claims",)) as doc:
+        claims = [Claim(entries) for entries in doc.all_sections("claim")]
     ids = Counter(c.id for c in claims)
     repeated = next((c.id for c in claims if ids[c.id] > 1), None)
     if repeated is not None:
@@ -647,11 +645,11 @@ class ClaimRunner:
 
     @staticmethod
     def var_table(claim, key) -> VarTable:
-        """The claim's `name(weight)` list field `key` as a table."""
-        decl = [parse_name_weight(t) for t in split_list(claim.get(key))]
+        """The claim's list field `key` of `[vars]`-style declarations as a table."""
         try:
-            return VarTable([n for n, _ in decl], [w for _, w in decl])
-        except ValueError as exc:
+            return parse_vartable(Entry(None, text, None, None)
+                                  for text in split_list(claim.get(key)))
+        except ParseError as exc:
             raise PipelineError(f"claim field {key!r}: {exc}") from None
 
     @staticmethod

@@ -28,10 +28,10 @@ from .exprparser import (
     ParseError,
     doc_polynomials,
     doc_vars,
-    parse_document,
     parse_group,
     parse_polynomial,
     parse_vartable,
+    read_document,
 )
 from .groebner import (
     Ideal,
@@ -53,30 +53,13 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# document loading
-
-def _read_document(path: str, kinds):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        doc = parse_document(text)
-    except ParseError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if doc.kind not in kinds:
-        article = "an" if kinds[0][0] in "aeiou" else "a"
-        raise InputError(f"{path}: expected {article} {' or '.join(kinds)} document, "
-                         f"got {doc.kind!r}")
-    return doc
-
+# document loading: each through `read_document`, so every error names its file
 
 def _load_ideal(path: str):
     """An ideal (or presentation) document: [vars] plus [relations]."""
-    doc = _read_document(path, ("ideal", "presentation"))
-    table = doc_vars(doc)
-    return table, Ideal(table, doc_polynomials(doc, "relations", table))
+    with read_document(path, ("ideal", "presentation")) as doc:
+        table = doc_vars(doc)
+        return table, Ideal(table, doc_polynomials(doc, "relations", table))
 
 
 def _load_morphism(path: str):
@@ -85,30 +68,29 @@ def _load_morphism(path: str):
     [relations] holds relations of the target ring.  Returns the source
     table, target table, image dictionary and target relation list.
     """
-    doc = _read_document(path, ("morphism",))
-    source = parse_vartable(doc.section("source", required=True))
-    target = parse_vartable(doc.section("target", required=True))
-    images = {}
-    for entry in doc.keyed("images", "name: polynomial", required=True):
-        if entry.key not in source.names:
-            raise ParseError(f"[images] names {entry.key!r}, which is not a "
-                             f"[source] variable", entry.line)
-        if entry.key in images:
-            raise ParseError(f"duplicate image for {entry.key!r}", entry.line)
-        images[entry.key] = parse_polynomial(entry.value, target, line=entry.line,
-                                             col=entry.col)
-    missing = [name for name in source.names if name not in images]
-    if missing:
-        raise ParseError(f"[images] is missing: {', '.join(missing)}")
-    relations = doc_polynomials(doc, "relations", target)
-    return source, target, images, relations
+    with read_document(path, ("morphism",)) as doc:
+        source = parse_vartable(doc.section("source", required=True))
+        target = parse_vartable(doc.section("target", required=True))
+        images = {}
+        for entry in doc.keyed("images", "name: polynomial", required=True):
+            if entry.key not in source.names:
+                raise ParseError(f"[images] names {entry.key!r}, which is not a "
+                                 f"[source] variable", entry.line)
+            if entry.key in images:
+                raise ParseError(f"duplicate image for {entry.key!r}", entry.line)
+            images[entry.key] = parse_polynomial(entry.value, target, line=entry.line,
+                                                 col=entry.col)
+        missing = [name for name in source.names if name not in images]
+        if missing:
+            raise ParseError(f"[images] is missing: {', '.join(missing)}")
+        return source, target, images, doc_polynomials(doc, "relations", target)
 
 
 def _load_action(path: str):
     """A group action: [vars] plus [group]; stratum files work unchanged."""
-    doc = _read_document(path, ("action", "stratum"))
-    table = doc_vars(doc)
-    return table, GroupAction(table, parse_group(doc.section("group", required=True)))
+    with read_document(path, ("action", "stratum")) as doc:
+        table = doc_vars(doc)
+        return table, GroupAction(table, parse_group(doc.section("group", required=True)))
 
 
 def _element(args, table: VarTable):

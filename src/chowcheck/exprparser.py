@@ -9,14 +9,19 @@ rational literal.  Claim expressions may additionally use unary functions
 
 Documents are line oriented: `[section]` headers followed by entries that
 are either bare values or `key: value` pairs, with `#` comments.  Every
-document starts with a [kind] section naming its type.
+document starts with a [kind] section naming its type.  Every data file is
+read by `read_document`, so every input error in one names its file, and
+every variable declaration by `parse_declaration`.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .polyarith import Polynomial, VarTable
 
@@ -240,11 +245,18 @@ class Entry:
     line: int
     col: int  # column of the line where `value` starts
 
+    @property
+    def text(self) -> str:
+        """The entry as written, a `key: value` pair joined again."""
+        return self.value if self.key is None else f"{self.key}: {self.value}"
+
 
 @dataclass
 class Document:
     kind: str
     sections: list = field(default_factory=list)  # list of (name, [Entry])
+    kind_line: int = 1
+    source: str | None = None  # the file `read_document` read it from
 
     def all_sections(self, name):
         return [entries for n, entries in self.sections if n == name]
@@ -278,15 +290,8 @@ class Document:
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
 
-KNOWN_KINDS = (
-    "polynomial",
-    "ideal",
-    "presentation",
-    "morphism",
-    "action",
-    "stratum",
-    "claims",
-)
+KNOWN_KINDS = ("polynomial", "ideal", "presentation", "morphism", "action", "stratum",
+               "claims")
 
 
 def parse_document(text: str) -> Document:
@@ -297,7 +302,6 @@ def parse_document(text: str) -> Document:
     """
     sections = []
     current = None
-    kind = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -328,35 +332,62 @@ def parse_document(text: str) -> Document:
     kind = entries[0].value
     if kind not in KNOWN_KINDS:
         raise ParseError(f"unknown document kind {kind!r}", entries[0].line)
-    return Document(kind, sections[1:])
+    return Document(kind, sections[1:], entries[0].line)
 
 
-_NAME_WEIGHT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((\d+)\))?$")
+@contextmanager
+def in_file(source):
+    """A block whose every ParseError is raised again as `source: message`,
+    at the same line and column; a `source` of None changes nothing."""
+    try:
+        yield
+    except ParseError as exc:
+        if source is None:
+            raise
+        raise ParseError(f"{source}: {exc.message}", exc.line, exc.col) from None
 
 
-def _weight(name: str, text: str, line) -> int:
-    """A declared weight, which must be a positive integer."""
-    value = parse_rational(text, line)
-    if value.denominator != 1 or value <= 0:
+@contextmanager
+def read_document(path, kinds: tuple):
+    """The document in the file (or package resource) at `path`, of one of
+    `kinds`, for the `with` block that reads it.  A ParseError of the read or
+    of the block names `path`, which the document keeps as its `source`."""
+    source = str(path)
+    with in_file(source):
+        path = Path(path) if isinstance(path, (str, os.PathLike)) else path
+        try:
+            doc = parse_document(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text at byte {exc.start}") from None
+        if doc.kind not in kinds:
+            article = "an" if kinds[0][0] in "aeiou" else "a"
+            raise ParseError(f"expected {article} {' or '.join(kinds)} document, "
+                             f"got {doc.kind!r}", doc.kind_line)
+        doc.source = source
+        yield doc
+
+
+_DECLARATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\)|:(.*))?")
+
+
+def parse_declaration(text: str, line=None) -> tuple:
+    """A variable declaration `name`, `name(w)` or `name: w` as (name, w):
+    the weight w is a positive integer, 1 when none is given."""
+    m = _DECLARATION_RE.fullmatch(text.strip())
+    if not m:
+        raise ParseError(f"bad variable declaration {text!r}", line)
+    name, *given = m.groups()  # the weight in parentheses, or after a colon
+    weight = next((w.strip() for w in given if w is not None), "1")
+    if not re.fullmatch(r"[0-9]+", weight) or int(weight) == 0:
         raise ParseError(f"weight of {name} must be a positive integer", line)
-    return int(value)
+    return name, int(weight)
 
 
 def parse_vartable(entries) -> VarTable:
-    """Read `[vars]`-style entries: `name`, `name(weight)` or `name: weight`."""
-    names, weights = [], []
-    for e in entries:
-        text = e.key if e.key is not None else e.value
-        m = _NAME_WEIGHT_RE.match(text.strip())
-        if not m:
-            raise ParseError(f"bad variable declaration {text!r}", e.line)
-        name, weight = m.groups()
-        if weight is None and e.key is not None:
-            weight = e.value
-        names.append(name)
-        weights.append(1 if weight is None else _weight(name, weight, e.line))
+    """The table of `[vars]`-style entries, one declaration each."""
+    declared = [parse_declaration(e.text, e.line) for e in entries]
     try:
-        return VarTable(names, weights)
+        return VarTable([name for name, _ in declared], [w for _, w in declared])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -370,9 +401,10 @@ def doc_vars(doc: Document) -> VarTable:
         return table
     weights = list(table.weights)
     for entry in weight_entries:
-        if entry.key not in table.names:
-            raise ParseError(f"unknown variable {entry.key!r}", entry.line)
-        weights[table.index(entry.key)] = _weight(entry.key, entry.value, entry.line)
+        name, weight = parse_declaration(entry.text, entry.line)
+        if name not in table.names:
+            raise ParseError(f"unknown variable {name!r}", entry.line)
+        weights[table.index(name)] = weight
     return VarTable(table.names, weights)
 
 
@@ -380,14 +412,6 @@ def doc_polynomials(doc: Document, section: str, table: VarTable) -> list:
     """The entries of `section`, each parsed over `table` from its own line."""
     return [parse_polynomial(e.value, table, line=e.line, col=e.col)
             for e in doc.section(section) or ()]
-
-
-def parse_name_weight(text, line=None):
-    """Split a `name(weight)` declaration, weight defaulting to 1."""
-    m = _NAME_WEIGHT_RE.match(text.strip())
-    if not m:
-        raise ParseError(f"bad declaration {text!r}", line)
-    return m.group(1), int(m.group(2)) if m.group(2) else 1
 
 
 def split_list(value):
@@ -404,7 +428,7 @@ def parse_group(entries) -> list:
     generators = []
     for e in entries:
         generator = {}
-        for piece in split_list(e.value if e.key is None else f"{e.key}: {e.value}"):
+        for piece in split_list(e.text):
             if "->" not in piece:
                 raise ParseError(f"bad group image {piece!r}", e.line)
             src, dst = piece.split("->", 1)

@@ -663,12 +663,6 @@ class Ideal:
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()
 
-    def is_trivial(self, order: MonomialOrder) -> bool:
-        """True when the ideal is the whole ring: its reduced basis under
-        `order`, as under any order, is then {1}."""
-        gb = self.groebner(order)
-        return len(gb) == 1 and gb[0].is_constant()
-
     def is_zero(self) -> bool:
         return not self.gens
 

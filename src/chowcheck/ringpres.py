@@ -54,13 +54,13 @@ class Presentation:
                 continue
             if not rel.is_homogeneous():
                 raise PresentationError(f"relation is not weighted-homogeneous: {rel}")
+            if rel.is_constant():  # in positive weights, the one way to the unit ideal
+                raise PresentationError("relations collapse the ring to zero")
             rels.append(rel)
         self.relations = Ideal(table, rels)
         self.order = MonomialOrder.wgrevlex(table.weights)
         self._numerator = None
         self._series = []
-        if rels and self.relations.is_trivial(self.order):
-            raise PresentationError("relations collapse the ring to zero")
 
     def is_free(self) -> bool:
         return self.relations.is_zero()

@@ -464,7 +464,7 @@ def test_unknown_weight_name_exits_2_naming_its_line(tmp_path, capsys):
     path = write(tmp_path, "weighted.ideal", "[kind]\nideal\n[vars]\nx\n"
                  "[weights]\nz: 2\n[relations]\nx^2\n")
     code, out, err = run(capsys, ["gb", path])
-    assert (code, out, err) == (2, "", "error: unknown variable 'z' at line 6\n")
+    assert (code, out, err) == (2, "", f"error: {path}: unknown variable 'z' at line 6\n")
 
 
 @pytest.mark.parametrize("weight", ["3/2", "0", "-2"])
@@ -473,7 +473,7 @@ def test_a_name_colon_weight_must_be_a_positive_integer(tmp_path, capsys, weight
                  f"y\nx: {weight}\n[relations]\nx^2\n")
     code, out, err = run(capsys, ["dims", path])
     assert (code, out, err) == (
-        2, "", "error: weight of x must be a positive integer at line 5\n")
+        2, "", f"error: {path}: weight of x must be a positive integer at line 5\n")
 
 
 def test_bad_relation_reports_the_column_of_its_line(tmp_path, capsys):
@@ -574,8 +574,33 @@ def test_verify_paper_exits_2_on_a_bare_ring_entry_naming_its_line(tmp_path, cap
     gamma1.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, ["verify-paper", str(strata)])
     assert (code, out) == (2, "")
-    assert err == ("error: entries in [ring] must look like `name(weight): form` "
-                   f"at line {line}\n")
+    assert err == (f"error: {gamma1}: entries in [ring] must look like "
+                   f"`name(weight): form` at line {line}\n")
+
+
+def test_a_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes(b"[kind]\nideal\n[vars]\nx\xff\n")
+    assert run(capsys, ["gb", str(path)]) == (
+        2, "", f"error: {path}: not UTF-8 text at byte 21\n")
+
+
+@pytest.mark.parametrize("line, old, new, message", [
+    (17, "k1(1): e1*(t1 + t2)", "k1(1): e1*(t1 + t2))",
+     "unexpected trailing input ')' at line 17, column 20"),
+    (4, "stratum", "ideal", "expected a stratum document, got 'ideal' at line 4"),
+], ids=["stray-paren", "wrong-kind"])
+def test_verify_paper_exits_2_naming_the_stratum_file_and_line(tmp_path, capsys, line,
+                                                               old, new, message):
+    strata = tmp_path / "strata"
+    shutil.copytree(DATA / "strata", strata)
+    gamma1 = strata / "gamma1.stratum"
+    lines = gamma1.read_text().splitlines()
+    assert lines[line - 1] == old
+    lines[line - 1] = new
+    gamma1.write_text("\n".join(lines) + "\n")
+    assert run(capsys, ["verify-paper", str(strata)]) == (
+        2, "", f"error: {gamma1}: {message}\n")
 
 
 @pytest.mark.parametrize("group", ["t1 -> t2; t2 -> t1; zz -> t1",

@@ -39,3 +39,19 @@ def test_only_ringpres_reaches_into_the_reduction_kernel():
                 continue
             users.setdefault(path.stem, set()).update(names & KERNEL)
     assert {module for module, names in users.items() if names} <= {"ringpres"}
+
+
+def test_only_the_document_reader_calls_parse_document():
+    # every data file is read through exprparser.read_document, which checks
+    # its kind and names it in every input error; a loader of its own would not
+    calls, inside = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found = {id(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", getattr(call.func, "attr", None))
+                     == "parse_document"}
+            calls |= found
+            if (isinstance(node, ast.FunctionDef) and node.name == "read_document"
+                    and path.name == "exprparser.py"):
+                inside |= found
+    assert calls and calls == inside

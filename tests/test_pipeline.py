@@ -372,7 +372,7 @@ def test_sweep_reports_a_non_integer_degree(tmp_path):
     ("kind: map_kernel_equal\nvars: u(1); u(1)\ntvars: t(1)\nimages: u -> t\n",
      "claim field 'vars': duplicate variable name"),
     ("kind: free_ring\nspace: ring:Gamma1\nvars: k1(0)\n",
-     "claim field 'vars': weights must be positive integers, got 0"),
+     "claim field 'vars': weight of k1 must be a positive integer"),
 ], ids=["duplicate-name", "zero-weight"])
 def test_sweep_reports_a_bad_claim_variable_table(tmp_path, body, error):
     assert _sweep_error(tmp_path, body) == error
@@ -449,19 +449,24 @@ def test_a_stratum_missing_a_ring_coordinate_fails_by_the_molien_count(tmp_path)
         run_pipeline(root=root)
 
 
-def test_every_reader_of_a_failed_stratum_ring_gets_its_invariant_error(tmp_path):
-    """A failed ring is built again on each read, and fails alike: every
-    claim that reads it, in every convention, gets the one message."""
+def test_every_reader_of_a_failed_stratum_ring_gets_its_invariant_error(tmp_path,
+                                                                       monkeypatch):
+    """A failed ring keeps its error: every claim that reads it, in every
+    convention, gets the one message, and each stratum is presented once, 4
+    of Gamma1 (it reads e1, e2) and 8 of Gamma2 (e1, e2, eg), not once per
+    read."""
     root = _data_copy(tmp_path)
     gamma2 = root / "strata" / "gamma2.stratum"
     gamma2.write_text(gamma2.read_text().replace("eta(2): ETA\n", ""))
     message = ("generators miss the invariants in degree 2: "
                "dimension 3 presented, 4 invariant")
+    presentations = _count_calls(monkeypatch, "invariant_presentation")
     stratum = Stratum(StratumSpec.load("gamma2.stratum", root=root), SignConvention())
     for _ in range(2):
         with pytest.raises(InvariantError) as err:
             stratum.ring
         assert str(err.value) == message
+    assert sum(presentations.values()) == 1
     path = tmp_path / "ring.claims"
     path.write_text("[kind]\nclaims\n\n"
                     "[claim]\nid: on-forms\nkind: identity\nwhere: Gamma2\n"
@@ -478,28 +483,38 @@ def test_every_reader_of_a_failed_stratum_ring_gets_its_invariant_error(tmp_path
         assert row["passed"] == ["on-forms"] and row["failed"] == []
         assert row["errors"] == [{"id": claim, "error": message}
                                  for claim in ("on-ring", "on-stage", "on-next-stage")]
+    assert sum(presentations.values()) == 1 + 12
 
 
-@pytest.mark.parametrize("name, old, new, error", [
-    ("gamma1.stratum", "[new]\nk1(1)\n", "[new]\nk1(0)\n",
-     "Gamma1: bad [new] entry: weights must be positive integers, got 0"),
-    ("gamma2.stratum", "[new]\n", "[new]\nk1(1)\n",
+@pytest.mark.parametrize("name, old, new, raised, error", [
+    ("gamma1.stratum", "[new]\nk1(1)\n", "[new]\nk1(0)\n", ParseError,
+     "{file}: weight of k1 must be a positive integer at line {line}"),
+    ("gamma2.stratum", "[new]\n", "[new]\nk1(1)\n", PipelineError,
      "Gamma2: bad [new] entry: duplicate variable name"),
 ], ids=["zero-weight", "repeated-name"])
 def test_a_bad_new_entry_is_a_pipeline_error_naming_its_stratum(tmp_path, name, old,
-                                                                new, error):
+                                                                new, raised, error):
+    """`[new]` reads its entries as `[vars]` does, so a bad weight is an input
+    error naming the file and the line; a name the previous ring already has
+    is found when the stage is glued."""
     root = _data_copy(tmp_path)
     stratum = root / "strata" / name
     assert old in stratum.read_text()
     stratum.write_text(stratum.read_text().replace(old, new))
-    with pytest.raises(PipelineError) as err:
+    line = stratum.read_text().splitlines().index(new.split("\n")[1]) + 1
+    error = error.format(file=stratum, line=line)
+    with pytest.raises(raised) as err:
         run_pipeline(root=root)
     assert str(err.value) == error
     path = tmp_path / "stage.claims"
     path.write_text("[kind]\nclaims\n\n[claim]\nid: on-stage\nkind: surjectivity\n"
                     "stage: Gamma2\ndmax: 4\n")
-    (row,) = convention_search(load_claims(path=path), conventions=[SignConvention()],
-                               root=root)["rows"]
+    claims = load_claims(path=path)
+    if raised is ParseError:  # the stratum files are read before any claim
+        with pytest.raises(ParseError, match=re.escape(error)):
+            convention_search(claims, root=root)
+        return
+    (row,) = convention_search(claims, conventions=[SignConvention()], root=root)["rows"]
     assert row["errors"] == [{"id": "on-stage", "error": error}]
 
 
@@ -808,8 +823,8 @@ def test_an_unparsable_ring_text_fails_every_convention_alike(tmp_path):
     rows = convention_search(load_claims(path=path), root=root)["rows"]
     errors = {error["error"] for row in rows for error in row["errors"]}
     assert len(rows) == 16 and all(len(row["errors"]) == 1 for row in rows)
-    # the place in the file: line 17, the end of `k1(1): e1*(t1 + t2`
-    assert errors == {"expected ')' at line 17, column 19"}
+    # the file and the place in it: line 17, the end of `k1(1): e1*(t1 + t2`
+    assert errors == {f"{gamma1}: expected ')' at line 17, column 19"}
 
 
 def test_a_form_invariant_under_one_sign_only_fails_under_the_other():

@@ -1,15 +1,23 @@
 """Property-based suites: algebra laws that must hold for any input."""
 
+import contextlib
+import io
 import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chowcheck.chowpipeline import PipelineError, StratumSpec, minimal_generators
-from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
+from chowcheck.chowpipeline import (
+    PipelineError, StratumSpec, load_claims, minimal_generators)
+from chowcheck.cli import main
+from chowcheck.exprparser import (
+    ParseError, doc_polynomials, doc_vars, parse_document, parse_polynomial,
+    read_document)
 from chowcheck.groebner import (
     Ideal,
     _block_order,
@@ -799,15 +807,17 @@ _stratum_values = st.one_of(
 
 
 @st.composite
-def stratum_texts(draw):
-    """Stratum text by sections, each with its usual entries but for one to
-    three changes: a section dropped, or an entry, bare or keyed, put in
-    place of its first or last one or after them; a section may come twice."""
-    sections = {name: list(entries) for name, entries in _USUAL_STRATUM.items()}
+def document_texts(draw, kinds, usual, keys, values):
+    """Document text by sections: a [kind] from `kinds`, then the sections of
+    `usual`, each with its usual entries but for one to three changes: a
+    section dropped, or an entry, bare or keyed, from `keys` and `values`,
+    put in place of its first or last one or after them; a section may come
+    twice."""
+    sections = {name: list(entries) for name, entries in usual.items()}
     names = list(sections) + draw(st.lists(st.sampled_from(list(sections)), max_size=2))
     for name, how, key, value in draw(st.lists(st.tuples(
             st.sampled_from(list(sections)), st.integers(0, 3),
-            st.none() | _stratum_keys, _stratum_values), min_size=1, max_size=3)):
+            st.none() | keys, values), min_size=1, max_size=3)):
         line = value if key is None else f"{key}: {value}"
         if how == 0 or sections[name] is None:
             sections[name] = None
@@ -815,7 +825,7 @@ def stratum_texts(draw):
             sections[name].append(line)
         else:
             sections[name][1 - how] = line
-    lines = ["[kind]", "stratum"]
+    lines = ["[kind]", draw(kinds)]
     for name in names:
         if sections[name] is not None:
             lines += [f"[{name}]"] + sections[name]
@@ -823,9 +833,67 @@ def stratum_texts(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(stratum_texts())
+@given(document_texts(st.just("stratum"), _USUAL_STRATUM, _stratum_keys,
+                      _stratum_values))
 def test_a_stratum_spec_rejects_any_text_with_a_domain_error(text):
     try:
         StratumSpec(parse_document(text))
     except (ParseError, PipelineError):
         pass
+
+
+# two or three variables and low degrees, so that every basis is quick
+_ideal_texts = document_texts(
+    st.sampled_from(["ideal", "ideal", "presentation", "claims", "widget", "ideal: x"]),
+    {"vars": ["x", "y(2)"], "weights": ["x: 1"], "relations": ["x^2 - y", "x*y"],
+     "group": ["x -> y"]},
+    st.sampled_from(["x", "y", "z", "x(2)", "y(0)", "1", "a b", ""]),
+    st.one_of(st.sampled_from(["x", "y(3)", "z: 2", "x^2 - y", "x*y", "(x + y)^2",
+                               "y^3 - x^3 + 1", "x +", "1/0", "x/2", "3/2", "2*x - z",
+                               "1", "0", "x(1/2)", "4"]),
+              st.text(alphabet=" xy12+-*^()/:#[]", max_size=6)))
+_claims_texts = document_texts(
+    st.sampled_from(["claims", "claims", "ideal", "widget"]),
+    {"claim": ["id: a", "kind: free_ring", "space: ring:Gamma1", "vars: k1(1)"],
+     "other": ["note: x"]},
+    st.sampled_from(["id", "kind", "expect", "vars", "note", "sweep", "k1(1)", ""]),
+    st.one_of(st.sampled_from(["a", "b", "free_ring", "pass", "fail", "fial",
+                               "assumed", "u(1); u(0)", "x: y", ""]),
+              st.text(alphabet=" abu1():;#[]", max_size=8)))
+
+
+@contextlib.contextmanager
+def _file_holding(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "fuzzed.doc"
+        path.write_text(text, encoding="utf-8")
+        yield path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ideal_texts)
+def test_the_document_reader_rejects_any_text_with_a_parse_error_naming_its_file(text):
+    with _file_holding(text) as path:
+        try:
+            with read_document(path, ("ideal", "presentation")) as doc:
+                doc_polynomials(doc, "relations", doc_vars(doc))
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_claims_texts)
+def test_load_claims_rejects_any_text_with_a_domain_error(text):
+    with _file_holding(text) as path:
+        try:
+            load_claims(path=path)
+        except (ParseError, PipelineError):
+            pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ideal_texts)
+def test_gb_on_any_ideal_document_exits_0_or_2(text):
+    with _file_holding(text) as path, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gb", str(path)]) in (0, 2)
