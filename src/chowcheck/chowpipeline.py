@@ -21,8 +21,8 @@ that yield equal stages share one gluing.  A `Stratum` is lazy too: its
 forms and invariance checks are built at once, the rest on first read,
 and strata of one spec share its action, parses and invariance checks.
 Every data file is read by `exprparser.read_document`, so an input error
-in one, found while it is read or when a stratum first parses its texts,
-names the file.
+in one, found while it is read, when a stratum first parses its texts or
+builds its action, or when a claim reads a map, names the file.
 `run_pipeline` is a store with every stage glued;
 `verify_paper` runs its claims and its sign sweeps on that one store, so
 the sweeps build only what their claims read and the main run lacks.  Claims
@@ -37,7 +37,6 @@ import json
 import re
 from collections import Counter
 from copy import copy
-from fractions import Fraction
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -63,11 +62,13 @@ from .exprparser import (
     in_file,
     parse_declaration,
     parse_group,
+    parse_map,
     parse_polynomial,
     parse_rational,
     parse_vartable,
     read_document,
     split_list,
+    split_pairs,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
 from .ringpres import (
@@ -198,10 +199,10 @@ class StratumSpec:
         self.group_specs = parse_group(doc.section("group", required=True))
         # the texts a `Stratum` parses, as entries: each parse names its place
         self.defs = doc.keyed("defs", "name: form")
-        self.ring = [(*parse_declaration(e.key, e.line), e)
-                     for e in doc.keyed("ring", "name(weight): form", required=True)]
+        ring = doc.keyed("ring", "name(weight): form", required=True)
+        self.ring = [(*parse_declaration(key, e.line), e) for key, e in ring.items()]
         for section, names in (("vars", self.table.names),
-                               ("defs", [e.key for e in self.defs]),
+                               ("defs", self.defs),
                                ("ring", [n for n, _, _ in self.ring])):
             for name in names:
                 if name in SIGN_NAMES:
@@ -209,15 +210,15 @@ class StratumSpec:
                                         "is reserved for a sign symbol")
         self.top = doc.single("top")
         self.restrict = doc.keyed("restrict", "tag: form", required=True)
-        self.pairs = {e.key: e for e in doc.keyed("pairs", "tag: form")}
+        self.pairs = doc.keyed("pairs", "tag: form")
         self.new = parse_vartable(doc.section("new", required=True))
         order_entry = doc.single("tags", required=False)
         self.tag_order = (split_list(order_entry.value)
                           if order_entry is not None else None)
         # the sign symbols named by the texts a `Stratum` parses
         self.signs_read = frozenset(
-            name for e in self.defs + [e for _, _, e in self.ring] + [self.top]
-            + self.restrict + list(self.pairs.values())
+            name for e in [*self.defs.values(), *(e for _, _, e in self.ring), self.top,
+                           *self.restrict.values(), *self.pairs.values()]
             for name in _NAME_RE.findall(e.value) if name in SIGN_NAMES)
         self.algebra = {}
 
@@ -233,7 +234,7 @@ class Stratum:
     The forms and their weight and invariance checks are built at once; the
     ring presentation, the coordinate subalgebra, the restriction
     coordinates and the gluing pairs on first read, each kept by `_once`,
-    a failure too.  A parse error names the spec's file.  The spec's
+    a failure too.  A parse or group error names the spec's file.  The spec's
     `algebra` memo holds what the strata of one spec share: its group
     action, every text they parse (`_parsed`) and every form that passed
     its invariance check; a failing form is checked again, and fails, in
@@ -246,13 +247,14 @@ class Stratum:
         self.label = spec.label
         self.table = spec.table
         self._pieces = {}
-        self.action = _once(spec.algebra, ("action",), lambda:
-                            GroupAction(spec.table, spec.group_specs))
+        with in_file(spec.source):
+            self.action = _once(spec.algebra, ("action",), lambda:
+                                GroupAction(spec.table, spec.group_specs))
         self.functions = {"transfer": self.action.transfer,
                           "reynolds": self.action.reynolds}
         self.env = dict(convention.values)
-        for e in spec.defs:
-            self.env[e.key] = self._psi(e)
+        for name, e in spec.defs.items():
+            self.env[name] = self._psi(e)
         self.ring_names = [n for n, _, _ in spec.ring]
         self.ring_forms = [self._psi(e) for _, _, e in spec.ring]
         for (name, weight, _), form in zip(spec.ring, self.ring_forms):
@@ -263,11 +265,9 @@ class Stratum:
                     f"{weight}, but its form has degree {form.weighted_degree()}")
         self.top_form = self._psi(spec.top)
         self._require_invariant("top Chern form", self.top_form)
-        self.restrictions = {}
-        for e in spec.restrict:
-            form = self._psi(e)
-            self._require_invariant(f"restriction of {e.key}", form)
-            self.restrictions[e.key] = form
+        self.restrictions = {tag: self._psi(e) for tag, e in spec.restrict.items()}
+        for tag, form in self.restrictions.items():
+            self._require_invariant(f"restriction of {tag}", form)
 
     @_piece
     def ring(self) -> Presentation:
@@ -559,30 +559,34 @@ _REQUIRED = object()  # Claim.get default: the field must be present
 
 
 class Claim:
+    source = None  # the claims file, set by `load_claims`
+
     def __init__(self, entries):
-        fields = {}
         for e in entries:
             if e.key is None:
                 raise ParseError("claim entries need a key", e.line)
-            fields.setdefault(e.key, []).append(e.value)
-        self.fields = fields
+        self.fields = parse_map(((e.key, e, e.line) for e in entries), "[claim]")
         self.id = self.get("id")
         self.kind = self.get("kind")
         self.expect = self.get("expect", "pass")
         if self.expect.upper() not in ("PASS", "FAIL", "ASSUMED"):
-            raise PipelineError(f"claim {self.id}: expect must be pass, fail or "
-                                f"assumed, not {self.expect!r}")
+            raise ParseError(f"claim {self.id}: expect must be pass, fail or "
+                             f"assumed, not {self.expect!r}", self.fields["expect"].line)
         self.note = self.get("note", "")
 
     def get(self, key, default=_REQUIRED):
-        vals = self.fields.get(key)
-        if vals is None:
-            if default is _REQUIRED:
-                raise PipelineError(f"claim is missing the {key!r} field")
-            return default
-        if len(vals) != 1:
-            raise PipelineError(f"claim field {key!r} repeated")
-        return vals[0]
+        if key in self.fields:
+            return self.fields[key].value
+        if default is _REQUIRED:
+            raise PipelineError(f"claim is missing the {key!r} field")
+        return default
+
+    def map(self, key, sep, names) -> dict:
+        """The `;` list field `key` of `names`, each once, by `parse_map`, in its file."""
+        text = self.get(key)
+        with in_file(self.source):
+            return parse_map(split_pairs(text, sep, self.fields[key].line),
+                             f"claim field {key!r}", names)
 
     def get_int(self, key) -> int:
         text = self.get(key)
@@ -595,12 +599,18 @@ class Claim:
 
 def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
     with read_document(_data_path(name) if path is None else path, ("claims",)) as doc:
-        claims = [Claim(entries) for entries in doc.all_sections("claim")]
-    ids = Counter(c.id for c in claims)
-    repeated = next((c.id for c in claims if ids[c.id] > 1), None)
-    if repeated is not None:
-        raise PipelineError(f"claim {repeated} is stated more than once")
-    return claims
+        claims = {}
+        for _, line, entries in doc.sections:  # every section is a [claim]
+            try:
+                claim = Claim(entries)
+            except PipelineError as exc:  # a required field left out
+                raise ParseError(str(exc), line) from None
+            if claim.id in claims:
+                raise ParseError(f"claim {claim.id} is stated more than once",
+                                 claim.fields["id"].line)
+            claim.source = doc.source
+            claims[claim.id] = claim
+    return list(claims.values())
 
 
 def _membership_gaps(computed: Ideal, stated: Ideal, order) -> tuple:
@@ -736,20 +746,8 @@ class ClaimRunner:
 
     def kind_map_kernel_equal(self, claim):
         source, target, parse = self._claim_tables(claim)
-        images = {}
-        for item in split_list(claim.get("images")):
-            if "->" not in item:
-                raise PipelineError(f"claim field 'images': item {item!r} has no '->'")
-            name, text = item.split("->", 1)
-            name = name.strip()
-            if name not in source.names:
-                raise PipelineError(
-                    f"claim field 'images' gives an image for {name}, "
-                    "which is not a source variable")
-            images[name] = parse(text.strip())
-        missing = [n for n in source.names if n not in images]
-        if missing:
-            raise PipelineError(f"claim field 'images' gives no image for {missing[0]}")
+        images = {name: parse(text)
+                  for name, text in claim.map("images", "->", source.names).items()}
         kernel = map_kernel(source, images, target=target)
         order = MonomialOrder.wgrevlex(source.weights)
         rhs = Ideal(source, [_parsed(self.artifacts._built, t, source, {})
@@ -759,18 +757,9 @@ class ClaimRunner:
     def kind_evaluate(self, claim):
         stratum, psi = self.where(claim)
         f = psi(claim.get("expr"))
-        point = {}
-        for item in split_list(claim.get("point")):
-            if "=" not in item:
-                raise PipelineError(f"claim field 'point': item {item!r} has no '='")
-            name, val = item.split("=", 1)
-            point[name.strip()] = Fraction(parse_rational(val.strip()))
-        missing = [n for n in stratum.table.names if n not in point]
-        if missing:
-            raise PipelineError(f"claim field 'point' gives no value for {missing[0]}")
-        mapping = {n: Polynomial.constant(stratum.table, point[n])
-                   for n in stratum.table.names}
-        got = f.substitute(mapping)
+        point = claim.map("point", "=", stratum.table.names)
+        got = f.substitute({n: Polynomial.constant(stratum.table, parse_rational(v))
+                            for n, v in point.items()})
         want = parse_rational(claim.get("value"))
         return got.is_constant() and got.constant_value() == want, str(got)
 

@@ -29,6 +29,7 @@ from .exprparser import (
     doc_polynomials,
     doc_vars,
     parse_group,
+    parse_map,
     parse_polynomial,
     parse_vartable,
     read_document,
@@ -71,18 +72,10 @@ def _load_morphism(path: str):
     with read_document(path, ("morphism",)) as doc:
         source = parse_vartable(doc.section("source", required=True))
         target = parse_vartable(doc.section("target", required=True))
-        images = {}
-        for entry in doc.keyed("images", "name: polynomial", required=True):
-            if entry.key not in source.names:
-                raise ParseError(f"[images] names {entry.key!r}, which is not a "
-                                 f"[source] variable", entry.line)
-            if entry.key in images:
-                raise ParseError(f"duplicate image for {entry.key!r}", entry.line)
-            images[entry.key] = parse_polynomial(entry.value, target, line=entry.line,
-                                                 col=entry.col)
-        missing = [name for name in source.names if name not in images]
-        if missing:
-            raise ParseError(f"[images] is missing: {', '.join(missing)}")
+        entries = doc.keyed("images", "name: polynomial", required=True)
+        images = {name: parse_polynomial(e.value, target, line=e.line, col=e.col)
+                  for name, e in parse_map(((k, e, e.line) for k, e in entries.items()),
+                                           "[images]", source.names).items()}
         return source, target, images, doc_polynomials(doc, "relations", target)
 
 

@@ -10,8 +10,8 @@ rational literal.  Claim expressions may additionally use unary functions
 Documents are line oriented: `[section]` headers followed by entries that
 are either bare values or `key: value` pairs, with `#` comments.  Every
 document starts with a [kind] section naming its type.  Every data file is
-read by `read_document`, so every input error in one names its file, and
-every variable declaration by `parse_declaration`.
+read by `read_document`, so every input error in one names its file, every
+variable declaration by `parse_declaration` and every map by `parse_map`.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ class _ExprParser:
         return "end of input" if t.kind == "end" else repr(str(t.value))
 
     def expr(self):
-        t = self.peek()
         p = self.term()
         while True:
             t = self.peek()
@@ -254,15 +253,12 @@ class Entry:
 @dataclass
 class Document:
     kind: str
-    sections: list = field(default_factory=list)  # list of (name, [Entry])
+    sections: list = field(default_factory=list)  # list of (name, header line, [Entry])
     kind_line: int = 1
     source: str | None = None  # the file `read_document` read it from
 
-    def all_sections(self, name):
-        return [entries for n, entries in self.sections if n == name]
-
     def section(self, name, required=False):
-        found = self.all_sections(name)
+        found = [entries for n, _, entries in self.sections if n == name]
         if len(found) > 1:
             raise ParseError(f"section [{name}] appears more than once")
         if not found:
@@ -279,19 +275,24 @@ class Document:
             raise ParseError(f"section [{name}] must contain exactly one entry")
         return entries[0]
 
-    def keyed(self, name, shape, required=False):
-        """The entries of section `name`, each of which must look like `shape`."""
+    def keyed(self, name, shape, required=False) -> dict:
+        """Section `name` by key: every entry looks like `shape`, no key twice."""
         entries = self.section(name, required=required) or []
         for e in entries:
             if e.key is None:
                 raise ParseError(f"entries in [{name}] must look like `{shape}`", e.line)
-        return entries
+        return parse_map(((e.key, e, e.line) for e in entries), f"[{name}]")
 
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
 
-KNOWN_KINDS = ("polynomial", "ideal", "presentation", "morphism", "action", "stratum",
-               "claims")
+# the sections each kind of document may have after its [kind]
+SECTIONS = {"ideal": ("vars", "weights", "relations"),
+            "presentation": ("vars", "weights", "relations"),
+            "morphism": ("source", "target", "images", "relations"),
+            "action": ("vars", "weights", "group"), "claims": ("claim",),
+            "stratum": ("label", "vars", "weights", "group", "defs", "ring", "top",
+                        "restrict", "pairs", "new", "tags")}
 
 
 def parse_document(text: str) -> Document:
@@ -308,7 +309,7 @@ def parse_document(text: str) -> Document:
             continue
         m = _SECTION_RE.match(line.strip())
         if m:
-            current = (m.group(1), [])
+            current = (m.group(1), lineno, [])
             sections.append(current)
             continue
         if current is None:
@@ -321,37 +322,39 @@ def parse_document(text: str) -> Document:
             key = head.strip()
             entry_text = tail.strip()
             start += len(head) + 1 + len(tail) - len(tail.lstrip())
-        current[1].append(Entry(key, entry_text, lineno, start + 1))
+        current[2].append(Entry(key, entry_text, lineno, start + 1))
     if not sections:
         raise ParseError("empty document")
-    name, entries = sections[0]
+    name, _, entries = sections[0]
     if name != "kind":
         raise ParseError("document must start with a [kind] section", entries[0].line if entries else 1)
     if len(entries) != 1 or entries[0].key is not None:
         raise ParseError("[kind] must contain a single bare value")
     kind = entries[0].value
-    if kind not in KNOWN_KINDS:
+    if kind not in SECTIONS:
         raise ParseError(f"unknown document kind {kind!r}", entries[0].line)
     return Document(kind, sections[1:], entries[0].line)
 
 
 @contextmanager
 def in_file(source):
-    """A block whose every ParseError is raised again as `source: message`,
-    at the same line and column; a `source` of None changes nothing."""
+    """A block whose every input error is raised again, of its type, as
+    `source: message` (at its line and column); None changes nothing."""
     try:
         yield
-    except ParseError as exc:
+    except ValueError as exc:
         if source is None:
             raise
-        raise ParseError(f"{source}: {exc.message}", exc.line, exc.col) from None
+        if isinstance(exc, ParseError):
+            raise ParseError(f"{source}: {exc.message}", exc.line, exc.col) from None
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 @contextmanager
 def read_document(path, kinds: tuple):
     """The document in the file (or package resource) at `path`, of one of
-    `kinds`, for the `with` block that reads it.  A ParseError of the read or
-    of the block names `path`, which the document keeps as its `source`."""
+    `kinds` and only its kind's sections, for the `with` block that reads it.
+    An input error of the read or of the block names `path`, its `source`."""
     source = str(path)
     with in_file(source):
         path = Path(path) if isinstance(path, (str, os.PathLike)) else path
@@ -363,6 +366,9 @@ def read_document(path, kinds: tuple):
             article = "an" if kinds[0][0] in "aeiou" else "a"
             raise ParseError(f"expected {article} {' or '.join(kinds)} document, "
                              f"got {doc.kind!r}", doc.kind_line)
+        for name, line, _ in doc.sections:
+            if name not in SECTIONS[doc.kind]:
+                raise ParseError(f"{doc.kind} documents have no section [{name}]", line)
         doc.source = source
         yield doc
 
@@ -396,16 +402,12 @@ def doc_vars(doc: Document) -> VarTable:
     """The `[vars]` table, with weights overridden by an optional
     `[weights]` section of `name: weight` entries."""
     table = parse_vartable(doc.section("vars", required=True))
-    weight_entries = doc.keyed("weights", "name: weight")
-    if not weight_entries:
-        return table
-    weights = list(table.weights)
-    for entry in weight_entries:
-        name, weight = parse_declaration(entry.text, entry.line)
-        if name not in table.names:
+    weights = dict(zip(table.names, table.weights))
+    for name, entry in doc.keyed("weights", "name: weight").items():
+        if name not in weights:
             raise ParseError(f"unknown variable {name!r}", entry.line)
-        weights[table.index(name)] = weight
-    return VarTable(table.names, weights)
+        weights[name] = parse_declaration(entry.text, entry.line)[1]
+    return VarTable(table.names, weights.values())
 
 
 def doc_polynomials(doc: Document, section: str, table: VarTable) -> list:
@@ -419,19 +421,35 @@ def split_list(value):
     return [piece.strip() for piece in value.split(";") if piece.strip()]
 
 
-def parse_group(entries) -> list:
-    """Read `[group]` entries, one generator each: `a -> b; b -> -a`.
+def split_pairs(value, sep, line=None) -> list:
+    """The `name <sep> value` items of a `;` list as (name, value, line)."""
+    pairs = []
+    for piece in split_list(value):
+        name, found, text = piece.partition(sep)
+        if not found:
+            raise ParseError(f"item {piece!r} has no {sep!r}", line)
+        pairs.append((name.strip(), text.strip(), line))
+    return pairs
 
-    Returns one {source: image text} dict per generator; the images are
-    interpreted by `GroupAction`.
-    """
-    generators = []
-    for e in entries:
-        generator = {}
-        for piece in split_list(e.text):
-            if "->" not in piece:
-                raise ParseError(f"bad group image {piece!r}", e.line)
-            src, dst = piece.split("->", 1)
-            generator[src.strip()] = dst.strip()
-        generators.append(generator)
-    return generators
+
+def parse_map(pairs, what, names=None) -> dict:
+    """{name: value} of (name, value, line) triples, read as `what`: a name
+    given twice, or outside `names` when given, or one of `names` left out
+    is a ParseError."""
+    found = {}
+    for name, value, line in pairs:
+        if name in found:
+            raise ParseError(f"{what} gives {name} more than once", line)
+        if names is not None and name not in names:
+            raise ParseError(f"{what} names {name}, not one of {', '.join(names)}", line)
+        found[name] = value
+    missing = [name for name in names or () if name not in found]
+    if missing:
+        raise ParseError(f"{what} gives no value for {', '.join(missing)}")
+    return found
+
+
+def parse_group(entries) -> list:
+    """One {source: image text} dict per `[group]` entry `a -> b; b -> -a`,
+    for `GroupAction` to read."""
+    return [parse_map(split_pairs(e.text, "->", e.line), "[group]") for e in entries]

@@ -554,14 +554,17 @@ expect: assumed
 
 @pytest.mark.parametrize("second, message", [
     ("id: b\nkind: free_ring\nexpect: fial\n",
-     "claim b: expect must be pass, fail or assumed, not 'fial'"),
-    ("id: a\nkind: free_ring\n", "claim a is stated more than once"),
-], ids=["misspelled-expect", "repeated-id"])
+     "claim b: expect must be pass, fail or assumed, not 'fial' at line 9"),
+    ("id: a\nkind: free_ring\n", "claim a is stated more than once at line 7"),
+    ("kind: free_ring\n", "claim is missing the 'id' field at line 6"),
+    ("id: b\nkind: free_ring\nnote: x\nnote: y\n",
+     "[claim] gives note more than once at line 10"),
+], ids=["misspelled-expect", "repeated-id", "missing-id", "repeated-field"])
 def test_verify_paper_exits_2_on_a_bad_claims_file(tmp_path, capsys, second, message):
     claims = write(tmp_path, "bad.claims", "[kind]\nclaims\n[claim]\nid: a\n"
                    "kind: free_ring\n[claim]\n" + second)
     code, out, err = run(capsys, ["verify-paper", str(DATA / "strata"), claims])
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {claims}: {message}\n")
 
 
 def test_verify_paper_exits_2_on_a_bare_ring_entry_naming_its_line(tmp_path, capsys):
@@ -576,6 +579,43 @@ def test_verify_paper_exits_2_on_a_bare_ring_entry_naming_its_line(tmp_path, cap
     assert (code, out) == (2, "")
     assert err == (f"error: {gamma1}: entries in [ring] must look like "
                    f"`name(weight): form` at line {line}\n")
+
+
+def test_verify_paper_exits_2_on_a_restriction_given_twice_naming_its_line(tmp_path,
+                                                                           capsys):
+    strata = tmp_path / "strata"
+    shutil.copytree(DATA / "strata", strata)
+    gamma2 = strata / "gamma2.stratum"
+    lines = gamma2.read_text().splitlines()
+    line = lines.index("k1: e1*U1") + 2
+    lines.insert(line - 1, "k1: 0")
+    gamma2.write_text("\n".join(lines) + "\n")
+    assert run(capsys, ["verify-paper", str(strata)]) == (
+        2, "", f"error: {gamma2}: [restrict] gives k1 more than once at line {line}\n")
+
+
+def test_verify_paper_exits_2_on_an_evaluation_point_naming_a_variable_twice(tmp_path,
+                                                                            capsys):
+    text = (DATA / "paper.claims").read_text()
+    old = "point: v1=1; v2=0; v3=0; v4=1\n"
+    assert text.count(old) == 1
+    line = text[:text.index(old)].count("\n") + 1
+    claims = write(tmp_path, "bad.claims",
+                   text.replace(old, "point: v1=5; v1=1; v2=0; v3=0; v4=1; v9=7\n"))
+    assert run(capsys, ["verify-paper", str(DATA / "strata"), claims]) == (
+        2, "", f"error: {claims}: claim field 'point' gives v1 more than once "
+               f"at line {line}\n")
+
+
+@pytest.mark.parametrize("command, kind, section", [
+    ("gb", "ideal", "relation"), ("dims", "presentation", "relatoins"),
+])
+def test_a_misspelled_section_exits_2_naming_its_file_and_line(tmp_path, capsys,
+                                                               command, kind, section):
+    path = write(tmp_path, f"bad.{kind}",
+                 f"[kind]\n{kind}\n[vars]\nx\ny\n[{section}]\nx*y\n")
+    assert run(capsys, [command, path]) == (
+        2, "", f"error: {path}: {kind} documents have no section [{section}] at line 6\n")
 
 
 def test_a_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, capsys):
@@ -610,7 +650,7 @@ def test_invpres_exits_2_on_a_group_entry_naming_an_unknown_variable(tmp_path, c
     doc = write(tmp_path, "bad.action",
                 f"[kind]\naction\n[vars]\nt1\nt2\n[group]\n{group}\n")
     assert run(capsys, ["invpres", doc]) == (
-        2, "", "error: group generator: unknown variable 'zz'\n")
+        2, "", f"error: {doc}: group generator: unknown variable 'zz'\n")
 
 
 def _count_parsers(monkeypatch):

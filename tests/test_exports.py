@@ -55,3 +55,19 @@ def test_only_the_document_reader_calls_parse_document():
                     and path.name == "exprparser.py"):
                 inside |= found
     assert calls and calls == inside
+
+
+def test_only_the_map_reader_splits_a_value_on_an_arrow_or_equals_sign():
+    # a `name -> value` or `name = value` item is split by exprparser.split_pairs
+    # alone, so every map rejects a name given twice, unknown or left out alike
+    splits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exprparser.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("split", "rsplit", "partition", "rpartition")
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value in ("->", "=")):
+                splits.append(f"{path.name}:{node.lineno}")
+    assert splits == []

@@ -7,10 +7,13 @@ import pytest
 from chowcheck.exprparser import (
     ParseError,
     parse_document,
+    parse_map,
     parse_polynomial,
     parse_rational,
     parse_vartable,
+    read_document,
     split_list,
+    split_pairs,
 )
 from chowcheck.polyarith import Polynomial, VarTable
 
@@ -126,6 +129,8 @@ def test_document_errors():
         parse_document("[vars]\nx")  # must start with [kind]
     with pytest.raises(ParseError):
         parse_document("[kind]\nwidget")  # unknown kind
+    with pytest.raises(ParseError, match="unknown document kind 'polynomial'"):
+        parse_document("[kind]\npolynomial")  # no loader reads one
     doc = parse_document("[kind]\nideal\n[vars]\nx\n[vars]\ny")
     with pytest.raises(ParseError):
         doc.section("vars")  # duplicate section
@@ -148,3 +153,42 @@ def test_keyed_entries_split_on_first_colon():
     (entry,) = doc.section("claim")
     assert entry.key == "note"
     assert entry.value == "uses x: y notation"
+
+
+def test_a_map_reads_each_name_once():
+    pairs = split_pairs("a -> x + 1; b -> -a;", "->", 4)
+    assert pairs == [("a", "x + 1", 4), ("b", "-a", 4)]
+    assert parse_map(pairs, "[group]") == {"a": "x + 1", "b": "-a"}
+    assert parse_map(pairs, "m", ("b", "a")) == {"a": "x + 1", "b": "-a"}
+
+
+@pytest.mark.parametrize("text, names, message", [
+    ("a = 1; a = 2", None, "m gives a more than once at line 4"),
+    ("a = 1; c = 2", ("a", "b"), "m names c, not one of a, b at line 4"),
+    ("a = 1", ("a", "b"), "m gives no value for b"),
+    ("a = 1; b", ("a", "b"), "item 'b' has no '=' at line 4"),
+], ids=["repeated", "unknown", "left-out", "no-separator"])
+def test_a_map_rejects_a_name_given_twice_unknown_or_left_out(text, names, message):
+    with pytest.raises(ParseError) as err:
+        parse_map(split_pairs(text, "=", 4), "m", names)
+    assert str(err.value) == message
+
+
+def test_a_keyed_section_rejects_a_repeated_key_at_its_line():
+    doc = parse_document("[kind]\nstratum\n[restrict]\nk1: t1\nk2: t2\nk1: 0\n")
+    with pytest.raises(ParseError, match=r"^\[restrict\] gives k1 more than once at line 6$"):
+        doc.keyed("restrict", "tag: form")
+
+
+@pytest.mark.parametrize("kind, section", [
+    ("ideal", "relation"), ("presentation", "relatoins"), ("ideal", "group"),
+    ("morphism", "vars"), ("action", "relations"), ("claims", "other"),
+])
+def test_a_section_outside_its_kind_is_a_parse_error_at_its_header(tmp_path, kind,
+                                                                   section):
+    path = tmp_path / "doc.txt"
+    path.write_text(f"[kind]\n{kind}\n\n[{section}]\nx\n")
+    with pytest.raises(ParseError) as err:
+        with read_document(path, (kind,)):
+            pass
+    assert str(err.value) == f"{path}: {kind} documents have no section [{section}] at line 4"

@@ -335,19 +335,19 @@ def _sweep_error(tmp_path, body):
 def test_sweep_reports_an_evaluation_point_missing_a_variable(tmp_path):
     error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
                          "expr: t1 + t2\npoint: t1=1\nvalue: 1\n")
-    assert error == "claim field 'point' gives no value for t2"
+    assert error == f"{tmp_path / 'bad.claims'}: claim field 'point' gives no value for t2"
 
 
 def test_sweep_reports_an_evaluation_point_item_without_equals(tmp_path):
     error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
                          "expr: t1 + t2\npoint: t1=1; t2\nvalue: 1\n")
-    assert error == "claim field 'point': item 't2' has no '='"
+    assert error == f"{tmp_path / 'bad.claims'}: item 't2' has no '=' at line 9"
 
 
 def test_sweep_reports_a_kernel_image_without_arrow(tmp_path):
     error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
                          "tvars: t(1)\nimages: u = t\nrhs: 0\n")
-    assert error == "claim field 'images': item 'u = t' has no '->'"
+    assert error == f"{tmp_path / 'bad.claims'}: item 'u = t' has no '->' at line 9"
 
 
 def test_sweep_reports_a_missing_claim_field(tmp_path):
@@ -381,7 +381,25 @@ def test_sweep_reports_a_bad_claim_variable_table(tmp_path, body, error):
 def test_sweep_reports_a_source_variable_without_image(tmp_path):
     error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1); w(1)\n"
                          "tvars: t(1)\nimages: u -> t\nrhs: 0\n")
-    assert error == "claim field 'images' gives no image for w"
+    assert error == f"{tmp_path / 'bad.claims'}: claim field 'images' gives no value for w"
+
+
+@pytest.mark.parametrize("point, message", [
+    ("t1=5; t1=1; t2=0", "claim field 'point' gives t1 more than once at line 9"),
+    ("t1=1; t2=0; v9=7", "claim field 'point' names v9, not one of t1, t2 at line 9"),
+], ids=["repeated", "unknown"])
+def test_sweep_reports_an_evaluation_point_naming_a_variable_twice_or_unknown(
+        tmp_path, point, message):
+    error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
+                         f"expr: t1 + t2\npoint: {point}\nvalue: 1\n")
+    assert error == f"{tmp_path / 'bad.claims'}: {message}"
+
+
+def test_sweep_reports_a_kernel_image_given_twice(tmp_path):
+    error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
+                         "tvars: t(1)\nimages: u -> t; u -> t^2\nrhs: 0\n")
+    assert error == (f"{tmp_path / 'bad.claims'}: claim field 'images' gives u "
+                     "more than once at line 9")
 
 
 def test_sweep_reports_an_unknown_stage(tmp_path):
@@ -656,7 +674,7 @@ def test_a_group_entry_naming_an_unknown_variable_is_an_invariant_error(tmp_path
     gamma2 = root / "strata" / "gamma2.stratum"
     assert gamma2.read_text().count(old) == 1
     gamma2.write_text(gamma2.read_text().replace(old, new))
-    message = "group generator: unknown variable 'zz'"
+    message = f"{gamma2}: group generator: unknown variable 'zz'"
     with pytest.raises(InvariantError) as err:
         run_pipeline(root=root)
     assert str(err.value) == message
@@ -677,8 +695,8 @@ def test_sweep_reports_a_pair_display_tag_without_restriction(tmp_path):
 def test_sweep_reports_an_image_for_a_name_that_is_not_a_source_variable(tmp_path):
     error = _sweep_error(tmp_path, "kind: map_kernel_equal\nvars: u(1)\n"
                          "tvars: t(1)\nimages: u -> t; w -> t\nrhs: 0\n")
-    assert error == ("claim field 'images' gives an image for w, "
-                     "which is not a source variable")
+    assert error == (f"{tmp_path / 'bad.claims'}: claim field 'images' names w, "
+                     "not one of u at line 9")
 
 
 def _sweep_groups():

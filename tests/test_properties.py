@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import random
+import re
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -16,8 +17,8 @@ from chowcheck.chowpipeline import (
     PipelineError, StratumSpec, load_claims, minimal_generators)
 from chowcheck.cli import main
 from chowcheck.exprparser import (
-    ParseError, doc_polynomials, doc_vars, parse_document, parse_polynomial,
-    read_document)
+    ParseError, doc_polynomials, doc_vars, parse_document, parse_map, parse_polynomial,
+    read_document, split_pairs)
 from chowcheck.groebner import (
     Ideal,
     _block_order,
@@ -884,11 +885,12 @@ def test_the_document_reader_rejects_any_text_with_a_parse_error_naming_its_file
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_claims_texts)
 def test_load_claims_rejects_any_text_with_a_domain_error(text):
+    # every error of a claims file is found while it is read, so it names it
     with _file_holding(text) as path:
         try:
             load_claims(path=path)
-        except (ParseError, PipelineError):
-            pass
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -897,3 +899,41 @@ def test_gb_on_any_ideal_document_exits_0_or_2(text):
     with _file_holding(text) as path, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["gb", str(path)]) in (0, 2)
+
+
+_MAP_NAMES = ["a", "b", "t1", "v9", "x_2"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_MAP_NAMES[:4]), max_size=4, unique=True),
+       st.sampled_from(["=", "->"]), st.data())
+def test_a_map_gives_exactly_its_names_or_names_the_first_offender(names, sep, data):
+    """Over a `;` list, `parse_map` returns each of `names` once with its own
+    value, or raises a ParseError naming the offender: the first item without
+    `sep`, else the first name given twice or outside `names`, else every
+    name left out."""
+    items = data.draw(st.one_of(  # (name, whether it has `sep`)
+        st.permutations(names).map(lambda order: [(name, True) for name in order]),
+        st.lists(st.tuples(st.sampled_from(_MAP_NAMES), st.integers(0, 5).map(bool)),
+                 max_size=6)))
+    text = "; ".join(f"{name} {sep} {i}" if has_sep else name
+                     for i, (name, has_sep) in enumerate(items))
+    seen = set()
+    offender = next((name for name, has_sep in items if not has_sep), None)
+    for name, _ in items if offender is None else ():
+        if name in seen or name not in names:
+            offender = name
+            break
+        seen.add(name)
+    left_out = [name for name in names if name not in seen]
+    try:
+        found = parse_map(split_pairs(text, sep, 7), "m", names)
+    except ParseError as exc:
+        assert offender is not None or left_out
+        if offender is not None:
+            assert exc.line == 7 and offender in re.findall(r"\w+", exc.message)
+        else:
+            assert re.findall(r"\w+", exc.message)[-len(left_out):] == left_out
+    else:
+        assert offender is None and not left_out
+        assert found == {name: str(i) for i, (name, _) in enumerate(items)}
