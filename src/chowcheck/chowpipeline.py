@@ -44,9 +44,9 @@ from time import perf_counter
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
+    HilbertSeries,
     Ideal,
     Subalgebra,
-    _add_shifted,
     ideal_equal,
     irredundant,
     map_kernel,
@@ -199,11 +199,11 @@ class StratumSpec:
         self.group_specs = parse_group(doc.section("group", required=True))
         # the texts a `Stratum` parses, as entries: each parse names its place
         self.defs = doc.keyed("defs", "name: form")
-        ring = doc.keyed("ring", "name(weight): form", required=True)
-        self.ring = [(*parse_declaration(key, e.line), e) for key, e in ring.items()]
-        for section, names in (("vars", self.table.names),
-                               ("defs", self.defs),
-                               ("ring", [n for n, _, _ in self.ring])):
+        ring = doc.keyed("ring", "name(weight): form", required=True).values()
+        declared = [(parse_declaration(e.key, e.line), e) for e in ring]  # k1(1) is k1
+        self.ring = parse_map(((n, (w, e), e.line) for (n, w), e in declared), "[ring]")
+        for section, names in (("vars", self.table.names), ("defs", self.defs),
+                               ("ring", self.ring)):
             for name in names:
                 if name in SIGN_NAMES:
                     raise PipelineError(f"{self.label}: [{section}] name {name} "
@@ -217,8 +217,8 @@ class StratumSpec:
                           if order_entry is not None else None)
         # the sign symbols named by the texts a `Stratum` parses
         self.signs_read = frozenset(
-            name for e in [*self.defs.values(), *(e for _, _, e in self.ring), self.top,
-                           *self.restrict.values(), *self.pairs.values()]
+            name for e in [*self.defs.values(), *(e for _, e in self.ring.values()),
+                           self.top, *self.restrict.values(), *self.pairs.values()]
             for name in _NAME_RE.findall(e.value) if name in SIGN_NAMES)
         self.algebra = {}
 
@@ -255,9 +255,9 @@ class Stratum:
         self.env = dict(convention.values)
         for name, e in spec.defs.items():
             self.env[name] = self._psi(e)
-        self.ring_names = [n for n, _, _ in spec.ring]
-        self.ring_forms = [self._psi(e) for _, _, e in spec.ring]
-        for (name, weight, _), form in zip(spec.ring, self.ring_forms):
+        self.ring_names = list(spec.ring)
+        self.ring_forms = [self._psi(e) for _, e in spec.ring.values()]
+        for (name, (weight, _)), form in zip(spec.ring.items(), self.ring_forms):
             self._require_invariant(f"ring coordinate {name}", form)
             if form.weighted_degree() != weight:
                 raise PipelineError(
@@ -337,17 +337,10 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
 # ---------------------------------------------------------------------------
 # one induction step
 
-def _cleared(numerator: dict, *rings) -> dict:
-    """numerator * prod(1 - t^w), w over the variable weights of each ring."""
-    for w in (w for ring in rings for w in ring.table.weights):
-        numerator = _add_shifted(numerator, numerator, w, -1)
-    return numerator
-
-
 def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict:
     """Glue the previous ring with one stratum; returns the stage artifacts.
 
-    Steps: the bottom ring A/(top Chern class), whose Hilbert numerator is
+    Steps: the bottom ring A/(top Chern class), whose Hilbert series is
     the non-zero-divisor gate, restriction of every ambient generator into
     the stratum coordinates, validation of displayed gluing pairs against
     those restrictions (bottom-compatible overrides are used, incompatible
@@ -414,16 +407,11 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
 
     fiber, ker_alpha, ker_beta = fiber_product(alpha, beta)
     result, lift_notes = apply_quotient(fiber, alpha, beta, prev.relations.gens)
-    # a non-zero-divisor top class of degree c gives HS(result) = HS(prev) + t^c HS(A),
-    # so N_res D_prev D_A = N_prev D_A D_res + t^c N_A D_prev D_res for HS = N / D,
-    # D = prod(1 - t^w); each D starts with 1, so the lowest term of the difference
-    # is the first degree where the two series differ
+    # a non-zero-divisor top class of degree c gives HS(result) = HS(prev) + t^c HS(A)
     c = ctop.weighted_degree()
-    gap = _add_shifted(_add_shifted(_cleared(result.numerator, prev, A),
-                                    _cleared(prev.numerator, A, result), 0, -1),
-                       _cleared(A.numerator, prev, result), c, -1)
-    if gap:
-        d = min(gap)
+    d = result.series.first_difference(
+        HilbertSeries.sum([prev.series, A.series.shifted(c)]))
+    if d is not None:
         got, old, new = result.dim(d), prev.dim(d), A.dim(d - c)
         raise PipelineError(f"glued ring of {stratum.label} has dimension {got} in degree "
                             f"{d}, but the stratification gives {old} + {new}")
@@ -561,7 +549,8 @@ _REQUIRED = object()  # Claim.get default: the field must be present
 class Claim:
     source = None  # the claims file, set by `load_claims`
 
-    def __init__(self, entries):
+    def __init__(self, entries, line=None):
+        self.line = line  # of the [claim] header
         for e in entries:
             if e.key is None:
                 raise ParseError("claim entries need a key", e.line)
@@ -570,16 +559,21 @@ class Claim:
         self.kind = self.get("kind")
         self.expect = self.get("expect", "pass")
         if self.expect.upper() not in ("PASS", "FAIL", "ASSUMED"):
-            raise ParseError(f"claim {self.id}: expect must be pass, fail or "
-                             f"assumed, not {self.expect!r}", self.fields["expect"].line)
+            self.reject(f"claim {self.id}: expect must be pass, fail or "
+                        f"assumed, not {self.expect!r}", "expect")
         self.note = self.get("note", "")
 
     def get(self, key, default=_REQUIRED):
         if key in self.fields:
             return self.fields[key].value
         if default is _REQUIRED:
-            raise PipelineError(f"claim is missing the {key!r} field")
+            self.reject(f"claim is missing the {key!r} field")
         return default
+
+    def reject(self, message, key=None):
+        """Raise an input error in the claims file, at field `key` or the header."""
+        with in_file(self.source):
+            raise ParseError(message, self.fields[key].line if key else self.line)
 
     def map(self, key, sep, names) -> dict:
         """The `;` list field `key` of `names`, each once, by `parse_map`, in its file."""
@@ -593,21 +587,16 @@ class Claim:
         try:
             return int(text)
         except ValueError:
-            raise PipelineError(
-                f"claim field {key!r} must be an integer, not {text!r}") from None
+            self.reject(f"claim field {key!r} must be an integer, not {text!r}", key)
 
 
 def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
     with read_document(_data_path(name) if path is None else path, ("claims",)) as doc:
         claims = {}
         for _, line, entries in doc.sections:  # every section is a [claim]
-            try:
-                claim = Claim(entries)
-            except PipelineError as exc:  # a required field left out
-                raise ParseError(str(exc), line) from None
+            claim = Claim(entries, line)
             if claim.id in claims:
-                raise ParseError(f"claim {claim.id} is stated more than once",
-                                 claim.fields["id"].line)
+                claim.reject(f"claim {claim.id} is stated more than once", "id")
             claim.source = doc.source
             claims[claim.id] = claim
     return list(claims.values())
@@ -656,11 +645,11 @@ class ClaimRunner:
     @staticmethod
     def var_table(claim, key) -> VarTable:
         """The claim's list field `key` of `[vars]`-style declarations as a table."""
+        texts = split_list(claim.get(key))  # a missing field is not a bad table
         try:
-            return parse_vartable(Entry(None, text, None, None)
-                                  for text in split_list(claim.get(key)))
+            return parse_vartable(Entry(None, text, None, None) for text in texts)
         except ParseError as exc:
-            raise PipelineError(f"claim field {key!r}: {exc}") from None
+            claim.reject(f"claim field {key!r}: {exc.message}", key)
 
     @staticmethod
     def count(claim, got: int) -> tuple:

@@ -258,21 +258,22 @@ class Document:
     source: str | None = None  # the file `read_document` read it from
 
     def section(self, name, required=False):
-        found = [entries for n, _, entries in self.sections if n == name]
+        found = [(line, entries) for n, line, entries in self.sections if n == name]
         if len(found) > 1:
-            raise ParseError(f"section [{name}] appears more than once")
+            raise ParseError(f"section [{name}] appears more than once", found[1][0])
         if not found:
             if required:
                 raise ParseError(f"missing required section [{name}]")
             return None
-        return found[0]
+        return found[0][1]
 
     def single(self, name, required=True):
         entries = self.section(name, required=required)
         if entries is None:
             return None
         if len(entries) != 1:
-            raise ParseError(f"section [{name}] must contain exactly one entry")
+            line = next(line for n, line, _ in self.sections if n == name)
+            raise ParseError(f"section [{name}] must contain exactly one entry", line)
         return entries[0]
 
     def keyed(self, name, shape, required=False) -> dict:

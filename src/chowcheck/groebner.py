@@ -58,7 +58,8 @@ with a principal ideal.
 Counting is done on leading term ideals without listing monomials:
 `hilbert_numerator` gives the numerator of the Hilbert series of a
 monomial ideal by Bigatti's pivot recursion, which `zero_dimensional`
-reads and `hilbert_series` expands into graded dimensions;
+reads; `HilbertSeries` keeps it over its denominator weights, so two
+series compare exactly, in every degree, over a common denominator.
 `standard_monomials` lists the monomials for the callers that need them.
 """
 
@@ -66,9 +67,11 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from heapq import heappush, heappop
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 
 from .polyarith import (
     GREVLEX,
@@ -720,13 +723,8 @@ def eliminate(I: Ideal, drop) -> Ideal:
     kept_table = VarTable(kept, wk)
     order = _block_order(wd, wk)
     gens = [g.rename(perm) for g in I.gens]
-    gb = buchberger(gens, order)
-    keptset = set(kept)
-    out = []
-    for g in gb:
-        if g.support_names() <= keptset:
-            out.append(g.rename(kept_table))
-    return Ideal(kept_table, out)
+    return Ideal(kept_table, [g.rename(kept_table) for g in buchberger(gens, order)
+                              if not g.support_names() & dropset])
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -981,14 +979,48 @@ def hilbert_numerator(leading_monomials, weights) -> dict:
                         hilbert_numerator(colon, weights), e * weights[i], 1)
 
 
-def hilbert_series(numerator: dict, weights, dmax: int) -> list:
-    """Coefficients through t^dmax of N(t) / prod(1 - t^w_i), N a
-    `hilbert_numerator`."""
-    series = [0] * (dmax + 1)
-    for k, c in numerator.items():
-        if k <= dmax:
-            series[k] = c
-    for w in weights:
-        for d in range(w, dmax + 1):
-            series[d] += series[d - w]
-    return series
+class HilbertSeries:
+    """N(t) / prod(1 - t^w): an integer numerator {degree: coefficient} over
+    sorted denominator weights, its coefficients expanded on first use."""
+
+    __slots__ = ("numerator", "weights", "_dims")
+
+    def __init__(self, numerator: dict, weights=()):
+        self.numerator = {k: c for k, c in numerator.items() if c}
+        self.weights = tuple(sorted(weights))
+        self._dims = []
+
+    def shifted(self, c: int, sign: int = 1) -> "HilbertSeries":
+        """sign * t^c times this series."""
+        return HilbertSeries({k + c: sign * v for k, v in self.numerator.items()},
+                             self.weights)
+
+    @staticmethod
+    def sum(terms) -> "HilbertSeries":
+        """The sum of a list of series, over their least common denominator."""
+        own = [Counter(s.weights) for s in terms]
+        common = reduce(or_, own, Counter())
+        total = Counter()
+        for s, weights in zip(terms, own):
+            numerator = s.numerator
+            for w in (common - weights).elements():
+                numerator = _add_shifted(numerator, numerator, w, -1)
+            total.update(numerator)
+        return HilbertSeries(total, common.elements())
+
+    def first_difference(self, other: "HilbertSeries"):
+        """The lowest degree where the series differ, else None: their
+        difference's denominator starts with 1, so it is its numerator's."""
+        gap = HilbertSeries.sum([self, other.shifted(0, -1)]).numerator
+        return min(gap) if gap else None
+
+    def dim(self, degree: int) -> int:
+        """The coefficient of t^degree."""
+        if degree >= len(self._dims):
+            top = max(degree, 2 * len(self._dims))
+            dims = [self.numerator.get(k, 0) for k in range(top + 1)]
+            for w in self.weights:
+                for d in range(w, top + 1):
+                    dims[d] += dims[d - w]
+            self._dims = dims
+        return self._dims[degree] if degree >= 0 else 0

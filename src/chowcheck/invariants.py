@@ -5,24 +5,25 @@ same weight; the group is closed off from its generators by breadth-first
 search.  An element sends a monomial to plus or minus a monomial, so the
 Reynolds and transfer operators and the per-degree bases of invariants
 (one orbit sum per orbit) are signed bookkeeping on exponent tuples.  On
-top sit the Molien series, a minimal generator sweep for the invariant
-algebra through the weighted Noether bound that skips every degree its
-generators already fill to the Molien count, and a presentation of that
-algebra whose relations come from one `Subalgebra` and whose graded
-dimensions, matched to the Molien series through that bound, prove it complete.
+top sit the exact Molien series, a minimal generator sweep for the
+invariant algebra that visits only the degrees where its span falls short
+of it, and a presentation of that algebra whose relations come from one
+`Subalgebra` and whose Hilbert series, equal to Molien's, proves it complete.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
+    HilbertSeries,
     Ideal,
     Subalgebra,
     _fresh_names,
     hilbert_numerator,
-    hilbert_series,
     standard_monomials,
     subalgebra_member,
 )
@@ -34,15 +35,10 @@ class InvariantError(ValueError):
 
 
 def _parse_signed_name(text: str):
-    text = text.strip()
-    sign = 1
-    while text and text[0] in "+-":
-        if text[0] == "-":
-            sign = -sign
-        text = text[1:].strip()
-    if not text:
+    signs, name = re.fullmatch(r"([-+\s]*)(.*)", text, re.S).groups()
+    if not name.strip():
         raise InvariantError("empty variable name in group generator")
-    return text, sign
+    return name.strip(), (-1) ** signs.count("-")
 
 
 class GroupAction:
@@ -97,12 +93,6 @@ class GroupAction:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def degree_bound(self) -> int:
-        """Noether's bound, |G| times the largest weight: the invariants
-        are generated by Reynolds images of monomials of degree <= |G|."""
-        return self.order * max(self.table.weights, default=1)
 
     def act(self, element: tuple, poly: Polynomial) -> Polynomial:
         if poly.context != self.table:
@@ -185,62 +175,59 @@ def invariant_basis(action: GroupAction, degree: int) -> list:
     return basis
 
 
-def molien_series(action: GroupAction, dmax: int) -> list:
-    """Dimensions of the invariants in each weighted degree 0..dmax.
+def molien_series(action: GroupAction) -> HilbertSeries:
+    """The Hilbert series of the invariants, as an exact rational function.
 
-    Molien's formula, (1/|G|) sum over g of 1/det(1 - g t), from the group
-    elements alone (Stanley, Bull. AMS 1, 1979).  For a signed permutation
-    det(1 - g t) factors over the cycles of g: a cycle of length L through
-    variables of weight w whose signs multiply to s gives 1 - s t^(wL).
+    Molien's formula, (1/|G|) sum over g of 1/det(1 - g t) (Stanley, Bull.
+    AMS 1, 1979), one term per cycle type: a cycle of a signed permutation
+    of length L through variables of weight w whose signs multiply to s
+    gives a factor 1 - s t^k of det(1 - g t), k = wL, and 1/(1 + t^k) is
+    (1 - t^k)/(1 - t^2k).
     """
     weights = action.table.weights
-    total = [0] * (dmax + 1)
+    types = Counter()
     for g in action.elements:
-        series = [1] + [0] * dmax
-        seen = set()
+        cycles, seen = [], set()
         for start in range(len(g)):
-            if start in seen:
-                continue
             step, sign, i = 0, 1, start
             while i not in seen:
                 seen.add(i)
                 i, s = g[i]
                 sign *= s
                 step += weights[start]
-            for d in range(step, dmax + 1):
-                series[d] += sign * series[d - step]
-        total = [a + b for a, b in zip(total, series)]
-    if any(v % action.order for v in total):
+            if step:  # a cycle not walked before
+                cycles.append((step, sign))
+        types[tuple(sorted(cycles))] += 1
+    terms = []
+    for cycles, count in types.items():
+        numerator = Counter({0: count})
+        for k, s in cycles:
+            if s < 0:  # times 1 - t^k
+                numerator.subtract({d + k: c for d, c in numerator.items()})
+        terms.append(HilbertSeries(numerator, [k if s > 0 else 2 * k for k, s in cycles]))
+    total = HilbertSeries.sum(terms)
+    if any(c % action.order for c in total.numerator.values()):
         raise InvariantError("Molien coefficients must be integers")
-    return [v // action.order for v in total]
+    return HilbertSeries({k: c // action.order for k, c in total.numerator.items()},
+                         total.weights)
 
 
 def algebra_generators(action: GroupAction) -> list:
     """Minimal generators of the invariant algebra, swept degree by degree.
 
-    The sweep runs through `GroupAction.degree_bound`; within a degree,
-    candidates are taken in the deterministic invariant_basis order and
-    kept when they are not already expressible in the generators found so
-    far.  A degree is skipped when the generators found so far already
-    span as many dimensions there as the Molien series counts: they span
-    a subspace of the invariants, so no candidate could be kept.
+    The sweep visits only the lowest degree where the span of the
+    generators found so far falls short of the Molien series, and stops
+    when none is left.  There, candidates are taken in invariant_basis
+    order and kept when they are not already expressible in the generators.
     """
-    return [g for _, g in _generator_span(action).gens]
+    return [g for _, g in _generator_span(action, molien_series(action)).gens]
 
 
-def _generator_span(action: GroupAction) -> Subalgebra:
+def _generator_span(action: GroupAction, molien: HilbertSeries) -> Subalgebra:
     """The generators of `algebra_generators` as one `Subalgebra`."""
-    bound = action.degree_bound
-    molien = molien_series(action, bound)
-    selected = []
-    span = None  # one Subalgebra per state of `selected`
-    for d in range(1, bound + 1):
-        if not molien[d]:
-            continue
-        if selected:
-            span = span or _span(action, selected)
-            if _spanned(span, d) == molien[d]:
-                continue
+    selected, span = [], None  # one Subalgebra per state of `selected`
+    series = HilbertSeries({0: 1})  # no generators span the constants
+    while (d := series.first_difference(molien)) is not None:
         for f in invariant_basis(action, d):
             if selected:
                 span = span or _span(action, selected)
@@ -248,6 +235,8 @@ def _generator_span(action: GroupAction) -> Subalgebra:
                     continue
             selected.append(f)
             span = None
+        span = span or _span(action, selected)
+        series = _span_series(span)
     return span or _span(action, selected)
 
 
@@ -256,16 +245,15 @@ def _span(action: GroupAction, selected: list) -> Subalgebra:
     return Subalgebra(action.table, list(zip(names, selected)))
 
 
-def _spanned(span: Subalgebra, degree: int) -> int:
-    """Dimension of the degree piece of the subalgebra of homogeneous
-    generators, read off the leading monomials of the tag-only part of its
-    graph basis: under the block order that part is a basis of the kernel
-    over the tags, whose weights are the generators' degrees."""
+def _span_series(span: Subalgebra) -> HilbertSeries:
+    """The Hilbert series of a span of homogeneous generators: under the
+    block order the tag-only part of its graph basis is a basis of the
+    kernel over the tags, whose weights are the generators' degrees."""
     tags = len(span.tag_table)
     lms = [g.leading_monomial(span.order) for g in span.graph.groebner(span.order)]
     kernel = [m[-tags:] for m in lms if not any(m[:-tags])]
-    weights = span.tag_table.weights
-    return hilbert_series(hilbert_numerator(kernel, weights), weights, degree)[degree]
+    return HilbertSeries(hilbert_numerator(kernel, span.tag_table.weights),
+                         span.tag_table.weights)
 
 
 def invariant_presentation(action: GroupAction,
@@ -273,29 +261,25 @@ def invariant_presentation(action: GroupAction,
     """Present the invariant algebra by generators and relations.
 
     The relations are the kernel of the evaluation map onto the generators
-    of `span`, so the presentation has the graded dimensions of their
-    span.  Each generator is checked to be invariant, so the span lies in
-    the invariants, which are generated in degree at most D =
-    `degree_bound`: presented dimensions equal to the Molien series
-    through D prove that the span is the whole invariant algebra.  The
-    comparison runs through D + 2 and names the first degree off.  `span`
-    defaults to the sweep's own `Subalgebra` (tags z1, z2, ..., skipping
-    the action's names); a caller that builds one over the action's table
-    keeps reading its basis for membership tests.
+    of `span`, each checked to be invariant, so the presentation's Hilbert
+    series equals the Molien series exactly when the span is the whole
+    invariant algebra; otherwise the first degree off is named.  `span`
+    defaults to the sweep's own (tags z1, z2, ..., skipping the action's
+    names); a caller that builds one keeps reading its basis.
     """
+    molien = molien_series(action)
     if span is None:
-        span = _generator_span(action)
+        span = _generator_span(action, molien)
     for _, f in span.gens:
         if f.weighted_degree() < 1 or not f.is_homogeneous():
             raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
     pres = Presentation(span.tag_table, span.kernel().gens)
-    for d, expected in enumerate(molien_series(action, action.degree_bound + 2)):
-        got = pres.dim(d)
-        if expected != got:
-            raise InvariantError(
-                f"generators miss the invariants in degree {d}: "
-                f"dimension {got} presented, {expected} invariant"
-            )
+    d = pres.series.first_difference(molien)
+    if d is not None:
+        raise InvariantError(
+            f"generators miss the invariants in degree {d}: "
+            f"dimension {pres.dim(d)} presented, {molien.dim(d)} invariant"
+        )
     return pres

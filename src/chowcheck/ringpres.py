@@ -17,12 +17,11 @@ from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
+    HilbertSeries,
     Ideal,
     _Overflow,
-    _add_shifted,
     _reduce,
     hilbert_numerator,
-    hilbert_series,
     intersect,
     map_kernel,
     standard_monomials,
@@ -37,10 +36,10 @@ class PresentationError(ValueError):
 class Presentation:
     """Q[table]/relations with weighted-homogeneous relations; relations
     that generate the unit ideal are rejected.  Graded dimensions are read
-    off one Hilbert series, built on first use from the leading monomials
-    of the cached basis and expanded as far as asked."""
+    off one `HilbertSeries`, built on first use from the leading monomials
+    of the cached basis."""
 
-    __slots__ = ("table", "relations", "order", "_numerator", "_series")
+    __slots__ = ("table", "relations", "order", "_series")
 
     def __init__(self, table: VarTable, relations=()):
         self.table = table
@@ -59,8 +58,7 @@ class Presentation:
             rels.append(rel)
         self.relations = Ideal(table, rels)
         self.order = MonomialOrder.wgrevlex(table.weights)
-        self._numerator = None
-        self._series = []
+        self._series = None
 
     def is_free(self) -> bool:
         return self.relations.is_zero()
@@ -72,35 +70,31 @@ class Presentation:
         return self.normal_form(f).is_zero()
 
     @property
-    def numerator(self) -> dict:
-        """N(t) of the Hilbert series N(t) / prod(1 - t^w), read off the
-        leading monomials of the cached basis (`hilbert_numerator`)."""
-        if self._numerator is None:
+    def series(self) -> HilbertSeries:
+        """The Hilbert series, read off the cached basis's leading monomials."""
+        if self._series is None:
             gb = self.relations.groebner(self.order) if self.relations.gens else ()
-            self._numerator = hilbert_numerator(
-                [g.leading_monomial(self.order) for g in gb], self.table.weights)
-        return self._numerator
+            self._series = HilbertSeries(hilbert_numerator(
+                [g.leading_monomial(self.order) for g in gb], self.table.weights),
+                self.table.weights)
+        return self._series
 
     def dim(self, degree: int) -> int:
         """Dimension of the degree piece as a Q-vector space."""
-        if degree < 0:
-            return 0
-        if degree >= len(self._series):
-            self._series = hilbert_series(self.numerator, self.table.weights,
-                                          max(degree, 2 * len(self._series)))
-        return self._series[degree]
+        return 0 if degree < 0 else self.series.dim(degree)
 
     def regular_quotient(self, f: Polynomial) -> tuple:
         """R/(f), R this ring, and whether f is a non-zero-divisor on R.
 
         For f homogeneous of degree c > 0, 0 -> (0:f)(-c) -> R(-c) -f-> R
         -> R/(f) -> 0 is exact, so HS(R/(f)) - (1 - t^c) HS(R) is
-        t^c HS(0:f), zero only when (0:f) is; all share R's denominator, so
-        f is regular exactly when N(R/(f)) = N - t^c N, N = N(R).  Zero is
-        not regular; a non-homogeneous f or a unit raises PresentationError."""
+        t^c HS(0:f), zero only when (0:f) is, so f is regular exactly when
+        the two series agree in every degree.  Zero is not regular; a
+        non-homogeneous f or a unit raises PresentationError."""
         quotient = self.quotient([f])
-        return quotient, not f.is_zero() and quotient.numerator == _add_shifted(
-            self.numerator, self.numerator, f.weighted_degree(), -1)
+        return quotient, not f.is_zero() and quotient.series.first_difference(
+            HilbertSeries.sum([self.series, self.series.shifted(f.weighted_degree(), -1)])
+        ) is None
 
     def quotient(self, extra_relations) -> "Presentation":
         return Presentation(self.table, list(self.relations.gens) + list(extra_relations))

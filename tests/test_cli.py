@@ -594,6 +594,19 @@ def test_verify_paper_exits_2_on_a_restriction_given_twice_naming_its_line(tmp_p
         2, "", f"error: {gamma2}: [restrict] gives k1 more than once at line {line}\n")
 
 
+def test_verify_paper_exits_2_on_a_ring_name_given_twice_in_two_spellings(tmp_path,
+                                                                          capsys):
+    strata = tmp_path / "strata"
+    shutil.copytree(DATA / "strata", strata)
+    gamma2 = strata / "gamma2.stratum"
+    lines = gamma2.read_text().splitlines()
+    line = lines.index("k1(1): e1*U1") + 2
+    lines.insert(line - 1, "k1: e1*U1")  # the same name, its weight left implicit
+    gamma2.write_text("\n".join(lines) + "\n")
+    assert run(capsys, ["verify-paper", str(strata)]) == (
+        2, "", f"error: {gamma2}: [ring] gives k1 more than once at line {line}\n")
+
+
 def test_verify_paper_exits_2_on_an_evaluation_point_naming_a_variable_twice(tmp_path,
                                                                             capsys):
     text = (DATA / "paper.claims").read_text()
@@ -616,6 +629,13 @@ def test_a_misspelled_section_exits_2_naming_its_file_and_line(tmp_path, capsys,
                  f"[kind]\n{kind}\n[vars]\nx\ny\n[{section}]\nx*y\n")
     assert run(capsys, [command, path]) == (
         2, "", f"error: {path}: {kind} documents have no section [{section}] at line 6\n")
+
+
+def test_gb_exits_2_on_a_repeated_section_naming_its_second_header(tmp_path, capsys):
+    path = write(tmp_path, "twice.ideal",
+                 "[kind]\nideal\n[vars]\nx\n[relations]\nx^2\n[vars]\ny\n")
+    assert run(capsys, ["gb", path]) == (
+        2, "", f"error: {path}: section [vars] appears more than once at line 7\n")
 
 
 def test_a_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, capsys):

@@ -41,6 +41,15 @@ def test_only_ringpres_reaches_into_the_reduction_kernel():
     assert {module for module, names in users.items() if names} <= {"ringpres"}
 
 
+def test_only_groebner_imports_the_numerator_helper():
+    # every other module compares Hilbert series through groebner.HilbertSeries
+    users = sorted(path.name for path in SRC.glob("*.py") if path.name != "groebner.py"
+                   and any(isinstance(node, ast.ImportFrom) and "_add_shifted" in
+                           {alias.name for alias in node.names}
+                           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert users == []
+
+
 def test_only_the_document_reader_calls_parse_document():
     # every data file is read through exprparser.read_document, which checks
     # its kind and names it in every input error; a loader of its own would not

@@ -353,29 +353,37 @@ def test_sweep_reports_a_kernel_image_without_arrow(tmp_path):
 def test_sweep_reports_a_missing_claim_field(tmp_path):
     error = _sweep_error(tmp_path, "kind: evaluate\nwhere: Gamma1\n"
                          "expr: t1 + t2\nvalue: 1\n")
-    assert error == "claim is missing the 'point' field"
+    assert error == f"{tmp_path / 'bad.claims'}: claim is missing the 'point' field at line 4"
+
+
+def test_sweep_reports_a_missing_declaration_field_at_the_claim_header(tmp_path):
+    error = _sweep_error(tmp_path, "kind: map_kernel_equal\ntvars: t(1)\n"
+                         "images: u -> t\nrhs: 0\n")
+    assert error == f"{tmp_path / 'bad.claims'}: claim is missing the 'vars' field at line 4"
 
 
 def test_sweep_reports_a_non_integer_count(tmp_path):
     error = _sweep_error(tmp_path, "kind: zero_dim\nwhere: Gamma1\n"
                          "gens: t1; t2\ncount: x\n")
-    assert error == "claim field 'count' must be an integer, not 'x'"
+    assert error == (f"{tmp_path / 'bad.claims'}: claim field 'count' must be an integer, "
+                     "not 'x' at line 9")
 
 
 def test_sweep_reports_a_non_integer_degree(tmp_path):
     error = _sweep_error(tmp_path, "kind: dimension\nspace: ring:Gamma1\n"
                          "degree: two\nvalue: 1\n")
-    assert error == "claim field 'degree' must be an integer, not 'two'"
+    assert error == (f"{tmp_path / 'bad.claims'}: claim field 'degree' must be an "
+                     "integer, not 'two' at line 8")
 
 
 @pytest.mark.parametrize("body, error", [
     ("kind: map_kernel_equal\nvars: u(1); u(1)\ntvars: t(1)\nimages: u -> t\n",
-     "claim field 'vars': duplicate variable name"),
+     "claim field 'vars': duplicate variable name at line 7"),
     ("kind: free_ring\nspace: ring:Gamma1\nvars: k1(0)\n",
-     "claim field 'vars': weight of k1 must be a positive integer"),
+     "claim field 'vars': weight of k1 must be a positive integer at line 8"),
 ], ids=["duplicate-name", "zero-weight"])
 def test_sweep_reports_a_bad_claim_variable_table(tmp_path, body, error):
-    assert _sweep_error(tmp_path, body) == error
+    assert _sweep_error(tmp_path, body) == f"{tmp_path / 'bad.claims'}: {error}"
 
 
 def test_sweep_reports_a_source_variable_without_image(tmp_path):
@@ -588,6 +596,23 @@ def test_stratum_spec_reports_the_line_of_an_unknown_weight_name():
         StratumSpec(parse_document(text))
     line = len(text.splitlines())
     assert str(err.value) == f"unknown variable 'z' at line {line}"
+
+
+@pytest.mark.parametrize("section, added, message", [
+    ("top", "t1*t2", "section [top] must contain exactly one entry at line {header}"),
+    ("label", "[label]\nGamma9", "section [label] appears more than once at line {line}"),
+], ids=["two-entries", "repeated-section"])
+def test_stratum_spec_load_names_the_header_line_of_a_section_error(tmp_path, section,
+                                                                    added, message):
+    root = _data_copy(tmp_path)
+    gamma1 = root / "strata" / "gamma1.stratum"
+    lines = gamma1.read_text().splitlines()
+    header = lines.index(f"[{section}]") + 1
+    lines[header:header] = added.splitlines()  # right after the header
+    gamma1.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        StratumSpec.load("gamma1.stratum", root=root)
+    assert str(err.value) == f"{gamma1}: " + message.format(header=header, line=header + 1)
 
 
 def test_sweep_reads_the_strata_under_its_root(tmp_path):

@@ -20,6 +20,7 @@ from chowcheck.exprparser import (
     ParseError, doc_polynomials, doc_vars, parse_document, parse_map, parse_polynomial,
     read_document, split_pairs)
 from chowcheck.groebner import (
+    HilbertSeries,
     Ideal,
     _block_order,
     _Packing,
@@ -693,6 +694,33 @@ def test_dimensions_from_the_hilbert_series_match_the_monomial_walk(case, degree
         assert pres.dim(d) == len(standard_monomials(pres.relations, d, pres.order))
 
 
+series = st.builds(
+    HilbertSeries,
+    st.dictionaries(st.integers(0, 6), st.integers(-4, 4), max_size=4),
+    st.lists(st.integers(1, 4), max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series, series, st.integers(0, 5), st.sampled_from([1, -1]), st.integers(0, 4))
+def test_hilbert_series_operations_agree_with_their_expansions(a, b, c, sign, w):
+    degrees = range(-2, 30)
+    shifted = a.shifted(c, sign)
+    assert [shifted.dim(d) for d in degrees] == [sign * a.dim(d - c) for d in degrees]
+    total = HilbertSeries.sum([a, b, shifted])
+    assert [total.dim(d) for d in degrees] == [a.dim(d) + b.dim(d) + shifted.dim(d)
+                                               for d in degrees]
+    # a over a larger denominator is the same series, perturbed in degree w or not
+    cleared = HilbertSeries.sum([a, a.shifted(c + 1, -1)]).numerator
+    same = HilbertSeries(cleared, a.weights + (c + 1,))
+    for other in (b, same, HilbertSeries.sum([same, HilbertSeries({w: sign})])):
+        gap = a.first_difference(other)
+        top = 30 if gap is None else gap
+        assert [a.dim(d) for d in range(top)] == [other.dim(d) for d in range(top)]
+        assert gap is None or a.dim(gap) != other.dim(gap)
+    assert a.first_difference(same) is None
+    assert a.first_difference(HilbertSeries.sum([same, HilbertSeries({w: sign})])) == w
+
+
 @settings(max_examples=80, deadline=None)
 @given(weighted_ideals(), st.data())
 def test_regular_quotient_agrees_with_the_colon_ideal(case, data):
@@ -771,8 +799,9 @@ def signed_permutation_groups(draw, max_vars=3):
 @settings(max_examples=40, deadline=None)
 @given(signed_permutation_groups())
 def test_molien_series_counts_the_invariant_basis(action):
-    assert molien_series(action, 6) == [len(invariant_basis(action, d))
-                                        for d in range(7)]
+    molien = molien_series(action)
+    assert [molien.dim(d) for d in range(7)] == [len(invariant_basis(action, d))
+                                                 for d in range(7)]
 
 
 def _reynolds_basis(action, degree):

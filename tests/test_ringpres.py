@@ -36,8 +36,8 @@ def test_regular_quotient_reads_the_gate_off_hilbert_numerators():
     assert not regular and [quotient.dim(d) for d in range(3)] == [1, 1, 1]
     quotient, regular = p.regular_quotient(x + y)
     assert regular and [quotient.dim(d) for d in range(3)] == [1, 1, 0]
-    assert p.numerator == {0: 1, 2: -1}
-    assert quotient.numerator == {0: 1, 1: -1, 2: -1, 3: 1}
+    assert p.series.numerator == {0: 1, 2: -1}
+    assert quotient.series.numerator == {0: 1, 1: -1, 2: -1, 3: 1}
     # zero is never regular; a relation of the ring is zero there
     assert not p.regular_quotient(Polynomial.zero(p.table))[1]
     assert not p.regular_quotient(x * y)[1]
