@@ -444,7 +444,8 @@ class Artifacts:
     texts read.  A stage is keyed by its content, exactly what
     `induction_step` reads: the label, the previous ring, the stratum's
     ring, its top class and restrictions in ring coordinates and its pair
-    overrides; each read builds that key again.  Pieces derived from one
+    overrides.  Each view builds the key of a stage once, on its first
+    read, and keeps the stage under its label.  Pieces derived from one
     stage (the claims' kernel presentations, `minimal`) are kept in its
     dict.  `under(convention)` reads the same store under another
     convention, so conventions that yield equal pieces share one build.  A
@@ -466,11 +467,13 @@ class Artifacts:
             raise PipelineError("two stratum files share a label")
         self.labels = list(self.specs)
         self._built = {}
+        self._stages = {}  # this view's stages by label
 
     def under(self, convention: SignConvention) -> "Artifacts":
         """This store, read under `convention`."""
         view = copy(self)
         view.convention = convention
+        view._stages = {}
         return view
 
     def _signs(self, read) -> tuple:
@@ -491,6 +494,9 @@ class Artifacts:
     def stage(self, label: str) -> dict:
         """The stage keyed by what `induction_step` reads (the label fixes
         the spec), glued the first time any convention yields that key."""
+        return _once(self._stages, label, lambda: self._glue(label))
+
+    def _glue(self, label: str) -> dict:
         self._spec(label)
         index = self.labels.index(label)
         prev = self.stage(self.labels[index - 1])["result"] if index else self.base
@@ -668,7 +674,7 @@ class ClaimRunner:
             if kind in ("keralpha", "kerbeta"):  # kept with the stage: one basis
                 stage = self.artifacts.stage(label)
                 ideal = stage["ker_" + kind[3:]]
-                return _once(stage, kind, lambda: Presentation(ideal.context, ideal.gens))
+                return _once(stage, kind, lambda: Presentation(ideal.context, ideal))
         raise PipelineError(f"unknown space {name!r}")
 
     def parse_in(self, pres: Presentation, text: str) -> Polynomial:

@@ -23,7 +23,10 @@ that is singular top-reducible is kept as an element, not discarded: on
 (x1*x2^2*x3^2 + 1, x2^3*x3 + x2^2) under grevlex, discarding it loses the
 leading monomial x1 of the basis.  Both paths end in one interreduction
 pass, so the answer is the unique reduced monic basis per (ideal, order),
-cached write-once on the Ideal object.
+cached write-once on the Ideal object.  An ideal whose generators are
+already that basis holds it from the start: a kernel and an intersection
+of weighted-homogeneous ideals hand over the basis their elimination
+computed (`_with_basis`), so no Buchberger run makes it again.
 
 Inside the kernel a monomial is one int (the packed exponent vectors of
 Monagan-Pearce, CASC 2007).  Fixed-width fields hold, most significant
@@ -41,7 +44,8 @@ Both Buchberger paths reduce S-polynomials with it (the signature path
 with a signature bound), and one pass of it by increasing leading monomial
 interreduces their result; `reduce_full` clears the denominators of its
 input, runs the same loop and scales the remainder and quotients back to
-exact rationals.  The reduced basis leaves `buchberger` as the primitive
+exact rationals, and `Ideal.member` runs it only up to the first term no
+leading monomial divides.  The reduced basis leaves `buchberger` as the primitive
 integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
 polynomials are built only when a caller reads the basis.  The one caller
@@ -193,7 +197,7 @@ def _reducer(terms: dict, i: int) -> tuple:
     return (lm, terms[lm], terms, i)
 
 
-def _reduce(work: dict, reducers, guard: int, quotients=None, bound=None):
+def _reduce(work: dict, reducers, guard: int, quotients=None, bound=None, stop=False):
     """Fully reduce packed integer terms modulo reducers, fraction-free.
 
     `work` is consumed.  `reducers` is a list of (lm, lc, terms, i) sorted
@@ -206,6 +210,9 @@ def _reduce(work: dict, reducers, guard: int, quotients=None, bound=None):
     With a signature `bound` (value, index), the reduction is regular: each
     reducer also carries its signature (lm, lc, terms, i, value, index),
     and reduces a term m only when (m - lm + value, index) < bound.
+    With `stop`, it returns at the first term no reducer divides: that term
+    is the leading term of the full remainder, so rem is then that term
+    alone, and empty exactly when the input reduces to zero (membership).
     Raises _Overflow when a product sets a guard bit.
     """
     rem = {}
@@ -228,6 +235,8 @@ def _reduce(work: dict, reducers, guard: int, quotients=None, bound=None):
                     break
         else:
             rem[m] = c
+            if stop:
+                break
             del work[m]
             continue
         q = m - entry[0]
@@ -595,21 +604,29 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quoti
     """
     context = f.context
     red = basis if isinstance(basis, _Reducers) else _Reducers.of(basis, order, len(context))
+    red, lift, quotients, rem, scale = _packed_reduce(f, red, with_quotients)
+    pk = red.packing
+    r = pk.polynomial(context, rem, 1 / (lift * scale))
+    if with_quotients:
+        return r, [pk.polynomial(context, qd, red.lifts[i] / lift)
+                   for i, qd in enumerate(quotients)]
+    return r
+
+
+def _packed_reduce(f: Polynomial, red: _Reducers, with_quotients=False, stop=False):
+    """(red, lift, quotients, rem, scale): `_reduce` of f packed by `red`,
+    which is widened until every product fits; f's packed terms are lift * f
+    (`_Packing.int_terms`)."""
     red = red.fitting(f.terms)
     while True:
         pk = red.packing
         work, lift = pk.int_terms(f)
         quotients = [{} for _ in range(len(red))] if with_quotients else None
         try:
-            rem, scale = _reduce(work, red.entries, pk.guard, quotients)
-            break
+            return (red, lift, quotients,
+                    *_reduce(work, red.entries, pk.guard, quotients, stop=stop))
         except _Overflow:
             red = red.doubled()
-    r = pk.polynomial(context, rem, 1 / (lift * scale))
-    if with_quotients:
-        return r, [pk.polynomial(context, qd, red.lifts[i] / lift)
-                   for i, qd in enumerate(quotients)]
-    return r
 
 
 def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
@@ -649,7 +666,8 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> _Reducers:
         """Reduced monic basis, cached write-once per order as `buchberger`
-        packed it; its polynomials are built only when read.  Callers that
+        packed it, or as handed over by `_with_basis`; its polynomials are
+        built only when read.  Callers that
         need a wider packing make a new one (`fitting`, `doubled`)."""
         cached = self._gb.get(order.tag)
         if cached is None:
@@ -658,16 +676,33 @@ class Ideal:
                                             or _Reducers.of((), order, len(self.context)))
         return cached
 
+    def _checked(self, f: Polynomial) -> Polynomial:
+        """f, checked to live in this ideal's table."""
+        if f.context != self.context:
+            raise ValueError("polynomial lives in a different variable table")
+        return f
+
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         """Remainder modulo the reduced basis, via `reduce_full` on its
         packed entries."""
-        return reduce_full(f, self.groebner(order), order)
+        return reduce_full(self._checked(f), self.groebner(order), order)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
-        return self.normal_form(f, order).is_zero()
+        """Whether f reduces to zero modulo the reduced basis; the reduction
+        stops at the first term no leading monomial divides."""
+        return not _packed_reduce(self._checked(f), self.groebner(order), stop=True)[3]
 
     def is_zero(self) -> bool:
         return not self.gens
+
+
+def _with_basis(context: VarTable, basis, order: MonomialOrder) -> Ideal:
+    """The ideal of `basis`, its reduced monic basis under `order` sorted by
+    decreasing leading monomial, holding it as that basis (`_Reducers.of`)
+    so that no Buchberger run computes it again."""
+    ideal = Ideal(context, basis)
+    ideal._gb[order.tag] = _Reducers.of(ideal.gens, order, len(context))
+    return ideal
 
 
 def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
@@ -737,6 +772,17 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     in a few variables.  The part of K free of t lies between
     h*(I^h cap J^h) and I^h cap J^h, and setting h = 1 maps both onto
     I cap J.
+
+    When every generator of I and J is weighted-homogeneous, homogenizing
+    changes none, and the result holds its reduced basis under
+    wgrevlex(weights).  For f in K free of t, write f = t*a + (h - t)*b
+    with a in I and b in J over Q[t, x, h]; t = 0 gives f = h*b(0) in h*J,
+    and t = h gives f = h*a(h) in h*I, so f is in h*(I cap J) as h is a
+    non-zero-divisor; conversely h*g = t*g + (h - t)*g is in K for g in
+    I cap J.  So K cap Q[x, h] = h*(I cap J), whose reduced basis under the
+    elimination order is h times that of I cap J, the order on h-free
+    monomials being wgrevlex(weights).  Setting h = 1 gives exactly that
+    basis, sorted and monic (`_with_basis`).
     """
     ctx = I.context
     if J.context != ctx:
@@ -761,7 +807,10 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     elim = eliminate(Ideal(table, gens), [tname])
     dehomogenize = {n: Polynomial.variable(ctx, n) for n in ctx.names}
     dehomogenize[hname] = Polynomial.one(ctx)
-    return Ideal(ctx, [g.substitute(dehomogenize, target=ctx) for g in elim.gens])
+    basis = [g.substitute(dehomogenize, target=ctx) for g in elim.gens]
+    if all(f.is_homogeneous() for f in I.gens + J.gens):
+        return _with_basis(ctx, basis, MonomialOrder.wgrevlex(ctx.weights))
+    return Ideal(ctx, basis)
 
 
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
@@ -841,11 +890,16 @@ class Subalgebra:
         self._rename = rename
 
     def kernel(self) -> Ideal:
-        """Relations among the generators, as an ideal over the tag table."""
+        """Relations among the generators, as an ideal over the tag table
+        holding its reduced basis under wgrevlex(tag weights): the order
+        restricts to that on tag monomials, so by the elimination theorem
+        (Cox-Little-O'Shea, IVA 3.1) the tag-only part of the graph's
+        reduced basis is the kernel's (`_with_basis`)."""
         tags = set(self.tag_table.names)
-        return Ideal(self.tag_table, [g.rename(self.tag_table)
-                                      for g in self.graph.groebner(self.order)
-                                      if g.support_names() <= tags])
+        return _with_basis(self.tag_table, [g.rename(self.tag_table)
+                                            for g in self.graph.groebner(self.order)
+                                            if g.support_names() <= tags],
+                           MonomialOrder.wgrevlex(self.tag_table.weights))
 
     def express(self, f: Polynomial):
         """f as a Polynomial over the tag table, or None when not a member."""

@@ -275,7 +275,7 @@ def invariant_presentation(action: GroupAction,
             raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
-    pres = Presentation(span.tag_table, span.kernel().gens)
+    pres = Presentation(span.tag_table, span.kernel())
     d = pres.series.first_difference(molien)
     if d is not None:
         raise InvariantError(

@@ -35,7 +35,10 @@ class PresentationError(ValueError):
 
 class Presentation:
     """Q[table]/relations with weighted-homogeneous relations; relations
-    that generate the unit ideal are rejected.  Graded dimensions are read
+    that generate the unit ideal are rejected.  `relations` is a list of
+    polynomials or an `Ideal` over the table, which is kept as it is, so a
+    basis it already holds under the presentation's order (a kernel's or an
+    intersection's) is not computed again.  Graded dimensions are read
     off one `HilbertSeries`, built on first use from the leading monomials
     of the cached basis."""
 
@@ -43,6 +46,11 @@ class Presentation:
 
     def __init__(self, table: VarTable, relations=()):
         self.table = table
+        given = relations if isinstance(relations, Ideal) else None
+        if given is not None:
+            if given.context != table:
+                raise PresentationError("relations live in a different variable table")
+            relations = given.gens
         rels = []
         for rel in relations:
             if isinstance(rel, (int, Fraction)):
@@ -56,7 +64,7 @@ class Presentation:
             if rel.is_constant():  # in positive weights, the one way to the unit ideal
                 raise PresentationError("relations collapse the ring to zero")
             rels.append(rel)
-        self.relations = Ideal(table, rels)
+        self.relations = Ideal(table, rels) if given is None else given
         self.order = MonomialOrder.wgrevlex(table.weights)
         self._series = None
 
@@ -67,7 +75,7 @@ class Presentation:
         return self.relations.normal_form(f, self.order)
 
     def is_zero(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        return self.relations.member(f, self.order)
 
     @property
     def series(self) -> HilbertSeries:
@@ -163,7 +171,7 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> tuple:
     if not alpha.source.is_free():
         raise PresentationError("fiber product source must be free")
     ker_alpha, ker_beta = alpha.kernel(), beta.kernel()
-    fiber = Presentation(alpha.source.table, intersect(ker_alpha, ker_beta).gens)
+    fiber = Presentation(alpha.source.table, intersect(ker_alpha, ker_beta))
     return fiber, ker_alpha, ker_beta
 
 

@@ -528,3 +528,37 @@ def test_an_ideal_computes_its_basis_through_buchberger_once_per_order(monkeypat
     I.member(f, GREVLEX)
     I.normal_form(f, GREVLEX)
     assert runs == [GREVLEX.tag]
+
+
+def test_membership_and_normal_form_reject_a_polynomial_of_another_table():
+    # y over (y, x) has the exponents of x over (x, y): read in the wrong
+    # table it would be a member of (x)
+    xy, yx = VarTable(["x", "y"]), VarTable(["y", "x"])
+    I = Ideal(xy, [Polynomial.variable(xy, "x")])
+    y = Polynomial.variable(yx, "y")
+    for ask in (I.member, I.normal_form):
+        with pytest.raises(ValueError, match="polynomial lives in a different variable table"):
+            ask(y)
+    assert not I.member(Polynomial.variable(xy, "y"))
+
+
+def test_member_stops_at_the_first_term_no_leading_monomial_divides(monkeypatch):
+    from chowcheck import groebner
+    remainders = []
+    real = groebner._reduce
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        remainders.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    table = VarTable(["x", "y", "z"])
+    I = Ideal(table, polys(table, "x^2 - y*z"))
+    I.groebner(GREVLEX)
+    remainders.clear()
+    f = parse_polynomial("y^4 + x^3 + y^2*z + z^3 + y + z", table)
+    assert not I.member(f)
+    # the test stops at y^4; the full remainder has six terms
+    assert remainders == [1] and len(I.normal_form(f).terms) == 6
+    assert I.member(f - I.normal_form(f))

@@ -1050,3 +1050,20 @@ def test_a_dropped_lift_fails_the_hilbert_series_stage_check(monkeypatch):
                                             r"in degree 8, but the stratification "
                                             r"gives 21 \+ 5"):
         run_pipeline()
+
+
+def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(monkeypatch):
+    # the fiber is presented by the intersection it came from, and the claim
+    # space keralpha:Gamma3pp by the kernel: each already holds its reduced
+    # basis under the presentation's order, so no Buchberger run makes it
+    runs = _count_calls(monkeypatch, "buchberger", module=groebner,
+                        key=lambda gens, order=groebner.GREVLEX: (tuple(gens), order.tag))
+    store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
+    fiber = store.stage("Gamma3pp")["fiber"]
+    glued = sum(runs.values())
+    fiber.series
+    space = chowpipeline.ClaimRunner(store).space("keralpha:Gamma3pp")
+    assert len(space.relations.groebner(space.order)) == len(space.relations.gens)
+    assert sum(runs.values()) == glued
+    for pres in (fiber, space):
+        assert (pres.relations.gens, pres.order.tag) not in runs

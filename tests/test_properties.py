@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from chowcheck import groebner
 from chowcheck.chowpipeline import (
     PipelineError, StratumSpec, load_claims, minimal_generators)
 from chowcheck.cli import main
@@ -25,8 +26,10 @@ from chowcheck.groebner import (
     _block_order,
     _Packing,
     buchberger,
+    eliminate,
     ideal_equal,
     ideal_quotient,
+    intersect,
     irredundant,
     map_kernel,
     reduce_full,
@@ -621,6 +624,105 @@ def test_map_kernel_matches_elimination_of_the_full_graph(case):
     source, images, target, target_ideal = case
     kernel = map_kernel(source, images, target, target_ideal)
     assert ideal_equal(kernel, kernel_by_elimination(source, images, target, target_ideal))
+
+
+# ---------------------------------------------------------------------------
+# bases handed over by kernels and intersections, and membership that stops
+# at the first irreducible term
+
+@contextlib.contextmanager
+def no_buchberger():
+    """Fail on any Groebner basis computed inside the block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "buchberger", refuse)
+        yield
+
+
+def handed_over(ideal, order):
+    """The basis `ideal` holds under `order`, which no Buchberger run makes,
+    and the basis a fresh run on its generators makes."""
+    with no_buchberger():
+        held = list(ideal.groebner(order))
+    return held, list(buchberger(ideal.gens, order))
+
+
+def plain_intersection(I, J):
+    """I cap J from t*I + (1 - t)*J without homogenizing (Cox-Little-O'Shea,
+    IVA 4.3)."""
+    ctx = I.context
+    table = VarTable(("s",) + ctx.names, (1,) + ctx.weights)
+    s = Polynomial.variable(table, "s")
+    gens = ([s * f.rename(table) for f in I.gens]
+            + [(1 - s) * g.rename(table) for g in J.gens])
+    return Ideal(ctx, [g.rename(ctx) for g in eliminate(Ideal(table, gens), ["s"]).gens])
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    """A table of 2-3 variables (weights 1-2) and two lists of
+    weighted-homogeneous polynomials over it."""
+    n = draw(st.integers(2, 3))
+    table = VarTable(["x", "y", "z"][:n],
+                     draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+
+    def gens():
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            monos = standard_monomials(Ideal(table, ()), draw(st.integers(1, 4)), GREVLEX)
+            if monos:
+                chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                                       unique=True))
+                out.append(Polynomial(table, {m: draw(coeffs) for m in chosen}))
+        return out
+
+    return table, gens(), gens()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(homogeneous_pairs())
+def test_an_intersection_of_homogeneous_ideals_hands_over_its_reduced_basis(case):
+    table, left, right = case
+    assume(left and right)
+    I, J = Ideal(table, left), Ideal(table, right)
+    K = intersect(I, J)
+    held, fresh = handed_over(K, MonomialOrder.wgrevlex(table.weights))
+    assert held == fresh == list(K.gens)
+    assert ideal_equal(K, plain_intersection(I, J))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_ideals(max_gens=2), small_ideals(max_gens=2))
+def test_an_intersection_of_non_homogeneous_ideals_is_still_correct(left, right):
+    assume(left and right and not all(f.is_homogeneous() for f in left + right))
+    I, J = Ideal(TABLE3, left), Ideal(TABLE3, right)
+    K = intersect(I, J)
+    order = MonomialOrder.wgrevlex(TABLE3.weights)
+    assert list(K.groebner(order)) == list(buchberger(K.gens, order))
+    assert ideal_equal(K, plain_intersection(I, J), order)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ring_maps())
+def test_a_map_kernel_hands_over_its_reduced_basis(case):
+    source, images, target, target_ideal = case
+    kernel = map_kernel(source, images, target, target_ideal)
+    held, fresh = handed_over(kernel, MonomialOrder.wgrevlex(source.weights))
+    assert held == fresh == list(kernel.gens)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_ideals(), st.lists(polynomials(max_terms=3), min_size=3, max_size=3),
+       polynomials())
+def test_member_agrees_with_the_full_normal_form(gens, cofactors, f):
+    I = Ideal(TABLE3, gens)
+    planted = sum((c * g for c, g in zip(cofactors, gens)), Polynomial.zero(TABLE3))
+    for order in (GREVLEX, LEX):
+        assert I.member(planted, order)
+        for h in (planted, f, planted + f):
+            assert I.member(h, order) == I.normal_form(h, order).is_zero()
 
 
 @st.composite

@@ -321,3 +321,17 @@ def test_apply_quotient_lifts_prev_relations():
     result, notes = apply_quotient(glued, alpha, beta, [prev_rel])
     assert len(notes) == 1 and notes[0]["correction"] is None
     assert [str(g) for g in result.relations.groebner(result.order)] == ["x^3"]
+
+
+def test_a_presentation_keeps_the_ideal_it_is_given_and_checks_it():
+    table = VarTable(["a", "b"], [1, 2])
+    ideal = Ideal(table, [parse_polynomial("a^2 - b", table)])
+    assert Presentation(table, ideal).relations is ideal
+    assert Presentation(table, Ideal(table, [])).is_free()
+    bad = [(table, Ideal(table, [parse_polynomial("a - b", table)]), "not weighted-homogeneous"),
+           (table, Ideal(table, [Polynomial.constant(table, 2)]), "collapse the ring"),
+           (VarTable(["a", "b"]), ideal, "different variable table"),
+           (VarTable(["a", "b"]), Ideal(VarTable(["b", "a"]), []), "different variable table")]
+    for where, relations, message in bad:
+        with pytest.raises(PresentationError, match=message):
+            Presentation(where, relations)
