@@ -22,7 +22,7 @@ forms and invariance checks are built at once, the rest on first read,
 and strata of one spec share its action, parses and invariance checks.
 Every data file is read by `exprparser.read_document`, so an input error
 in one, found while it is read, when a stratum first parses its texts or
-builds its action, or when a claim reads a map, names the file.
+builds its action, or when a claim reads a field, names the file.
 `run_pipeline` is a store with every stage glued;
 `verify_paper` runs its claims and its sign sweeps on that one store, so
 the sweeps build only what their claims read and the main run lacks.  Claims
@@ -68,7 +68,6 @@ from .exprparser import (
     parse_vartable,
     read_document,
     split_list,
-    split_pairs,
 )
 from .invariants import GroupAction, InvariantError, invariant_presentation
 from .ringpres import (
@@ -120,16 +119,19 @@ def _piece(build):
                     doc=build.__doc__)
 
 
-def _parsed(built: dict, text: str, table: VarTable, env: dict, functions=None,
-            line=1, col=1):
-    """`parse_polynomial(text, table, env, functions, line, col)`, kept in
-    `built` by `_once` under the text, the table, the function names and the
-    value of each name of the text that `env` binds, but not the place the
-    text starts.  A memo given `functions` must be the spec's, whose one
-    action they come from."""
+def _parsed(built: dict, source, entry: Entry, table: VarTable, env: dict, functions=None):
+    """The entry's text parsed from its place in the file `source`, kept in
+    `built` under the text, the table, the function names and the value of
+    each name of the text that `env` binds.  Only a parse that succeeds is
+    kept, so a failing text fails at each place it is read.  A memo given
+    `functions` must be the spec's, whose one action they come from."""
+    text = entry.value
     reads = tuple((name, env[name]) for name in _NAME_RE.findall(text) if name in env)
-    return _once(built, ("parse", text, table, tuple(functions or ()), reads),
-                 lambda: parse_polynomial(text, table, env, functions, line, col))
+    key = ("parse", text, table, tuple(functions or ()), reads)
+    if key not in built:
+        with in_file(source):
+            built[key] = parse_polynomial(text, table, env, functions, entry.line, entry.col)
+    return built[key]
 
 
 class SignConvention:
@@ -297,9 +299,7 @@ class Stratum:
 
     def _form(self, entry: Entry, table: VarTable, env: dict, functions=None) -> Polynomial:
         """A spec entry's text, by `_parsed` from its place in the spec's file."""
-        with in_file(self.spec.source):
-            return _parsed(self.spec.algebra, entry.value, table, env, functions,
-                           entry.line, entry.col)
+        return _parsed(self.spec.algebra, self.spec.source, entry, table, env, functions)
 
     def _psi(self, entry: Entry) -> Polynomial:
         return self._form(entry, self.table, self.env, self.functions)
@@ -451,10 +451,9 @@ class Artifacts:
     convention, so conventions that yield equal pieces share one build.  A
     stratum, a stratum piece or a gluing that fails keeps its error and
     raises it again to every later reader, a stage whose key reads that
-    piece among them.  Claim texts parsed
-    without a stratum's functions are kept in the store by `_parsed`, keyed
-    by the text, the table and the value of each name the text reads.  No
-    stage holds a stratum, so a store is freed without the cycle collector.
+    piece among them.  Claim texts read over a table are kept in the store
+    by `_parsed`.  No stage holds a stratum, so a store is freed without
+    the cycle collector.
     """
 
     def __init__(self, convention: SignConvention, specs, base: Presentation,
@@ -581,19 +580,25 @@ class Claim:
         with in_file(self.source):
             raise ParseError(message, self.fields[key].line if key else self.line)
 
+    def items(self, key, default=_REQUIRED) -> list:
+        """The `;` items of field `key`, each an Entry at its own column."""
+        return self.fields[key].pieces() if self.get(key, default) else []
+
     def map(self, key, sep, names) -> dict:
-        """The `;` list field `key` of `names`, each once, by `parse_map`, in its file."""
-        text = self.get(key)
+        """The `;` list field `key` of `names`, each once, by `parse_map`: {name: Entry}."""
+        self.get(key)
         with in_file(self.source):
-            return parse_map(split_pairs(text, sep, self.fields[key].line),
+            return parse_map(((e.key, e, e.line) for e in self.fields[key].pieces(sep)),
                              f"claim field {key!r}", names)
 
-    def get_int(self, key) -> int:
-        text = self.get(key)
+    def number(self, key, parse=int, item=None):
+        """Field `key`, or `item`, one of its items, by `int` or `parse_rational`."""
+        text = self.get(key) if item is None else item.value
         try:
-            return int(text)
+            return parse(text)
         except ValueError:
-            self.reject(f"claim field {key!r} must be an integer, not {text!r}", key)
+            what = "an integer" if parse is int else "a rational number"
+            self.reject(f"claim field {key!r} must be {what}, not {text!r}", key)
 
 
 def load_claims(name: str = CLAIMS_FILE, path=None) -> list:
@@ -629,44 +634,54 @@ class ClaimRunner:
 
     # -- helpers -----------------------------------------------------------
 
-    def claim_env(self, stratum: Stratum) -> dict:
-        env = dict(stratum.env)
-        env.update(self.artifacts.convention.values)  # the stratum may be shared
-        for name, form in zip(stratum.ring_names, stratum.ring_forms):
-            env[name] = form
-        for tag, form in stratum.restrictions.items():
-            env[tag] = form
-        return env
+    def label(self, claim, key) -> str:
+        """The claim's field `key`, which must be the label of a stage."""
+        label = claim.get(key)
+        if label not in self.artifacts.specs:
+            claim.reject(f"no stage with label {label!r}", key)
+        return label
 
-    def psi(self, label: str, text: str) -> Polynomial:
-        stratum = self.artifacts.stratum(label)
-        return _parsed(stratum.spec.algebra, text, stratum.table,
-                       self.claim_env(stratum), stratum.functions)
+    def where(self, claim) -> Stratum:
+        """The stratum the claim's `where:` names."""
+        return self.artifacts.stratum(self.label(claim, "where"))
 
-    def where(self, claim) -> tuple:
-        """The stratum the claim's `where:` names, and `psi` on it."""
-        label = claim.get("where")
-        return self.artifacts.stratum(label), lambda text: self.psi(label, text)
+    def parse(self, claim, key, table=None, item=None) -> Polynomial:
+        """Claim field `key`, or `item`, one of its items, parsed from its place
+        in the claims file: over `table` with the signs, kept in the store, or
+        else over the `where:` stratum with its names and functions too."""
+        claim.get(key)  # a field left out is an error at the claim's header
+        built, env, functions = self.artifacts._built, self.artifacts.convention.values, None
+        if table is None:
+            stratum = self.where(claim)
+            built, table, functions = stratum.spec.algebra, stratum.table, stratum.functions
+            env = {**stratum.env, **env,  # the stratum may be shared by other signs
+                   **dict(zip(stratum.ring_names, stratum.ring_forms)), **stratum.restrictions}
+        return _parsed(built, claim.source, item or claim.fields[key], table, env, functions)
 
     @staticmethod
     def var_table(claim, key) -> VarTable:
-        """The claim's list field `key` of `[vars]`-style declarations as a table."""
-        texts = split_list(claim.get(key))  # a missing field is not a bad table
+        """The claim's `[vars]`-style list field `key` as a table, without signs."""
+        items = claim.items(key)  # a missing field is not a bad table
         try:
-            return parse_vartable(Entry(None, text, None, None) for text in texts)
+            table = parse_vartable(items)
         except ParseError as exc:
             claim.reject(f"claim field {key!r}: {exc.message}", key)
+        for name in sorted(set(table.names) & set(SIGN_NAMES)):
+            claim.reject(f"claim field {key!r}: {name} is reserved for a sign symbol", key)
+        return table
 
     @staticmethod
     def count(claim, got: int) -> tuple:
         """The verdict that `got` is the claim's `value:`, showing `got`."""
-        return got == claim.get_int("value"), {"computed": got}
+        return got == claim.number("value"), {"computed": got}
 
-    def space(self, name: str) -> Presentation:
+    def space(self, claim) -> Presentation:
+        """The presentation the claim's `space:` names."""
+        name = claim.get("space")
+        kind, _, label = name.partition(":")
         if name == "final":
             return self.artifacts.final
-        if ":" in name:
-            kind, label = name.split(":", 1)
+        if label in self.artifacts.specs:
             if kind == "ring":
                 return self.artifacts.stratum(label).ring
             if kind in ("result", "fiber", "bottom"):
@@ -675,33 +690,21 @@ class ClaimRunner:
                 stage = self.artifacts.stage(label)
                 ideal = stage["ker_" + kind[3:]]
                 return _once(stage, kind, lambda: Presentation(ideal.context, ideal))
-        raise PipelineError(f"unknown space {name!r}")
-
-    def parse_in(self, pres: Presentation, text: str) -> Polynomial:
-        return _parsed(self.artifacts._built, text, pres.table,
-                       dict(self.artifacts.convention.values))
+        claim.reject(f"unknown space {name!r}", "space")
 
     # -- claim kinds ---------------------------------------------------------
 
     def run(self, claim: Claim) -> dict:
         handler = getattr(self, "kind_" + claim.kind, None)
         if handler is None:
-            raise PipelineError(f"unknown claim kind {claim.kind!r}")
+            claim.reject(f"unknown claim kind {claim.kind!r}", "kind")
         passed, detail = handler(claim)
-        if passed is None:
-            status = "ASSUMED"
-        else:
-            status = "PASS" if passed else "FAIL"
+        status = "ASSUMED" if passed is None else "PASS" if passed else "FAIL"
         ok = status == claim.expect.upper()
         if detail and "corrected_ok" in detail:
             ok = ok and detail["corrected_ok"]
-        row = {
-            "id": claim.id,
-            "kind": claim.kind,
-            "status": status,
-            "expected": claim.expect.upper(),
-            "ok": ok,
-        }
+        row = {"id": claim.id, "kind": claim.kind, "status": status,
+               "expected": claim.expect.upper(), "ok": ok}
         if claim.note:
             row["note"] = claim.note
         if detail:
@@ -709,18 +712,17 @@ class ClaimRunner:
         return row
 
     def kind_identity(self, claim):
-        _, psi = self.where(claim)
-        return psi(claim.get("lhs")) == psi(claim.get("rhs")), None
+        return self.parse(claim, "lhs") == self.parse(claim, "rhs"), None
 
     def kind_member(self, claim):
-        pres = self.space(claim.get("space"))
-        f = self.parse_in(pres, claim.get("expr"))
+        pres = self.space(claim)
+        f = self.parse(claim, "expr", pres.table)
         return pres.relations.member(f, pres.order), None
 
     def kind_ideal_equal(self, claim):
-        pres = self.space(claim.get("space"))
-        rhs_texts = split_list(claim.get("rhs", ""))
-        rhs = Ideal(pres.table, [self.parse_in(pres, t) for t in rhs_texts])
+        pres = self.space(claim)
+        rhs = Ideal(pres.table, [self.parse(claim, "rhs", pres.table, e)
+                                 for e in claim.items("rhs", "")])
         if ideal_equal(pres.relations, rhs, pres.order):
             return True, None
         if not self._details:
@@ -729,48 +731,39 @@ class ClaimRunner:
         return False, {"computed_not_in_stated": missing,
                        "stated_not_in_computed": extra}
 
-    def _claim_tables(self, claim):
-        """The source table, the target table and a parser into the target."""
-        source = self.var_table(claim, "vars")
-        if claim.get("where", None):
-            stratum, psi = self.where(claim)
-            return source, stratum.table, psi
-        target = self.var_table(claim, "tvars")
-        return source, target, lambda text: _parsed(
-            self.artifacts._built, text, target, dict(self.artifacts.convention.values))
-
     def kind_map_kernel_equal(self, claim):
-        source, target, parse = self._claim_tables(claim)
-        images = {name: parse(text)
-                  for name, text in claim.map("images", "->", source.names).items()}
-        kernel = map_kernel(source, images, target=target)
-        order = MonomialOrder.wgrevlex(source.weights)
-        rhs = Ideal(source, [_parsed(self.artifacts._built, t, source, {})
-                             for t in split_list(claim.get("rhs", ""))])
-        return ideal_equal(kernel, rhs, order), None
+        source = self.var_table(claim, "vars")
+        # the images are read over the `where:` stratum, or over the `tvars:` table
+        over = None if claim.get("where", None) else self.var_table(claim, "tvars")
+        images = {name: self.parse(claim, "images", over, e)
+                  for name, e in claim.map("images", "->", source.names).items()}
+        kernel = map_kernel(source, images, self.where(claim).table if over is None else over)
+        rhs = Ideal(source, [self.parse(claim, "rhs", source, e)
+                             for e in claim.items("rhs", "")])
+        return ideal_equal(kernel, rhs, MonomialOrder.wgrevlex(source.weights)), None
 
     def kind_evaluate(self, claim):
-        stratum, psi = self.where(claim)
-        f = psi(claim.get("expr"))
+        stratum = self.where(claim)
+        f = self.parse(claim, "expr")
         point = claim.map("point", "=", stratum.table.names)
-        got = f.substitute({n: Polynomial.constant(stratum.table, parse_rational(v))
-                            for n, v in point.items()})
-        want = parse_rational(claim.get("value"))
+        got = f.substitute({n: Polynomial.constant(stratum.table,
+                                                   claim.number("point", parse_rational, e))
+                            for n, e in point.items()})
+        want = claim.number("value", parse_rational)
         return got.is_constant() and got.constant_value() == want, str(got)
 
     def kind_zero_dim(self, claim):
-        stratum, psi = self.where(claim)
-        gens = [psi(t) for t in split_list(claim.get("gens"))]
+        stratum = self.where(claim)
+        gens = [self.parse(claim, "gens", item=e) for e in claim.items("gens")]
         finite, count = zero_dimensional(Ideal(stratum.table, gens))
-        want = claim.get_int("count")
-        return finite and count == want, {"finite": finite, "count": count}
+        return finite and count == claim.number("count"), {"finite": finite, "count": count}
 
     def kind_pair_display(self, claim):
-        stratum, psi = self.where(claim)
-        shown = psi(claim.get("a_side"))
+        stratum = self.where(claim)
+        shown = self.parse(claim, "a_side")
         tag = claim.get("tag")
         if tag not in stratum.restrictions:
-            raise PipelineError(f"{stratum.label} gives no restriction for {tag}")
+            claim.reject(f"{stratum.label} gives no restriction for {tag}", "tag")
         true_form = stratum.restrictions[tag]
         if claim.get("mode", "exact") == "bottom":
             diff = shown - true_form
@@ -781,33 +774,32 @@ class ClaimRunner:
 
     def kind_relation_row(self, claim):
         final = self.artifacts.final
-        row = self.parse_in(final, claim.get("row"))
+        row = self.parse(claim, "row", final.table)
         in_ideal = final.relations.member(row, final.order)
         detail = {}
-        corrected = claim.get("corrected", None)
-        if corrected is not None:
-            cpoly = self.parse_in(final, corrected)
+        if claim.get("corrected", None) is not None:
+            cpoly = self.parse(claim, "corrected", final.table)
             detail["corrected_ok"] = final.relations.member(cpoly, final.order)
         return in_ideal, detail
 
     def kind_surjectivity(self, claim):
-        stage = self.artifacts.stage(claim.get("stage"))
-        dmax = claim.get_int("dmax")
+        stage = self.artifacts.stage(self.label(claim, "stage"))
+        dmax = claim.number("dmax")
         rows = [r for r in stage["info"]["surjectivity"] if r["degree"] <= dmax]
         ok = bool(rows) and all(r["certified"] for r in rows) and rows[-1][
             "degree"] == dmax
         return ok, None
 
     def kind_dimension(self, claim):
-        pres = self.space(claim.get("space"))
-        return self.count(claim, pres.dim(claim.get_int("degree")))
+        pres = self.space(claim)
+        return self.count(claim, pres.dim(claim.number("degree")))
 
     def kind_nzd(self, claim):
-        stratum, _ = self.where(claim)
-        f = self.parse_in(stratum.ring, claim.get("expr"))
+        ring = self.where(claim).ring
+        f = self.parse(claim, "expr", ring.table)
         if f.is_constant():  # R/(unit) is the zero ring, which is no Presentation
             return not f.is_zero(), None
-        return stratum.ring.regular_quotient(f)[1], None
+        return ring.regular_quotient(f)[1], None
 
     def kind_generator_count(self, claim):
         return self.count(claim, len(self.artifacts.final.table))
@@ -815,19 +807,19 @@ class ClaimRunner:
     def kind_minimal_relation_count(self, claim):
         passed, detail = self.count(claim, len(self.artifacts.minimal))
         if claim.get("corrected", None) is not None:
-            detail["corrected_ok"] = detail["computed"] == claim.get_int("corrected")
+            detail["corrected_ok"] = detail["computed"] == claim.number("corrected")
         return passed, detail
 
     def kind_free_ring(self, claim):
-        pres = self.space(claim.get("space"))
+        pres = self.space(claim)
         table = self.var_table(claim, "vars")
         return pres.table == table and pres.relations.is_zero(), None
 
     def kind_lift_profile(self, claim):
-        notes = self.artifacts.stage(claim.get("stage"))["info"]["lifts"]
+        notes = self.artifacts.stage(self.label(claim, "stage"))["info"]["lifts"]
         exact = sum(1 for n in notes if n["correction"] is None)
         corrected = len(notes) - exact
-        want = (claim.get_int("exact"), claim.get_int("corrected"))
+        want = (claim.number("exact"), claim.number("corrected"))
         return (exact, corrected) == want, {"exact": exact,
                                             "corrected": corrected}
 
@@ -935,10 +927,9 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
         if isinstance(detail, dict) and "corrected_ok" in detail:
             entry["corrected_ok"] = detail["corrected_ok"]
         theorem_rows.append(entry)
-        text = (entry["row"] if outcome["status"] == "PASS"
-                else entry["corrected"])
-        if text is not None:
-            stated.append(runner.parse_in(final, text))
+        key = "row" if outcome["status"] == "PASS" else "corrected"
+        if key in claim.fields:
+            stated.append(runner.parse(claim, key, final.table))
     gap, extra = _membership_gaps(final.relations, Ideal(final.table, stated),
                                   final.order)
     timing["analysis_s"] = round(perf_counter() - t2, 3)

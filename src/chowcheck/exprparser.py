@@ -249,6 +249,21 @@ class Entry:
         """The entry as written, a `key: value` pair joined again."""
         return self.value if self.key is None else f"{self.key}: {self.value}"
 
+    def pieces(self, sep=None) -> list:
+        """The `;` items of the value that hold text, each an Entry at its own
+        column; with `sep`, each `name <sep> value` item keyed by its name."""
+        items = []
+        for m in re.finditer(r"[^;\s](?:[^;]*[^;\s])?", self.value):  # stripped items
+            key, text, start = None, m.group(), m.start()
+            if sep is not None:
+                key, found, value = text.partition(sep)
+                if not found:
+                    raise ParseError(f"item {text!r} has no {sep!r}", self.line)
+                start += len(key) + len(sep) + len(value) - len(value.lstrip())
+                key, text = key.strip(), value.strip()
+            items.append(Entry(key, text, self.line, self.col + start))
+        return items
+
 
 @dataclass
 class Document:
@@ -419,18 +434,12 @@ def doc_polynomials(doc: Document, section: str, table: VarTable) -> list:
 
 def split_list(value):
     """Split a `;`-separated value list, dropping empty pieces."""
-    return [piece.strip() for piece in value.split(";") if piece.strip()]
+    return [e.value for e in Entry(None, value, None, 1).pieces()]
 
 
 def split_pairs(value, sep, line=None) -> list:
     """The `name <sep> value` items of a `;` list as (name, value, line)."""
-    pairs = []
-    for piece in split_list(value):
-        name, found, text = piece.partition(sep)
-        if not found:
-            raise ParseError(f"item {piece!r} has no {sep!r}", line)
-        pairs.append((name.strip(), text.strip(), line))
-    return pairs
+    return [(e.key, e.value, line) for e in Entry(None, value, line, 1).pieces(sep)]
 
 
 def parse_map(pairs, what, names=None) -> dict:

@@ -66,6 +66,37 @@ def test_only_the_document_reader_calls_parse_document():
     assert calls and calls == inside
 
 
+def _callers(tree, callee) -> set:
+    """The functions of a module, as `function` or `Class.method`, that call
+    `callee` by name, a nested function or lambda counting as its owner's;
+    None for a call outside every function."""
+    callers = set()
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and callee
+                    == getattr(child.func, "id", getattr(child.func, "attr", None))):
+                callers.add(owner)
+            if isinstance(child, ast.ClassDef) and owner is None:
+                visit(child, None, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef) and owner is None:
+                visit(child, prefix + child.name, prefix)
+            else:
+                visit(child, owner, prefix)
+
+    visit(tree, None, "")
+    return callers
+
+
+def test_only_the_stratum_and_claim_readers_parse_a_pipeline_text():
+    # every stratum and claim text goes through chowpipeline._parsed, which
+    # names the text's file and place in an error and keeps a parse only
+    # when it succeeds; a second route would skip one or the other
+    tree = ast.parse((SRC / "chowpipeline.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_parsed") == {"Stratum._form", "ClaimRunner.parse"}
+    assert _callers(tree, "parse_polynomial") == {"_parsed"}
+
+
 def test_only_the_map_reader_splits_a_value_on_an_arrow_or_equals_sign():
     # a `name -> value` or `name = value` item is split by exprparser.split_pairs
     # alone, so every map rejects a name given twice, unknown or left out alike

@@ -32,8 +32,10 @@ from chowcheck.chowpipeline import (
     run_pipeline,
     verify_paper,
 )
-from chowcheck.exprparser import ParseError, parse_document, parse_polynomial
+from chowcheck.cli import main
+from chowcheck.exprparser import Entry, ParseError, parse_document, parse_polynomial
 from chowcheck.invariants import InvariantError
+from chowcheck.polyarith import Polynomial
 
 # stage-2 glued relation, recomputed via kernel intersection and lifting
 J1 = "k1^4*g2^2 + 2*k1^2*k2*g2^2 - 4*k1^2*g2^3 - 8*k2*g2^3 + q^2"
@@ -159,6 +161,28 @@ def test_final_presentation_shape(artifacts):
     assert [final.dim(d) for d in range(13)] == FINAL_DIMS
 
 
+def test_the_final_ring_is_the_image_of_its_tags_in_the_base_and_the_strata(artifacts):
+    """A second route to the final relation ideal: each glued ring is the
+    image of its tags in the previous ring times the stratum ring, so the
+    final ring is the image of its 10 tags in the product of the base ring
+    and the four stratum rings.  A tag goes to its alpha image in a stratum
+    ring whose stage has it, and to 0 in the others.  The kernels of the
+    five maps, intersected, use no fiber product, lift or induction order."""
+    final, base = artifacts.final, artifacts.base
+    tags = final.table
+    kernels = [groebner.map_kernel(tags, {n: Polynomial.variable(base.table, n)
+                                          if n in base.table.names else 0
+                                          for n in tags.names}, base.table, base.relations)]
+    for stage in artifacts.stages:
+        alpha = stage["alpha"]
+        kernels.append(groebner.map_kernel(tags, {n: alpha.images.get(n, 0) for n in tags.names},
+                                           alpha.target.table, alpha.target.relations))
+    product = kernels[0]
+    for kernel in kernels[1:]:
+        product = groebner.intersect(product, kernel)
+    assert groebner.ideal_equal(product, final.relations, final.order)
+
+
 def test_final_relations_all_homogeneous(artifacts):
     final = artifacts.final
     for g in final.relations.gens:
@@ -261,8 +285,9 @@ def test_the_displayed_rows_extend_to_a_minimal_generating_set(report, artifacts
     exactly 11 relations."""
     final = artifacts.final
     runner = chowpipeline.ClaimRunner(artifacts)
-    rows = [runner.parse_in(final, row["row"] if row["status"] == "PASS" else row["corrected"])
-            for row in report["final"]["theorem_rows"]]
+    claims = [claim for claim in load_claims() if claim.kind == "relation_row"]
+    rows = [runner.parse(claim, "row" if row["status"] == "PASS" else "corrected", final.table)
+            for claim, row in zip(claims, report["final"]["theorem_rows"], strict=True)]
     kept = {id(g) for g in groebner.irredundant(rows + artifacts.minimal, final.order)}
     added = [g for g in artifacts.minimal if id(g) in kept]
     assert [id(g) in kept for g in rows] == [True] * 11
@@ -317,7 +342,15 @@ def test_sweep_reports_an_unknown_claim_kind_as_an_error_row(tmp_path):
     (row,) = result["rows"]
     assert row["passed"] == [] and row["failed"] == []
     assert row["errors"] == [{"id": "bogus-claim",
-                              "error": "unknown claim kind 'bogus'"}]
+                              "error": f"{path}: unknown claim kind 'bogus' at line 6"}]
+
+
+def _claim(**fields):
+    """A claim of `fields`, one a line after its `[claim]` header, `id` and
+    `kind`, each value at the column `key: ` leaves it."""
+    fields = {"id": "a-claim", "kind": "identity", **fields}
+    return chowpipeline.Claim([Entry(key, value, line, len(key) + 3)
+                               for line, (key, value) in enumerate(fields.items(), start=2)], 1)
 
 
 def _sweep_error(tmp_path, body):
@@ -413,7 +446,7 @@ def test_sweep_reports_a_kernel_image_given_twice(tmp_path):
 def test_sweep_reports_an_unknown_stage(tmp_path):
     error = _sweep_error(tmp_path, "kind: surjectivity\nstage: Gamma9\n"
                          "dmax: 4\n")
-    assert error == "no stage with label 'Gamma9'"
+    assert error == f"{tmp_path / 'bad.claims'}: no stage with label 'Gamma9' at line 7"
 
 
 def _data_copy(tmp_path):
@@ -714,7 +747,7 @@ def test_a_group_entry_naming_an_unknown_variable_is_an_invariant_error(tmp_path
 def test_sweep_reports_a_pair_display_tag_without_restriction(tmp_path):
     error = _sweep_error(tmp_path, "kind: pair_display\nwhere: Gamma1\n"
                          "tag: zz\na_side: t1 + t2\n")
-    assert error == "Gamma1 gives no restriction for zz"
+    assert error == f"{tmp_path / 'bad.claims'}: Gamma1 gives no restriction for zz at line 8"
 
 
 def test_sweep_reports_an_image_for_a_name_that_is_not_a_source_variable(tmp_path):
@@ -722,6 +755,84 @@ def test_sweep_reports_an_image_for_a_name_that_is_not_a_source_variable(tmp_pat
                          "tvars: t(1)\nimages: u -> t; w -> t\nrhs: 0\n")
     assert error == (f"{tmp_path / 'bad.claims'}: claim field 'images' names w, "
                      "not one of u at line 9")
+
+
+# a claim body from line 6 on, after `id:` on line 5, and the error it gives
+# after the claims path: at the field's line, and for a text, at the column
+# of the bad token
+_BAD_FIELDS = {
+    "stray-paren": ("kind: identity\nwhere: Gamma1\nlhs: t1 + t2)\nrhs: t1\n",
+                    "unexpected trailing input ')' at line 8, column 13"),
+    "unknown-name": ("kind: identity\nwhere: Gamma1\nlhs: t1\nrhs: t1 + nosuchname\n",
+                     "unknown identifier 'nosuchname' at line 9, column 11"),
+    "list-item": ("kind: ideal_equal\nspace: ring:Gamma1\nrhs: k1;  k2 + zz\n",
+                  "unknown identifier 'zz' at line 8, column 16"),
+    "stratum-list-item": ("kind: zero_dim\nwhere: Gamma1\ngens: t1; t2^\ncount: 1\n",
+                          "exponent must be a positive integer at line 8, column 14"),
+    "image": ("kind: map_kernel_equal\nvars: u(1); w(1)\ntvars: t(1)\n"
+              "images: u -> t; w -> t)\nrhs: 0\n",
+              "unexpected trailing input ')' at line 9, column 23"),
+    "stratum-image": ("kind: map_kernel_equal\nwhere: Gamma1\nvars: u(1)\n"
+                      "images: u -> t1 +* t2\nrhs: 0\n",
+                      "expected a polynomial, found '*' at line 9, column 18"),
+    "kernel-rhs": ("kind: map_kernel_equal\nvars: u(1)\ntvars: t(1)\nimages: u -> t\n"
+                   "rhs: u; t\n", "unknown identifier 't' at line 10, column 9"),
+    "kind": ("kind: bogus\n", "unknown claim kind 'bogus' at line 6"),
+    "space": ("kind: dimension\nspace: ring:Gamma9\ndegree: 1\nvalue: 1\n",
+              "unknown space 'ring:Gamma9' at line 7"),
+    "where-label": ("kind: identity\nwhere: Gamma9\nlhs: t1\nrhs: t1\n",
+                    "no stage with label 'Gamma9' at line 7"),
+    "stage-label": ("kind: lift_profile\nstage: Gamma9\nexact: 1\ncorrected: 0\n",
+                    "no stage with label 'Gamma9' at line 7"),
+    "tag": ("kind: pair_display\nwhere: Gamma1\ntag: zz\na_side: t1\n",
+            "Gamma1 gives no restriction for zz at line 8"),
+    "point": ("kind: evaluate\nwhere: Gamma1\nexpr: t1\npoint: t1=1; t2=x\nvalue: 1\n",
+              "claim field 'point' must be a rational number, not 'x' at line 9"),
+    "value": ("kind: evaluate\nwhere: Gamma1\nexpr: t1\npoint: t1=1; t2=0\nvalue: 1/0\n",
+              "claim field 'value' must be a rational number, not '1/0' at line 10"),
+    "vars-sign": ("kind: free_ring\nspace: ring:Gamma1\nvars: k1(1); e1(1)\n",
+                  "claim field 'vars': e1 is reserved for a sign symbol at line 8"),
+    "tvars-sign": ("kind: map_kernel_equal\nvars: u(1)\ntvars: eg(1)\nimages: u -> eg\n"
+                   "rhs: 0\n", "claim field 'tvars': eg is reserved for a sign symbol at line 8"),
+}
+
+
+@pytest.mark.parametrize("body, message", _BAD_FIELDS.values(), ids=_BAD_FIELDS)
+def test_a_bad_claim_field_names_the_claims_file_and_its_place(tmp_path, capsys, body,
+                                                              message):
+    path = tmp_path / "bad.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: bad-claim\n" + body)
+    (claim,) = load_claims(path=path)
+    store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
+    with pytest.raises(ParseError) as err:
+        chowpipeline.ClaimRunner(store).run(claim)
+    assert str(err.value) == f"{path}: {message}"
+    assert _sweep_error(tmp_path, body) == str(err.value)
+    strata = resources.files("chowcheck").joinpath("data", "strata")
+    assert main(["verify-paper", str(strata), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_claims_that_share_a_bad_text_each_name_their_own_line(tmp_path):
+    # a failed parse is not kept, so the second claim's parse fails again, at its own place
+    claim = "[claim]\nid: {}\nkind: identity\nwhere: Gamma1\nlhs: t1 + )\nrhs: t1\n\n"
+    path = tmp_path / "twice.claims"
+    path.write_text("[kind]\nclaims\n\n" + claim.format("first") + claim.format("second"))
+    rows = convention_search(load_claims(path=path),
+                             conventions=[SignConvention(e1, -1, -1, 1) for e1 in (-1, 1)])["rows"]
+    message = f"{path}: expected a polynomial, found ')' at line {{}}, column 11"
+    for row in rows:
+        assert row["errors"] == [{"id": "first", "error": message.format(8)},
+                                 {"id": "second", "error": message.format(15)}]
+
+
+def test_a_kernel_claim_rhs_reads_the_sign_symbols():
+    # the kernel of u -> t, w -> -t is (u + w): the stated u - e1*w is it when e1 = -1
+    claim = _claim(kind="map_kernel_equal", vars="u(1); w(1)", tvars="t(1)",
+                   images="u -> t; w -> -t", rhs="u - e1*w")
+    store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
+    assert [chowpipeline.ClaimRunner(store.under(SignConvention(e1, -1, -1, 1)))
+            .run(claim)["status"] for e1 in (-1, 1)] == ["PASS", "FAIL"]
 
 
 def _sweep_groups():
@@ -847,11 +958,12 @@ def test_a_parse_is_shared_by_conventions_that_agree_on_the_names_it_reads():
                    for e1 in (-1, 1))
     # Gamma1 reads e1, so the two runners read two strata of one spec
     assert minus.artifacts.stratum("Gamma1") is not plus.artifacts.stratum("Gamma1")
-    assert minus.psi("Gamma1", "e1*t1") != plus.psi("Gamma1", "e1*t1")
-    assert minus.psi("Gamma1", "t1 + t2") is plus.psi("Gamma1", "t1 + t2")
+    claim = _claim(where="Gamma1", lhs="e1*t1", rhs="t1 + t2", expr="e1*k2", row="e2*k2")
+    assert minus.parse(claim, "lhs") != plus.parse(claim, "lhs")
+    assert minus.parse(claim, "rhs") is plus.parse(claim, "rhs")
     base = store.base
-    assert minus.parse_in(base, "e1*k2") == -plus.parse_in(base, "e1*k2")
-    assert minus.parse_in(base, "e2*k2") is plus.parse_in(base, "e2*k2")
+    assert minus.parse(claim, "expr", base.table) == -plus.parse(claim, "expr", base.table)
+    assert minus.parse(claim, "row", base.table) is plus.parse(claim, "row", base.table)
 
 
 def test_an_unparsable_ring_text_fails_every_convention_alike(tmp_path):
@@ -1062,7 +1174,7 @@ def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(m
     fiber = store.stage("Gamma3pp")["fiber"]
     glued = sum(runs.values())
     fiber.series
-    space = chowpipeline.ClaimRunner(store).space("keralpha:Gamma3pp")
+    space = chowpipeline.ClaimRunner(store).space(_claim(space="keralpha:Gamma3pp"))
     assert len(space.relations.groebner(space.order)) == len(space.relations.gens)
     assert sum(runs.values()) == glued
     for pres in (fiber, space):
