@@ -560,6 +560,7 @@ class Claim:
             if e.key is None:
                 raise ParseError("claim entries need a key", e.line)
         self.fields = parse_map(((e.key, e, e.line) for e in entries), "[claim]")
+        self.read = set()  # the keys asked for, so `ClaimRunner.run` finds the unread
         self.id = self.get("id")
         self.kind = self.get("kind")
         self.expect = self.get("expect", "pass")
@@ -567,8 +568,11 @@ class Claim:
             self.reject(f"claim {self.id}: expect must be pass, fail or "
                         f"assumed, not {self.expect!r}", "expect")
         self.note = self.get("note", "")
+        self.sweep = self.get("sweep", None)
+        self.read_at_load = frozenset(self.read)  # each run starts from these
 
     def get(self, key, default=_REQUIRED):
+        self.read.add(key)
         if key in self.fields:
             return self.fields[key].value
         if default is _REQUIRED:
@@ -698,7 +702,11 @@ class ClaimRunner:
         handler = getattr(self, "kind_" + claim.kind, None)
         if handler is None:
             claim.reject(f"unknown claim kind {claim.kind!r}", "kind")
+        claim.read = set(claim.read_at_load)  # a sweep runs a claim once per convention
         passed, detail = handler(claim)
+        for key in claim.fields:  # the first field the kind left unread is an error
+            if key not in claim.read:
+                claim.reject(f"claim field {key!r} is not read by a {claim.kind} claim", key)
         status = "ASSUMED" if passed is None else "PASS" if passed else "FAIL"
         ok = status == claim.expect.upper()
         if detail and "corrected_ok" in detail:
@@ -746,8 +754,7 @@ class ClaimRunner:
         stratum = self.where(claim)
         f = self.parse(claim, "expr")
         point = claim.map("point", "=", stratum.table.names)
-        got = f.substitute({n: Polynomial.constant(stratum.table,
-                                                   claim.number("point", parse_rational, e))
+        got = f.substitute({n: claim.number("point", parse_rational, e)
                             for n, e in point.items()})
         want = claim.number("value", parse_rational)
         return got.is_constant() and got.constant_value() == want, str(got)
@@ -756,7 +763,8 @@ class ClaimRunner:
         stratum = self.where(claim)
         gens = [self.parse(claim, "gens", item=e) for e in claim.items("gens")]
         finite, count = zero_dimensional(Ideal(stratum.table, gens))
-        return finite and count == claim.number("count"), {"finite": finite, "count": count}
+        want = claim.number("count")  # read even when the ideal is not zero-dimensional
+        return finite and count == want, {"finite": finite, "count": count}
 
     def kind_pair_display(self, claim):
         stratum = self.where(claim)
@@ -765,12 +773,12 @@ class ClaimRunner:
         if tag not in stratum.restrictions:
             claim.reject(f"{stratum.label} gives no restriction for {tag}", "tag")
         true_form = stratum.restrictions[tag]
-        if claim.get("mode", "exact") == "bottom":
-            diff = shown - true_form
-            ok = Ideal(stratum.table, [stratum.top_form]).member(diff)
-        else:
-            ok = shown == true_form
-        return ok, None
+        mode = claim.get("mode", "exact")
+        if mode == "exact":
+            return shown == true_form, None
+        if mode != "bottom":
+            claim.reject(f"claim field 'mode' must be exact or bottom, not {mode!r}", "mode")
+        return Ideal(stratum.table, [stratum.top_form]).member(shown - true_form), None
 
     def kind_relation_row(self, claim):
         final = self.artifacts.final
@@ -786,9 +794,8 @@ class ClaimRunner:
         stage = self.artifacts.stage(self.label(claim, "stage"))
         dmax = claim.number("dmax")
         rows = [r for r in stage["info"]["surjectivity"] if r["degree"] <= dmax]
-        ok = bool(rows) and all(r["certified"] for r in rows) and rows[-1][
-            "degree"] == dmax
-        return ok, None
+        certified = all(r["certified"] for r in rows)
+        return bool(rows) and rows[-1]["degree"] == dmax and certified, None
 
     def kind_dimension(self, claim):
         pres = self.space(claim)
@@ -820,12 +827,11 @@ class ClaimRunner:
         exact = sum(1 for n in notes if n["correction"] is None)
         corrected = len(notes) - exact
         want = (claim.number("exact"), claim.number("corrected"))
-        return (exact, corrected) == want, {"exact": exact,
-                                            "corrected": corrected}
+        return (exact, corrected) == want, {"exact": exact, "corrected": corrected}
 
     def kind_assumption(self, claim):
-        # recorded, never checked: the hypothesis each gluing square rests on
-        return None, {"stage": claim.get("stage", ""),
+        # recorded, never evaluated: the hypothesis each gluing square rests on
+        return None, {"stage": self.label(claim, "stage") if claim.get("stage", "") else "",
                       "statement": claim.get("statement", "")}
 
 
@@ -937,9 +943,8 @@ def verify_paper(convention: SignConvention | None = None, dmax: int = 12,
     t3 = perf_counter()
     groups = {}
     for claim in claims:
-        tag = claim.get("sweep", None)
-        if tag:
-            groups.setdefault(tag, []).append(claim)
+        if claim.sweep:
+            groups.setdefault(claim.sweep, []).append(claim)
     sign_search = {tag: convention_search(group, store=artifacts)
                    for tag, group in sorted(groups.items())}
     timing["sign_search_s"] = round(perf_counter() - t3, 3)

@@ -196,10 +196,7 @@ class _ExprParser:
                 self.expect_op(")")
                 return fn(arg)
             if t.value in self.env:
-                val = self.env[t.value]
-                if isinstance(val, (int, Fraction)):
-                    return Polynomial.constant(self.context, val)
-                return val
+                return self.context.own(self.env[t.value])
             if t.value in self.context._position:
                 return Polynomial.variable(self.context, t.value)
             raise ParseError(f"unknown identifier {t.value!r}", t.line, t.col)

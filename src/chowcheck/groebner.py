@@ -302,8 +302,7 @@ def _packed_run(gens, order: MonomialOrder, run):
     again at double width."""
     context = gens[0].context
     for g in gens:
-        if g.context != context:
-            raise ValueError("generators live in different variable tables")
+        context.own(g, "generator")
     pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
     while True:
         try:
@@ -649,15 +648,8 @@ class Ideal:
 
     def __init__(self, context: VarTable, gens):
         self.context = context
-        clean = []
-        for g in gens:
-            if isinstance(g, (int, Fraction)):
-                g = Polynomial.constant(context, g)
-            if g.context != context:
-                raise ValueError("generator lives in a different variable table")
-            if not g.is_zero():
-                clean.append(g)
-        self.gens = tuple(clean)
+        gens = [context.own(g, "generator") for g in gens]
+        self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = {}
 
     def __repr__(self):
@@ -676,21 +668,15 @@ class Ideal:
                                             or _Reducers.of((), order, len(self.context)))
         return cached
 
-    def _checked(self, f: Polynomial) -> Polynomial:
-        """f, checked to live in this ideal's table."""
-        if f.context != self.context:
-            raise ValueError("polynomial lives in a different variable table")
-        return f
-
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         """Remainder modulo the reduced basis, via `reduce_full` on its
         packed entries."""
-        return reduce_full(self._checked(f), self.groebner(order), order)
+        return reduce_full(self.context.own(f), self.groebner(order), order)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         """Whether f reduces to zero modulo the reduced basis; the reduction
         stops at the first term no leading monomial divides."""
-        return not _packed_reduce(self._checked(f), self.groebner(order), stop=True)[3]
+        return not _packed_reduce(self.context.own(f), self.groebner(order), stop=True)[3]
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -785,8 +771,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     basis, sorted and monic (`_with_basis`).
     """
     ctx = I.context
-    if J.context != ctx:
-        raise ValueError("ideals live in different variable tables")
+    ctx.own(J, "ideal")
     if I.is_zero() or J.is_zero():
         return Ideal(ctx, [])
     tname = _fresh_names("_t", 1, set(ctx.names))[0]
@@ -815,8 +800,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """Colon ideal (I : f) via intersection with the principal ideal (f)."""
-    if f.context != I.context:
-        raise ValueError("polynomial lives in a different variable table")
+    f = I.context.own(f)
     if f.is_zero():
         raise ValueError("colon by the zero polynomial")
     H = intersect(I, Ideal(I.context, [f]))
@@ -847,15 +831,8 @@ class Subalgebra:
 
     def __init__(self, context: VarTable, gens, tag_table: VarTable | None = None,
                  relations: Ideal | None = None):
-        names = []
-        images = []
-        for n, g in gens:
-            if isinstance(g, (int, Fraction)):
-                g = Polynomial.constant(context, g)
-            if g.context != context:
-                raise ValueError("generator lives in a different variable table")
-            names.append(n)
-            images.append(g)
+        names = [n for n, _ in gens]
+        images = [context.own(g, "generator") for _, g in gens]
         if tag_table is None:
             tag_table = VarTable(names, [max(g.weighted_degree(), 1) for g in images])
         rename = {}  # context variable -> its name in the graph table
@@ -876,9 +853,8 @@ class Subalgebra:
                             welim + tag_table.weights)
         graph = []
         if relations is not None:
-            if relations.context != context:
-                raise ValueError("relations live in a different variable table")
-            graph = [g.rename(combined, rename) for g in relations.gens]
+            graph = [g.rename(combined, rename)
+                     for g in context.own(relations, "relation ideal").gens]
         for n, g in zip(names, images):
             if n not in shared:
                 graph.append(Polynomial.variable(combined, n) - g.rename(combined, rename))
@@ -903,8 +879,7 @@ class Subalgebra:
 
     def express(self, f: Polynomial):
         """f as a Polynomial over the tag table, or None when not a member."""
-        if f.context != self.context:
-            raise ValueError("polynomial lives in a different variable table")
+        f = self.context.own(f)
         nf = self.graph.normal_form(f.rename(self.graph.context, self._rename), self.order)
         if nf.support_names() <= set(self.tag_table.names):
             return nf.rename(self.tag_table)

@@ -95,8 +95,7 @@ class GroupAction:
         return len(self.elements)
 
     def act(self, element: tuple, poly: Polynomial) -> Polynomial:
-        if poly.context != self.table:
-            raise InvariantError("polynomial lives in a different variable table")
+        poly = self.table.own(poly, "polynomial", InvariantError)
         terms = {}
         for mono, coeff in poly.terms.items():
             key, sign = _image(element, mono)
@@ -105,8 +104,7 @@ class GroupAction:
 
     def transfer(self, poly: Polynomial) -> Polynomial:
         """Sum of the whole orbit, with multiplicity |stabilizer|."""
-        if poly.context != self.table:
-            raise InvariantError("polynomial lives in a different variable table")
+        poly = self.table.own(poly, "polynomial", InvariantError)
         terms = {}
         for g in self.elements:
             for mono, coeff in poly.terms.items():

@@ -76,6 +76,16 @@ class VarTable:
     def weight(self, name: str) -> int:
         return self.weights[self.index(name)]
 
+    def own(self, value, what="polynomial", error=ValueError):
+        """`value` as an element over this table: a number becomes a
+        constant, a polynomial or ideal of another table raises `error`
+        naming it as `what`, and anything else comes back unchanged."""
+        if isinstance(value, (int, Fraction)):
+            return Polynomial.constant(self, value)
+        if getattr(value, "context", self) != self:
+            raise error(f"{what} lives in a different variable table")
+        return value
+
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
@@ -256,14 +266,9 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.context != other.context:
-            raise ValueError("polynomials live in different variable tables")
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.context, other)
-        self._check(other)
+        if not isinstance(other, Polynomial) or other.context != self.context:
+            other = self.context.own(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
@@ -287,8 +292,6 @@ class Polynomial:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.context, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -301,7 +304,8 @@ class Polynomial:
             if c:
                 out.terms = {m: v * c for m, v in self.terms.items()}
             return out
-        self._check(other)
+        if other.context != self.context:
+            self.context.own(other)  # raises
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -341,7 +345,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.terms == Polynomial.constant(self.context, other).terms
+            other = self.context.own(other)
         return (
             isinstance(other, Polynomial)
             and self.context == other.context
@@ -370,16 +374,9 @@ class Polynomial:
                     break
         if target is None:
             target = self.context
-        images = []
-        for name in self.context.names:
-            img = mapping.get(name)
-            if img is None:
-                img = Polynomial.variable(target, name)
-            elif isinstance(img, (int, Fraction)):
-                img = Polynomial.constant(target, img)
-            elif img.context != target:
-                raise ValueError("substitution images live in different variable tables")
-            images.append(img)
+        images = [Polynomial.variable(target, name) if mapping.get(name) is None
+                  else target.own(mapping[name], f"image of {name}")
+                  for name in self.context.names]
         # cache powers per variable to keep repeated exponents cheap
         powers: list[dict[int, Polynomial]] = [{} for _ in images]
         out = Polynomial.zero(target)

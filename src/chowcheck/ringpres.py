@@ -13,7 +13,6 @@ corrected over the rows of its degree (`apply_quotient`)."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
@@ -46,25 +45,15 @@ class Presentation:
 
     def __init__(self, table: VarTable, relations=()):
         self.table = table
-        given = relations if isinstance(relations, Ideal) else None
-        if given is not None:
-            if given.context != table:
-                raise PresentationError("relations live in a different variable table")
-            relations = given.gens
-        rels = []
-        for rel in relations:
-            if isinstance(rel, (int, Fraction)):
-                rel = Polynomial.constant(table, rel)
-            if rel.context != table:
-                raise PresentationError("relation lives in a different variable table")
-            if rel.is_zero():
-                continue
+        if not isinstance(relations, Ideal):
+            relations = Ideal(table, [table.own(rel, "relation", PresentationError)
+                                      for rel in relations])
+        self.relations = table.own(relations, "relation ideal", PresentationError)
+        for rel in relations.gens:
             if not rel.is_homogeneous():
                 raise PresentationError(f"relation is not weighted-homogeneous: {rel}")
             if rel.is_constant():  # in positive weights, the one way to the unit ideal
                 raise PresentationError("relations collapse the ring to zero")
-            rels.append(rel)
-        self.relations = Ideal(table, rels) if given is None else given
         self.order = MonomialOrder.wgrevlex(table.weights)
         self._series = None
 
@@ -123,12 +112,7 @@ class Morphism:
         for name in source.table.names:
             if name not in images:
                 raise PresentationError(f"no image given for generator {name}")
-            img = images[name]
-            if isinstance(img, (int, Fraction)):
-                img = Polynomial.constant(target.table, img)
-            if img.context != target.table:
-                raise PresentationError(f"image of {name} lives in the wrong table")
-            fixed[name] = img
+            fixed[name] = target.table.own(images[name], f"image of {name}", PresentationError)
         self.images = fixed
         for name, img in fixed.items():
             if img.is_zero():
@@ -146,8 +130,7 @@ class Morphism:
         return f.substitute(self.images, target=self.target.table)
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        if f.context != self.source.table:
-            raise PresentationError("argument lives in a different variable table")
+        f = self.source.table.own(f, "argument", PresentationError)
         return self.target.normal_form(self._raw(f))
 
     def kernel(self) -> Ideal:

@@ -66,17 +66,16 @@ def test_only_the_document_reader_calls_parse_document():
     assert calls and calls == inside
 
 
-def _callers(tree, callee) -> set:
-    """The functions of a module, as `function` or `Class.method`, that call
-    `callee` by name, a nested function or lambda counting as its owner's;
-    None for a call outside every function."""
-    callers = set()
+def _owners(tree, match) -> set:
+    """The functions of a module, as `function` or `Class.method`, holding a
+    node that `match` accepts, a nested function or lambda counting as its
+    owner's; None for a node outside every function."""
+    owners = set()
 
     def visit(node, owner, prefix):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and callee
-                    == getattr(child.func, "id", getattr(child.func, "attr", None))):
-                callers.add(owner)
+            if match(child):
+                owners.add(owner)
             if isinstance(child, ast.ClassDef) and owner is None:
                 visit(child, None, f"{prefix}{child.name}.")
             elif isinstance(child, ast.FunctionDef) and owner is None:
@@ -85,7 +84,16 @@ def _callers(tree, callee) -> set:
                 visit(child, owner, prefix)
 
     visit(tree, None, "")
-    return callers
+    return owners
+
+
+def _name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _callers(tree, callee) -> set:
+    """The functions of a module that call `callee` by name (`_owners`)."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and _name(node) == callee)
 
 
 def test_only_the_stratum_and_claim_readers_parse_a_pipeline_text():
@@ -95,6 +103,29 @@ def test_only_the_stratum_and_claim_readers_parse_a_pipeline_text():
     tree = ast.parse((SRC / "chowpipeline.py").read_text(encoding="utf-8"))
     assert _callers(tree, "_parsed") == {"Stratum._form", "ClaimRunner.parse"}
     assert _callers(tree, "parse_polynomial") == {"_parsed"}
+
+
+def test_only_the_table_owner_checks_a_table_or_makes_a_number_a_constant():
+    # VarTable.own is the one place that rejects a value of another table and
+    # turns a number into a constant for a caller; a check of its own would
+    # word the error its own way, and a coercion of its own could skip the check
+    def table_error(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(leaf, ast.Constant) and "variable table" in str(leaf.value)
+            for leaf in ast.walk(node))
+
+    def number_test(node):
+        if not (isinstance(node, ast.Call) and _name(node) == "isinstance"
+                and len(node.args) == 2):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(getattr(kind, "id", None) in ("int", "Fraction") for kind in kinds)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {"VarTable.own"} if path.name == "polyarith.py" else set()
+        assert _owners(tree, table_error) == owner, path.name
+        assert _owners(tree, number_test) & _callers(tree, "constant") == owner, path.name
 
 
 def test_only_the_map_reader_splits_a_value_on_an_arrow_or_equals_sign():

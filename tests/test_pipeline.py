@@ -794,6 +794,13 @@ _BAD_FIELDS = {
                   "claim field 'vars': e1 is reserved for a sign symbol at line 8"),
     "tvars-sign": ("kind: map_kernel_equal\nvars: u(1)\ntvars: eg(1)\nimages: u -> eg\n"
                    "rhs: 0\n", "claim field 'tvars': eg is reserved for a sign symbol at line 8"),
+    "unread-field": ("kind: relation_row\nrow: k1\ncorected: 1\n",
+                     "claim field 'corected' is not read by a relation_row claim at line 8"),
+    "mode": ("kind: pair_display\nwhere: Gamma1\ntag: k1\na_side: e1*(t1 + t2)\n"
+             "mode: bootom\n", "claim field 'mode' must be exact or bottom, not 'bootom' "
+             "at line 10"),
+    "assumption-stage": ("kind: assumption\nstage: Gamma9\nstatement: glued\n",
+                         "no stage with label 'Gamma9' at line 7"),
 }
 
 
@@ -807,10 +814,44 @@ def test_a_bad_claim_field_names_the_claims_file_and_its_place(tmp_path, capsys,
     with pytest.raises(ParseError) as err:
         chowpipeline.ClaimRunner(store).run(claim)
     assert str(err.value) == f"{path}: {message}"
-    assert _sweep_error(tmp_path, body) == str(err.value)
+    if claim.kind != "assumption":  # the sweep leaves assumptions out
+        assert _sweep_error(tmp_path, body) == str(err.value)
     strata = resources.files("chowcheck").joinpath("data", "strata")
     assert main(["verify-paper", str(strata), str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_a_zero_dim_claim_on_a_positive_dimensional_ideal_fails_under_every_convention(
+        tmp_path):
+    # (t1) is not zero-dimensional over Gamma1, so `count:` is read, never compared
+    path = tmp_path / "zero_dim.claims"
+    path.write_text("[kind]\nclaims\n\n[claim]\nid: not-finite\nkind: zero_dim\n"
+                    "where: Gamma1\ngens: t1\ncount: 1\nexpect: fail\n")
+    (claim,) = load_claims(path=path)
+    store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
+    row = chowpipeline.ClaimRunner(store).run(claim)
+    assert (row["status"], row["ok"]) == ("FAIL", True)
+    assert row["detail"] == {"finite": False, "count": None}
+    rows = convention_search([claim], conventions=[SignConvention(e1, -1, -1, 1)
+                                                   for e1 in (-1, 1)])["rows"]
+    assert [(r["failed"], r["errors"]) for r in rows] == [(["not-finite"], [])] * 2
+
+
+def test_a_claim_field_counts_as_read_only_in_the_run_that_reads_it(monkeypatch):
+    claim = _claim(extra="1")
+    first = iter([True, False])
+
+    def identity(self, claim):  # reads `extra:` in its first run only
+        if next(first):
+            claim.get("extra")
+        return True, None
+
+    monkeypatch.setattr(chowpipeline.ClaimRunner, "kind_identity", identity)
+    runner = chowpipeline.ClaimRunner(
+        chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs()))
+    assert runner.run(claim)["status"] == "PASS"
+    with pytest.raises(ParseError, match="claim field 'extra' is not read by a identity claim"):
+        runner.run(claim)
 
 
 def test_claims_that_share_a_bad_text_each_name_their_own_line(tmp_path):
@@ -1179,3 +1220,56 @@ def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(m
     assert sum(runs.values()) == glued
     for pres in (fiber, space):
         assert (pres.relations.gens, pres.order.tag) not in runs
+
+
+def _reverse_entries(section):
+    """A stratum-file rewrite: the entries of `[section]` in reverse order,
+    each comment kept at its line."""
+    def rewrite(text):
+        lines, inside, entries = text.split("\n"), False, []
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                inside = line == f"[{section}]"
+            elif inside and line.strip() and not line.startswith("#"):
+                entries.append(i)
+        for i, line in zip(entries, [lines[i] for i in reversed(entries)]):
+            lines[i] = line
+        return "\n".join(lines)
+    return rewrite
+
+
+def _pairs_last(text):
+    # every shipped [pairs] section has one entry, so the section moves instead
+    start = text.find("[pairs]\n")
+    end = text.find("\n[", start)
+    if start < 0 or end < 0:  # no [pairs] section, or it is the last already
+        return text
+    return text[:start] + text[end + 1:] + "\n" + text[start:end] + "\n"
+
+
+# one rewrite of each kind that keeps the mathematics of every stratum file:
+# Gamma3p's S3 from (w1 w2) and (w2 w3) in place of (w1 w2) and (w1 w2 w3)
+_REWRITES = {
+    "vars": _reverse_entries("vars"),
+    "ring": _reverse_entries("ring"),
+    "restrict": _reverse_entries("restrict"),
+    "pairs": _pairs_last,
+    "group": lambda text: text.replace("w1 -> w2; w2 -> w3; w3 -> w1",
+                                       "w1 -> w1; w2 -> w3; w3 -> w2"),
+}
+
+
+@pytest.mark.parametrize("kind", _REWRITES)
+def test_a_stratum_file_written_another_way_keeps_every_verdict(tmp_path, claim_rows, kind):
+    root = _data_copy(tmp_path)
+    changed = []
+    for path in sorted((root / "strata").glob("*.stratum")):
+        text = path.read_text()
+        path.write_text(_REWRITES[kind](text))
+        if path.read_text() != text:
+            changed.append(path.name)
+    assert changed
+    runner = chowpipeline.ClaimRunner(run_pipeline(root=root / "strata"))
+    verdicts = {claim.id: runner.run(claim) for claim in load_claims()}
+    assert ({i: (row["status"], row["ok"]) for i, row in verdicts.items()}
+            == {i: (row["status"], row["ok"]) for i, row in claim_rows.items()})

@@ -167,3 +167,86 @@ def test_equal_polynomials_hash_equal_whatever_built_them():
     other = VarTable(["x", "y"], [1, 1])
     moved = built.rename(other)
     assert moved != built and len({built: 0, moved: 1}) == 2
+
+
+def _owned_entry_points():
+    """Each entry point that takes a value over the (x, y) table: the call on
+    the value, the error it raises for a value of another table, the name it
+    gives the value, and, where it takes a plain number as a constant, a
+    check of that."""
+    from chowcheck.exprparser import parse_polynomial
+    from chowcheck.groebner import (Ideal, Subalgebra, buchberger, ideal_quotient,
+                                    intersect)
+    from chowcheck.invariants import GroupAction, InvariantError
+    from chowcheck.ringpres import Morphism, Presentation, PresentationError
+
+    xy = VarTable(["x", "y"])
+    x = Polynomial.variable(xy, "x")
+    ring, k1 = Presentation(xy), Presentation(VarTable(["k1"]))
+    swap = GroupAction(xy, [{"x": "y", "y": "x"}])
+
+    def collapses():  # a nonzero constant relation is the unit ideal
+        with pytest.raises(PresentationError, match="collapse the ring to zero"):
+            Presentation(xy, [2])
+        return True
+
+    return {
+        "add": (lambda p: x + p, ValueError, "polynomial", None),
+        "sub": (lambda p: x - p, ValueError, "polynomial", None),
+        "mul": (lambda p: x * p, ValueError, "polynomial", None),
+        "substitute": (lambda p: x.substitute({"x": p}, target=xy), ValueError, "image of x",
+                       lambda: x.substitute({"x": 2}, target=xy) == Polynomial.constant(xy, 2)),
+        "buchberger": (lambda p: buchberger([x, p]), ValueError, "generator", None),
+        "Ideal": (lambda p: Ideal(xy, [p]), ValueError, "generator",
+                  lambda: Ideal(xy, [3]).gens == (Polynomial.constant(xy, 3),)),
+        "member": (lambda p: Ideal(xy, [x]).member(p), ValueError, "polynomial", None),
+        "normal_form": (lambda p: Ideal(xy, [x]).normal_form(p), ValueError, "polynomial", None),
+        "intersect": (lambda p: intersect(Ideal(xy, [x]), Ideal(p.context, [p])), ValueError,
+                      "ideal", None),
+        "ideal_quotient": (lambda p: ideal_quotient(Ideal(xy, [x]), p), ValueError,
+                           "polynomial", None),
+        "Subalgebra": (lambda p: Subalgebra(xy, [("a", p)]), ValueError, "generator",
+                       lambda: Subalgebra(xy, [("a", 2)]).gens
+                       == (("a", Polynomial.constant(xy, 2)),)),
+        "Subalgebra-relations": (lambda p: Subalgebra(xy, [("a", x)], None,
+                                                      Ideal(p.context, [p])),
+                                 ValueError, "relation ideal", None),
+        "express": (lambda p: Subalgebra(xy, [("a", x)]).express(p), ValueError,
+                    "polynomial", None),
+        "Presentation": (lambda p: Presentation(xy, [p]), PresentationError, "relation",
+                         collapses),
+        "Presentation-ideal": (lambda p: Presentation(xy, Ideal(p.context, [p])),
+                               PresentationError, "relation ideal", None),
+        "Morphism": (lambda p: Morphism(k1, ring, {"k1": p}), PresentationError,
+                     "image of k1",
+                     lambda: Morphism(k1, ring, {"k1": 0}).images == {"k1": Polynomial.zero(xy)}),
+        "Morphism-call": (lambda p: Morphism(k1, ring, {"k1": x})(p), PresentationError,
+                          "argument", None),
+        "act": (lambda p: swap.act(swap.generators[0], p), InvariantError, "polynomial", None),
+        "transfer": (lambda p: swap.transfer(p), InvariantError, "polynomial", None),
+        "parse-env": (lambda p: parse_polynomial("p", xy, {"p": p}), ValueError,
+                      "polynomial", None),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_owned_entry_points()))
+def test_every_entry_point_rejects_a_value_of_another_table_in_one_wording(entry):
+    # y over (y, x) has the exponents of x over (x, y): read in the wrong
+    # table it would pass for x
+    call, error, what, takes_a_number = _owned_entry_points()[entry]
+    y = Polynomial.variable(VarTable(["y", "x"]), "y")
+    with pytest.raises(error, match=f"^{what} lives in a different variable table$"):
+        call(y)
+    if takes_a_number is not None:
+        assert takes_a_number()
+
+
+def test_a_table_owns_numbers_and_its_own_values_and_leaves_the_rest():
+    xy = VarTable(["x", "y"])
+    x = Polynomial.variable(xy, "x")
+    assert xy.own(Fraction(1, 2)) == Polynomial.constant(xy, Fraction(1, 2))
+    assert xy.own(x) is x
+    assert xy.own("x") == "x"
+    assert VarTable(["x", "y"]).own(x) is x  # equal tables are one table
+    with pytest.raises(KeyError, match="thing lives in a different variable table"):
+        VarTable(["x", "y"], [1, 2]).own(x, "thing", KeyError)
