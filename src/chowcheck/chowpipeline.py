@@ -34,7 +34,6 @@ are flagged exactly, with corrected forms verified alongside.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from copy import copy
 from importlib import resources
@@ -42,7 +41,7 @@ from itertools import product
 from pathlib import Path
 from time import perf_counter
 
-from .polyarith import MonomialOrder, Polynomial, VarTable
+from .polyarith import NAME, MonomialOrder, Polynomial, VarTable
 from .groebner import (
     HilbertSeries,
     Ideal,
@@ -126,7 +125,7 @@ def _parsed(built: dict, source, entry: Entry, table: VarTable, env: dict, funct
     kept, so a failing text fails at each place it is read.  A memo given
     `functions` must be the spec's, whose one action they come from."""
     text = entry.value
-    reads = tuple((name, env[name]) for name in _NAME_RE.findall(text) if name in env)
+    reads = tuple((name, env[name]) for name in NAME.findall(text) if name in env)
     key = ("parse", text, table, tuple(functions or ()), reads)
     if key not in built:
         with in_file(source):
@@ -187,9 +186,6 @@ def _data_path(name: str, root=None):
                         + ("" if root is None else f" under {root}"))
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 class StratumSpec:
     """Raw, convention-independent contents of one stratum file, and the
     `algebra` memo its strata share: their action, parses and invariance checks."""
@@ -221,7 +217,7 @@ class StratumSpec:
         self.signs_read = frozenset(
             name for e in [*self.defs.values(), *(e for _, e in self.ring.values()),
                            self.top, *self.restrict.values(), *self.pairs.values()]
-            for name in _NAME_RE.findall(e.value) if name in SIGN_NAMES)
+            for name in NAME.findall(e.value) if name in SIGN_NAMES)
         self.algebra = {}
 
     @staticmethod
@@ -791,11 +787,12 @@ class ClaimRunner:
         return in_ideal, detail
 
     def kind_surjectivity(self, claim):
-        stage = self.artifacts.stage(self.label(claim, "stage"))
-        dmax = claim.number("dmax")
-        rows = [r for r in stage["info"]["surjectivity"] if r["degree"] <= dmax]
-        certified = all(r["certified"] for r in rows)
-        return bool(rows) and rows[-1]["degree"] == dmax and certified, None
+        label, dmax, bound = self.label(claim, "stage"), claim.number("dmax"), self.artifacts.dmax
+        if not 0 <= dmax <= bound:  # the run certifies degrees 0..bound, no others
+            claim.reject(f"claim field 'dmax' must lie in 0..{bound}, the degrees "
+                         f"this run checks, not {dmax}", "dmax")
+        rows = self.artifacts.stage(label)["info"]["surjectivity"]
+        return all(r["certified"] for r in rows if r["degree"] <= dmax), None
 
     def kind_dimension(self, claim):
         pres = self.space(claim)

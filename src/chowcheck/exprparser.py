@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .polyarith import Polynomial, VarTable
+from .polyarith import NAME, Polynomial, VarTable
 
 
 class ParseError(ValueError):
@@ -40,10 +40,10 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<num>\d+(?:/\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{NAME.pattern})
   | (?P<op>[-+*^(),;])
   | (?P<slash>/)
   | (?P<bad>.)
@@ -386,7 +386,7 @@ def read_document(path, kinds: tuple):
         yield doc
 
 
-_DECLARATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\)|:(.*))?")
+_DECLARATION_RE = re.compile(rf"({NAME.pattern})\s*(?:\((.*)\)|:(.*))?")
 
 
 def parse_declaration(text: str, line=None) -> tuple:

@@ -48,9 +48,11 @@ exact rationals, and `Ideal.member` runs it only up to the first term no
 leading monomial divides.  The reduced basis leaves `buchberger` as the primitive
 integer reducers of that pass (`_Reducers`), and an Ideal keeps that one
 object per order: normal forms reduce with it as it is, and its monic
-polynomials are built only when a caller reads the basis.  The one caller
-that keeps its own rows packed, `ringpres._AlphaRows`, runs `_reduce` on
-the same entries (`Ideal.groebner`).
+polynomials are built only when a caller reads the basis.  `ImageRows`
+reduces the packed images of a graded map's source monomials with the same
+entries, degree by degree, and keys a target form and scales a row back as
+its callers need, so no module outside this one reads a packing.  Every
+restart at double width goes through one helper, `_widened`.
 
 Derived operations follow the standard eliminations.  `Subalgebra` is the
 one builder of a graph ideal (tag - generator, tags ordered after the
@@ -91,7 +93,7 @@ from .polyarith import (
 # packed monomials
 
 class _Overflow(Exception):
-    """A packed product set a guard bit: the call is redone at double width."""
+    """A packed monomial would set a guard bit: `_widened` doubles the width."""
 
 
 def _largest_field(order: MonomialOrder, monos) -> int:
@@ -296,6 +298,28 @@ def _spoly(f, g, qf: int, qg: int, guard: int) -> dict:
     return out
 
 
+def _times(f: dict, g: dict, guard: int) -> dict:
+    """Product of packed integer terms; _Overflow when a guard bit is set."""
+    out = {}
+    for k, c in f.items():
+        for q, d in g.items():
+            kq = k + q
+            out[kq] = out.get(kq, 0) + c * d
+    if any(k & guard for k in out):
+        raise _Overflow
+    return {k: c for k, c in out.items() if c}
+
+
+def _widened(start, attempt):
+    """attempt(start), run again on `start.doubled()` (a packing, or a basis
+    packed at double width) each time it raises _Overflow."""
+    while True:
+        try:
+            return attempt(start)
+        except _Overflow:
+            start = start.doubled()
+
+
 def _packed_run(gens, order: MonomialOrder, run):
     """run(packed, pk) on the nonzero `gens` packed as primitive integer
     terms, in their order; a product that sets a guard bit starts the run
@@ -304,11 +328,7 @@ def _packed_run(gens, order: MonomialOrder, run):
     for g in gens:
         context.own(g, "generator")
     pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
-    while True:
-        try:
-            return run([pk.int_terms(g)[0] for g in gens], pk)
-        except _Overflow:
-            pk = pk.doubled()
+    return _widened(pk, lambda pk: run([pk.int_terms(g)[0] for g in gens], pk))
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX):
@@ -583,14 +603,6 @@ class _Reducers:
                    for lm, lc, terms, i in self.entries]
         return _Reducers(pk, entries, self.lifts, self.context, self._basis)
 
-    def fitting(self, monos) -> "_Reducers":
-        """Self, or the basis packed again wide enough that the collection
-        `monos` fits too."""
-        red = self
-        while not red.packing.fits(monos):
-            red = red.doubled()
-        return red
-
 
 def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quotients=False):
     """Remainder of f modulo a list of polynomials (top and tail reduction).
@@ -614,18 +626,16 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX, with_quoti
 
 def _packed_reduce(f: Polynomial, red: _Reducers, with_quotients=False, stop=False):
     """(red, lift, quotients, rem, scale): `_reduce` of f packed by `red`,
-    which is widened until every product fits; f's packed terms are lift * f
-    (`_Packing.int_terms`)."""
-    red = red.fitting(f.terms)
-    while True:
-        pk = red.packing
-        work, lift = pk.int_terms(f)
+    which is widened until f and every product fit; f's packed terms are
+    lift * f (`_Packing.int_terms`)."""
+    def attempt(red):
+        if not red.packing.fits(f.terms):
+            raise _Overflow
+        work, lift = red.packing.int_terms(f)
         quotients = [{} for _ in range(len(red))] if with_quotients else None
-        try:
-            return (red, lift, quotients,
-                    *_reduce(work, red.entries, pk.guard, quotients, stop=stop))
-        except _Overflow:
-            red = red.doubled()
+        return (red, lift, quotients,
+                *_reduce(work, red.entries, red.packing.guard, quotients, stop=stop))
+    return _widened(red, attempt)
 
 
 def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
@@ -636,6 +646,68 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     if not r.is_zero():
         raise ValueError("polynomial is not divisible")
     return qs[0]
+
+
+class ImageRows:
+    """The images of the monomials of Q[source] under a graded map into
+    Q[target]/ideal, by degree, as packed integer rows.
+
+    `rows(d)` gives the number of degree-d monomials and, for each m that
+    `keep` accepts, (m, row, s): row is image(m) packed and reduced by the
+    basis of `ideal` under `order`, and equals s * L^m * image(m) there
+    (`scale`).  Gen i is L_i times the image of x_i (`_Packing.int_terms`);
+    raw[m] = raw[m / x_i] * gen_i, x_i the last variable of m, is built on
+    first use and kept.  A product that sets a guard bit drops every raw
+    image and row, and builds again at double width (`_widened`)."""
+
+    __slots__ = ("source", "images", "keep", "red", "gens", "lifts", "raw", "built")
+
+    def __init__(self, source: VarTable, images, ideal: Ideal, order: MonomialOrder, keep):
+        self.source = source
+        self.images = images
+        self.keep = keep
+        _widened(ideal.groebner(order), self._pack)
+
+    def _pack(self, red: _Reducers):
+        if not red.packing.fits(m for f in self.images for m in f.terms):
+            raise _Overflow
+        self.red = red
+        self.gens, self.lifts = zip(*map(red.packing.int_terms, self.images))
+        self.raw = {(0,) * len(self.gens): {0: 1}}
+        self.built = {}
+
+    def rows(self, d: int) -> tuple:
+        """(number of degree-d source monomials, [(m, row, s)])."""
+        if d not in self.built:
+            _widened(self.red, lambda red: self._build(red, d))
+        return self.built[d]
+
+    def _build(self, red: _Reducers, d: int):
+        if red is not self.red:
+            self._pack(red)
+        guard = red.packing.guard
+        monos = standard_monomials(Ideal(self.source, ()), d,
+                                   MonomialOrder.wgrevlex(self.source.weights))
+        self.built[d] = len(monos), [(m, *_reduce(dict(self._image(m, guard)), red.entries, guard))
+                                     for m in monos if self.keep(m)]
+
+    def _image(self, m: tuple, guard: int) -> dict:
+        got = self.raw.get(m)
+        if got is None:
+            i = max(j for j, e in enumerate(m) if e)
+            got = self.raw[m] = _times(self._image(m[:i] + (m[i] - 1,) + m[i + 1:], guard),
+                                       self.gens[i], guard)
+        return got
+
+    def key(self, f: Polynomial) -> dict:
+        """f, of the degree of the rows last returned, keyed as they are: under
+        a degree order every monomial of one degree fits once one does."""
+        pack = self.red.packing.pack
+        return {pack(m): c for m, c in f.terms.items()}
+
+    def scale(self, m: tuple, s) -> Fraction:
+        """s * L^m, the factor that maps the row of m back to its image."""
+        return s * math.prod(map(pow, self.lifts, m))
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +731,7 @@ class Ideal:
     def groebner(self, order: MonomialOrder = GREVLEX) -> _Reducers:
         """Reduced monic basis, cached write-once per order as `buchberger`
         packed it, or as handed over by `_with_basis`; its polynomials are
-        built only when read.  Callers that
-        need a wider packing make a new one (`fitting`, `doubled`)."""
+        built only when read, and a wider packing is a new one (`doubled`)."""
         cached = self._gb.get(order.tag)
         if cached is None:
             # no generators, no basis: the packing then comes from the table

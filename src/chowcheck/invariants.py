@@ -23,7 +23,6 @@ from .groebner import (
     Ideal,
     Subalgebra,
     _fresh_names,
-    hilbert_numerator,
     standard_monomials,
     subalgebra_member,
 )
@@ -218,14 +217,16 @@ def algebra_generators(action: GroupAction) -> list:
     when none is left.  There, candidates are taken in invariant_basis
     order and kept when they are not already expressible in the generators.
     """
-    return [g for _, g in _generator_span(action, molien_series(action)).gens]
+    return [g for _, g in _generator_span(action, molien_series(action))[0].gens]
 
 
-def _generator_span(action: GroupAction, molien: HilbertSeries) -> Subalgebra:
-    """The generators of `algebra_generators` as one `Subalgebra`."""
+def _generator_span(action: GroupAction, molien: HilbertSeries) -> tuple:
+    """The generators of `algebra_generators` as one `Subalgebra`, and the
+    presentation of the algebra they span: the kernel over their tags."""
     selected, span = [], None  # one Subalgebra per state of `selected`
-    series = HilbertSeries({0: 1})  # no generators span the constants
-    while (d := series.first_difference(molien)) is not None:
+    pres = Presentation(VarTable(()))  # no generators span the constants
+    while (d := pres.series.first_difference(molien)) is not None:
+        known = len(selected)
         for f in invariant_basis(action, d):
             if selected:
                 span = span or _span(action, selected)
@@ -233,25 +234,16 @@ def _generator_span(action: GroupAction, molien: HilbertSeries) -> Subalgebra:
                     continue
             selected.append(f)
             span = None
+        if len(selected) == known:  # no new generator: a wrong kernel, named by the caller
+            break
         span = span or _span(action, selected)
-        series = _span_series(span)
-    return span or _span(action, selected)
+        pres = Presentation(span.tag_table, span.kernel())
+    return span or _span(action, selected), pres
 
 
 def _span(action: GroupAction, selected: list) -> Subalgebra:
     names = _fresh_names("z", len(selected), set(action.table.names), start=1)
     return Subalgebra(action.table, list(zip(names, selected)))
-
-
-def _span_series(span: Subalgebra) -> HilbertSeries:
-    """The Hilbert series of a span of homogeneous generators: under the
-    block order the tag-only part of its graph basis is a basis of the
-    kernel over the tags, whose weights are the generators' degrees."""
-    tags = len(span.tag_table)
-    lms = [g.leading_monomial(span.order) for g in span.graph.groebner(span.order)]
-    kernel = [m[-tags:] for m in lms if not any(m[:-tags])]
-    return HilbertSeries(hilbert_numerator(kernel, span.tag_table.weights),
-                         span.tag_table.weights)
 
 
 def invariant_presentation(action: GroupAction,
@@ -263,17 +255,17 @@ def invariant_presentation(action: GroupAction,
     series equals the Molien series exactly when the span is the whole
     invariant algebra; otherwise the first degree off is named.  `span`
     defaults to the sweep's own (tags z1, z2, ..., skipping the action's
-    names); a caller that builds one keeps reading its basis.
+    names), whose presentation the sweep has built; a caller that builds
+    one keeps reading its basis.
     """
     molien = molien_series(action)
-    if span is None:
-        span = _generator_span(action, molien)
+    span, pres = _generator_span(action, molien) if span is None else (span, None)
     for _, f in span.gens:
         if f.weighted_degree() < 1 or not f.is_homogeneous():
             raise InvariantError("generators must be homogeneous of positive degree")
         if not action.is_invariant(f):
             raise InvariantError(f"generator is not invariant: {f}")
-    pres = Presentation(span.tag_table, span.kernel())
+    pres = pres or Presentation(span.tag_table, span.kernel())
     d = pres.series.first_difference(molien)
     if d is not None:
         raise InvariantError(

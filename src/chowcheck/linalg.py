@@ -6,7 +6,7 @@ everything added to it; ranks, independent subsets and linear solves are
 all read off it.  Inside, rows are integer and elimination scales by gcd
 cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
 polynomials; `Fraction` appears only in what `reduce` returns.  An int
-row goes in as it is, so the packed integer rows of `ringpres._AlphaRows`
+row goes in as it is, so the packed integer rows of `groebner.ImageRows`
 (ranked, and solved over by `solve_linear`) need no `Fraction` round
 trip."""
 

@@ -9,12 +9,16 @@ arithmetic uses fractions.Fraction, so results are exact by construction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, Mapping
 
 Coeff = Fraction
+
+# a variable name: the one grammar of the table, the parser and the printer
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _coeff(value) -> Fraction:
@@ -41,7 +45,7 @@ class VarTable:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable name")
         for n in names:
-            if not n or not all(c.isalnum() or c == "_" for c in n) or n[0].isdigit():
+            if not NAME.fullmatch(n):
                 raise ValueError(f"bad variable name {n!r}")
         for w in weights:
             if not isinstance(w, int) or w <= 0:

@@ -5,25 +5,22 @@ variables and weighted-homogeneous relations.  Maps are determined by
 generator images and are checked to preserve the grading and to kill the
 source relations.  The fiber product of two maps out of a common free tag
 ring is presented by the intersection of their kernels.  For beta a
-projection, packed alpha rows (`_AlphaRows`) serve two jobs, each call
-building its own: the pair-image rank is counted from alpha alone
-(`pair_image_rank`), and a beta-side relation whose naive lift fails is
-corrected over the rows of its degree (`apply_quotient`)."""
+projection, the alpha images of the tag monomials with a tag beta kills
+(`_alpha_rows`, rows that `groebner.ImageRows` packs and reduces) serve two
+jobs, each call building its own: the pair-image rank is counted from alpha
+alone (`pair_image_rank`), and a beta-side relation whose naive lift fails
+is corrected over the rows of its degree (`apply_quotient`)."""
 
 from __future__ import annotations
-
-import math
 
 from .polyarith import MonomialOrder, Polynomial, VarTable
 from .groebner import (
     HilbertSeries,
     Ideal,
-    _Overflow,
-    _reduce,
+    ImageRows,
     hilbert_numerator,
     intersect,
     map_kernel,
-    standard_monomials,
 )
 from .linalg import solve_linear, sparse_rank
 
@@ -158,88 +155,30 @@ def fiber_product(alpha: Morphism, beta: Morphism) -> tuple:
     return fiber, ker_alpha, ker_beta
 
 
-def _times(f: dict, g: dict, guard: int) -> dict:
-    """Product of packed integer terms; _Overflow when a guard bit is set."""
-    out = {}
-    for k, c in f.items():
-        for q, d in g.items():
-            kq = k + q
-            out[kq] = out.get(kq, 0) + c * d
-    if any(k & guard for k in out):
-        raise _Overflow
-    return {k: c for k, c in out.items() if c}
-
-
-class _AlphaRows:
-    """The alpha side of a gluing, by degree, for beta a projection: each
-    tag goes to zero or to a variable of its own in a free ring.
-
-    `rows(d)` gives the number of degree-d tag monomials and, for each one
-    with a tag beta kills, (m, row, s): row is alpha(m) as packed integer
-    terms reduced by the packed basis of alpha's target, and row ==
-    s * L^m * alpha(m) there, L^m the product of the L_i^m_i.  Gen i is
-    L_i alpha(x_i) as packed terms (`_Packing.int_terms`, lift L_i); images
-    are built on first use as raw[m] = raw[m / x_i] * gen_i, x_i the last
-    variable of m, and kept.  A product that sets a guard bit drops them
-    all and builds at double width.
-    """
-
-    __slots__ = ("tags", "killed", "images", "lifts", "red", "gens", "raw", "built")
-
-    def __init__(self, alpha: Morphism, beta: Morphism):
-        self.tags = alpha.source.table
-        kept = [f.terms for f in beta.images.values() if f.terms]
-        bare = {m for t in kept for m, c in t.items() if len(t) == 1 and c == 1 and sum(m) == 1}
-        if (beta.source.table != self.tags or not beta.target.is_free()
-                or len(bare) != len(kept)):
-            raise PresentationError("beta must send each tag of alpha's source to zero "
-                                    "or to a variable of its own in a free ring")
-        self.killed = [self.tags.index(n) for n in beta.killed_names()]
-        self.images = [alpha.images[n] for n in self.tags.names]
-        self._pack(alpha.target.relations.groebner(alpha.target.order).fitting(
-            [m for f in self.images for m in f.terms]))
-
-    def _pack(self, red):
-        self.red = red
-        self.gens, self.lifts = zip(*map(red.packing.int_terms, self.images))
-        self.raw = {(0,) * len(self.gens): {0: 1}}
-        self.built = {}
-
-    def rows(self, d: int) -> tuple:
-        """(number of degree-d tag monomials, [(m, row, s)])."""
-        while d not in self.built:
-            try:
-                self.built[d] = self._build(d)
-            except _Overflow:
-                self._pack(self.red.doubled())
-        return self.built[d]
-
-    def _build(self, d: int) -> tuple:
-        entries, guard = self.red.entries, self.red.packing.guard
-        monos = standard_monomials(Ideal(self.tags, ()), d,
-                                   MonomialOrder.wgrevlex(self.tags.weights))
-        return len(monos), [(m, *_reduce(dict(self._image(m, guard)), entries, guard))
-                            for m in monos if any(m[i] for i in self.killed)]
-
-    def _image(self, m: tuple, guard: int) -> dict:
-        got = self.raw.get(m)
-        if got is None:
-            i = max(j for j, e in enumerate(m) if e)
-            got = self.raw[m] = _times(self._image(m[:i] + (m[i] - 1,) + m[i + 1:], guard),
-                                       self.gens[i], guard)
-        return got
+def _alpha_rows(alpha: Morphism, beta: Morphism) -> ImageRows:
+    """The `ImageRows` of alpha on the tag monomials with a tag beta kills, for
+    beta a projection: each tag goes to zero or to its own variable of a free ring."""
+    tags = alpha.source.table
+    kept = [f.terms for f in beta.images.values() if f.terms]
+    bare = {m for t in kept for m, c in t.items() if len(t) == 1 and c == 1 and sum(m) == 1}
+    if beta.source.table != tags or not beta.target.is_free() or len(bare) != len(kept):
+        raise PresentationError("beta must send each tag of alpha's source to zero "
+                                "or to a variable of its own in a free ring")
+    killed = [tags.index(n) for n in beta.killed_names()]
+    return ImageRows(tags, [alpha.images[n] for n in tags.names], alpha.target.relations,
+                     alpha.target.order, lambda m: any(m[i] for i in killed))
 
 
 def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
     """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
-    one per d in `degrees`, for beta a projection (`_AlphaRows`).
+    one per d in `degrees`, for beta a projection (`_alpha_rows`).
 
     The monomials free of killed tags go to distinct monomials of C and the
     others to zero there, so the pair matrix is block triangular: its rank
     is the number of degree-d monomials, less the alpha rows, plus their
     rank.  A row is its rational image times a nonzero rational."""
     return [size - len(built) + sparse_rank([row for _, row, _ in built])
-            for size, built in map(_AlphaRows(alpha, beta).rows, degrees)]
+            for size, built in map(_alpha_rows(alpha, beta).rows, degrees)]
 
 
 def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
@@ -273,11 +212,11 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
     beta-side ring and whose alpha-side counterpart is zero.  The naive lift
     renames it into the tag ring; when its alpha image is nonzero the
     difference is solved for over the alpha rows of its degree
-    (`_AlphaRows.rows`), the monomials with a tag beta kills, and y_m maps
-    back to x_m = y_m * s_m * L^m, so the corrected lift dies on both sides.
-    Returns the quotient presentation and one note per extra."""
+    (`_alpha_rows`), the monomials with a tag beta kills, and y_m maps back
+    to x_m = y_m * s_m * L^m (`ImageRows.scale`), so the corrected lift dies
+    on both sides.  Returns the quotient presentation and one note per extra."""
     table = fiber.table
-    rows = _AlphaRows(alpha, beta)
+    rows = _alpha_rows(alpha, beta)
     for name in beta.target.table.names:
         if beta.images.get(name) != Polynomial.variable(beta.target.table, name):
             raise PresentationError(f"beta does not send a tag {name} to the variable {name}")
@@ -287,16 +226,12 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
         resid = alpha(naive)
         correction = None
         if not resid.is_zero():
-            # the residual has the degree of the rows; under a degree order
-            # every monomial of one degree fits the packing once one does
             _, built = rows.rows(naive.weighted_degree())
-            pack = rows.red.packing.pack
-            sol = solve_linear([row for _, row, _ in built],
-                               {pack(m): c for m, c in resid.terms.items()})
+            sol = solve_linear([row for _, row, _ in built], rows.key(resid))
             if sol is None:
                 raise PresentationError(
                     f"relation cannot be transported across the fiber square: {extra}")
-            correction = Polynomial(table, {m: y * s * math.prod(map(pow, rows.lifts, m))
+            correction = Polynomial(table, {m: y * rows.scale(m, s)
                                             for (m, _, s), y in zip(built, sol) if y})
             lift = naive - correction
             if not alpha(lift).is_zero() or not beta(correction).is_zero():

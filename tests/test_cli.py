@@ -330,6 +330,12 @@ def test_invpres_names_print_the_default_presentation_renamed(stratum, capsys):
     assert (code, out, err) == (2, "", "error: one name per generator is required\n")
 
 
+def test_invpres_rejects_a_name_its_output_could_not_parse_back(swap_action, capsys):
+    # the table takes the parser's identifiers only, so printed output reads back
+    assert run(capsys, ["invpres", swap_action, "--names", "a,b²"]) == (
+        2, "", "error: bad variable name 'b²'\n")
+
+
 @pytest.mark.parametrize("vars_, group, gens, pres", [
     ("y(3)", "y -> -y", "y^2\n", "z1(6)\n"),
     ("x(1)\ny(2)", "x -> -x; y -> -y", "x^2\nx*y\ny^2\n",
@@ -502,6 +508,15 @@ def test_bad_order_choice_exits_2(sym2, capsys):
     code = main(["gb", sym2, "--order", "fancy"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_verify_paper_below_the_claimed_degrees_is_an_input_error(capsys):
+    # the shipped surjectivity claims read dmax 12, which a --dmax 8 run never checks
+    code, out, err = run(capsys, ["verify-paper", "--dmax", "8"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(
+        "paper.claims: claim field 'dmax' must lie in 0..8, the degrees this run checks, "
+        "not 12 at line 317\n")
 
 
 def test_bad_convention_exits_2(capsys):

@@ -22,23 +22,34 @@ def test_every_exported_helper_has_a_caller_in_the_package():
 KERNEL = {"_Overflow", "_reduce", "_spoly", "_Packing", "_Reducers"}
 
 
-def test_only_ringpres_reaches_into_the_reduction_kernel():
-    # ringpres keeps its alpha rows packed and reduces them itself; every
-    # other module goes through groebner's public functions
+def test_no_module_outside_groebner_reaches_into_the_reduction_kernel():
+    # groebner owns the packed monomial format: every other module goes
+    # through its public names (ImageRows for packed rows), and none imports
+    # a kernel name or reads a packing or its guard bits
     users = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "groebner.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module in ("groebner", "chowcheck.groebner"):
-                names = {alias.name for alias in node.names}
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "groebner"):
-                names = {node.attr}
+                names = {alias.name for alias in node.names} & KERNEL
+            elif isinstance(node, ast.Attribute):
+                on_groebner = isinstance(node.value, ast.Name) and node.value.id == "groebner"
+                names = {node.attr} & ((KERNEL if on_groebner else set()) | {"packing", "guard"})
             else:
                 continue
-            users.setdefault(path.stem, set()).update(names & KERNEL)
-    assert {module for module, names in users.items() if names} <= {"ringpres"}
+            users.setdefault(path.stem, set()).update(names)
+    assert {module: names for module, names in users.items() if names} == {}
+
+
+def test_one_function_catches_a_guard_bit_overflow():
+    # every restart at double width goes through groebner._widened
+    catchers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        catchers |= {(path.stem, owner) for owner in _owners(tree, lambda node: (
+            isinstance(node, ast.ExceptHandler) and "_Overflow" in ast.dump(node.type)))}
+    assert catchers == {("groebner", "_widened")}
 
 
 def test_only_groebner_imports_the_numerator_helper():

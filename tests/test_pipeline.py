@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from chowcheck import chowpipeline, groebner, invariants, ringpres
+from chowcheck import chowpipeline, groebner, invariants
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -801,6 +801,12 @@ _BAD_FIELDS = {
              "at line 10"),
     "assumption-stage": ("kind: assumption\nstage: Gamma9\nstatement: glued\n",
                          "no stage with label 'Gamma9' at line 7"),
+    "dmax-above": ("kind: surjectivity\nstage: Gamma2\ndmax: 20\n",
+                   "claim field 'dmax' must lie in 0..12, the degrees this run checks, "
+                   "not 20 at line 8"),
+    "dmax-negative": ("kind: surjectivity\nstage: Gamma2\ndmax: -1\n",
+                      "claim field 'dmax' must lie in 0..12, the degrees this run checks, "
+                      "not -1 at line 8"),
 }
 
 
@@ -926,7 +932,7 @@ def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
                          key=lambda prev, stratum, **kw: stratum.label)
     presentations = _count_calls(monkeypatch, "invariant_presentation")
     coordinates = _count_calls(monkeypatch, "Subalgebra")
-    builds = _count_calls(monkeypatch, "_build", module=ringpres._AlphaRows)
+    builds = _count_calls(monkeypatch, "_build", module=groebner.ImageRows)
     verify_paper()
     assert steps == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
     assert sum(presentations.values()) == sum(coordinates.values()) == 14

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chowcheck import ringpres
+from chowcheck import groebner
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import Ideal, standard_monomials
 from chowcheck.linalg import sparse_rank
@@ -209,18 +209,19 @@ def homogeneous(draw, table, degree, denominators):
 
 
 @st.composite
-def tag_maps(draw):
+def tag_maps(draw, scale=1):
     """Two maps out of one free weighted tag ring.  Alpha goes into a target
     of drawn weights, with or without relations, its coefficients with
     denominators 2 and 4.  Beta is a projection: it kills a drawn subset of
     the tags and sends each of the rest to its namesake in a free target,
-    whose variables come in a drawn order."""
-    tag_weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    whose variables come in a drawn order.  Every weight is 1 or 2 times
+    `scale`."""
+    tag_weights = [scale * w for w in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))]
     names = [f"k{i}" for i in range(len(tag_weights))]
     tags = Presentation(VarTable(names, tag_weights))
-    weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    weights = [scale * w for w in draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))]
     table = VarTable([f"a{i}" for i in range(len(weights))], weights)
-    a = Presentation(table, [draw(homogeneous(table, draw(st.integers(1, 3)), [1, 2]))
+    a = Presentation(table, [draw(homogeneous(table, scale * draw(st.integers(1, 3)), [1, 2]))
                              for _ in range(draw(st.integers(0, 1)))])
     kept = draw(st.permutations([n for n in names if draw(st.booleans())]))
     c = Presentation(VarTable(kept, [tags.table.weight(n) for n in kept]))
@@ -257,6 +258,19 @@ def test_apply_quotient_corrects_as_the_fraction_path_does(maps, data):
         assert note["correction"] == str(expected)
 
 
+def _build_widths(monkeypatch) -> list:
+    """The field width of each degree build of the alpha rows, in order."""
+    widths = []
+    inner = groebner.ImageRows._build
+
+    def spy(self, red, d):
+        widths.append(red.packing.width)
+        return inner(self, red, d)
+
+    monkeypatch.setattr(groebner.ImageRows, "_build", spy)
+    return widths
+
+
 def test_pair_image_rank_restarts_at_double_width(monkeypatch):
     """k^2 maps to x^(2^31), past 32-bit fields: the alpha rows are built
     once more with the packing at 64 bits, and the target's own packed
@@ -266,17 +280,47 @@ def test_pair_image_rank_restarts_at_double_width(monkeypatch):
     a, c = pres(["x"], [1]), pres(["y"], [1])
     alpha = Morphism(tags, a, {"k": Polynomial(a.table, {(n,): 1})})
     beta = Morphism(tags, c, {"k": Polynomial.zero(c.table)})
-    widths = []
-    inner = ringpres._AlphaRows._build
-
-    def spy(self, d):
-        widths.append(self.red.packing.width)
-        return inner(self, d)
-
-    monkeypatch.setattr(ringpres._AlphaRows, "_build", spy)
+    widths = _build_widths(monkeypatch)
     assert pair_image_rank(alpha, beta, [2**31]) == [1]
     assert widths == [32, 64]
     assert a.relations.groebner(a.order).packing.width == 32
+
+
+WIDE = 2**29  # a 32-bit field holds degrees 0..3 * WIDE; degree 4 * WIDE sets its guard
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag_maps(WIDE), st.data())
+def test_alpha_rows_past_32_bit_fields_match_the_oracles(maps, data):
+    """Weights 2^29 and 2^30: the target's basis and the tag images fit
+    32-bit fields, but a degree-2^31 product of images sets a guard bit.
+    The rows are then built once more at 64 bits, every degree requested
+    after that too, and the ranks and the transport match the plain
+    count and the Fraction path."""
+    alpha, beta = maps
+    assume(any(alpha.images[n].terms for n in beta.killed_names()))
+    degrees = data.draw(st.lists(st.integers(0, 3), max_size=3))
+    degrees.insert(data.draw(st.integers(0, len(degrees))), 4)
+    degrees = [WIDE * d for d in degrees]
+    expected = [pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+    before = len(set(degrees[:degrees.index(4 * WIDE)]))  # built at 32 bits, then dropped
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _build_widths(mp)
+        assert pair_image_rank(alpha, beta, degrees) == expected
+        assert widths[:before + 1] == [32] * (before + 1)
+        assert widths[before + 1:] and set(widths[before + 1:]) == {64}
+        extra = data.draw(homogeneous(beta.target.table, 4 * WIDE, [1, 3]))
+        if alpha(extra.rename(alpha.source.table)).is_zero():
+            return
+        correction = transport_correction(alpha, beta, extra)
+        widths.clear()
+        if correction is None:
+            with pytest.raises(PresentationError, match="cannot be transported"):
+                apply_quotient(alpha.source, alpha, beta, [extra])
+        else:
+            (note,) = apply_quotient(alpha.source, alpha, beta, [extra])[1]
+            assert note["correction"] == str(correction)
+        assert widths == [32, 64]
 
 
 def test_pair_ranks_and_transport_need_beta_a_projection():
