@@ -200,12 +200,17 @@ class StratumSpec:
         ring = doc.keyed("ring", "name(weight): form", required=True).values()
         declared = [(parse_declaration(e.key, e.line), e) for e in ring]  # k1(1) is k1
         self.ring = parse_map(((n, (w, e), e.line) for (n, w), e in declared), "[ring]")
-        for section, names in (("vars", self.table.names), ("defs", self.defs),
-                               ("ring", self.ring)):
-            for name in names:
+        first = {}  # name -> the section declaring it; a text reads a repeat's later one
+        for section, entries in (("vars", dict.fromkeys(self.table.names)), ("defs", self.defs),
+                                 ("ring", {n: e for n, (_, e) in self.ring.items()})):
+            for name, e in entries.items():  # e is None in [vars], never a repeat
                 if name in SIGN_NAMES:
                     raise PipelineError(f"{self.label}: [{section}] name {name} "
                                         "is reserved for a sign symbol")
+                if name in first:
+                    raise ParseError(f"{self.label}: [{section}] name {name} is already "
+                                     f"declared in [{first[name]}]", e.line)
+                first[name] = section
         self.top = doc.single("top")
         self.restrict = doc.keyed("restrict", "tag: form", required=True)
         self.pairs = doc.keyed("pairs", "tag: form")

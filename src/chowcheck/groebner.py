@@ -54,12 +54,13 @@ entries, degree by degree, and keys a target form and scales a row back as
 its callers need, so no module outside this one reads a packing.  Every
 restart at double width goes through one helper, `_widened`.
 
-Derived operations follow the standard eliminations.  `Subalgebra` is the
-one builder of a graph ideal (tag - generator, tags ordered after the
-renamed-apart originals): its basis gives both the kernel of a ring map
-(`map_kernel`) and subalgebra membership (`express`).  Intersections use
-the one-tag trick on homogenized generators, colon ideals intersection
-with a principal ideal.
+Derived operations follow the elimination theorem, through one
+elimination: `Subalgebra`'s graph ideal (tag - generator, tags ordered
+after the renamed-apart originals), whose basis gives the kernel of a ring
+map (`map_kernel`; `eliminate` is the kernel of an inclusion) and
+subalgebra membership (`express`).  Intersections eliminate one tag from
+homogenized generators, colon ideals intersect with a principal ideal.
+`Ideal.groebner` is the one place a basis is made.
 
 Counting is done on leading term ideals without listing monomials:
 `hilbert_numerator` gives the numerator of the Hilbert series of a
@@ -786,37 +787,20 @@ def _fresh_names(base: str, n: int, taken, start: int = 0) -> list:
     return names
 
 
-def _block_order(left_weights, right_weights) -> MonomialOrder:
-    return MonomialOrder.block(
-        len(left_weights),
-        MonomialOrder.wgrevlex(left_weights) if left_weights else MonomialOrder.grevlex(),
-        MonomialOrder.wgrevlex(right_weights),
-    )
-
-
 def eliminate(I: Ideal, drop) -> Ideal:
-    """Generators of I intersected with Q[kept variables].
-
-    The result lives in the VarTable of kept variables (original relative
-    order and weights).
-    """
+    """I intersected with Q[kept variables], over their VarTable (original
+    relative order and weights): the kernel of Q[kept] -> Q[context]/I, each
+    kept variable its own tag (`map_kernel`), so it holds its reduced basis
+    under wgrevlex(kept weights)."""
     drop = list(drop)
     ctx = I.context
     for name in drop:
         ctx.index(name)
-    dropset = set(drop)
-    if len(dropset) != len(drop):
+    if len(set(drop)) != len(drop):
         raise ValueError("duplicate variable in elimination list")
-    kept = [n for n in ctx.names if n not in dropset]
-    dropped = [n for n in ctx.names if n in dropset]
-    wd = tuple(ctx.weight(n) for n in dropped)
-    wk = tuple(ctx.weight(n) for n in kept)
-    perm = VarTable(dropped + kept, wd + wk)
-    kept_table = VarTable(kept, wk)
-    order = _block_order(wd, wk)
-    gens = [g.rename(perm) for g in I.gens]
-    return Ideal(kept_table, [g.rename(kept_table) for g in buchberger(gens, order)
-                              if not g.support_names() & dropset])
+    kept = [n for n in ctx.names if n not in drop]
+    table = VarTable(kept, [ctx.weight(n) for n in kept])
+    return map_kernel(table, {n: Polynomial.variable(ctx, n) for n in kept}, ctx, I)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -882,20 +866,22 @@ class Subalgebra:
     """Named generators over one table and the graph ideal of their tags.
 
     `gens` is a list of (name, Polynomial or constant) over `context`; the
-    names are tag variables, and the pairs are kept as `gens`.  The graph ideal holds tag - generator for
-    every pair, plus the generators of `relations` (an Ideal over
-    `context`) when the generators live in a quotient ring.  The variables
-    of `context` are renamed apart from the tags, so the two may share
-    names, and ordered before them in a block order (Cox-Little-O'Shea,
-    IVA 7.3).  One reduced basis then answers both questions: its tag-only
-    part generates the kernel of Q[tags] -> Q[context]/relations
-    (`kernel`), and a normal form that lands in the tags expresses a form
-    in the generators (`express`).  A tag whose generator is a bare
-    variable is identified with that variable instead of getting a graph
-    generator, one tag per variable, which keeps the graph small for
-    restriction-style maps.  Tags are weighted by the weighted degree of
-    each generator unless a tag table is given.  The basis is computed on
-    first use and kept on the object.
+    names are tag variables, and the pairs are kept as `gens`.  The graph
+    ideal holds tag - generator for every pair, plus the generators of
+    `relations` (an Ideal over `context`) when the generators live in a
+    quotient ring.  The variables of `context` are renamed apart from the
+    tags, so the two may share names, and ordered before them in a block
+    order (Cox-Little-O'Shea, IVA 7.3).  One reduced basis then answers
+    both questions: its tag-only part generates the kernel of
+    Q[tags] -> Q[context]/relations (`kernel`, the one elimination: every
+    `map_kernel` and `eliminate`), and a normal form that lands in the
+    tags expresses a form in the generators (`express`).  A tag whose
+    generator is a bare variable is identified with that variable instead
+    of getting a graph generator, one tag per variable, which keeps the
+    graph small for restriction-style maps and an elimination's kept
+    variables out of it.  Tags are weighted by the weighted degree of each
+    generator unless a tag table is given.  The basis is computed on first
+    use and kept on the object.
     """
 
     __slots__ = ("context", "gens", "tag_table", "graph", "order", "_rename")
@@ -933,7 +919,8 @@ class Subalgebra:
         self.gens = tuple(zip(names, images))
         self.tag_table = tag_table
         self.graph = Ideal(combined, graph)
-        self.order = _block_order(welim, tag_table.weights)
+        self.order = MonomialOrder.block(len(welim), MonomialOrder.wgrevlex(welim),
+                                         MonomialOrder.wgrevlex(tag_table.weights))
         self._rename = rename
 
     def kernel(self) -> Ideal:

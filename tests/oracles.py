@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
-from chowcheck.groebner import Ideal, eliminate, standard_monomials
+from chowcheck.groebner import Ideal, buchberger, standard_monomials
 from chowcheck.linalg import solve_linear
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
 
@@ -40,12 +40,31 @@ def _monomials_up_to(n: int, d: int):
             yield (e,) + rest
 
 
+def block_elimination(I, drop):
+    """I intersected with Q[kept variables] by one block order, the textbook
+    way (Cox-Little-O'Shea, IVA 3.1): the dropped variables moved to the
+    front, one Buchberger run under wgrevlex on them, then on the kept
+    ones, and the basis elements free of the dropped variables.  No
+    `Subalgebra` and no identified variables, unlike `eliminate`."""
+    ctx = I.context
+    dropped = [n for n in ctx.names if n in drop]
+    kept = [n for n in ctx.names if n not in drop]
+    wd = tuple(ctx.weight(n) for n in dropped)
+    wk = tuple(ctx.weight(n) for n in kept)
+    moved = VarTable(dropped + kept, wd + wk)
+    table = VarTable(kept, wk)
+    order = MonomialOrder.block(len(wd), MonomialOrder.wgrevlex(wd), MonomialOrder.wgrevlex(wk))
+    basis = buchberger([g.rename(moved) for g in I.gens], order)
+    return Ideal(table, [g.rename(table) for g in basis if not g.support_names() & set(dropped)])
+
+
 def kernel_by_elimination(source, images, target, target_ideal=None):
     """Kernel of Q[source] -> Q[target]/target_ideal from the textbook graph.
 
     Every target variable is renamed apart (to _t0, _t1, ...) and eliminated
     from the full graph ideal: the target relations and s - image(s) for
-    every source variable s, none identified with a target variable.
+    every source variable s, none identified with a target variable, by
+    `block_elimination`, not by the `Subalgebra` under test.
     """
     apart = {v: f"_t{i}" for i, v in enumerate(target.names)}
     graph = VarTable(tuple(apart.values()) + source.names,
@@ -56,7 +75,7 @@ def kernel_by_elimination(source, images, target, target_ideal=None):
         if not isinstance(image, Polynomial):
             image = Polynomial.constant(target, image)
         gens.append(Polynomial.variable(graph, name) - image.rename(graph, apart))
-    return eliminate(Ideal(graph, gens), list(apart.values()))
+    return block_elimination(Ideal(graph, gens), list(apart.values()))
 
 
 def count_standard_monomials(I, order):

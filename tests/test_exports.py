@@ -44,12 +44,8 @@ def test_no_module_outside_groebner_reaches_into_the_reduction_kernel():
 
 def test_one_function_catches_a_guard_bit_overflow():
     # every restart at double width goes through groebner._widened
-    catchers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        catchers |= {(path.stem, owner) for owner in _owners(tree, lambda node: (
-            isinstance(node, ast.ExceptHandler) and "_Overflow" in ast.dump(node.type)))}
-    assert catchers == {("groebner", "_widened")}
+    assert _owners_in_src(lambda node: isinstance(node, ast.ExceptHandler)
+                          and "_Overflow" in ast.dump(node.type)) == {("groebner", "_widened")}
 
 
 def test_only_groebner_imports_the_numerator_helper():
@@ -153,3 +149,28 @@ def test_only_the_map_reader_splits_a_value_on_an_arrow_or_equals_sign():
                     and node.args[0].value in ("->", "=")):
                 splits.append(f"{path.name}:{node.lineno}")
     assert splits == []
+
+
+def _owners_in_src(match) -> set:
+    """(module, owner) for every function in the package holding a node
+    that `match` accepts (`_owners`)."""
+    return {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+            for owner in _owners(ast.parse(path.read_text(encoding="utf-8")), match)}
+
+
+def test_only_the_ideal_runs_buchberger():
+    # every basis is made through Ideal.groebner, which caches it per order;
+    # a direct run elsewhere would make a basis outside every cache
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call)
+                          and _name(node) == "buchberger") == {("groebner", "Ideal.groebner")}
+
+
+def test_only_the_subalgebra_builds_a_block_order():
+    # every elimination is Subalgebra's graph basis (map_kernel, eliminate,
+    # intersect): a block order built elsewhere would be a second elimination
+    def block(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "block"
+                and getattr(node.func.value, "id", None) == "MonomialOrder")
+
+    assert _owners_in_src(block) == {("groebner", "Subalgebra.__init__")}

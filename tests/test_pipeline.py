@@ -684,6 +684,30 @@ def test_stratum_spec_rejects_a_sign_name(name, old, new, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("gamma2.stratum", "[defs]\n", "[defs]\nt1: t1 + t2\n",
+     "Gamma2: [defs] name t1 is already declared in [vars]"),
+    ("gamma1.stratum", "k2(2): e2", "t2(2): e2",
+     "Gamma1: [ring] name t2 is already declared in [vars]"),
+    ("gamma2.stratum", "eta(2): ETA", "U1(2): ETA",
+     "Gamma2: [ring] name U1 is already declared in [defs]"),
+], ids=["vars-defs", "vars-ring", "defs-ring"])
+def test_stratum_spec_rejects_a_name_declared_twice_at_its_line(tmp_path, name, old, new,
+                                                                message):
+    # every text reads the later binding, so the repeat would shadow silently:
+    # a def a variable in the stratum texts, a ring coordinate both in claims
+    text = _stratum_text(name)
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    entry = new.strip().splitlines()[-1]
+    line = next(i for i, written in enumerate(path.read_text().splitlines(), 1)
+                if written.startswith(entry))
+    with pytest.raises(ParseError) as err:
+        StratumSpec.load(name, root=tmp_path)
+    assert str(err.value) == f"{path}: {message} at line {line}"
+
+
 @pytest.mark.parametrize("name, old, section, shape", [
     ("gamma2.stratum", "U1: t1 + t2", "defs", "name: form"),
     ("gamma1.stratum", "k1(1): e1*(t1 + t2)", "ring", "name(weight): form"),
@@ -1253,7 +1277,19 @@ def _pairs_last(text):
     return text[:start] + text[end + 1:] + "\n" + text[start:end] + "\n"
 
 
-# one rewrite of each kind that keeps the mathematics of every stratum file:
+def _cover_names_apart(text):
+    """Gamma3pp's cover variables v1..v4 as _z0.._z3, the names `Subalgebra`
+    gives the variables it renames apart: in its stratum file and in the
+    claims over it."""
+    def rename(part):
+        return re.sub(r"\bv([1-4])\b", lambda m: f"_z{int(m[1]) - 1}", part)
+    if "[label]\nGamma3pp\n" in text:
+        return rename(text)
+    return "".join(rename(claim) if "where: Gamma3pp\n" in claim else claim
+                   for claim in re.split(r"(?m)^(?=\[claim\]$)", text))
+
+
+# one rewrite of each kind that keeps the mathematics of every data file:
 # Gamma3p's S3 from (w1 w2) and (w2 w3) in place of (w1 w2) and (w1 w2 w3)
 _REWRITES = {
     "vars": _reverse_entries("vars"),
@@ -1262,6 +1298,7 @@ _REWRITES = {
     "pairs": _pairs_last,
     "group": lambda text: text.replace("w1 -> w2; w2 -> w3; w3 -> w1",
                                        "w1 -> w1; w2 -> w3; w3 -> w2"),
+    "names": _cover_names_apart,
 }
 
 
@@ -1269,13 +1306,13 @@ _REWRITES = {
 def test_a_stratum_file_written_another_way_keeps_every_verdict(tmp_path, claim_rows, kind):
     root = _data_copy(tmp_path)
     changed = []
-    for path in sorted((root / "strata").glob("*.stratum")):
+    for path in sorted((root / "strata").glob("*.stratum")) + [root / CLAIMS_FILE]:
         text = path.read_text()
         path.write_text(_REWRITES[kind](text))
         if path.read_text() != text:
             changed.append(path.name)
-    assert changed
+    assert changed and changed != [CLAIMS_FILE]
     runner = chowpipeline.ClaimRunner(run_pipeline(root=root / "strata"))
-    verdicts = {claim.id: runner.run(claim) for claim in load_claims()}
+    verdicts = {claim.id: runner.run(claim) for claim in load_claims(path=root / CLAIMS_FILE)}
     assert ({i: (row["status"], row["ok"]) for i, row in verdicts.items()}
             == {i: (row["status"], row["ok"]) for i, row in claim_rows.items()})

@@ -23,7 +23,6 @@ from chowcheck.exprparser import (
 from chowcheck.groebner import (
     HilbertSeries,
     Ideal,
-    _block_order,
     _Packing,
     buchberger,
     eliminate,
@@ -41,7 +40,8 @@ from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, spar
 from chowcheck.polyarith import (
     MonomialOrder, Polynomial, VarTable, mono_div, mono_lcm, mono_mul)
 from chowcheck.ringpres import Presentation
-from oracles import brute_force_member, count_standard_monomials, kernel_by_elimination
+from oracles import (
+    block_elimination, brute_force_member, count_standard_monomials, kernel_by_elimination)
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -657,7 +657,7 @@ def plain_intersection(I, J):
     s = Polynomial.variable(table, "s")
     gens = ([s * f.rename(table) for f in I.gens]
             + [(1 - s) * g.rename(table) for g in J.gens])
-    return Ideal(ctx, [g.rename(ctx) for g in eliminate(Ideal(table, gens), ["s"]).gens])
+    return Ideal(ctx, [g.rename(ctx) for g in block_elimination(Ideal(table, gens), ["s"]).gens])
 
 
 @st.composite
@@ -691,6 +691,23 @@ def test_an_intersection_of_homogeneous_ideals_hands_over_its_reduced_basis(case
     held, fresh = handed_over(K, MonomialOrder.wgrevlex(table.weights))
     assert held == fresh == list(K.gens)
     assert ideal_equal(K, plain_intersection(I, J))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(homogeneous_pairs().map(lambda case: case[:2]),
+                 small_ideals().map(lambda gens: (TABLE3, gens))),
+       st.data())
+def test_eliminate_agrees_with_one_block_order_and_hands_over_its_basis(case, data):
+    # eliminate runs through Subalgebra; the oracle is a plain block-order run
+    table, gens = case
+    I = Ideal(table, gens)
+    drawn = data.draw(st.lists(st.sampled_from(table.names), unique=True))
+    for drop in (drawn, [], list(table.names)):
+        kept = eliminate(I, drop)
+        plain = block_elimination(I, drop)
+        assert kept.context == plain.context
+        held, fresh = handed_over(kept, MonomialOrder.wgrevlex(kept.context.weights))
+        assert held == fresh == list(kept.gens) == list(plain.gens)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -737,7 +754,8 @@ def packing_cases(draw):
     elif kind == "block":
         w = draw(weights)
         split = draw(st.integers(0, n - 1))
-        order = _block_order(tuple(w[:split]), tuple(w[split:]))
+        order = MonomialOrder.block(split, MonomialOrder.wgrevlex(w[:split]),
+                                    MonomialOrder.wgrevlex(w[split:]))
     else:
         order = getattr(MonomialOrder, kind)()
     width, top = draw(st.sampled_from([(32, 1 << 20), (8, 12)]))
