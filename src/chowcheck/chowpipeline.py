@@ -23,9 +23,10 @@ and strata of one spec share its action, parses and invariance checks.
 Every data file is read by `exprparser.read_document`, so an input error
 in one, found while it is read, when a stratum first parses its texts or
 builds its action, or when a claim reads a field, names the file.
-`run_pipeline` is a store with every stage glued;
+`run_pipeline` is a store with every stage glued and certified;
 `verify_paper` runs its claims and its sign sweeps on that one store, so
-the sweeps build only what their claims read and the main run lacks.  Claims
+the sweeps build only what their claims read and the main run lacks: a
+stage's generation certificate is built only when read.  Claims
 extracted from the source text are data: each one is evaluated against the
 computed objects and compared to its expected status, so known misprints
 are flagged exactly, with corrected forms verified alongside.
@@ -338,7 +339,7 @@ def load_base(name: str = BASE_FILE, root=None) -> Presentation:
 # ---------------------------------------------------------------------------
 # one induction step
 
-def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict:
+def induction_step(prev: Presentation, stratum: Stratum) -> dict:
     """Glue the previous ring with one stratum; returns the stage artifacts.
 
     Steps: the bottom ring A/(top Chern class), whose Hilbert series is
@@ -346,10 +347,11 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
     the stratum coordinates, validation of displayed gluing pairs against
     those restrictions (bottom-compatible overrides are used, incompatible
     ones fall back), the kernel intersection presenting the glued ring,
-    transport of the previous relations, the Hilbert series check that the
-    glued ring adds the stratum ring shifted by the degree of the top Chern
-    class to the previous ring, in every degree, and the degreewise
-    generation certificate through `dmax`.
+    transport of the previous relations, and the Hilbert series check that
+    the glued ring adds the stratum ring shifted by the degree of the top
+    Chern class to the previous ring, in every degree.  The degreewise
+    generation certificate is not built here: `Artifacts.surjectivity`
+    builds it from the returned fiber, maps and bottom ring when first read.
     """
     A = stratum.ring
     ctop = stratum.top_coords
@@ -417,13 +419,20 @@ def induction_step(prev: Presentation, stratum: Stratum, dmax: int = 12) -> dict
         raise PipelineError(f"glued ring of {stratum.label} has dimension {got} in degree "
                             f"{d}, but the stratification gives {old} + {new}")
     info["lifts"] = lift_notes
-    info["surjectivity"] = graded_surjectivity(fiber, alpha, beta, B,
-                                               range(0, dmax + 1))
-    info["certified_through"] = dmax if all(
-        row["certified"] for row in info["surjectivity"]) else -1
     info["result_relations"] = [str(g) for g in result.relations.gens]
     return {"info": info, "result": result, "fiber": fiber, "ker_alpha": ker_alpha,
             "ker_beta": ker_beta, "alpha": alpha, "beta": beta, "bottom": B}
+
+
+def _certify(stage: dict, dmax: int) -> list:
+    """The stage's `graded_surjectivity` rows in degrees 0..dmax, also put in
+    its info for the report with `certified_through`: dmax when every row
+    is certified, else -1."""
+    rows = graded_surjectivity(stage["fiber"], stage["alpha"], stage["beta"],
+                               stage["bottom"], range(dmax + 1))
+    stage["info"]["surjectivity"] = rows
+    stage["info"]["certified_through"] = dmax if all(r["certified"] for r in rows) else -1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +449,7 @@ class Artifacts:
 
     `stratum(label)` materialises one stratum; `stage(label)` glues every
     stage through `label` in file order, taking its strata from `stratum`;
+    `surjectivity(label)` certifies one stage's generation through dmax;
     `final` is the last stage's ring and `minimal` its minimal relations.
     A stratum is keyed by its label and the values of the signs its spec
     texts read.  A stage is keyed by its content, exactly what
@@ -447,8 +457,9 @@ class Artifacts:
     ring, its top class and restrictions in ring coordinates and its pair
     overrides.  Each view builds the key of a stage once, on its first
     read, and keeps the stage under its label.  Pieces derived from one
-    stage (the claims' kernel presentations, `minimal`) are kept in its
-    dict.  `under(convention)` reads the same store under another
+    stage (the claims' kernel presentations, `minimal`, the generation
+    certificate) are kept in its dict, so a stage nobody certifies is never
+    ranked.  `under(convention)` reads the same store under another
     convention, so conventions that yield equal pieces share one build.  A
     stratum, a stratum piece or a gluing that fails keeps its error and
     raises it again to every later reader, a stage whose key reads that
@@ -506,8 +517,14 @@ class Artifacts:
                A.relations.gens, stratum.top_coords,
                tuple(stratum.restriction_coords.items()),
                tuple(stratum.pair_overrides.items()))
-        return _once(self._built, key,
-                     lambda: induction_step(prev, stratum, dmax=self.dmax))
+        return _once(self._built, key, lambda: induction_step(prev, stratum))
+
+    def surjectivity(self, label: str) -> list:
+        """The generation certificate of a stage through dmax, one
+        `graded_surjectivity` row per degree, built on first read and kept
+        in the stage's dict (`_certify`)."""
+        stage = self.stage(label)
+        return _once(stage, "surjectivity", lambda: _certify(stage, self.dmax))
 
     @property
     def stages(self) -> list:
@@ -527,13 +544,15 @@ class Artifacts:
 
 def run_pipeline(convention: SignConvention | None = None, dmax: int = 12,
                  root=None) -> Artifacts:
-    """Glue every stage under one convention; returns the artifact store.
+    """Glue and certify every stage under one convention; returns the
+    artifact store.
 
     `root` overrides the packaged data directory.
     """
     artifacts = Artifacts(convention or SignConvention(), *_load_inputs(root),
                           dmax=dmax)
-    artifacts.final  # gluing the last stage glues every stage before it
+    for label in artifacts.labels:
+        artifacts.surjectivity(label)
     return artifacts
 
 
@@ -796,7 +815,7 @@ class ClaimRunner:
         if not 0 <= dmax <= bound:  # the run certifies degrees 0..bound, no others
             claim.reject(f"claim field 'dmax' must lie in 0..{bound}, the degrees "
                          f"this run checks, not {dmax}", "dmax")
-        rows = self.artifacts.stage(label)["info"]["surjectivity"]
+        rows = self.artifacts.surjectivity(label)
         return all(r["certified"] for r in rows if r["degree"] <= dmax), None
 
     def kind_dimension(self, claim):

@@ -26,7 +26,11 @@ pass, so the answer is the unique reduced monic basis per (ideal, order),
 cached write-once on the Ideal object.  An ideal whose generators are
 already that basis holds it from the start: a kernel and an intersection
 of weighted-homogeneous ideals hand over the basis their elimination
-computed (`_with_basis`), so no Buchberger run makes it again.
+computed (`_with_basis`), so no Buchberger run makes it again, and it is
+packed when first read.  An ideal `extended` by extra generators from one
+that holds its basis extends that basis: the known elements enter the
+Gebauer-Moeller loop finished, and only pairs with a new element are
+formed.
 
 Inside the kernel a monomial is one int (the packed exponent vectors of
 Monagan-Pearce, CASC 2007).  Fixed-width fields hold, most significant
@@ -321,39 +325,54 @@ def _widened(start, attempt):
             start = start.doubled()
 
 
-def _packed_run(gens, order: MonomialOrder, run):
-    """run(packed, pk) on the nonzero `gens` packed as primitive integer
-    terms, in their order; a product that sets a guard bit starts the run
-    again at double width."""
+def _packed_run(gens, order: MonomialOrder, run, known=None):
+    """run(packed, pk, entries) on the nonzero `gens` packed as primitive
+    integer terms, in their order, at the width of `known` (a packed basis,
+    whose entries are passed on) or the narrowest that fits them; a gen that
+    does not fit the known basis's width, or a product that sets a guard
+    bit, starts the run again at double width."""
     context = gens[0].context
     for g in gens:
         context.own(g, "generator")
-    pk = _Packing.for_input(order, len(context), (m for g in gens for m in g.terms))
-    return _widened(pk, lambda pk: run([pk.int_terms(g)[0] for g in gens], pk))
+    monos = [m for g in gens for m in g.terms]
+
+    def attempt(red):
+        pk = red.packing
+        if known is not None and not pk.fits(monos):
+            raise _Overflow
+        return run([pk.int_terms(g)[0] for g in gens], pk, red.entries)
+    return _widened(known or _Reducers(_Packing.for_input(order, len(context), monos),
+                                       [], [], context), attempt)
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX):
+def buchberger(gens, order: MonomialOrder = GREVLEX, known=None):
     """Reduced monic Groebner basis, sorted by decreasing leading monomial.
 
     Weighted-homogeneous input runs `_gebauer_moeller`, any other input
     `_signature_elements`, each on the inputs by increasing leading
     monomial; both feed `_reduced_basis`, whose packed `_Reducers` is the
-    answer (`()` when no generator is nonzero).
+    answer (`()` when no generator is nonzero).  `known` is the reduced
+    basis under `order` of a weighted-homogeneous ideal, packed as an Ideal
+    keeps it; its elements join `_gebauer_moeller` as finished ones and the
+    weighted-homogeneous `gens` as inputs, so the answer is the basis of
+    the sum of the two ideals.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return ()
+        return known or ()
     context = gens[0].context
     homogeneous = all(g.is_homogeneous() for g in gens)
+    if known is not None and not homogeneous:
+        raise ValueError("a known basis extends only by weighted-homogeneous generators")
 
-    def run(packed, pk):
+    def run(packed, pk, known):
         packed.sort(key=max)
         if homogeneous:
-            elements = _gebauer_moeller(packed, pk, context.weights)[0]
+            elements = _gebauer_moeller(packed, pk, context.weights, known)[0]
         else:
             elements = _signature_elements(packed, pk)
         return _reduced_basis(elements, pk, context)
-    return _packed_run(gens, order, run)
+    return _packed_run(gens, order, run, known)
 
 
 def irredundant(gens, order: MonomialOrder = GREVLEX) -> list:
@@ -369,11 +388,11 @@ def irredundant(gens, order: MonomialOrder = GREVLEX) -> list:
         return []
     weights = gens[0].context.weights
     needed = _packed_run(gens, order,
-                         lambda packed, pk: _gebauer_moeller(packed, pk, weights)[1])
+                         lambda packed, pk, _: _gebauer_moeller(packed, pk, weights)[1])
     return [gens[k] for k in sorted(needed)]
 
 
-def _gebauer_moeller(packed, pk: _Packing, weights):
+def _gebauer_moeller(packed, pk: _Packing, weights, known=()):
     """(elements, needed) for a weighted-homogeneous ideal: S-pairs by the
     weighted degree of their lcm first, pruned by the Gebauer-Moeller
     update, and `elements` minimal basis elements.  The inputs go by
@@ -381,7 +400,11 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
     reduced after every pair of degree at most d and before any other, so
     the elements then are a d-truncated basis of the ideal of the inputs
     before it, and it reduces to zero exactly when those generate it.
-    `needed` lists the indices of the inputs that do not."""
+    `needed` lists the indices of the inputs that do not.  The entries of
+    `known`, a Groebner basis of an ideal added to the inputs', are
+    finished elements from the start: every S-pair of two of them reduces
+    to zero already, so none is formed, and the update is incremental from
+    there (Gebauer-Moeller, J. Symb. Comput. 6, 1988)."""
     guard = pk.guard
     pack = pk.pack
     lead = []      # per element: (lm, lc, terms, index)
@@ -392,8 +415,9 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
     pairs = []     # heap of ((degree, packed lcm), i, j)
     pair_live = {} # (i,j) -> packed lcm
 
-    def push_element(terms):
-        """Insert a fully reduced nonzero element, run the pair update."""
+    def push_element(terms, finished=False):
+        """Insert a fully reduced nonzero element; run the pair update
+        unless it is `finished`."""
         t = len(lead)
         entry = _reducer(terms, t)
         lmp = entry[0]
@@ -410,7 +434,7 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
         # Gebauer-Moeller update for the new index t.  A packed divisor is
         # never larger, so in the sorted candidates only an equal next
         # lcm can divide one; the kept ones are scanned in full
-        cand = sorted((lcm(i), i) for i in alive)
+        cand = [] if finished else sorted((lcm(i), i) for i in alive)
         if any(Lp & guard for Lp, _ in cand):
             raise _Overflow
         kept = []
@@ -438,6 +462,8 @@ def _gebauer_moeller(packed, pk: _Packing, weights):
         alive.add(t)
         insort(reducers, entry, key=itemgetter(0))
 
+    for entry in known:
+        push_element(entry[2], finished=True)
     # popped from the end: by degree, then in input order
     inputs = sorted(((sum(map(mul, pk.unpack(max(terms)), weights)), k)
                      for k, terms in enumerate(packed)), reverse=True)
@@ -715,15 +741,25 @@ class ImageRows:
 # ideals
 
 class Ideal:
-    """Finitely generated ideal in Q[context] with cached reduced bases."""
+    """Finitely generated ideal in Q[context] with cached reduced bases.
+    An ideal made by `extended` records the ideal it extends, whose
+    generators come first in its own."""
 
-    __slots__ = ("context", "gens", "_gb")
+    __slots__ = ("context", "gens", "_gb", "_parent")
 
     def __init__(self, context: VarTable, gens):
         self.context = context
         gens = [context.own(g, "generator") for g in gens]
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = {}
+        self._parent = None
+
+    def extended(self, extra) -> "Ideal":
+        """This ideal plus the `extra` generators, recording this one as its
+        parent, so a basis the parent holds is extended, not made again."""
+        ideal = Ideal(self.context, self.gens + tuple(extra))
+        ideal._parent = self
+        return ideal
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -731,13 +767,28 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> _Reducers:
         """Reduced monic basis, cached write-once per order as `buchberger`
-        packed it, or as handed over by `_with_basis`; its polynomials are
-        built only when read, and a wider packing is a new one (`doubled`)."""
+        packed it, or packed on first read from the basis `_with_basis`
+        handed over; its polynomials are built only when read, and a wider
+        packing is a new one (`doubled`).  When the parent of an `extended`
+        ideal already holds its basis under `order` and every generator is
+        weighted-homogeneous, `buchberger` extends that basis by the extra
+        generators; otherwise it runs on all of them."""
         cached = self._gb.get(order.tag)
+        if isinstance(cached, _Reducers):
+            return cached
         if cached is None:
-            # no generators, no basis: the packing then comes from the table
-            cached = self._gb[order.tag] = (buchberger(self.gens, order)
-                                            or _Reducers.of((), order, len(self.context)))
+            parent = self._parent
+            if (parent is not None and order.tag in parent._gb
+                    and all(g.is_homogeneous() for g in self.gens)):
+                cached = buchberger(self.gens[len(parent.gens):], order,
+                                    known=parent.groebner(order))
+            else:
+                cached = buchberger(self.gens, order)
+        if not isinstance(cached, _Reducers):
+            # handed over, or no generators and no basis: the packing then
+            # comes from the table
+            cached = _Reducers.of(cached, order, len(self.context))
+        self._gb[order.tag] = cached
         return cached
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -756,10 +807,11 @@ class Ideal:
 
 def _with_basis(context: VarTable, basis, order: MonomialOrder) -> Ideal:
     """The ideal of `basis`, its reduced monic basis under `order` sorted by
-    decreasing leading monomial, holding it as that basis (`_Reducers.of`)
-    so that no Buchberger run computes it again."""
+    decreasing leading monomial, holding it as that basis so that no
+    Buchberger run computes it again; `Ideal.groebner` packs it on first
+    read."""
     ideal = Ideal(context, basis)
-    ideal._gb[order.tag] = _Reducers.of(ideal.gens, order, len(context))
+    ideal._gb[order.tag] = ideal.gens
     return ideal
 
 

@@ -1,15 +1,18 @@
 """Finitely presented graded rings, graded maps, and fiber products.
 
 A presentation is Q[x_1..x_n]/I with positive integer weights on the
-variables and weighted-homogeneous relations.  Maps are determined by
-generator images and are checked to preserve the grading and to kill the
-source relations.  The fiber product of two maps out of a common free tag
-ring is presented by the intersection of their kernels.  For beta a
-projection, the alpha images of the tag monomials with a tag beta kills
-(`_alpha_rows`, rows that `groebner.ImageRows` packs and reduces) serve two
-jobs, each call building its own: the pair-image rank is counted from alpha
-alone (`pair_image_rank`), and a beta-side relation whose naive lift fails
-is corrected over the rows of its degree (`apply_quotient`)."""
+variables and weighted-homogeneous relations.  A quotient by extra
+relations extends the reduced basis its ring already holds, so a glued ring
+or a bottom ring costs the pairs of the new relations only.  Maps are
+determined by generator images and are checked to preserve the grading and
+to kill the source relations.  The fiber product of two maps out of a
+common free tag ring is presented by the intersection of their kernels.
+For beta a projection, the alpha images of the tag monomials with a tag
+beta kills (`_alpha_rows`, rows that `groebner.ImageRows` packs and
+reduces) serve two jobs, each call building its own: the pair-image rank
+is counted from alpha alone (`pair_image_rank`), and a beta-side relation
+whose naive lift fails is corrected over the rows of its degree
+(`apply_quotient`)."""
 
 from __future__ import annotations
 
@@ -34,7 +37,8 @@ class Presentation:
     that generate the unit ideal are rejected.  `relations` is a list of
     polynomials or an `Ideal` over the table, which is kept as it is, so a
     basis it already holds under the presentation's order (a kernel's or an
-    intersection's) is not computed again.  Graded dimensions are read
+    intersection's) is not computed again.  A quotient extends the basis
+    its ring already holds (`Ideal.extended`).  Graded dimensions are read
     off one `HilbertSeries`, built on first use from the leading monomials
     of the cached basis."""
 
@@ -84,14 +88,18 @@ class Presentation:
         -> R/(f) -> 0 is exact, so HS(R/(f)) - (1 - t^c) HS(R) is
         t^c HS(0:f), zero only when (0:f) is, so f is regular exactly when
         the two series agree in every degree.  Zero is not regular; a
-        non-homogeneous f or a unit raises PresentationError."""
-        quotient = self.quotient([f])
+        non-homogeneous f or a unit raises PresentationError.  This ring's
+        series is read first, so the quotient's basis extends its basis."""
+        quotient, series = self.quotient([f]), self.series
         return quotient, not f.is_zero() and quotient.series.first_difference(
-            HilbertSeries.sum([self.series, self.series.shifted(f.weighted_degree(), -1)])
-        ) is None
+            HilbertSeries.sum([series, series.shifted(f.weighted_degree(), -1)])) is None
 
     def quotient(self, extra_relations) -> "Presentation":
-        return Presentation(self.table, list(self.relations.gens) + list(extra_relations))
+        """This ring modulo the extra relations, by the relation ideal
+        `extended` from this one's, so its basis extends the one this
+        ring holds."""
+        return Presentation(self.table, self.relations.extended(
+            self.table.own(rel, "relation", PresentationError) for rel in extra_relations))
 
     def __repr__(self):
         return f"Presentation({self.table!r}, {len(self.relations.gens)} relations)"

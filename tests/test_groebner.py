@@ -7,6 +7,7 @@ from time import perf_counter
 
 import pytest
 
+from chowcheck import groebner
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import (
     Ideal,
@@ -178,6 +179,32 @@ def test_intersect():
     # I ∩ J sits inside both
     for g in both.gens:
         assert diag.member(g) and axes.member(g)
+
+
+def test_an_intersection_packs_its_handed_over_basis_when_first_read(monkeypatch):
+    # neither elimination packs the basis it hands over: nobody reads the
+    # inner one, and the outer one is packed by its first reader
+    packed, of = [], groebner._Reducers.of
+    monkeypatch.setattr(groebner._Reducers, "of",
+                        staticmethod(lambda *args: packed.append(args) or of(*args)))
+    table = VarTable(["x", "y", "z"])
+    both = intersect(Ideal(table, polys(table, "x*y")), Ideal(table, polys(table, "y*z")))
+    assert packed == []
+    order = MonomialOrder.wgrevlex(table.weights)
+    assert both.groebner(order) is both.groebner(order) == tuple(polys(table, "x*y*z"))
+    assert len(packed) == 1
+
+
+def test_a_known_basis_is_widened_for_an_extra_that_does_not_fit():
+    # the parent's basis is packed in 32-bit fields, into which x^(2^32 + 1) would spill
+    table = VarTable(["x", "y"])
+    x, y = (Polynomial.variable(table, n) for n in table.names)
+    parent = Ideal(table, [x * y])
+    assert parent.groebner(GREVLEX).packing.width == 32
+    big = Polynomial(table, {(2**32 + 1, 0): 1})
+    extended = parent.extended([big])
+    assert extended.groebner(GREVLEX).packing.width == 64
+    assert list(extended.groebner(GREVLEX)) == list(buchberger([x * y, big], GREVLEX))
 
 
 def test_colon_and_nonzerodivisors():

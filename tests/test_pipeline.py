@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from chowcheck import chowpipeline, groebner, invariants
+from chowcheck import chowpipeline, groebner, invariants, ringpres
 from chowcheck.chowpipeline import (
     CLAIMS_FILE,
     PipelineError,
@@ -960,7 +960,30 @@ def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
     verify_paper()
     assert steps == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
     assert sum(presentations.values()) == sum(coordinates.values()) == 14
-    assert sum(builds.values()) <= 105
+    assert sum(builds.values()) <= 53
+
+
+def test_verify_paper_ranks_only_the_stages_it_certifies(monkeypatch):
+    # the main run certifies its four stages; no sweep claim reads the
+    # certificate of the four stages only the sweeps glue
+    ranks = _count_calls(monkeypatch, "pair_image_rank", module=ringpres)
+    verify_paper()
+    assert sum(ranks.values()) == 4
+
+
+def test_a_sweep_certifies_a_stage_only_it_glues_as_the_main_run_would():
+    store = run_pipeline()
+    convention = SignConvention(1, -1, -1, -1)
+    claim = _claim(id="on-stage", kind="surjectivity", stage="Gamma2", dmax="12")
+    (row,) = convention_search([claim], conventions=[convention], store=store)["rows"]
+    assert row["passed"] == ["on-stage"]
+    view = store.under(convention)
+    swept = view.stage("Gamma2")
+    assert swept is not store.stage("Gamma2")
+    assert "surjectivity" not in view.stage("Gamma1")  # glued, never read
+    alone = run_pipeline(convention).stage("Gamma2")
+    assert swept["surjectivity"] == swept["info"]["surjectivity"] == alone["info"]["surjectivity"]
+    assert swept["info"]["certified_through"] == alone["info"]["certified_through"] == 12
 
 
 def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch):
@@ -1240,7 +1263,8 @@ def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(m
     # space keralpha:Gamma3pp by the kernel: each already holds its reduced
     # basis under the presentation's order, so no Buchberger run makes it
     runs = _count_calls(monkeypatch, "buchberger", module=groebner,
-                        key=lambda gens, order=groebner.GREVLEX: (tuple(gens), order.tag))
+                        key=lambda gens, order=groebner.GREVLEX, known=None:
+                        (tuple(gens), order.tag))
     store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
     fiber = store.stage("Gamma3pp")["fiber"]
     glued = sum(runs.values())
@@ -1250,6 +1274,30 @@ def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(m
     assert sum(runs.values()) == glued
     for pres in (fiber, space):
         assert (pres.relations.gens, pres.order.tag) not in runs
+
+
+def test_the_gamma3pp_glued_ring_extends_the_basis_of_its_fiber(artifacts, monkeypatch):
+    # the glued ring is the fiber and three lifts: the fiber's basis goes in
+    # as finished elements, and no S-pair of two of them is formed; a run
+    # from scratch over all 41 generators builds 159 S-polynomials
+    stage, prev = artifacts.stage("Gamma3pp"), artifacts.stage("Gamma3p")["result"]
+    fiber = stage["fiber"]
+    known = len(fiber.relations.groebner(fiber.order))
+    glued, _ = ringpres.apply_quotient(fiber, stage["alpha"], stage["beta"],
+                                       prev.relations.gens)
+    pairs, spoly = [], groebner._spoly
+
+    def counted(f, g, *args):
+        pairs.append((f[3], g[3]))
+        return spoly(f, g, *args)
+
+    monkeypatch.setattr(groebner, "_spoly", counted)
+    basis = list(glued.relations.groebner(glued.order))
+    monkeypatch.undo()
+    assert len(pairs) <= 20
+    assert not any(i < known and j < known for i, j in pairs)
+    assert basis == list(groebner.buchberger(glued.relations.gens, glued.order))
+    assert basis == list(stage["result"].relations.groebner(glued.order))
 
 
 def _reverse_entries(section):

@@ -710,6 +710,62 @@ def test_eliminate_agrees_with_one_block_order_and_hands_over_its_basis(case, da
         assert held == fresh == list(kept.gens) == list(plain.gens)
 
 
+@st.composite
+def extended_ideals(draw):
+    """A table, weighted-homogeneous generators over it, and
+    weighted-homogeneous extras in any order, some of them multiples of a
+    generator, which lie in the ideal already."""
+    table, gens, extras = draw(homogeneous_pairs())
+    assume(gens)
+    for _ in range(draw(st.integers(0, 2))):
+        monos = standard_monomials(Ideal(table, ()), draw(st.integers(0, 2)), GREVLEX)
+        if monos:
+            cofactor = Polynomial(table, {m: draw(coeffs) for m in draw(
+                st.lists(st.sampled_from(monos), min_size=1, max_size=2, unique=True))})
+            extras.append(cofactor * draw(st.sampled_from(gens)))
+    return table, gens, draw(st.permutations(extras))
+
+
+def extend(parent, extras, order):
+    """The basis of `parent` extended by `extras` under `order`, once the
+    parent holds its own, and the known bases `buchberger` was given."""
+    parent.groebner(order)
+    given, run = [], groebner.buchberger
+
+    def spy(gens, order, known=None):
+        given.append(known)
+        return run(gens, order, known=known)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "buchberger", spy)
+        basis = list(parent.extended(extras).groebner(order))
+    return basis, given
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(extended_ideals())
+def test_extending_a_known_basis_gives_the_basis_of_all_the_generators(case):
+    # the parent's basis goes into the pair loop as finished elements and the
+    # extras as inputs; a fresh run over every generator is the oracle
+    table, gens, extras = case
+    for order in (MonomialOrder.wgrevlex(table.weights), LEX):
+        parent = Ideal(table, gens)
+        basis, known = extend(parent, extras, order)
+        assert len(known) == 1 and known[0] is parent.groebner(order)
+        assert basis == list(buchberger(gens + extras, order))
+
+
+def test_a_non_homogeneous_extra_makes_the_basis_from_all_the_generators():
+    x1, x2, x3 = (Polynomial.variable(TABLE3, n) for n in TABLE3.names)
+    parent = Ideal(TABLE3, [x1**2 - x2 * x3, x2**2 - x1 * x3])
+    extra = x1 * x2 + 1
+    basis, known = extend(parent, [extra], GREVLEX)
+    assert known == [None]
+    assert basis == list(buchberger([*parent.gens, extra], GREVLEX))
+    with pytest.raises(ValueError, match="weighted-homogeneous"):
+        buchberger([extra], GREVLEX, known=parent.groebner(GREVLEX))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_ideals(max_gens=2), small_ideals(max_gens=2))
 def test_an_intersection_of_non_homogeneous_ideals_is_still_correct(left, right):
