@@ -137,7 +137,7 @@ def test_criterion_05_pipeline_shape(artifacts, report_and_time):
     report, elapsed = report_and_time
     assert elapsed < 60.0
 
-    stage1 = artifacts.stages[0]["result"]
+    stage1 = artifacts.stages[0].result
     assert stage1.table.names == ("k1", "k2")
     assert stage1.table.weights == (1, 2)
     assert stage1.is_free()
@@ -174,11 +174,11 @@ def test_criterion_06_sign_incompatibility_is_detected(report):
 def test_criterion_07_everything_is_weighted_homogeneous(artifacts, report):
     checked = 0
     sweeps = [g for stage in artifacts.stages
-              for g in stage["result"].relations.gens]
+              for g in stage.result.relations.gens]
     final = artifacts.final
     sweeps += list(final.relations.gens)
     sweeps += list(final.relations.groebner(final.order))
-    sweeps += list(artifacts.minimal)
+    sweeps += list(artifacts.stages[-1].minimal)
     for g in sweeps:
         degrees = set()
         for mono in g.terms:
@@ -223,7 +223,7 @@ def test_criterion_08_property_suites_and_membership_oracle():
 
 def test_criterion_09_graded_certification_through_degree_12(artifacts):
     for label in ("Gamma3p", "Gamma3pp"):
-        info = artifacts.stage(label)["info"]
+        info = artifacts.stage(label).report()
         assert info["certified_through"] >= 12
         rows = [r for r in info["surjectivity"] if r["degree"] <= 12]
         assert [r["degree"] for r in rows] == list(range(13))

@@ -165,6 +165,18 @@ def test_only_the_ideal_runs_buchberger():
                           and _name(node) == "buchberger") == {("groebner", "Ideal.groebner")}
 
 
+def test_only_the_stage_certifies_a_gluing_or_minimises_its_relations():
+    # both are lazy pieces of chowpipeline.Stage, built once per glued stage
+    # and read from there; a call elsewhere would build a second copy
+    def callers(callee):
+        return {owner for module, owner in _owners_in_src(
+            lambda node: isinstance(node, ast.Call) and _name(node) == callee)
+            if module == "chowpipeline"}
+
+    assert callers("graded_surjectivity") == {"Stage.surjectivity"}
+    assert callers("minimal_generators") == {"Stage.minimal"}
+
+
 def test_only_the_subalgebra_builds_a_block_order():
     # every elimination is Subalgebra's graph basis (map_kernel, eliminate,
     # intersect): a block order built elsewhere would be a second elimination

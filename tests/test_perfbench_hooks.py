@@ -54,3 +54,23 @@ def test_machine_report_matches_the_benchmark_digest(report, monkeypatch):
 
     text = emit_report(report, "machine")
     assert hashlib.sha256(text.encode()).hexdigest() == run.PAPER_SHA256
+
+
+def test_a_traced_pass_reaches_every_stage_layer(monkeypatch):
+    # the benchmark names each gluing's layer from the stratum handed to
+    # chowpipeline.induction_step; a gluing made under another name would
+    # leave those layers at zero while the wraps still install
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    from chowcheck import chowpipeline
+
+    probe = run.LayerProbe(time.perf_counter)
+    try:
+        chowpipeline.verify_paper()
+    finally:
+        probe.tracer.restore()
+    calls = probe.tracer.calls
+    assert {label: calls(f"chowpipeline.induction_step.{label}") for label in run.STAGES} \
+        == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
+    assert calls("ringpres.graded_surjectivity") == 4

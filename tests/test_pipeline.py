@@ -112,34 +112,34 @@ def test_stratum_rejects_non_invariant_forms():
 
 
 def test_stage_shapes(artifacts):
-    labels = [s["info"]["label"] for s in artifacts.stages]
+    labels = [s.report()["label"] for s in artifacts.stages]
     assert labels == ["Gamma1", "Gamma2", "Gamma3p", "Gamma3pp"]
     for stage in artifacts.stages:
-        assert stage["info"]["nzd"] is True
-        assert stage["info"]["certified_through"] == 12
+        assert stage.report()["nzd"] is True
+        assert stage.report()["certified_through"] == 12
 
 
 def test_stage1_result_is_free_on_k1_k2(artifacts):
-    result = artifacts.stages[0]["result"]
+    result = artifacts.stages[0].result
     assert result.table.names == ("k1", "k2")
     assert result.table.weights == (1, 2)
     assert result.is_free()
 
 
 def test_stage2_result_relation_is_the_single_glued_one(artifacts):
-    result = artifacts.stages[1]["result"]
+    result = artifacts.stages[1].result
     assert [str(g) for g in result.relations.gens] == [J1]
     assert [result.dim(d) for d in range(9)] == TWO_NODE_DIMS
 
 
 def test_stage3a_result_relations(artifacts):
-    result = artifacts.stages[2]["result"]
+    result = artifacts.stages[2].result
     assert [str(g) for g in result.relations.gens] == J3A
     assert [result.dim(d) for d in range(13)] == CHAIN_DIMS
 
 
 def test_stage3a_displayed_pair_differs_from_restriction(artifacts):
-    info = artifacts.stages[2]["info"]
+    info = artifacts.stages[2].report()
     q_pair = next(p for p in info["pairs"] if p["tag"] == "q")
     assert q_pair["source"] == "displayed"
     assert q_pair["differs_from_restriction"] is True
@@ -147,7 +147,7 @@ def test_stage3a_displayed_pair_differs_from_restriction(artifacts):
 
 
 def test_stage3b_lift_of_stage2_relation_needs_a_correction(artifacts):
-    info = artifacts.stages[3]["info"]
+    info = artifacts.stages[3].report()
     corrected = [L for L in info["lifts"] if L["correction"]]
     assert len(corrected) == 1
     assert corrected[0]["relation"] == J1
@@ -159,6 +159,25 @@ def test_final_presentation_shape(artifacts):
     assert len(final.table.names) == 10
     assert dict(zip(final.table.names, final.table.weights)) == FINAL_WEIGHTS
     assert [final.dim(d) for d in range(13)] == FINAL_DIMS
+
+
+def test_each_stage_ring_has_the_minimal_presentation_of_its_open_substack(artifacts):
+    # each glued ring is the Chow ring of the curves with the strata glued
+    # so far: generator weights and minimal relations by degree (Stage.minimal)
+    want = {"Gamma1": ({1: 1, 2: 1}, {}),
+            "Gamma2": ({1: 1, 2: 2, 4: 1}, {8: 1}),
+            "Gamma3p": ({1: 1, 2: 2, 3: 1, 4: 1}, {5: 1, 7: 1, 8: 1}),
+            "Gamma3pp": ({1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 1},
+                         {5: 1, 6: 1, 7: 2, 8: 5, 9: 5, 10: 5, 11: 2, 12: 1})}
+    got = {stage.label: (Counter(stage.result.table.weights),
+                         Counter(g.weighted_degree() for g in stage.minimal))
+           for stage in artifacts.stages}
+    assert got == want
+    assert artifacts.stages[0].result.table.names == ("k1", "k2")
+    for stage in artifacts.stages:
+        result = stage.result
+        assert groebner.ideal_equal(groebner.Ideal(result.table, stage.minimal),
+                                    result.relations, result.order)
 
 
 def test_the_final_ring_is_the_image_of_its_tags_in_the_base_and_the_strata(artifacts):
@@ -174,7 +193,7 @@ def test_the_final_ring_is_the_image_of_its_tags_in_the_base_and_the_strata(arti
                                           if n in base.table.names else 0
                                           for n in tags.names}, base.table, base.relations)]
     for stage in artifacts.stages:
-        alpha = stage["alpha"]
+        alpha = stage.alpha
         kernels.append(groebner.map_kernel(tags, {n: alpha.images.get(n, 0) for n in tags.names},
                                            alpha.target.table, alpha.target.relations))
     product = kernels[0]
@@ -288,8 +307,9 @@ def test_the_displayed_rows_extend_to_a_minimal_generating_set(report, artifacts
     claims = [claim for claim in load_claims() if claim.kind == "relation_row"]
     rows = [runner.parse(claim, "row" if row["status"] == "PASS" else "corrected", final.table)
             for claim, row in zip(claims, report["final"]["theorem_rows"], strict=True)]
-    kept = {id(g) for g in groebner.irredundant(rows + artifacts.minimal, final.order)}
-    added = [g for g in artifacts.minimal if id(g) in kept]
+    minimal = artifacts.stages[-1].minimal
+    kept = {id(g) for g in groebner.irredundant(rows + minimal, final.order)}
+    added = [g for g in minimal if id(g) in kept]
     assert [id(g) in kept for g in rows] == [True] * 11
     assert len(added) == 11
     assert Counter(g.weighted_degree() for g in added) == {8: 1, 9: 3, 10: 4, 11: 2, 12: 1}
@@ -941,7 +961,7 @@ def _count_calls(monkeypatch, name, key=lambda *args, **kwargs: None,
 
 def test_sweep_glues_each_stage_once_per_sign_restriction(monkeypatch):
     steps = _count_calls(monkeypatch, "induction_step",
-                         key=lambda prev, stratum, **kw: stratum.label)
+                         key=lambda prev, stratum, dmax: stratum.label)
     convention_search(_sweep_groups()["incompatible-pair"])
     # stages are keyed by content: Gamma1's top class is -k1 or k1 (e1), and
     # Gamma2 glues onto those two rings with two restrictions of g2 (eg)
@@ -953,7 +973,7 @@ def test_verify_paper_glues_each_distinct_stage_once(monkeypatch):
     # each of its 14 strata presents its own ring from its own coordinates,
     # and the rank and the transport of a stage each build their alpha rows
     steps = _count_calls(monkeypatch, "induction_step",
-                         key=lambda prev, stratum, **kw: stratum.label)
+                         key=lambda prev, stratum, dmax: stratum.label)
     presentations = _count_calls(monkeypatch, "invariant_presentation")
     coordinates = _count_calls(monkeypatch, "Subalgebra")
     builds = _count_calls(monkeypatch, "_build", module=groebner.ImageRows)
@@ -980,10 +1000,26 @@ def test_a_sweep_certifies_a_stage_only_it_glues_as_the_main_run_would():
     view = store.under(convention)
     swept = view.stage("Gamma2")
     assert swept is not store.stage("Gamma2")
-    assert "surjectivity" not in view.stage("Gamma1")  # glued, never read
-    alone = run_pipeline(convention).stage("Gamma2")
-    assert swept["surjectivity"] == swept["info"]["surjectivity"] == alone["info"]["surjectivity"]
-    assert swept["info"]["certified_through"] == alone["info"]["certified_through"] == 12
+    assert "surjectivity" not in view.stage("Gamma1")._pieces  # glued, never read
+    alone = run_pipeline(convention).stage("Gamma2").report()
+    assert swept._pieces["surjectivity"] == swept.report()["surjectivity"] == alone["surjectivity"]
+    assert swept.report()["certified_through"] == alone["certified_through"] == 12
+
+
+def test_a_stage_with_an_uncertified_degree_is_certified_through_minus_one(monkeypatch):
+    real = chowpipeline.graded_surjectivity
+
+    def short_in_degree_5(*args):
+        rows = real(*args)
+        rows[5] = {**rows[5], "certified": False}
+        return rows
+
+    monkeypatch.setattr(chowpipeline, "graded_surjectivity", short_in_degree_5)
+    store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
+    runner = chowpipeline.ClaimRunner(store)
+    assert runner.run(_claim(kind="surjectivity", stage="Gamma2", dmax="12"))["status"] == "FAIL"
+    assert runner.run(_claim(kind="surjectivity", stage="Gamma2", dmax="4"))["status"] == "PASS"
+    assert store.stage("Gamma2").report()["certified_through"] == -1
 
 
 def test_verify_paper_builds_and_sweeps_one_action_per_stratum_file(monkeypatch):
@@ -1107,13 +1143,13 @@ def test_a_stage_key_holds_the_top_class_in_ring_coordinates(monkeypatch):
     # Gamma1's ring, restrictions and pairs agree under e1 = +1 and -1;
     # only its top class, (t1 + t2) = e1*k1, tells the two stages apart
     steps = _count_calls(monkeypatch, "induction_step",
-                         key=lambda prev, stratum, **kw: stratum.label)
+                         key=lambda prev, stratum, dmax: stratum.label)
     store = chowpipeline.Artifacts(SignConvention(),
                                    *chowpipeline._load_inputs())
     minus, plus, plus_e2 = (store.under(SignConvention(e1, e2, -1, 1)).stage("Gamma1")
                             for e1, e2 in ((-1, -1), (1, -1), (1, 1)))
     assert minus is not plus and plus is plus_e2
-    assert (minus["info"]["top_chern"], plus["info"]["top_chern"]) == ("-k1", "k1")
+    assert (minus.top_chern, plus.top_chern) == ("-k1", "k1")
     assert steps == {"Gamma1": 2}
 
 
@@ -1266,7 +1302,7 @@ def test_the_gamma3pp_fiber_and_kernel_space_reuse_the_bases_their_gluing_made(m
                         key=lambda gens, order=groebner.GREVLEX, known=None:
                         (tuple(gens), order.tag))
     store = chowpipeline.Artifacts(SignConvention(), *chowpipeline._load_inputs())
-    fiber = store.stage("Gamma3pp")["fiber"]
+    fiber = store.stage("Gamma3pp").fiber
     glued = sum(runs.values())
     fiber.series
     space = chowpipeline.ClaimRunner(store).space(_claim(space="keralpha:Gamma3pp"))
@@ -1280,10 +1316,10 @@ def test_the_gamma3pp_glued_ring_extends_the_basis_of_its_fiber(artifacts, monke
     # the glued ring is the fiber and three lifts: the fiber's basis goes in
     # as finished elements, and no S-pair of two of them is formed; a run
     # from scratch over all 41 generators builds 159 S-polynomials
-    stage, prev = artifacts.stage("Gamma3pp"), artifacts.stage("Gamma3p")["result"]
-    fiber = stage["fiber"]
+    stage, prev = artifacts.stage("Gamma3pp"), artifacts.stage("Gamma3p").result
+    fiber = stage.fiber
     known = len(fiber.relations.groebner(fiber.order))
-    glued, _ = ringpres.apply_quotient(fiber, stage["alpha"], stage["beta"],
+    glued, _ = ringpres.apply_quotient(fiber, stage.alpha, stage.beta,
                                        prev.relations.gens)
     pairs, spoly = [], groebner._spoly
 
@@ -1297,7 +1333,7 @@ def test_the_gamma3pp_glued_ring_extends_the_basis_of_its_fiber(artifacts, monke
     assert len(pairs) <= 20
     assert not any(i < known and j < known for i, j in pairs)
     assert basis == list(groebner.buchberger(glued.relations.gens, glued.order))
-    assert basis == list(stage["result"].relations.groebner(glued.order))
+    assert basis == list(stage.result.relations.groebner(glued.order))
 
 
 def _reverse_entries(section):

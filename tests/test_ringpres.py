@@ -188,7 +188,7 @@ def pair_rank_from_scratch(alpha, beta, degree):
 def test_pair_image_rank_matches_the_from_scratch_count(artifacts):
     """Every gluing stage of the default convention, in any degree order."""
     for stage in artifacts.stages:
-        alpha, beta = stage["alpha"], stage["beta"]
+        alpha, beta = stage.alpha, stage.beta
         for degrees in (list(range(13)), [5, 2], [3]):
             assert pair_image_rank(alpha, beta, degrees) == [
                 pair_rank_from_scratch(alpha, beta, d) for d in degrees]
