@@ -8,7 +8,8 @@ cofactors (Bareiss, Math. Comp. 22, 1968), as `groebner._reduce` does for
 polynomials; `Fraction` appears only in what `reduce` returns.  An int
 row goes in as it is, so the packed integer rows of `groebner.ImageRows`
 (ranked, and solved over by `solve_linear`) need no `Fraction` round
-trip."""
+trip.  `gf2_rank` ranks integer rows mod 2: a lower bound on their rank
+over Q, not an eliminator over Q."""
 
 from __future__ import annotations
 
@@ -87,6 +88,26 @@ def sparse_rank(rows) -> int:
     for row in rows:
         echelon.add(row)
     return len(echelon)
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of {key: int} rows, a lower bound on their rank over
+    Q: rows independent mod 2 have an odd, so nonzero, maximal minor.  A row
+    is an int bitset of its odd entries, columns numbered as first seen;
+    each step pivots on the highest set bit and subtracts by one XOR."""
+    columns, pivots = {}, {}
+    for row in rows:
+        bits = 0
+        for k, v in row.items():
+            if v & 1:
+                bits |= 1 << columns.setdefault(k, len(columns))
+        while bits:
+            top = bits.bit_length()
+            if top not in pivots:
+                pivots[top] = bits
+                break
+            bits ^= pivots[top]
+    return len(pivots)
 
 
 def independent_rows(rows) -> list:

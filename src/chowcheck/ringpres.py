@@ -25,7 +25,7 @@ from .groebner import (
     intersect,
     map_kernel,
 )
-from .linalg import solve_linear, sparse_rank
+from .linalg import gf2_rank, solve_linear, sparse_rank
 
 
 class PresentationError(ValueError):
@@ -177,16 +177,32 @@ def _alpha_rows(alpha: Morphism, beta: Morphism) -> ImageRows:
                      alpha.target.order, lambda m: any(m[i] for i in killed))
 
 
-def pair_image_rank(alpha: Morphism, beta: Morphism, degrees) -> list:
+def pair_image_rank(alpha: Morphism, beta: Morphism, degrees, bottom=None) -> list:
     """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
     one per d in `degrees`, for beta a projection (`_alpha_rows`).
 
     The monomials free of killed tags go to distinct monomials of C and the
     others to zero there, so the pair matrix is block triangular: its rank
     is the number of degree-d monomials, less the alpha rows, plus their
-    rank.  A row is its rational image times a nonzero rational."""
-    return [size - len(built) + sparse_rank([row for _, row, _ in built])
-            for size, built in map(_alpha_rows(alpha, beta).rows, degrees)]
+    rank.  A row is its rational image times a nonzero rational, with
+    integer entries, so `gf2_rank` <= rank.  When `bottom` is a quotient of
+    A (A's table, A's relations zero in it) in which every killed tag's
+    image dies, each row alpha(t) * alpha(m / t), t killed, lies in the
+    kernel of the onto map A -> bottom, so rank <= dim A_d - dim bottom_d.
+    A degree whose GF(2) rank reaches that ceiling has that rank; any other
+    is ranked by `sparse_rank`, so no rank depends on `bottom`."""
+    rows, a = _alpha_rows(alpha, beta), alpha.target
+    proved = bottom is not None and bottom.table == a.table and all(
+        map(bottom.is_zero, a.relations.gens)) and all(
+        bottom.is_zero(alpha.images[n]) for n in beta.killed_names())
+    ranks = []
+    for d in degrees:
+        size, built = rows.rows(d)
+        vectors = [row for _, row, _ in built]
+        ceiling = a.dim(d) - bottom.dim(d) if proved else None
+        rank = ceiling if proved and gf2_rank(vectors) == ceiling else sparse_rank(vectors)
+        ranks.append(size - len(built) + rank)
+    return ranks
 
 
 def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
@@ -199,10 +215,12 @@ def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
     images is counted by one `pair_image_rank` call over all the degrees,
     and the quotient presentation's own graded dimension is read off its
     Hilbert series.  All three must agree for the degree to be certified.
+    The count is handed `bottom`, so it ranks mod 2 below the ceiling
+    dim A_d - dim B_d, which every killed tag dying in B proves.
     """
     degrees = list(degrees)
     out = []
-    for d, rank_d in zip(degrees, pair_image_rank(alpha, beta, degrees)):
+    for d, rank_d in zip(degrees, pair_image_rank(alpha, beta, degrees, bottom)):
         expected = alpha.target.dim(d) + beta.target.dim(d) - bottom.dim(d)
         quotient_d = fiber.dim(d)
         out.append({"degree": d, "pair_rank": rank_d, "fiber_dim": expected,

@@ -94,6 +94,24 @@ def count_standard_monomials(I, order):
                if not any(mono_div(m, lm) is not None for lm in lms))
 
 
+def gf2_rank_of_lists(rows):
+    """Rank over GF(2) of equal-length 0/1 lists by the textbook elimination:
+    column by column, a row with a 1 there is swapped up among the rows not
+    yet used and added to every other row with a 1 there."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [a ^ b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
 def transport_correction(alpha, beta, extra):
     """The correction that lifts `extra` across the fiber square, found the
     plain way: every tag monomial of its degree with a tag beta kills, the

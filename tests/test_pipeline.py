@@ -991,6 +991,35 @@ def test_verify_paper_ranks_only_the_stages_it_certifies(monkeypatch):
     assert sum(ranks.values()) == 4
 
 
+def _rational_certificate(stage) -> list:
+    """The stage's certificate with every pair rank counted over Q."""
+    ranks = ringpres.pair_image_rank(stage.alpha, stage.beta, range(stage.dmax + 1))
+    return [{**row, "pair_rank": rank,
+             "certified": rank == row["fiber_dim"] == row["quotient_dim"]}
+            for row, rank in zip(stage.surjectivity, ranks)]
+
+
+@pytest.mark.parametrize("convention", [None, SignConvention(1, 1, -1, -1)],
+                         ids=["default", "+1,+1,-1,-1"])
+def test_every_stage_certifies_mod_2_at_the_rational_ranks(artifacts, convention,
+                                                            monkeypatch):
+    # every degree's GF(2) rank reaches the proved ceiling, so the stages
+    # certify with no rational elimination, and at the ranks it counts
+    ranks = _count_calls(monkeypatch, "sparse_rank", module=ringpres)
+    if convention is None:
+        stages = artifacts.stages
+        for stage in stages:
+            assert ringpres.graded_surjectivity(
+                stage.fiber, stage.alpha, stage.beta, stage.bottom,
+                range(stage.dmax + 1)) == stage.surjectivity
+    else:
+        stages = run_pipeline(convention).stages
+    assert not ranks
+    monkeypatch.undo()
+    for stage in stages:
+        assert stage.surjectivity == _rational_certificate(stage)
+
+
 def test_a_sweep_certifies_a_stage_only_it_glues_as_the_main_run_would():
     store = run_pipeline()
     convention = SignConvention(1, -1, -1, -1)

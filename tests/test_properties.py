@@ -36,12 +36,14 @@ from chowcheck.groebner import (
     zero_dimensional,
 )
 from chowcheck.invariants import GroupAction, invariant_basis, molien_series
-from chowcheck.linalg import SparseEchelon, independent_rows, solve_linear, sparse_rank
+from chowcheck.linalg import (
+    SparseEchelon, gf2_rank, independent_rows, solve_linear, sparse_rank)
 from chowcheck.polyarith import (
     MonomialOrder, Polynomial, VarTable, mono_div, mono_lcm, mono_mul)
 from chowcheck.ringpres import Presentation
 from oracles import (
-    block_elimination, brute_force_member, count_standard_monomials, kernel_by_elimination)
+    block_elimination, brute_force_member, count_standard_monomials, gf2_rank_of_lists,
+    kernel_by_elimination)
 
 LEX = MonomialOrder.lex()
 GREVLEX = MonomialOrder.grevlex()
@@ -380,6 +382,21 @@ def test_fraction_free_echelon_matches_a_fraction_eliminator(rows, probe):
     assert len(echelon) == len(reference.pivots) == sparse_rank(rows + [probe])
     assert set(echelon.pivots) == set(reference.pivots)
     assert ints.pivots == echelon.pivots
+
+
+int_rows = st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(int_rows, max_size=8))
+@example([{0: 1, 1: 1}, {0: 1, 1: -1}])  # rank 2 over Q, 1 mod 2
+@example([{0: 2, 1: -4}, {1: 0}])  # an even row and a zero entry vanish mod 2
+def test_gf2_rank_is_the_rank_mod_2_and_a_lower_bound_over_q(rows):
+    """Integer rows with negative, even and zero entries."""
+    rank = gf2_rank(rows)
+    assert rank <= sparse_rank(rows)
+    keys = sorted({k for row in rows for k in row})
+    assert rank == gf2_rank_of_lists([[row.get(k, 0) % 2 for k in keys] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chowcheck import groebner
+from chowcheck import groebner, ringpres
 from chowcheck.exprparser import parse_polynomial
 from chowcheck.groebner import Ideal, standard_monomials
 from chowcheck.linalg import sparse_rank
@@ -235,9 +235,73 @@ def tag_maps(draw, scale=1):
 @settings(max_examples=80, deadline=None)
 @given(tag_maps(), st.lists(st.integers(0, 4), min_size=1, max_size=4))
 def test_pair_image_rank_matches_the_from_scratch_count_on_drawn_maps(maps, degrees):
+    """Without a bottom ring, and with alpha's target modulo the killed
+    tags' images, under which the ceiling holds and a degree may be
+    counted mod 2."""
     alpha, beta = maps
-    assert pair_image_rank(alpha, beta, degrees) == [
-        pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+    expected = [pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+    assert pair_image_rank(alpha, beta, degrees) == expected
+    bottom = alpha.target.quotient(alpha.images[n] for n in beta.killed_names())
+    assert pair_image_rank(alpha, beta, degrees, bottom) == expected
+
+
+def _rational_ranks(monkeypatch) -> list:
+    """The number of rows of each `sparse_rank` call the recount makes."""
+    sizes = []
+    monkeypatch.setattr(ringpres, "sparse_rank",
+                        lambda rows: sizes.append(len(rows)) or sparse_rank(rows))
+    return sizes
+
+
+def test_a_gf2_rank_below_the_ceiling_falls_back_to_the_rational_rank(monkeypatch):
+    """x + y and x - y have rank 2 over Q but agree mod 2: the ceiling
+    dim A_1 - dim B_1 = 2 is not reached, and the rows are ranked over Q."""
+    tags = pres(["k1", "k2", "k3"], [1, 1, 1])
+    a = pres(["x", "y"], [1, 1])
+    c = pres(["k3"], [1])
+    x, y = (Polynomial.variable(a.table, n) for n in ("x", "y"))
+    alpha = Morphism(tags, a, {"k1": x + y, "k2": x - y, "k3": x})
+    beta = Morphism(tags, c, {"k1": Polynomial.zero(c.table), "k2": Polynomial.zero(c.table),
+                              "k3": Polynomial.variable(c.table, "k3")})
+    sizes = _rational_ranks(monkeypatch)
+    assert pair_image_rank(alpha, beta, [1], a.quotient([x + y, x - y])) == [3]
+    assert sizes == [2]
+
+
+def test_a_killed_tag_alive_in_the_bottom_is_ranked_over_q(monkeypatch):
+    """The one-node shape with bottom A/(k2): k1 survives there, so no
+    degree is counted mod 2, and degree 1 has pair rank 1 against an
+    expected fiber dimension of 0."""
+    tags = pres(["k1", "k2"], [1, 2])
+    a = pres(["k1", "k2"], [1, 2])
+    prev = pres(["k2"], [2])
+    alpha = Morphism(tags, a, {n: Polynomial.variable(a.table, n) for n in ("k1", "k2")})
+    beta = Morphism(tags, prev, {"k1": Polynomial.zero(prev.table),
+                                 "k2": Polynomial.variable(prev.table, "k2")})
+    bottom = a.quotient([Polynomial.variable(a.table, "k2")])
+    sizes = _rational_ranks(monkeypatch)
+    rows = graded_surjectivity(fiber_product(alpha, beta)[0], alpha, beta, bottom, range(4))
+    assert len(sizes) == 4
+    assert [row["pair_rank"] for row in rows] == [
+        pair_rank_from_scratch(alpha, beta, d) for d in range(4)]
+    assert (rows[1]["pair_rank"], rows[1]["fiber_dim"], rows[1]["certified"]) == (1, 0, False)
+
+
+def test_a_bottom_that_is_not_a_quotient_of_alpha_target_is_not_a_ceiling(monkeypatch):
+    """A = Q[x, y, z]/(z).  Over another table, or with z alive in it, the
+    bottom ring is no quotient of A.  With z alive, dim A_1 - dim B_1 = 1
+    equals the GF(2) rank of x + y and x - y, so trusting that bound would
+    undercount; the rows are ranked over Q instead."""
+    tags = pres(["k1", "k2"], [1, 1])
+    a = pres(["x", "y", "z"], [1, 1, 1], "z")
+    c = pres([], [])
+    x, y = (Polynomial.variable(a.table, n) for n in ("x", "y"))
+    alpha = Morphism(tags, a, {"k1": x + y, "k2": x - y})
+    beta = Morphism(tags, c, {n: Polynomial.zero(c.table) for n in ("k1", "k2")})
+    for bottom in (Presentation(a.table, [x, y]), pres(["u"], [1])):
+        sizes = _rational_ranks(monkeypatch)
+        assert pair_image_rank(alpha, beta, [1], bottom) == [2]
+        assert sizes == [2]
 
 
 @settings(max_examples=60, deadline=None)
