@@ -6,7 +6,8 @@ permutations, invariant coordinates for the closed stratum's ring, the top
 Chern class of its normal directions, and restriction formulas for every
 ambient generator.  The stage glues the previous ring to the stratum ring
 along the quotient by the top Chern class (checked to be a non-zero-divisor
-first), presents the glued ring by the intersection of the two kernels,
+first), presents the glued ring by the intersection of the stratum-side
+kernel with the ideal of the new tags, which the other side kills,
 transports the previous relations across the square, and certifies
 degreewise that the chosen generators span everything.
 
@@ -49,6 +50,7 @@ from .groebner import (
     Ideal,
     Subalgebra,
     ideal_equal,
+    intersect,
     irredundant,
     map_kernel,
     subalgebra_member,
@@ -76,7 +78,6 @@ from .ringpres import (
     Presentation,
     PresentationError,
     apply_quotient,
-    fiber_product,
     graded_surjectivity,
 )
 
@@ -344,14 +345,17 @@ class Stage:
     """The previous ring glued with one stratum over the bottom ring
     A/(top Chern class), whose Hilbert series is the non-zero-divisor gate.
 
-    Built at once: the maps `alpha` and `beta` of the tags, each tag
-    restricted into the stratum coordinates, with a displayed gluing pair
-    used when it agrees over the bottom and a fallback otherwise (`pairs`);
-    the fiber product `fiber` from the kernels `ker_alpha` and `ker_beta`;
-    the glued ring `result` with the previous relations lifted (`lifts`);
-    and the check that its Hilbert series is the previous ring's plus the
-    stratum ring's shifted by the top class's degree.  Built on first read,
-    a failure kept too: `surjectivity`, `keralpha`, `kerbeta`, `minimal`.
+    Built at once: the map `alpha` of the tags, each tag restricted into
+    the stratum coordinates, with a displayed gluing pair used when it
+    agrees over the bottom and a fallback otherwise (`pairs`); the new tags
+    `killed`, which the other side, restriction to the open complement,
+    kills; the check that the square commutes, every previous relation and
+    every new tag restricting to zero on the bottom; the fiber `fiber` from
+    `ker_alpha` and `ker_beta`, the ideal of the killed tags; the glued
+    ring `result` with the previous relations lifted (`lifts`); and the
+    check that its Hilbert series is the previous ring's plus the stratum
+    ring's shifted by the top class's degree.  Built on first read, a
+    failure kept too: `surjectivity`, `keralpha`, `kerbeta`, `minimal`.
     `report()` is the stage's report entry.
     """
 
@@ -377,7 +381,6 @@ class Stage:
             tags = VarTable(names, weights)
         except ValueError as exc:
             raise PipelineError(f"{stratum.label}: bad [new] entry: {exc}") from None
-        free_tags = Presentation(tags, ())
 
         alpha_images = {}
         self.pairs = []
@@ -395,17 +398,22 @@ class Stage:
             alpha_images[tag] = override if row["source"] == "displayed" else true_side
             self.pairs.append({"tag": tag, "a_side": str(alpha_images[tag]), **row})
 
-        prev_free = Presentation(prev.table)
-        beta_images = {n: (Polynomial.variable(prev.table, n) if n in prev.table.names
-                           else Polynomial.zero(prev.table)) for n in names}
-        self.alpha = Morphism(free_tags, A, alpha_images)
-        self.beta = Morphism(free_tags, prev_free, beta_images)
+        self.alpha = Morphism(Presentation(tags), A, alpha_images)
+        self.killed = list(stratum.spec.new.names)
 
-        # the previous ring must actually map to the bottom: relations die there
-        Morphism(prev, self.bottom, {n: alpha_images[n] for n in prev.table.names})
+        # the square commutes: the previous relations and the new tags die in the bottom
+        images = self.alpha.images
+        dying = [(f"relation {rel}", rel.substitute(images, target=A.table))
+                 for rel in prev.relations.gens]
+        for what, image in dying + [(f"new tag {t}", images[t]) for t in self.killed]:
+            if not self.bottom.is_zero(image):
+                raise PipelineError(f"{stratum.label}: the restriction of {what} is not "
+                                    "zero on the bottom ring")
 
-        self.fiber, self.ker_alpha, self.ker_beta = fiber_product(self.alpha, self.beta)
-        self.result, self.lifts = apply_quotient(self.fiber, self.alpha, self.beta,
+        self.ker_alpha = self.alpha.kernel()
+        self.ker_beta = Ideal(tags, [Polynomial.variable(tags, t) for t in self.killed])
+        self.fiber = Presentation(tags, intersect(self.ker_alpha, self.ker_beta))
+        self.result, self.lifts = apply_quotient(self.fiber, self.alpha, self.killed,
                                                  prev.relations.gens)
         # a non-zero-divisor top class of degree c gives HS(result) = HS(prev) + t^c HS(A)
         c = ctop.weighted_degree()
@@ -420,7 +428,7 @@ class Stage:
     def surjectivity(self) -> list:
         """The generation certificate, one `graded_surjectivity` row per
         degree 0..dmax, so a stage nobody certifies is never ranked."""
-        return graded_surjectivity(self.fiber, self.alpha, self.beta, self.bottom,
+        return graded_surjectivity(self.fiber, self.alpha, self.killed, self.bottom,
                                    range(self.dmax + 1))
 
     @_piece

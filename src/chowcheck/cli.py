@@ -233,7 +233,7 @@ def cmd_fiber(args):
     source = Presentation(a_source)
     alpha = Morphism(source, Presentation(a_target, a_relations), a_images)
     beta = Morphism(source, Presentation(b_target, b_relations), b_images)
-    pres = fiber_product(alpha, beta)[0]
+    pres = fiber_product(alpha, beta)
     return _presentation_text(pres.table, pres.relations.groebner(pres.order)), 0
 
 

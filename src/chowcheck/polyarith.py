@@ -91,9 +91,6 @@ class VarTable:
         return value
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
 def mono_div(a: tuple, b: tuple):
     """a / b as a monomial, or None when b does not divide a."""
     out = []
@@ -234,12 +231,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        """Maximum combinatorial degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def weighted_degree(self) -> int:
         """Maximum degree under the context weights, -1 for zero."""
         if not self.terms:
@@ -257,12 +248,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
-    def coefficient(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def monomials(self, order: MonomialOrder = GREVLEX):
         """Monomials in decreasing order."""

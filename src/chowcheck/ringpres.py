@@ -7,12 +7,13 @@ or a bottom ring costs the pairs of the new relations only.  Maps are
 determined by generator images and are checked to preserve the grading and
 to kill the source relations.  The fiber product of two maps out of a
 common free tag ring is presented by the intersection of their kernels.
-For beta a projection, the alpha images of the tag monomials with a tag
-beta kills (`_alpha_rows`, rows that `groebner.ImageRows` packs and
-reduces) serve two jobs, each call building its own: the pair-image rank
-is counted from alpha alone (`pair_image_rank`), and a beta-side relation
-whose naive lift fails is corrected over the rows of its degree
-(`apply_quotient`)."""
+A gluing's other side is the projection that kills a given set of tags and
+keeps the rest, so it takes those `killed` tags in place of a map: the
+alpha images of the tag monomials with a killed tag (`_alpha_rows`, rows
+that `groebner.ImageRows` packs and reduces) serve two jobs, each call
+building its own: the pair-image rank is counted from alpha alone
+(`pair_image_rank`), and a relation of the kept tags whose naive lift
+fails is corrected over the rows of its degree (`apply_quotient`)."""
 
 from __future__ import annotations
 
@@ -143,58 +144,51 @@ class Morphism:
         return map_kernel(self.source.table, self.images, self.target.table,
                           self.target.relations)
 
-    def killed_names(self):
-        return [n for n in self.source.table.names if self.images[n].is_zero()]
 
-
-def fiber_product(alpha: Morphism, beta: Morphism) -> tuple:
+def fiber_product(alpha: Morphism, beta: Morphism) -> Presentation:
     """Present the image of the common source inside target(alpha) x target(beta).
 
     Both maps must leave the same free tag ring.  The relation ideal is the
-    intersection of the two kernels.  Returns the presentation and the
-    kernels of alpha and beta.
+    intersection of the two kernels.
     """
     if alpha.source is not beta.source and alpha.source.table != beta.source.table:
         raise PresentationError("fiber product needs a common source")
     if not alpha.source.is_free():
         raise PresentationError("fiber product source must be free")
-    ker_alpha, ker_beta = alpha.kernel(), beta.kernel()
-    fiber = Presentation(alpha.source.table, intersect(ker_alpha, ker_beta))
-    return fiber, ker_alpha, ker_beta
+    return Presentation(alpha.source.table, intersect(alpha.kernel(), beta.kernel()))
 
 
-def _alpha_rows(alpha: Morphism, beta: Morphism) -> ImageRows:
-    """The `ImageRows` of alpha on the tag monomials with a tag beta kills, for
-    beta a projection: each tag goes to zero or to its own variable of a free ring."""
+def _alpha_rows(alpha: Morphism, killed) -> ImageRows:
+    """The `ImageRows` of alpha on the tag monomials with a `killed` tag; a
+    killed name that is not a tag is a `PresentationError`."""
     tags = alpha.source.table
-    kept = [f.terms for f in beta.images.values() if f.terms]
-    bare = {m for t in kept for m, c in t.items() if len(t) == 1 and c == 1 and sum(m) == 1}
-    if beta.source.table != tags or not beta.target.is_free() or len(bare) != len(kept):
-        raise PresentationError("beta must send each tag of alpha's source to zero "
-                                "or to a variable of its own in a free ring")
-    killed = [tags.index(n) for n in beta.killed_names()]
+    for name in killed:
+        if name not in tags.names:
+            raise PresentationError(f"killed name {name} is not a tag")
+    at = [tags.index(n) for n in killed]
     return ImageRows(tags, [alpha.images[n] for n in tags.names], alpha.target.relations,
-                     alpha.target.order, lambda m: any(m[i] for i in killed))
+                     alpha.target.order, lambda m: any(m[i] for i in at))
 
 
-def pair_image_rank(alpha: Morphism, beta: Morphism, degrees, bottom=None) -> list:
+def pair_image_rank(alpha: Morphism, killed, degrees, bottom: Presentation) -> list:
     """Ranks of the spans of the images of degree-d tag monomials in A_d x C_d,
-    one per d in `degrees`, for beta a projection (`_alpha_rows`).
+    one per d in `degrees`, C the free ring of the tags not `killed`.
 
     The monomials free of killed tags go to distinct monomials of C and the
     others to zero there, so the pair matrix is block triangular: its rank
-    is the number of degree-d monomials, less the alpha rows, plus their
-    rank.  A row is its rational image times a nonzero rational, with
-    integer entries, so `gf2_rank` <= rank.  When `bottom` is a quotient of
-    A (A's table, A's relations zero in it) in which every killed tag's
-    image dies, each row alpha(t) * alpha(m / t), t killed, lies in the
-    kernel of the onto map A -> bottom, so rank <= dim A_d - dim bottom_d.
-    A degree whose GF(2) rank reaches that ceiling has that rank; any other
-    is ranked by `sparse_rank`, so no rank depends on `bottom`."""
-    rows, a = _alpha_rows(alpha, beta), alpha.target
-    proved = bottom is not None and bottom.table == a.table and all(
+    is the number of degree-d monomials, less the alpha rows
+    (`_alpha_rows`), plus their rank.  A row is its rational image times a
+    nonzero rational, with integer entries, so `gf2_rank` <= rank.  When
+    `bottom` is a quotient of A (A's table, A's relations zero in it) in
+    which every killed tag's image dies, each row alpha(t) * alpha(m / t),
+    t killed, lies in the kernel of the onto map A -> bottom, so
+    rank <= dim A_d - dim bottom_d.  A degree whose GF(2) rank reaches that
+    ceiling has that rank; any other is ranked by `sparse_rank`, so no rank
+    depends on `bottom`."""
+    rows, a = _alpha_rows(alpha, killed), alpha.target
+    proved = bottom.table == a.table and all(
         map(bottom.is_zero, a.relations.gens)) and all(
-        bottom.is_zero(alpha.images[n]) for n in beta.killed_names())
+        bottom.is_zero(alpha.images[n]) for n in killed)
     ranks = []
     for d in degrees:
         size, built = rows.rows(d)
@@ -205,23 +199,28 @@ def pair_image_rank(alpha: Morphism, beta: Morphism, degrees, bottom=None) -> li
     return ranks
 
 
-def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
+def graded_surjectivity(fiber: Presentation, alpha: Morphism, killed,
                         bottom: Presentation, degrees) -> list:
     """Certify degreewise that the tags generate the whole fiber ring.
 
     For each degree d the expected fiber dimension is
     dim A_d + dim C_d - dim B_d (valid because the projection of A onto the
-    bottom ring is onto), the independent linear-system rank of the tag
-    images is counted by one `pair_image_rank` call over all the degrees,
-    and the quotient presentation's own graded dimension is read off its
-    Hilbert series.  All three must agree for the degree to be certified.
-    The count is handed `bottom`, so it ranks mod 2 below the ceiling
-    dim A_d - dim B_d, which every killed tag dying in B proves.
+    bottom ring is onto), C the free ring of the tags not `killed`, whose
+    dimensions are read off its free series on their weights.  The
+    independent linear-system rank of the tag images is counted by one
+    `pair_image_rank` call over all the degrees, and the quotient
+    presentation's own graded dimension is read off its Hilbert series.
+    All three must agree for the degree to be certified.  The count is
+    handed `bottom`, so it ranks mod 2 below the ceiling dim A_d - dim B_d,
+    which every killed tag dying in B proves.
     """
     degrees = list(degrees)
+    tags = alpha.source.table
+    kept = HilbertSeries({0: 1}, [w for n, w in zip(tags.names, tags.weights)
+                                  if n not in killed])
     out = []
-    for d, rank_d in zip(degrees, pair_image_rank(alpha, beta, degrees, bottom)):
-        expected = alpha.target.dim(d) + beta.target.dim(d) - bottom.dim(d)
+    for d, rank_d in zip(degrees, pair_image_rank(alpha, killed, degrees, bottom)):
+        expected = alpha.target.dim(d) + kept.dim(d) - bottom.dim(d)
         quotient_d = fiber.dim(d)
         out.append({"degree": d, "pair_rank": rank_d, "fiber_dim": expected,
                     "quotient_dim": quotient_d,
@@ -229,25 +228,27 @@ def graded_surjectivity(fiber: Presentation, alpha: Morphism, beta: Morphism,
     return out
 
 
-def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
-                   extras) -> tuple:
-    """Impose relations of the beta side on a fiber presentation.
+def apply_quotient(fiber: Presentation, alpha: Morphism, killed, extras) -> tuple:
+    """Impose relations of the kept tags, the tags not `killed`, on a fiber
+    presentation.
 
-    Each extra is a polynomial over the beta target table, each of whose
-    variables beta must hit from its namesake tag, that holds in the
-    beta-side ring and whose alpha-side counterpart is zero.  The naive lift
-    renames it into the tag ring; when its alpha image is nonzero the
-    difference is solved for over the alpha rows of its degree
-    (`_alpha_rows`), the monomials with a tag beta kills, and y_m maps back
-    to x_m = y_m * s_m * L^m (`ImageRows.scale`), so the corrected lift dies
-    on both sides.  Returns the quotient presentation and one note per extra."""
+    Each extra is a polynomial in kept tags only (a name that is not one is
+    a `PresentationError`) that holds on the projection's side and whose
+    alpha-side counterpart is zero.  The naive lift renames it into the tag
+    ring; when its alpha image is nonzero the difference is solved for over
+    the alpha rows of its degree (`_alpha_rows`), the monomials with a
+    killed tag, and y_m maps back to x_m = y_m * s_m * L^m
+    (`ImageRows.scale`), so the corrected lift dies on both sides: alpha
+    kills it, and every monomial of the correction has a killed tag.
+    Returns the quotient presentation and one note per extra."""
     table = fiber.table
-    rows = _alpha_rows(alpha, beta)
-    for name in beta.target.table.names:
-        if beta.images.get(name) != Polynomial.variable(beta.target.table, name):
-            raise PresentationError(f"beta does not send a tag {name} to the variable {name}")
+    rows = _alpha_rows(alpha, killed)
+    kept = set(table.names) - set(killed)
     lifts, notes = [], []
     for extra in extras:
+        stray = sorted(extra.support_names() - kept)
+        if stray:
+            raise PresentationError(f"relation names {stray[0]}, not a kept tag: {extra}")
         lift = naive = extra.rename(table)
         resid = alpha(naive)
         correction = None
@@ -260,7 +261,7 @@ def apply_quotient(fiber: Presentation, alpha: Morphism, beta: Morphism,
             correction = Polynomial(table, {m: y * rows.scale(m, s)
                                             for (m, _, s), y in zip(built, sol) if y})
             lift = naive - correction
-            if not alpha(lift).is_zero() or not beta(correction).is_zero():
+            if not alpha(lift).is_zero() or not all(map(rows.keep, correction.terms)):
                 raise PresentationError(f"correction failed to stay on one side: {extra}")
         lifts.append(lift)
         notes.append({"relation": str(extra), "lift": str(lift),

@@ -4,8 +4,83 @@ from fractions import Fraction
 from itertools import product
 
 from chowcheck.groebner import Ideal, buchberger, standard_monomials
-from chowcheck.linalg import solve_linear
-from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div, mono_mul
+from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable, mono_div
+
+
+def _echelon(columns, rhs) -> tuple:
+    """Plain Gaussian elimination on one sparse Fraction equation per key,
+    unlike the fraction-free echelon of `chowcheck.linalg`: column by
+    column, the shortest unused equation holding y[j] is scaled to make
+    its coefficient 1 and cleared from every unused one.  The right-hand side
+    sits in each equation under the key None.  Returns the pivot equation
+    of each pivot column and the equations left unused."""
+    equations = {}
+    for j, col in [*enumerate(columns), (None, rhs)]:
+        for k, v in col.items():
+            if v:
+                equations.setdefault(k, {})[j] = Fraction(v)
+    unused, pivots = list(equations.values()), {}
+    for j in range(len(columns)):
+        holding = [i for i, eq in enumerate(unused) if j in eq]
+        if not holding:
+            continue
+        at = min(holding, key=lambda i: len(unused[i]))
+        eq = unused.pop(at)
+        eq = pivots[j] = {i: v / eq[j] for i, v in eq.items()}
+        for other in unused:
+            c = other.get(j)
+            if not c:
+                continue
+            for i, v in eq.items():
+                left = other.get(i, 0) - c * v
+                if left:
+                    other[i] = left
+                else:
+                    other.pop(i, None)
+    return pivots, unused
+
+
+def solve_fractions(columns, rhs):
+    """Coefficients y with sum(y[j] * columns[j]) == rhs, or None when there
+    are none: `_echelon`, then back substitution.  A column without a pivot
+    depends on the columns before it and gets 0, so the answer is unique."""
+    pivots, unused = _echelon(columns, rhs)
+    if any(None in eq for eq in unused):
+        return None
+    y = [Fraction(0)] * len(columns)
+    for j in sorted(pivots, reverse=True):
+        y[j] = pivots[j].get(None, 0) - sum(v * y[i] for i, v in pivots[j].items()
+                                            if i is not None and i != j)
+    return y
+
+
+def rank_fractions(vectors) -> int:
+    """Rank of {key: number} vectors, the pivot count of `_echelon`."""
+    return len(_echelon(vectors, {})[0])
+
+
+def pair_rank_from_scratch(alpha, killed, degree):
+    """The pair-image rank as a plain loop: for each tag monomial of the
+    degree, its full alpha image beside its image in the free ring of the
+    tags not `killed` (itself, or zero when it has a killed tag), then one
+    `rank_fractions`."""
+    table = alpha.source.table
+    rows = []
+    for m in standard_monomials(Ideal(table, ()), degree, MonomialOrder.wgrevlex(table.weights)):
+        row = {("A",) + k: v for k, v in alpha(Polynomial(table, {m: Fraction(1)})).terms.items()}
+        if not any(e for e, n in zip(m, table.names) if n in killed):
+            row[("C",) + m] = Fraction(1)
+        rows.append(row)
+    return rank_fractions(rows)
+
+
+def total_degree(f) -> int:
+    """The largest number of factors in a monomial of f, -1 for zero."""
+    return max(map(sum, f.terms), default=-1)
+
+
+def leading_coefficient(f, order):
+    return f.terms[f.leading_monomial(order)]
 
 
 def brute_force_member(f, gens, slack: int = 2):
@@ -18,17 +93,17 @@ def brute_force_member(f, gens, slack: int = 2):
     ctx = f.context
     if f.is_zero():
         return True
-    d = f.total_degree() + slack
+    d = total_degree(f) + slack
     columns = []
     for g in gens:
         if g.is_zero():
             continue
-        bound = d - g.total_degree()
+        bound = d - total_degree(g)
         if bound < 0:
             continue
         for m in _monomials_up_to(len(ctx), bound):
-            columns.append({mono_mul(gm, m): gc for gm, gc in g.terms.items()})
-    return solve_linear(columns, f.terms) is not None
+            columns.append({tuple(map(sum, zip(gm, m))): gc for gm, gc in g.terms.items()})
+    return solve_fractions(columns, f.terms) is not None
 
 
 def _monomials_up_to(n: int, d: int):
@@ -112,19 +187,18 @@ def gf2_rank_of_lists(rows):
     return rank
 
 
-def transport_correction(alpha, beta, extra):
+def transport_correction(alpha, killed, extra):
     """The correction that lifts `extra` across the fiber square, found the
-    plain way: every tag monomial of its degree with a tag beta kills, the
-    alpha normal form of each in Fraction coefficients, one `solve_linear`
+    plain way: every tag monomial of its degree with a `killed` tag, the
+    alpha normal form of each in Fraction coefficients, one `solve_fractions`
     against the alpha image of the naive lift.  None when there is none."""
     table = alpha.source.table
-    killed = set(beta.killed_names())
     naive = extra.rename(table)
     candidates = [m for m in standard_monomials(Ideal(table, ()), naive.weighted_degree(),
                                                 MonomialOrder.wgrevlex(table.weights))
                   if any(m[i] for i, n in enumerate(table.names) if n in killed)]
     images = [alpha(Polynomial(table, {m: Fraction(1)})).terms for m in candidates]
-    sol = solve_linear(images, alpha(naive).terms)
+    sol = solve_fractions(images, alpha(naive).terms)
     if sol is None:
         return None
     return Polynomial(table, {m: c for m, c in zip(candidates, sol) if c})

@@ -177,6 +177,13 @@ def test_only_the_stage_certifies_a_gluing_or_minimises_its_relations():
     assert callers("minimal_generators") == {"Stage.minimal"}
 
 
+def test_only_the_fiber_command_builds_a_fiber_product():
+    # a stage presents its fiber from alpha's kernel and the ideal of its
+    # new tags; the general fiber product of two maps is the CLI's alone
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call)
+                          and _name(node) == "fiber_product") == {("cli", "cmd_fiber")}
+
+
 def test_only_the_subalgebra_builds_a_block_order():
     # every elimination is Subalgebra's graph basis (map_kernel, eliminate,
     # intersect): a block order built elsewhere would be a second elimination

@@ -74,5 +74,7 @@ def test_a_traced_pass_reaches_every_stage_layer(monkeypatch):
     assert {label: calls(f"chowpipeline.induction_step.{label}") for label in run.STAGES} \
         == {"Gamma1": 2, "Gamma2": 4, "Gamma3p": 1, "Gamma3pp": 1}
     assert calls("ringpres.graded_surjectivity") == 4
+    # one kernel per gluing, alpha's: the other side's kernel is the ideal of the new tags
+    assert calls("ringpres.Morphism.kernel") == 8
     # every degree is certified mod 2 at its proved ceiling: no rational rank
     assert calls("linalg.sparse_rank") == 0

@@ -36,6 +36,7 @@ from chowcheck.cli import main
 from chowcheck.exprparser import Entry, ParseError, parse_document, parse_polynomial
 from chowcheck.invariants import InvariantError
 from chowcheck.polyarith import Polynomial
+from oracles import pair_rank_from_scratch
 
 # stage-2 glued relation, recomputed via kernel intersection and lifting
 J1 = "k1^4*g2^2 + 2*k1^2*k2*g2^2 - 4*k1^2*g2^3 - 8*k2*g2^3 + q^2"
@@ -503,6 +504,23 @@ def test_pipeline_rejects_two_strata_with_one_label(tmp_path):
     gamma2.write_text(gamma2.read_text().replace("Gamma2", "Gamma1"))
     with pytest.raises(PipelineError, match="two stratum files share a label"):
         run_pipeline(root=root)
+
+
+def test_a_new_tag_that_survives_on_the_bottom_ring_is_named(tmp_path, monkeypatch):
+    # g2 restricts to eg*TOP + U2, which is not zero modulo the top class:
+    # the square fails to commute, and the stage says so before it glues,
+    # not later through the Hilbert series of a glued ring that is too big
+    root = _data_copy(tmp_path)
+    gamma2 = root / "strata" / "gamma2.stratum"
+    text = gamma2.read_text()
+    assert text.count("g2: eg*TOP\n") == 1
+    gamma2.write_text(text.replace("g2: eg*TOP\n", "g2: eg*TOP + U2\n"))
+    kernels = _count_calls(monkeypatch, "kernel", module=ringpres.Morphism)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(root=root)
+    assert str(err.value) == ("Gamma2: the restriction of new tag g2 is not zero "
+                              "on the bottom ring")
+    assert sum(kernels.values()) == 1  # Gamma1's; Gamma2 stops before its kernel
 
 
 def test_a_ring_weight_must_be_the_degree_of_its_form(tmp_path):
@@ -992,8 +1010,9 @@ def test_verify_paper_ranks_only_the_stages_it_certifies(monkeypatch):
 
 
 def _rational_certificate(stage) -> list:
-    """The stage's certificate with every pair rank counted over Q."""
-    ranks = ringpres.pair_image_rank(stage.alpha, stage.beta, range(stage.dmax + 1))
+    """The stage's certificate with every pair rank counted over Q, by the
+    from-scratch oracle."""
+    ranks = [pair_rank_from_scratch(stage.alpha, stage.killed, d) for d in range(stage.dmax + 1)]
     return [{**row, "pair_rank": rank,
              "certified": rank == row["fiber_dim"] == row["quotient_dim"]}
             for row, rank in zip(stage.surjectivity, ranks)]
@@ -1010,7 +1029,7 @@ def test_every_stage_certifies_mod_2_at_the_rational_ranks(artifacts, convention
         stages = artifacts.stages
         for stage in stages:
             assert ringpres.graded_surjectivity(
-                stage.fiber, stage.alpha, stage.beta, stage.bottom,
+                stage.fiber, stage.alpha, stage.killed, stage.bottom,
                 range(stage.dmax + 1)) == stage.surjectivity
     else:
         stages = run_pipeline(convention).stages
@@ -1313,8 +1332,8 @@ def test_a_dropped_lift_fails_the_hilbert_series_stage_check(monkeypatch):
     # recurrence HS(result) = HS(prev) + t^c HS(stratum ring) catches
     transport = chowpipeline.apply_quotient
 
-    def drop_last(fiber, alpha, beta, extras):
-        return transport(fiber, alpha, beta, list(extras)[:-1])
+    def drop_last(fiber, alpha, killed, extras):
+        return transport(fiber, alpha, killed, list(extras)[:-1])
 
     monkeypatch.setattr(chowpipeline, "apply_quotient", drop_last)
     with pytest.raises(PipelineError, match=r"glued ring of Gamma3p has dimension 27 "
@@ -1348,7 +1367,7 @@ def test_the_gamma3pp_glued_ring_extends_the_basis_of_its_fiber(artifacts, monke
     stage, prev = artifacts.stage("Gamma3pp"), artifacts.stage("Gamma3p").result
     fiber = stage.fiber
     known = len(fiber.relations.groebner(fiber.order))
-    glued, _ = ringpres.apply_quotient(fiber, stage.alpha, stage.beta,
+    glued, _ = ringpres.apply_quotient(fiber, stage.alpha, stage.killed,
                                        prev.relations.gens)
     pairs, spoly = [], groebner._spoly
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chowcheck import groebner, ringpres
 from chowcheck.exprparser import parse_polynomial
-from chowcheck.groebner import Ideal, standard_monomials
+from chowcheck.groebner import Ideal, intersect, standard_monomials
 from chowcheck.linalg import sparse_rank
 from chowcheck.polyarith import MonomialOrder, Polynomial, VarTable
 from chowcheck.ringpres import (
@@ -19,7 +19,7 @@ from chowcheck.ringpres import (
     graded_surjectivity,
     pair_image_rank,
 )
-from oracles import transport_correction
+from oracles import pair_rank_from_scratch, transport_correction
 
 
 def pres(names, weights, *relations):
@@ -123,7 +123,6 @@ def test_morphism_kernel():
     for f in expected:
         assert ker.member(f)
     assert not ker.member(Polynomial.variable(src.table, "a"))
-    assert phi.killed_names() == []
 
 
 def test_fiber_product_of_two_restrictions():
@@ -133,10 +132,10 @@ def test_fiber_product_of_two_restrictions():
     b = pres(["v"], [1], "v^3")
     alpha = Morphism(source, a, {"x": Polynomial.variable(a.table, "u")})
     beta = Morphism(source, b, {"x": Polynomial.variable(b.table, "v")})
-    glued, ker_alpha, ker_beta = fiber_product(alpha, beta)
+    glued = fiber_product(alpha, beta)
     # relations = ker alpha ∩ ker beta = (x^2) ∩ (x^3) = (x^3)
-    for ideal, gens in ((glued.relations, ["x^3"]), (ker_alpha, ["x^2"]),
-                        (ker_beta, ["x^3"])):
+    for ideal, gens in ((glued.relations, ["x^3"]), (alpha.kernel(), ["x^2"]),
+                        (beta.kernel(), ["x^3"])):
         assert [str(g) for g in ideal.groebner(glued.order)] == gens
 
 
@@ -148,50 +147,40 @@ def test_fiber_product_requires_free_source():
         fiber_product(alpha, alpha)
 
 
+def fiber(alpha, killed):
+    """The fiber of a gluing as a stage presents it: ker alpha intersected
+    with the ideal of the killed tags, the kernel of the projection."""
+    tags = alpha.source.table
+    return Presentation(tags, intersect(alpha.kernel(), Ideal(
+        tags, [Polynomial.variable(tags, n) for n in killed])))
+
+
 def test_pair_image_rank_and_graded_surjectivity():
-    """The one-node gluing shape: A = Q[k1,k2], bottom = A/(k1), prev = Q[k2]."""
+    """The one-node gluing shape: A = Q[k1,k2], bottom = A/(k1), k1 killed."""
     tags = pres(["k1", "k2"], [1, 2])
     a = pres(["k1", "k2"], [1, 2])
-    prev = pres(["k2"], [2])
     bottom = a.quotient([Polynomial.variable(a.table, "k1")])
     alpha = Morphism(tags, a, {
         "k1": Polynomial.variable(a.table, "k1"),
         "k2": Polynomial.variable(a.table, "k2"),
     })
-    beta = Morphism(tags, prev, {
-        "k1": Polynomial.zero(prev.table),
-        "k2": Polynomial.variable(prev.table, "k2"),
-    })
-    glued = fiber_product(alpha, beta)[0]
+    glued = fiber(alpha, ["k1"])
     assert glued.is_free()  # ker alpha = 0
-    assert pair_image_rank(alpha, beta, [2]) == [2]  # k1^2 and k2 stay independent
-    rows = graded_surjectivity(glued, alpha, beta, bottom, range(7))
+    assert pair_image_rank(alpha, ["k1"], [2], bottom) == [2]  # k1^2 and k2 stay independent
+    rows = graded_surjectivity(glued, alpha, ["k1"], bottom, range(7))
     for row in rows:
         assert row["pair_rank"] == row["fiber_dim"] == row["quotient_dim"]
         assert row["certified"]
     assert [row["quotient_dim"] for row in rows] == [1, 1, 2, 2, 3, 3, 4]
 
 
-def pair_rank_from_scratch(alpha, beta, degree):
-    """The count as a plain loop: one full image per tag monomial, then a rank."""
-    table = alpha.source.table
-    rows = []
-    for m in standard_monomials(Ideal(table, ()), degree,
-                                MonomialOrder.wgrevlex(table.weights)):
-        f = Polynomial(table, {m: Fraction(1)})
-        row = {("A",) + k: v for k, v in alpha(f).terms.items()}
-        row.update({("C",) + k: v for k, v in beta(f).terms.items()})
-        rows.append(row)
-    return sparse_rank(rows)
-
-
 def test_pair_image_rank_matches_the_from_scratch_count(artifacts):
     """Every gluing stage of the default convention, in any degree order."""
     for stage in artifacts.stages:
-        alpha, beta = stage.alpha, stage.beta
+        alpha, killed = stage.alpha, stage.killed
         for degrees in (list(range(13)), [5, 2], [3]):
-            assert pair_image_rank(alpha, beta, degrees) == [
-                pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+            assert pair_image_rank(alpha, killed, degrees, stage.bottom) == [
+                pair_rank_from_scratch(alpha, killed, d) for d in degrees]
 
 
 @st.composite
@@ -210,12 +199,11 @@ def homogeneous(draw, table, degree, denominators):
 
 @st.composite
 def tag_maps(draw, scale=1):
-    """Two maps out of one free weighted tag ring.  Alpha goes into a target
-    of drawn weights, with or without relations, its coefficients with
-    denominators 2 and 4.  Beta is a projection: it kills a drawn subset of
-    the tags and sends each of the rest to its namesake in a free target,
-    whose variables come in a drawn order.  Every weight is 1 or 2 times
-    `scale`."""
+    """A map alpha out of one free weighted tag ring, a drawn subset of its
+    tags killed, and the table of the kept tags in a drawn order, over
+    which relations to transport are drawn.  Alpha goes into a target of
+    drawn weights, with or without relations, its coefficients with
+    denominators 2 and 4.  Every weight is 1 or 2 times `scale`."""
     tag_weights = [scale * w for w in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))]
     names = [f"k{i}" for i in range(len(tag_weights))]
     tags = Presentation(VarTable(names, tag_weights))
@@ -224,25 +212,23 @@ def tag_maps(draw, scale=1):
     a = Presentation(table, [draw(homogeneous(table, scale * draw(st.integers(1, 3)), [1, 2]))
                              for _ in range(draw(st.integers(0, 1)))])
     kept = draw(st.permutations([n for n in names if draw(st.booleans())]))
-    c = Presentation(VarTable(kept, [tags.table.weight(n) for n in kept]))
     alpha_images = {n: draw(homogeneous(a.table, w, [1, 2, 4]))
                     for n, w in zip(names, tag_weights)}
-    beta_images = {n: Polynomial.variable(c.table, n) if n in kept
-                   else Polynomial.zero(c.table) for n in names}
-    return Morphism(tags, a, alpha_images), Morphism(tags, c, beta_images)
+    return (Morphism(tags, a, alpha_images), [n for n in names if n not in kept],
+            VarTable(kept, [tags.table.weight(n) for n in kept]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(tag_maps(), st.lists(st.integers(0, 4), min_size=1, max_size=4))
 def test_pair_image_rank_matches_the_from_scratch_count_on_drawn_maps(maps, degrees):
-    """Without a bottom ring, and with alpha's target modulo the killed
-    tags' images, under which the ceiling holds and a degree may be
-    counted mod 2."""
-    alpha, beta = maps
-    expected = [pair_rank_from_scratch(alpha, beta, d) for d in degrees]
-    assert pair_image_rank(alpha, beta, degrees) == expected
-    bottom = alpha.target.quotient(alpha.images[n] for n in beta.killed_names())
-    assert pair_image_rank(alpha, beta, degrees, bottom) == expected
+    """With alpha's target as the bottom, which proves a ceiling only when
+    every killed tag's image is zero there, and with alpha's target modulo
+    the killed tags' images, under which the ceiling holds and a degree
+    may be counted mod 2."""
+    alpha, killed, _ = maps
+    expected = [pair_rank_from_scratch(alpha, killed, d) for d in degrees]
+    for bottom in (alpha.target, alpha.target.quotient(alpha.images[n] for n in killed)):
+        assert pair_image_rank(alpha, killed, degrees, bottom) == expected
 
 
 def _rational_ranks(monkeypatch) -> list:
@@ -258,13 +244,10 @@ def test_a_gf2_rank_below_the_ceiling_falls_back_to_the_rational_rank(monkeypatc
     dim A_1 - dim B_1 = 2 is not reached, and the rows are ranked over Q."""
     tags = pres(["k1", "k2", "k3"], [1, 1, 1])
     a = pres(["x", "y"], [1, 1])
-    c = pres(["k3"], [1])
     x, y = (Polynomial.variable(a.table, n) for n in ("x", "y"))
     alpha = Morphism(tags, a, {"k1": x + y, "k2": x - y, "k3": x})
-    beta = Morphism(tags, c, {"k1": Polynomial.zero(c.table), "k2": Polynomial.zero(c.table),
-                              "k3": Polynomial.variable(c.table, "k3")})
     sizes = _rational_ranks(monkeypatch)
-    assert pair_image_rank(alpha, beta, [1], a.quotient([x + y, x - y])) == [3]
+    assert pair_image_rank(alpha, ["k1", "k2"], [1], a.quotient([x + y, x - y])) == [3]
     assert sizes == [2]
 
 
@@ -274,17 +257,19 @@ def test_a_killed_tag_alive_in_the_bottom_is_ranked_over_q(monkeypatch):
     expected fiber dimension of 0."""
     tags = pres(["k1", "k2"], [1, 2])
     a = pres(["k1", "k2"], [1, 2])
-    prev = pres(["k2"], [2])
     alpha = Morphism(tags, a, {n: Polynomial.variable(a.table, n) for n in ("k1", "k2")})
-    beta = Morphism(tags, prev, {"k1": Polynomial.zero(prev.table),
-                                 "k2": Polynomial.variable(prev.table, "k2")})
     bottom = a.quotient([Polynomial.variable(a.table, "k2")])
     sizes = _rational_ranks(monkeypatch)
-    rows = graded_surjectivity(fiber_product(alpha, beta)[0], alpha, beta, bottom, range(4))
+    rows = graded_surjectivity(fiber(alpha, ["k1"]), alpha, ["k1"], bottom, range(4))
     assert len(sizes) == 4
     assert [row["pair_rank"] for row in rows] == [
-        pair_rank_from_scratch(alpha, beta, d) for d in range(4)]
+        pair_rank_from_scratch(alpha, ["k1"], d) for d in range(4)]
     assert (rows[1]["pair_rank"], rows[1]["fiber_dim"], rows[1]["certified"]) == (1, 0, False)
+
+
+# a bottom ring over another table proves no ceiling: every degree is
+# ranked over Q, and no graded dimension of it or of alpha's target is read
+NO_CEILING = pres([], [])
 
 
 def test_a_bottom_that_is_not_a_quotient_of_alpha_target_is_not_a_ceiling(monkeypatch):
@@ -294,31 +279,28 @@ def test_a_bottom_that_is_not_a_quotient_of_alpha_target_is_not_a_ceiling(monkey
     undercount; the rows are ranked over Q instead."""
     tags = pres(["k1", "k2"], [1, 1])
     a = pres(["x", "y", "z"], [1, 1, 1], "z")
-    c = pres([], [])
     x, y = (Polynomial.variable(a.table, n) for n in ("x", "y"))
     alpha = Morphism(tags, a, {"k1": x + y, "k2": x - y})
-    beta = Morphism(tags, c, {n: Polynomial.zero(c.table) for n in ("k1", "k2")})
-    for bottom in (Presentation(a.table, [x, y]), pres(["u"], [1])):
+    for bottom in (Presentation(a.table, [x, y]), pres(["u"], [1]), NO_CEILING):
         sizes = _rational_ranks(monkeypatch)
-        assert pair_image_rank(alpha, beta, [1], bottom) == [2]
+        assert pair_image_rank(alpha, ["k1", "k2"], [1], bottom) == [2]
         assert sizes == [2]
 
 
 @settings(max_examples=60, deadline=None)
 @given(tag_maps(), st.data())
 def test_apply_quotient_corrects_as_the_fraction_path_does(maps, data):
-    """A relation of beta's side whose naive lift fails gets the correction
-    the Fraction path finds, or no correction on both paths."""
-    alpha, beta = maps
-    c = beta.target.table
-    extra = data.draw(homogeneous(c, data.draw(st.integers(1, 4)), [1, 3]))
+    """A relation of the kept tags whose naive lift fails gets the
+    correction the Fraction path finds, or no correction on both paths."""
+    alpha, killed, kept = maps
+    extra = data.draw(homogeneous(kept, data.draw(st.integers(1, 4)), [1, 3]))
     assume(not alpha(extra.rename(alpha.source.table)).is_zero())
-    expected = transport_correction(alpha, beta, extra)
+    expected = transport_correction(alpha, killed, extra)
     if expected is None:
         with pytest.raises(PresentationError, match="cannot be transported"):
-            apply_quotient(alpha.source, alpha, beta, [extra])
+            apply_quotient(alpha.source, alpha, killed, [extra])
     else:
-        (note,) = apply_quotient(alpha.source, alpha, beta, [extra])[1]
+        (note,) = apply_quotient(alpha.source, alpha, killed, [extra])[1]
         assert note["correction"] == str(expected)
 
 
@@ -341,11 +323,10 @@ def test_pair_image_rank_restarts_at_double_width(monkeypatch):
     basis stays as it was."""
     n = 2**30
     tags = pres(["k"], [n])
-    a, c = pres(["x"], [1]), pres(["y"], [1])
+    a = pres(["x"], [1])
     alpha = Morphism(tags, a, {"k": Polynomial(a.table, {(n,): 1})})
-    beta = Morphism(tags, c, {"k": Polynomial.zero(c.table)})
     widths = _build_widths(monkeypatch)
-    assert pair_image_rank(alpha, beta, [2**31]) == [1]
+    assert pair_image_rank(alpha, ["k"], [2**31], NO_CEILING) == [1]
     assert widths == [32, 64]
     assert a.relations.groebner(a.order).packing.width == 32
 
@@ -361,72 +342,64 @@ def test_alpha_rows_past_32_bit_fields_match_the_oracles(maps, data):
     The rows are then built once more at 64 bits, every degree requested
     after that too, and the ranks and the transport match the plain
     count and the Fraction path."""
-    alpha, beta = maps
-    assume(any(alpha.images[n].terms for n in beta.killed_names()))
+    alpha, killed, kept = maps
+    assume(any(alpha.images[n].terms for n in killed))
     degrees = data.draw(st.lists(st.integers(0, 3), max_size=3))
     degrees.insert(data.draw(st.integers(0, len(degrees))), 4)
     degrees = [WIDE * d for d in degrees]
-    expected = [pair_rank_from_scratch(alpha, beta, d) for d in degrees]
+    expected = [pair_rank_from_scratch(alpha, killed, d) for d in degrees]
     before = len(set(degrees[:degrees.index(4 * WIDE)]))  # built at 32 bits, then dropped
     with pytest.MonkeyPatch.context() as mp:
         widths = _build_widths(mp)
-        assert pair_image_rank(alpha, beta, degrees) == expected
+        assert pair_image_rank(alpha, killed, degrees, NO_CEILING) == expected
         assert widths[:before + 1] == [32] * (before + 1)
         assert widths[before + 1:] and set(widths[before + 1:]) == {64}
-        extra = data.draw(homogeneous(beta.target.table, 4 * WIDE, [1, 3]))
+        extra = data.draw(homogeneous(kept, 4 * WIDE, [1, 3]))
         if alpha(extra.rename(alpha.source.table)).is_zero():
             return
-        correction = transport_correction(alpha, beta, extra)
+        correction = transport_correction(alpha, killed, extra)
         widths.clear()
         if correction is None:
             with pytest.raises(PresentationError, match="cannot be transported"):
-                apply_quotient(alpha.source, alpha, beta, [extra])
+                apply_quotient(alpha.source, alpha, killed, [extra])
         else:
-            (note,) = apply_quotient(alpha.source, alpha, beta, [extra])[1]
+            (note,) = apply_quotient(alpha.source, alpha, killed, [extra])[1]
             assert note["correction"] == str(correction)
         assert widths == [32, 64]
 
 
-def test_pair_ranks_and_transport_need_beta_a_projection():
-    """Beta must kill each tag or send it to a variable of its own in a free
-    ring, and the transport needs that variable to be the tag's namesake;
-    anything else is a domain error, not a KeyError or a wrong lift."""
+def test_pair_ranks_and_transport_need_tags_to_kill_and_kept_extras():
+    """Any set of killed tags defines the projection, so what can still be
+    malformed is a killed name that is no tag and an extra that names a
+    killed tag or no tag; each is a domain error, not a KeyError, a
+    ValueError or a wrong lift."""
     tags = pres(["k1", "k2"], [1, 1])
     a = pres(["u"], [1])
     alpha = Morphism(tags, a, {n: Polynomial.variable(a.table, "u") for n in ("k1", "k2")})
-    bound = pres(["k1", "k2"], [1, 1], "k1*k2")
-    onto_relations = Morphism(tags, bound, {n: Polynomial.variable(bound.table, n)
-                                            for n in ("k1", "k2")})
-    one = pres(["y"], [1])
-    merged = Morphism(tags, one, {n: Polynomial.variable(one.table, "y")
-                                  for n in ("k1", "k2")})
-    for beta in (onto_relations, merged):
-        with pytest.raises(PresentationError, match="variable of its own in a free ring"):
-            pair_image_rank(alpha, beta, [2])
-        with pytest.raises(PresentationError, match="variable of its own in a free ring"):
-            apply_quotient(Presentation(tags.table), alpha, beta, [])
-    # a projection that swaps the names: ranks are fine, but renaming an
-    # extra would lift k1^2 to a tag polynomial that beta sends to k2^2
-    free = pres(["k1", "k2"], [1, 1])
-    swapped = Morphism(tags, free, {"k1": Polynomial.variable(free.table, "k2"),
-                                    "k2": Polynomial.variable(free.table, "k1")})
-    assert pair_image_rank(alpha, swapped, [2]) == [3]
-    with pytest.raises(PresentationError, match="does not send a tag k1 to the variable k1"):
-        apply_quotient(Presentation(tags.table), alpha, swapped,
-                       [parse_polynomial("k1^2", free.table)])
+    glued = Presentation(tags.table)
+    for call in (lambda: pair_image_rank(alpha, ["k3"], [2], a),
+                 lambda: graded_surjectivity(glued, alpha, ["k3"], a, [2]),
+                 lambda: apply_quotient(glued, alpha, ["k3"], [])):
+        with pytest.raises(PresentationError, match="killed name k3 is not a tag"):
+            call()
+    free = pres(["k1", "k2", "y"], [1, 1, 1])
+    for text, name in (("k1^2", "k1"), ("k2^2 - k1*k2", "k1"), ("y*k2", "y")):
+        with pytest.raises(PresentationError, match=f"relation names {name}, not a kept tag"):
+            apply_quotient(glued, alpha, ["k1"], [parse_polynomial(text, free.table)])
+    # a table that merely lists a killed tag is fine: only the names used count
+    _, (note,) = apply_quotient(glued, alpha, ["k1"], [parse_polynomial("k2^3", free.table)])
+    assert (note["lift"], note["correction"]) == ("-k1^3 + k2^3", "k1^3")
 
 
 def test_apply_quotient_lifts_prev_relations():
-    """Relations of the beta side lift to the glued presentation."""
+    """Relations of the kept tags lift to the glued presentation."""
     tags = pres(["x"], [1])
     a = pres(["u"], [1], "u^2")
-    prev = pres(["x"], [1])  # free prev ring sharing the tag name
     alpha = Morphism(tags, a, {"x": Polynomial.variable(a.table, "u")})
-    beta = Morphism(tags, prev, {"x": Polynomial.variable(prev.table, "x")})
-    glued = fiber_product(alpha, beta)[0]  # ker alpha ∩ ker beta = (x^2) ∩ 0 = 0
+    glued = fiber(alpha, [])  # ker alpha ∩ (no killed tags) = (x^2) ∩ 0 = 0
     assert glued.is_free()
-    prev_rel = parse_polynomial("x^3", prev.table)
-    result, notes = apply_quotient(glued, alpha, beta, [prev_rel])
+    prev_rel = parse_polynomial("x^3", pres(["x"], [1]).table)  # a free prev ring sharing the name
+    result, notes = apply_quotient(glued, alpha, [], [prev_rel])
     assert len(notes) == 1 and notes[0]["correction"] is None
     assert [str(g) for g in result.relations.groebner(result.order)] == ["x^3"]
 
